@@ -97,7 +97,7 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
 
     while True:
         k = label_map.n_fine
-        init = init_assignments(km, d, label_map, k, seed=opts.solver.seed)
+        init = init_assignments(km, d, label_map, k)
         original = fit_sskkm(
             km, d, label_map, k,
             replace(opts.solver, unlabeled_weight_mode="original", custom_weight=None),

@@ -25,7 +25,7 @@ from .evalx import average_precision, interpolated_precision_points, learning_cu
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .misspec import CriterionReport, LabelMap
 from .semgmm import GmmModel, class_posteriors_batch, fit_sem
-from .sskkm import ClusterModel, fit_sskkm, score_batch
+from .sskkm import Assignments, ClusterModel, fit_sskkm, score_batch
 
 ENV_THREADS = "MISSPEC_SSL_THREADS"
 
@@ -120,26 +120,20 @@ def cluster_model_to_dict(m: ClusterModel, train_features: np.ndarray) -> dict:
         "iterations_run": m.iterations_run,
         "converged": m.converged,
         "point_weights": m.point_weights.tolist(),
+        "cluster_wsum": m.cluster_wsum.tolist(),
+        "cluster_inner": m.cluster_inner.tolist(),
         "training_features": np.asarray(train_features).tolist(),
     }
 
 
 def criterion_to_dict(r: CriterionReport) -> dict:
-    out = {
+    return {
         "disagreements": r.disagreements,
         "n_labeled": r.n_labeled,
         "threshold": r.threshold,
         "misspecified": r.misspecified,
         "disagreeing_points": [list(p) for p in r.disagreeing_points],
     }
-    if r.kl_gap is not None:
-        out["kl_gap"] = {
-            "value": r.kl_gap.value,
-            "std_error": r.kl_gap.std_error,
-            "n_samples": r.kl_gap.n_samples,
-            "seed": r.kl_gap.seed,
-        }
-    return out
 
 
 def askkm_to_dict(m: AskkmModel, train_features: np.ndarray) -> dict:
@@ -162,8 +156,9 @@ def askkm_to_dict(m: AskkmModel, train_features: np.ndarray) -> dict:
 
 
 def _cluster_model_from_dict(d: dict) -> tuple[ClusterModel, np.ndarray]:
-    from .sskkm import Assignments
-
+    missing = [k for k in ("cluster_wsum", "cluster_inner") if k not in d]
+    if missing:
+        raise InputError(f"model JSON lacks {' and '.join(missing)}; refit the model")
     lmd = d["label_map"]
     lm = LabelMap(
         fine_to_class=np.asarray(lmd["fine_to_class"]),
@@ -172,24 +167,17 @@ def _cluster_model_from_dict(d: dict) -> tuple[ClusterModel, np.ndarray]:
     )
     train = np.asarray(d["training_features"])
     cluster_of = np.asarray(d["assignments"])
-    weights = np.asarray(d["point_weights"])
-    spec = kernel_spec_from_dict(d["kernel"])
-    from .sskkm import _cluster_stats
-
-    wsum, _, inner = _cluster_stats(
-        cross_matrix(train, train, spec), cluster_of, weights, d["n_clusters"]
-    )
     model = ClusterModel(
         assignments=Assignments(cluster_of=cluster_of, n_clusters=d["n_clusters"]),
         label_map=lm,
         unlabeled_weight=d["unlabeled_weight"],
         objective=d["objective"],
-        kernel_spec=spec,
+        kernel_spec=kernel_spec_from_dict(d["kernel"]),
         iterations_run=d["iterations_run"],
         converged=d["converged"],
-        point_weights=weights,
-        cluster_wsum=wsum,
-        cluster_inner=inner,
+        point_weights=np.asarray(d["point_weights"]),
+        cluster_wsum=np.asarray(d["cluster_wsum"]),
+        cluster_inner=np.asarray(d["cluster_inner"]),
     )
     return model, train
 

@@ -22,6 +22,7 @@ DISTANCES = ("euclidean", "manhattan", "chi_square")
 
 CHI_SQUARE_EPS = 1e-12
 MEDIAN_SUBSAMPLE = 512
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -101,26 +102,65 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     return float(np.exp(-gamma * _pair_distance(x, y, spec.distance)))
 
 
-def _distance_matrix(x: np.ndarray, y: np.ndarray, distance: str, squared: bool) -> np.ndarray:
-    """All-pairs distances between rows of x and rows of y."""
-    if distance == "euclidean":
-        xx = np.sum(x * x, axis=1)[:, None]
-        yy = np.sum(y * y, axis=1)[None, :]
-        d2 = np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
-        return d2 if squared else np.sqrt(d2)
-    if distance == "manhattan":
-        return np.sum(np.abs(x[:, None, :] - y[None, :, :]), axis=2)
-    _check_chi_square_inputs(x, y)
-    diff = x[:, None, :] - y[None, :, :]
-    denom = x[:, None, :] + y[None, :, :] + CHI_SQUARE_EPS
-    return np.sum(diff * diff / denom, axis=2)
-
-
-def _kernel_distance_kind(spec: KernelSpec) -> tuple[str, bool]:
-    """Which distance the rbf-kind kernel exponentiates (and whether squared)."""
+def _kernel_params(spec: KernelSpec) -> tuple[str | None, bool, float | None]:
+    """(distance, squared, gamma) of the kernel: the dot product (distance
+    None) for linear, else exp(-gamma * distance) with the squared euclidean
+    distance for rbf."""
+    if spec.kind == "linear":
+        return None, False, None
     if spec.kind == "rbf":
-        return "euclidean", True
-    return spec.distance, False
+        return "euclidean", True, spec.gamma
+    return spec.distance, False, spec.gamma
+
+
+def _fill_pairwise(
+    out: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    distance: str | None,
+    squared: bool,
+    gamma: float | None,
+    upper: bool,
+) -> None:
+    """Write pairwise values between rows of x and rows of y into ``out`` in
+    place: the dot product (``distance`` None), a distance, or with ``gamma``
+    set exp(-gamma * distance).
+
+    Work proceeds in blocks of rows, so temporaries are O(BLOCK_ROWS * len(y))
+    however large ``out`` is. With ``upper`` (y is x) only entries on and
+    above the diagonal are written; the rest of ``out`` is scratch.
+    """
+    if distance in (None, "euclidean"):
+        np.matmul(x, y.T, out=out)
+        if distance is None:
+            return
+        xx = np.sum(x * x, axis=1)
+        yy = xx if upper else np.sum(y * y, axis=1)
+        step = BLOCK_ROWS
+    else:
+        if distance == "chi_square":
+            _check_chi_square_inputs(x, y)
+        step = max(1, BLOCK_ROWS // max(1, x.shape[1]))
+    for r0 in range(0, x.shape[0], step):
+        r1 = min(r0 + step, x.shape[0])
+        c0 = r0 if upper else 0
+        block = out[r0:r1, c0:]
+        if distance == "euclidean":
+            np.multiply(block, 2.0, out=block)
+            np.subtract(xx[r0:r1, None] + yy[None, c0:], block, out=block)
+            np.maximum(block, 0.0, out=block)
+            if not squared:
+                np.sqrt(block, out=block)
+        else:
+            diff = x[r0:r1, None, :] - y[None, c0:, :]
+            if distance == "manhattan":
+                np.sum(np.abs(diff), axis=2, out=block)
+            else:
+                denom = x[r0:r1, None, :] + y[None, c0:, :] + CHI_SQUARE_EPS
+                np.sum(diff * diff / denom, axis=2, out=block)
+        if gamma is not None:
+            np.multiply(block, -gamma, out=block)
+            np.exp(block, out=block)
 
 
 def resolve_gamma(spec: KernelSpec, features: np.ndarray, seed: int = 0) -> KernelSpec:
@@ -136,8 +176,9 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray, seed: int = 0) -> Kern
     if n > MEDIAN_SUBSAMPLE:
         rng = np.random.default_rng(derive_seed(seed, "median-gamma"))
         x = x[rng.choice(n, size=MEDIAN_SUBSAMPLE, replace=False)]
-    distance, squared = _kernel_distance_kind(spec)
-    d = _distance_matrix(x, x, distance, squared)
+    distance, squared, _ = _kernel_params(spec)
+    d = np.empty((x.shape[0], x.shape[0]))
+    _fill_pairwise(d, x, x, distance, squared, None, upper=True)
     iu = np.triu_indices(x.shape[0], k=1)
     med = float(np.median(d[iu])) if iu[0].size else 0.0
     gamma = 1.0 / med if med > 0 else 1.0
@@ -150,12 +191,11 @@ def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
         raise InputError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if spec.kind == "linear":
-        return x @ y.T
-    if spec.gamma is None:
+    if spec.is_rbf_kind and spec.gamma is None:
         raise InputError("gamma unresolved; call resolve_gamma first")
-    distance, squared = _kernel_distance_kind(spec)
-    return np.exp(-spec.gamma * _distance_matrix(x, y, distance, squared))
+    out = np.empty((x.shape[0], y.shape[0]))
+    _fill_pairwise(out, x, y, *_kernel_params(spec), upper=False)
+    return out
 
 
 def kernel_diag(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -169,17 +209,33 @@ def kernel_diag(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
     """Precompute the full Gram matrix over all dataset points.
 
-    The upper triangle is computed once and mirrored so symmetry holds
-    bit-exactly; for rbf kinds the diagonal is set to exactly 1.
+    The matrix is built in one N x N buffer: the upper triangle is computed
+    once, in blocks of rows, and mirrored so symmetry holds bit-exactly; for
+    rbf kinds the diagonal is set to exactly 1. Beyond the 8*N^2 bytes of the
+    result, memory use is O(BLOCK_ROWS * N); a failed allocation of the
+    result is an InputError, not a crash.
     """
     require_valid(d)
     spec = resolve_gamma(spec, d.features)
-    values = cross_matrix(d.features, d.features, spec)
-    values = np.triu(values)
-    values = values + np.triu(values, k=1).T
+    x = np.asarray(d.features, dtype=float)
+    n = x.shape[0]
+    try:
+        values = np.empty((n, n))
+    except MemoryError:
+        raise InputError(
+            f"the Gram matrix of N={n} points needs {8 * n * n} bytes (8*N^2), "
+            "which could not be allocated"
+        ) from None
+    _fill_pairwise(values, x, x, *_kernel_params(spec), upper=True)
+    for r0 in range(0, n, BLOCK_ROWS):
+        r1 = min(r0 + BLOCK_ROWS, n)
+        tile = values[r0:r1, r0:r1]
+        below = np.tril_indices(r1 - r0, k=-1)
+        tile[below] = tile.T[below]
+        values[r1:, r0:r1] = values[r0:r1, r1:].T
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)
-    return KernelMatrix(values=values, spec=spec, n=d.n_points)
+    return KernelMatrix(values=values, spec=spec, n=n)
 
 
 def check_psd(m: KernelMatrix, tol: float) -> bool:

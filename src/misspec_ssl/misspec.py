@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import InputError
-
-if TYPE_CHECKING:
-    from .semgmm import KlEstimate
 
 
 class StructureGrowthCapped(RuntimeError):
@@ -76,8 +72,7 @@ class CriterionReport:
     """Disagreement count between the paired classifiers on labeled data.
 
     ``disagreeing_points`` lists (position in the labeled list, original
-    prediction, unbiased prediction) in index order. ``kl_gap`` optionally
-    carries a Monte-Carlo estimate of the divergence between the paired fits.
+    prediction, unbiased prediction) in index order.
     """
 
     disagreements: int
@@ -85,14 +80,12 @@ class CriterionReport:
     threshold: int
     misspecified: bool
     disagreeing_points: tuple[tuple[int, int, int], ...] = field(default_factory=tuple)
-    kl_gap: "KlEstimate | None" = None
 
 
 def disagreement_criterion(
     preds_original: np.ndarray,
     preds_unbiased: np.ndarray,
     threshold: int,
-    kl_gap: "KlEstimate | None" = None,
 ) -> CriterionReport:
     """Count labeled points where the two prediction lists differ."""
     po = np.asarray(preds_original, dtype=int)
@@ -110,7 +103,6 @@ def disagreement_criterion(
         threshold=int(threshold),
         misspecified=n_dis > threshold,
         disagreeing_points=points,
-        kl_gap=kl_gap,
     )
 
 

@@ -118,13 +118,10 @@ def _seed_weights(d: Dataset) -> np.ndarray:
     return w
 
 
-def init_assignments(
-    km: KernelMatrix, d: Dataset, label_map: LabelMap, k: int, seed: int = 0
-) -> Assignments:
+def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap, k: int) -> Assignments:
     """Pin labeled points to their designated clusters and give every other
     point the cluster whose labeled-seed mean is nearest in kernel distance
-    (ties to the lowest cluster id). Deterministic; the seed is accepted for
-    interface stability only.
+    (ties to the lowest cluster id). Deterministic.
     """
     if label_map.n_fine != k:
         raise InputError(f"label map covers {label_map.n_fine} fine labels, expected {k}")
@@ -208,7 +205,7 @@ def fit_sskkm(
     weight = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
 
     if init is None:
-        init = init_assignments(km, d, label_map, k, seed=opts.seed)
+        init = init_assignments(km, d, label_map, k)
     elif init.n_clusters != k:
         raise InputError(f"init has {init.n_clusters} clusters, expected {k}")
     cluster_of = init.cluster_of.copy()

@@ -1,8 +1,14 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from misspec_ssl.cli import main
+from misspec_ssl import cli, kernels
+from misspec_ssl.cli import _cluster_model_from_dict, load_model_scores, main
+from misspec_ssl.datagen import load_csv
+from misspec_ssl.kernels import cross_matrix, gram_matrix, kernel_diag
+from misspec_ssl.sskkm import _cluster_stats, score_batch
 
 
 def run(args):
@@ -193,6 +199,87 @@ class TestEval:
         assert run(["eval", "--model", model, "--data", tmp_path / "data.csv",
                     "--out", out]) == 0
         assert json.loads(out.read_text())["mAP"] > 0.9
+
+
+def scores_from_recomputed_stats(model_path, x, train_gram):
+    """Score queries after recomputing every cluster's W_k and w'Kw from a
+    full training Gram ``train_gram(train, spec)``."""
+    d = json.loads(model_path.read_text())
+    model, train = _cluster_model_from_dict(d.get("final_model", d))
+    spec = model.kernel_spec
+    wsum, _, inner = _cluster_stats(
+        train_gram(train, spec), model.assignments.cluster_of, model.point_weights,
+        model.n_clusters,
+    )
+    model = replace(model, cluster_wsum=wsum, cluster_inner=inner)
+    return score_batch(model, cross_matrix(x, train, spec), kernel_diag(x, spec))
+
+
+class TestKernelModelEval:
+    @pytest.fixture()
+    def data(self, tmp_path):
+        run(gen_args(tmp_path, kind="misspecified", unlabeled=150, seed=31,
+                     **{"class-sep": 5.0}))
+        return tmp_path / "data.csv"
+
+    def fit(self, tmp_path, data, method):
+        model = tmp_path / f"{method}.json"
+        assert run(["fit", "--data", data, "--method", method, "--out-model", model]) == 0
+        return model
+
+    @pytest.mark.parametrize("method", ["original_sskkm", "unbiased_sskkm", "askkm"])
+    def test_serialized_stats_match_recomputed_oracle(self, tmp_path, data, method, monkeypatch):
+        model = self.fit(tmp_path, data, method)
+        train_set, _ = load_csv(data)
+        x = train_set.features[train_set.labeled_idx]
+        calls = []
+
+        def query_rows_only(q, y, spec):
+            assert q.shape[0] == x.shape[0]
+            calls.append(q.shape)
+            return cross_matrix(q, y, spec)
+
+        monkeypatch.setattr(cli, "cross_matrix", query_rows_only)
+        scores, n_classes = load_model_scores(model, x)
+        assert calls == [x.shape] and n_classes == 2
+        # the fit's own Gram gives the serialized statistics exactly
+        fit_gram = scores_from_recomputed_stats(
+            model, x, lambda train, spec: gram_matrix(train_set, spec).values
+        )
+        assert np.array_equal(scores, fit_gram)
+        # a cross_matrix(train, train) rebuild differs only where its diagonal
+        # rounds below the exact 1 the fit used
+        rebuilt = scores_from_recomputed_stats(
+            model, x, lambda train, spec: cross_matrix(train, train, spec)
+        )
+        np.testing.assert_allclose(scores, rebuilt, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["original_sskkm", "askkm"])
+    @pytest.mark.parametrize("key", ["cluster_wsum", "cluster_inner"])
+    def test_model_without_cluster_stats_exits_3(self, tmp_path, data, method, key, capsys):
+        model = self.fit(tmp_path, data, method)
+        payload = json.loads(model.read_text())
+        del payload.get("final_model", payload)[key]
+        model.write_text(json.dumps(payload))
+        code = run(["eval", "--model", model, "--data", data, "--out", tmp_path / "m.json"])
+        assert code == 3
+        assert key in capsys.readouterr().err
+
+    def test_gram_allocation_failure_exits_3(self, tmp_path, data, monkeypatch, capsys):
+        n = load_csv(data)[0].n_points
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if shape == (n, n):
+                raise MemoryError
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "empty", empty)
+        code = run(["fit", "--data", data, "--method", "askkm", "--gamma", 0.5,
+                    "--out-model", tmp_path / "m.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"N={n}" in err and str(8 * n * n) in err
 
 
 class TestConfigFile:

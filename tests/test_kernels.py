@@ -6,6 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from misspec_ssl.core import Dataset, InputError
 from misspec_ssl.kernels import (
+    BLOCK_ROWS,
+    CHI_SQUARE_EPS,
     KernelSpec,
     check_psd,
     cross_matrix,
@@ -28,6 +30,46 @@ def dataset_from_features(x, n_classes=2):
         unlabeled_idx=np.arange(n_classes, n),
         n_classes=n_classes,
     )
+
+
+SPECS = [
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="rbf"),
+    KernelSpec(kind="generalized_rbf", distance="euclidean"),
+    KernelSpec(kind="generalized_rbf", distance="manhattan"),
+    KernelSpec(kind="generalized_rbf", distance="chi_square"),
+]
+
+
+def numpy_distances(x, y, distance, squared):
+    """All-pairs distances as plain whole-matrix numpy expressions."""
+    if distance == "euclidean":
+        xx = np.sum(x * x, axis=1)[:, None]
+        yy = np.sum(y * y, axis=1)[None, :]
+        d2 = np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
+        return d2 if squared else np.sqrt(d2)
+    if distance == "manhattan":
+        return np.sum(np.abs(x[:, None, :] - y[None, :, :]), axis=2)
+    diff = x[:, None, :] - y[None, :, :]
+    return np.sum(diff * diff / (x[:, None, :] + y[None, :, :] + CHI_SQUARE_EPS), axis=2)
+
+
+def numpy_cross(x, y, spec):
+    """Oracle for cross_matrix: the kernel over whole-matrix distances."""
+    if spec.kind == "linear":
+        return x @ y.T
+    distance = "euclidean" if spec.kind == "rbf" else spec.distance
+    return np.exp(-spec.gamma * numpy_distances(x, y, distance, spec.kind == "rbf"))
+
+
+def numpy_gram(x, spec):
+    """Oracle for gram_matrix: the full cross matrix, its upper triangle
+    mirrored, and a unit diagonal for rbf kinds."""
+    values = np.triu(numpy_cross(x, x, spec))
+    values = values + np.triu(values, k=1).T
+    if spec.is_rbf_kind:
+        np.fill_diagonal(values, 1.0)
+    return values
 
 
 class TestKernelEval:
@@ -116,6 +158,20 @@ class TestGramMatrix:
         assert np.all(np.diagonal(km.values) == 1.0)
 
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
+    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_in_place_build_matches_whole_matrix_oracle(self, spec, n, dim):
+        # n=1 cannot form a valid two-class dataset; cross_matrix covers it
+        x = np.abs(np.random.default_rng(n * 10 + dim).standard_normal((n, dim))) * 3.0
+        x[n - n // 2:] = x[: n // 2]  # duplicate points round to distances <= 0
+        km = gram_matrix(dataset_from_features(x), spec)
+        assert np.array_equal(km.values, numpy_gram(x, km.spec))
+        assert np.array_equal(km.values, km.values.T)
+        if spec.is_rbf_kind:
+            assert np.all(km.diag == 1.0)
+
+
 class TestCheckPsd:
     def test_identity(self):
         d = dataset_from_features(np.eye(3))
@@ -146,6 +202,13 @@ class TestGammaResolution:
         assert a.gamma == b.gamma
         assert a.gamma > 0
 
+    @pytest.mark.parametrize("spec", SPECS[1:], ids=lambda s: f"{s.kind}-{s.distance}")
+    def test_median_matches_whole_matrix_oracle(self, spec):
+        x = np.abs(np.random.default_rng(12).standard_normal((90, 4)))
+        distance = "euclidean" if spec.kind == "rbf" else spec.distance
+        d = numpy_distances(x, x, distance, spec.kind == "rbf")
+        assert resolve_gamma(spec, x).gamma == 1.0 / np.median(d[np.triu_indices(90, k=1)])
+
     def test_explicit_gamma_untouched(self):
         spec = KernelSpec(kind="rbf", gamma=2.5)
         assert resolve_gamma(spec, np.zeros((3, 2))).gamma == 2.5
@@ -172,6 +235,16 @@ class TestCrossAndDiag:
             got = cross_matrix(x, y, spec)
             want = np.array([[kernel_eval(a, b, spec) for b in y] for a in x])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
+    @pytest.mark.parametrize("q", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    def test_cross_matches_whole_matrix_oracle(self, spec, q):
+        rng = np.random.default_rng(q)
+        x = np.abs(rng.standard_normal((q, 3)))
+        y = np.abs(rng.standard_normal((BLOCK_ROWS + 5, 3)))
+        y[: min(q, 9)] = x[:9]
+        spec = resolve_gamma(spec, y)
+        assert np.array_equal(cross_matrix(x, y, spec), numpy_cross(x, y, spec))
 
     def test_diag(self):
         x = np.array([[1.0, 2.0], [0.0, 3.0]])
