@@ -24,7 +24,7 @@ from .misspec import (
     disagreement_criterion,
     modify_structure,
 )
-from .sskkm import ClusterModel, classify_batch, fit_sskkm, init_assignments, score_batch
+from .sskkm import ClusterModel, classify_batch, fit_sskkm, init_assignments
 
 DEFAULT_KMAX_PER_CLASS = 10
 
@@ -71,6 +71,29 @@ class AskkmModel:
     @property
     def n_clusters(self) -> int:
         return self.final_model.n_clusters
+
+    @property
+    def unlabeled_weight(self) -> float:
+        return self.final_model.unlabeled_weight
+
+    def to_dict(self, train_features: np.ndarray) -> dict:
+        """JSON form; the final model carries the training features."""
+        return {
+            "family": "askkm",
+            "final_model": self.final_model.to_dict(train_features),
+            "label_map": self.label_map.to_dict(),
+            "rounds": self.rounds,
+            "terminated_by": self.terminated_by,
+            "history": [
+                {
+                    "n_clusters": rec.n_clusters,
+                    "criterion": rec.report.to_dict(),
+                    "objective_original": rec.objective_original,
+                    "objective_unbiased": rec.objective_unbiased,
+                }
+                for rec in self.history
+            ],
+        }
 
 
 def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
@@ -152,10 +175,3 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
         rounds=len(history),
         terminated_by=terminated_by,
     )
-
-
-def predict(m: AskkmModel, km_rows: np.ndarray, self_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classify query points through the final model: (labels, per-class scores)."""
-    labels = classify_batch(m.final_model, km_rows, self_k)
-    scores = score_batch(m.final_model, km_rows, self_k)
-    return labels, scores

@@ -18,25 +18,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .askkm import AskkmModel, AskkmOptions, fit_askkm
+from .askkm import AskkmOptions
 from .core import InputError, SolverOptions
 from .datagen import GenSpec, generate, load_csv, write_csv
-from .evalx import average_precision, interpolated_precision_points, learning_curve, mean_ap
+from .evalx import (
+    METHODS,
+    average_precision,
+    fit_method,
+    interpolated_precision_points,
+    learning_curve,
+    mean_ap,
+    method_solver,
+    predict,
+)
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
-from .misspec import CriterionReport, LabelMap
-from .semgmm import GmmModel, class_posteriors_batch, fit_sem
-from .sskkm import Assignments, ClusterModel, fit_sskkm, score_batch
+from .semgmm import GmmModel
+from .sskkm import ClusterModel
 
 ENV_THREADS = "MISSPEC_SSL_THREADS"
-
-FIT_METHODS = (
-    "original_sskkm",
-    "unbiased_sskkm",
-    "askkm",
-    "original_sem",
-    "unbiased_sem",
-    "supervised_sem",
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,147 +58,42 @@ def _echo(args: argparse.Namespace, keys: list[str]) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-# ---------------------------------------------------------------------------
-# Model serialization
-# ---------------------------------------------------------------------------
-
-
-def kernel_spec_to_dict(spec: KernelSpec) -> dict:
-    return {"kind": spec.kind, "gamma": spec.gamma, "distance": spec.distance}
-
-
-def kernel_spec_from_dict(d: dict) -> KernelSpec:
-    return KernelSpec(kind=d["kind"], gamma=d["gamma"], distance=d["distance"])
-
-
-def gmm_to_dict(m: GmmModel) -> dict:
-    return {
-        "family": "sem",
-        "n_components": m.n_components,
-        "n_classes": m.n_classes,
-        "weights": m.weights.tolist(),
-        "means": m.means.tolist(),
-        "covariance_type": m.covariance_type,
-        "covariances": m.covariances.tolist(),
-        "comp_map": m.comp_map.tolist(),
-        "unlabeled_weight": m.unlabeled_weight,
-        "final_loglik": m.final_loglik,
-    }
-
-
-def gmm_from_dict(d: dict) -> GmmModel:
-    return GmmModel(
-        weights=np.asarray(d["weights"]),
-        means=np.asarray(d["means"]),
-        covariances=np.asarray(d["covariances"]),
-        comp_map=np.asarray(d["comp_map"]),
-        n_classes=d["n_classes"],
-        covariance_type=d["covariance_type"],
-        unlabeled_weight=d["unlabeled_weight"],
-        final_loglik=d["final_loglik"],
-    )
-
-
-def label_map_to_dict(lm: LabelMap) -> dict:
-    return {
-        "fine_to_class": lm.fine_to_class.tolist(),
-        "fine_of_point": lm.fine_of_point.tolist(),
-        "n_classes": lm.n_classes,
-    }
-
-
-def cluster_model_to_dict(m: ClusterModel, train_features: np.ndarray) -> dict:
-    return {
-        "family": "sskkm",
-        "n_clusters": m.n_clusters,
-        "assignments": m.assignments.cluster_of.tolist(),
-        "label_map": label_map_to_dict(m.label_map),
-        "unlabeled_weight": m.unlabeled_weight,
-        "objective": m.objective,
-        "kernel": kernel_spec_to_dict(m.kernel_spec),
-        "iterations_run": m.iterations_run,
-        "converged": m.converged,
-        "point_weights": m.point_weights.tolist(),
-        "cluster_wsum": m.cluster_wsum.tolist(),
-        "cluster_inner": m.cluster_inner.tolist(),
-        "training_features": np.asarray(train_features).tolist(),
-    }
-
-
-def criterion_to_dict(r: CriterionReport) -> dict:
-    return {
-        "disagreements": r.disagreements,
-        "n_labeled": r.n_labeled,
-        "threshold": r.threshold,
-        "misspecified": r.misspecified,
-        "disagreeing_points": [list(p) for p in r.disagreeing_points],
-    }
-
-
-def askkm_to_dict(m: AskkmModel, train_features: np.ndarray) -> dict:
-    return {
-        "family": "askkm",
-        "final_model": cluster_model_to_dict(m.final_model, train_features),
-        "label_map": label_map_to_dict(m.label_map),
-        "rounds": m.rounds,
-        "terminated_by": m.terminated_by,
-        "history": [
-            {
-                "n_clusters": rec.n_clusters,
-                "criterion": criterion_to_dict(rec.report),
-                "objective_original": rec.objective_original,
-                "objective_unbiased": rec.objective_unbiased,
-            }
-            for rec in m.history
-        ],
-    }
-
-
-def _cluster_model_from_dict(d: dict) -> tuple[ClusterModel, np.ndarray]:
-    missing = [k for k in ("cluster_wsum", "cluster_inner") if k not in d]
-    if missing:
-        raise InputError(f"model JSON lacks {' and '.join(missing)}; refit the model")
-    lmd = d["label_map"]
-    lm = LabelMap(
-        fine_to_class=np.asarray(lmd["fine_to_class"]),
-        fine_of_point=np.asarray(lmd["fine_of_point"]),
-        n_classes=lmd["n_classes"],
-    )
-    train = np.asarray(d["training_features"])
-    cluster_of = np.asarray(d["assignments"])
-    model = ClusterModel(
-        assignments=Assignments(cluster_of=cluster_of, n_clusters=d["n_clusters"]),
-        label_map=lm,
-        unlabeled_weight=d["unlabeled_weight"],
-        objective=d["objective"],
-        kernel_spec=kernel_spec_from_dict(d["kernel"]),
-        iterations_run=d["iterations_run"],
-        converged=d["converged"],
-        point_weights=np.asarray(d["point_weights"]),
-        cluster_wsum=np.asarray(d["cluster_wsum"]),
-        cluster_inner=np.asarray(d["cluster_inner"]),
-    )
-    return model, train
+def _load_model(path: str | Path) -> tuple[GmmModel | ClusterModel, np.ndarray | None]:
+    """A fitted model from its JSON file, with the training features of a
+    kernel model (None for a mixture)."""
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InputError(f"model file {path} is not JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise InputError(f"model file {path} holds a JSON {type(d).__name__}, not an object")
+    family = d.get("family")
+    try:
+        if family == "sem":
+            return GmmModel.from_dict(d), None
+        if family == "sskkm":
+            return ClusterModel.from_dict(d)
+        if family == "askkm":
+            return ClusterModel.from_dict(d["final_model"])
+    except KeyError as exc:
+        raise InputError(f"model file {path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"model file {path} is malformed: {exc}") from None
+    raise InputError(f"unrecognized model family {family!r} in {path}")
 
 
 def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Load a fitted model JSON and score query points: (scores (Q, C), C)."""
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    family = d.get("family")
-    if family == "sem":
-        m = gmm_from_dict(d)
-        if x.shape[1] != m.dim:
-            raise InputError(f"model dimension {m.dim} != data dimension {x.shape[1]}")
-        return class_posteriors_batch(m, x), m.n_classes
-    if family in ("sskkm", "askkm"):
-        model, train = _cluster_model_from_dict(d if family == "sskkm" else d["final_model"])
-        if x.shape[1] != train.shape[1]:
-            raise InputError(
-                f"model dimension {train.shape[1]} != data dimension {x.shape[1]}"
-            )
+    model, train = _load_model(path)
+    dim = model.dim if train is None else train.shape[1]
+    if x.shape[1] != dim:
+        raise InputError(f"model dimension {dim} != data dimension {x.shape[1]}")
+    rows = diag = None
+    if train is not None:
         rows = cross_matrix(x, train, model.kernel_spec)
-        return score_batch(model, rows, kernel_diag(x, model.kernel_spec)), model.label_map.n_classes
-    raise InputError(f"unrecognized model family {family!r} in {path}")
+        diag = kernel_diag(x, model.kernel_spec)
+    scores = predict(model, x, rows, diag)[1]
+    return scores, scores.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +150,6 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
     return KernelSpec(kind=args.kernel, gamma=args.gamma, distance=args.distance)
 
 
-def _solver_from_args(args: argparse.Namespace, mode: str, weight: float | None) -> SolverOptions:
-    return SolverOptions(
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-        unlabeled_weight_mode=mode,
-        custom_weight=weight,
-    )
-
-
 FIT_KEYS = [
     "data", "method", "kernel", "gamma", "distance", "components",
     "max_iter", "tol", "seed", "weight", "threshold", "k_max", "stall_rounds",
@@ -274,48 +158,31 @@ FIT_KEYS = [
 
 def cmd_fit(args: argparse.Namespace) -> int:
     out_model = _check_output_path(args.out_model)
+    family = METHODS[args.method].family
+    if args.weight is not None and family == "askkm":
+        raise InputError("--weight does not apply to askkm, which fits both weightings itself")
+    if args.components is not None and family != "sem":
+        raise InputError(f"--components applies to sem methods only, not to {args.method}")
+    base = SolverOptions(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
+    solver = method_solver(args.method, base, args.weight)
+    askkm = AskkmOptions()
+    if family == "askkm":
+        askkm = AskkmOptions(
+            threshold=args.threshold, k_max=args.k_max, stall_rounds=args.stall_rounds
+        )
     dataset, _ = load_csv(args.data)
     echo = _echo(args, FIT_KEYS)
 
-    def solver_for(mode: str) -> SolverOptions:
-        if args.weight is not None:
-            return _solver_from_args(args, "custom", args.weight)
-        if mode == "supervised":
-            return _solver_from_args(args, "custom", 0.0)
-        return _solver_from_args(args, mode, None)
-
-    if args.method in ("original_sem", "unbiased_sem", "supervised_sem"):
-        opts = solver_for(args.method.replace("_sem", ""))
-        k = args.components if args.components else dataset.n_classes
-        comp_map = np.arange(k) % dataset.n_classes
-        model = fit_sem(dataset, k, comp_map, opts)
-        weight = model.unlabeled_weight
-        payload = gmm_to_dict(model)
-    elif args.method in ("original_sskkm", "unbiased_sskkm"):
-        opts = solver_for(args.method.replace("_sskkm", ""))
-        km = gram_matrix(dataset, _kernel_from_args(args))
-        lm = LabelMap.identity(dataset.labels, dataset.n_classes)
-        fitted = fit_sskkm(km, dataset, lm, dataset.n_classes, opts)
-        weight = fitted.unlabeled_weight
-        payload = cluster_model_to_dict(fitted, dataset.features)
-    else:
-        opts = AskkmOptions(
-            threshold=args.threshold,
-            k_max=args.k_max,
-            stall_rounds=args.stall_rounds,
-            solver=_solver_from_args(args, "original", None),
+    km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
+    model = fit_method(args.method, dataset, km, solver, args.components, askkm)
+    payload = model.to_dict() if family == "sem" else model.to_dict(dataset.features)
+    if family == "askkm" and args.out_criterion:
+        out_criterion = _check_output_path(args.out_criterion)
+        _dump_json(
+            {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion
         )
-        km = gram_matrix(dataset, _kernel_from_args(args))
-        model = fit_askkm(km, dataset, opts)
-        weight = model.final_model.unlabeled_weight
-        payload = askkm_to_dict(model, dataset.features)
-        if args.out_criterion:
-            out_criterion = _check_output_path(args.out_criterion)
-            _dump_json(
-                {"config": echo, "criterion": criterion_to_dict(model.history[-1].report)},
-                out_criterion,
-            )
 
+    weight = model.unlabeled_weight
     payload["config"] = echo
     payload["resolved_unlabeled_weight"] = weight
     _dump_json(payload, out_model)
@@ -344,7 +211,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     out_csv = _check_output_path(args.out_csv)
     scenario = _gen_spec_from_args(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    grid = [int(g) for g in args.grid.split(",")]
+    try:
+        grid = [int(g) for g in args.grid.split(",")]
+    except ValueError:
+        raise InputError(f"--grid must list integers, got {args.grid!r}") from None
     curve = learning_curve(
         scenario,
         methods,
@@ -436,33 +306,50 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-7)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that records the destination of every flag it declares."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.dests: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. ``defaults`` (the settings of a config file) become the
+    defaults of the same-named flags of every subcommand; a key that is no
+    flag of any subcommand is a usage error (exit 2)."""
+    common = _Parser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config file (flags override)")
+    parser = _Parser(
         prog="misspec-ssl",
         description="Semi-supervised generative learners with misspecification "
         "detection and adaptive cluster growth.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--config", default=None, help="JSON config file (flags override)")
+    gen = sub.add_parser("gen", parents=[common], help="generate a synthetic dataset")
     _add_scenario_flags(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-data", default="dataset.csv")
     gen.add_argument("--out-truth", default="truth.json")
     gen.set_defaults(func=cmd_gen)
 
-    fit = sub.add_parser("fit", help="fit a model to a dataset CSV")
-    fit.add_argument("--config", default=None)
+    fit = sub.add_parser("fit", parents=[common], help="fit a model to a dataset CSV")
     fit.add_argument("--data", required=True)
-    fit.add_argument("--method", choices=list(FIT_METHODS), required=True)
+    fit.add_argument("--method", choices=list(METHODS), required=True)
     _add_kernel_flags(fit)
     _add_solver_flags(fit)
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--components", type=int, default=None,
                      help="mixture components for sem methods (default: one per class)")
     fit.add_argument("--weight", type=float, default=None,
-                     help="custom unlabeled weight in [0,1] (overrides the method's mode)")
+                     help="custom unlabeled weight in [0,1] (overrides the method's mode; "
+                     "not for askkm)")
     fit.add_argument("--threshold", type=int, default=None)
     fit.add_argument("--k-max", type=int, default=None)
     fit.add_argument("--stall-rounds", type=int, default=3)
@@ -470,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out-criterion", default=None)
     fit.set_defaults(func=cmd_fit)
 
-    curve = sub.add_parser("curve", help="learning-curve sweep over N_u")
-    curve.add_argument("--config", default=None)
+    curve = sub.add_parser("curve", parents=[common], help="learning-curve sweep over N_u")
     _add_scenario_flags(curve)
     _add_kernel_flags(curve)
     _add_solver_flags(curve)
@@ -485,39 +371,36 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--out-csv", default="curve.csv")
     curve.set_defaults(func=cmd_curve)
 
-    ev = sub.add_parser("eval", help="per-class AP and mAP of a fitted model")
-    ev.add_argument("--config", default=None)
+    ev = sub.add_parser("eval", parents=[common], help="per-class AP and mAP of a fitted model")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", default="metrics.json")
     ev.add_argument("--verbose", action="store_true")
     ev.set_defaults(func=cmd_eval)
+
+    if defaults:
+        commands = (gen, fit, curve, ev)
+        unknown = sorted(set(defaults) - common.dests.union(*(p.dests for p in commands)))
+        if unknown:
+            parser.error(f"config keys that are no flag of any command: {', '.join(unknown)}")
+        for p in commands:
+            p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-
-    parser = build_parser()
-    if known.config:
+    args = build_parser().parse_args(argv)
+    if args.config:
         try:
-            config = json.loads(Path(known.config).read_text(encoding="utf-8"))
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(config, dict):
             print("config error: config file must hold a JSON object", file=sys.stderr)
             return EXIT_USAGE
-        defaults = {k.replace("-", "_"): v for k, v in config.items()}
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions:
-            for sub in action.choices.values():
-                sub.set_defaults(**defaults)
+        args = build_parser({k.replace("-", "_"): v for k, v in config.items()}).parse_args(argv)
 
-    args = parser.parse_args(argv)
     if getattr(args, "subclusters", None) is None and hasattr(args, "kind"):
         args.subclusters = 2 if args.kind == "misspecified" else 1
     try:

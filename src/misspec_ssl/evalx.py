@@ -6,29 +6,88 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .askkm import AskkmOptions, fit_askkm
-from .askkm import predict as askkm_predict
+from .askkm import AskkmModel, AskkmOptions, fit_askkm
 from .core import Dataset, InputError, SolverOptions, derive_seed
 from .datagen import GenSpec, generate, sample_eval_set
-from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
+from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .misspec import LabelMap
-from .semgmm import bayes_classify_batch, class_posteriors_batch, fit_sem
-from .sskkm import classify_batch, fit_sskkm, score_batch
+from .semgmm import GmmModel, bayes_classify_batch, class_posteriors_batch, fit_sem
+from .sskkm import ClusterModel, classify_batch, fit_sskkm, score_batch
 
 RECALL_POINTS = 11
 
-CURVE_METHODS = (
-    "original_sskkm",
-    "unbiased_sskkm",
-    "askkm",
-    "original_sem",
-    "unbiased_sem",
-    "supervised",
-)
-METHOD_ALIASES = {"supervised_sem": "supervised"}
+
+class Method(NamedTuple):
+    """A fitting method: a model family and the weighting of its unlabeled term."""
+
+    family: str  # "sem", "sskkm" or "askkm"
+    mode: str  # "original", "unbiased" or "supervised" (custom weight 0)
+
+
+# The methods of `fit` and `curve`. A name whose Method repeats an earlier
+# entry is an alias of that earlier name. askkm fits both weightings itself.
+METHODS = {
+    "original_sskkm": Method("sskkm", "original"),
+    "unbiased_sskkm": Method("sskkm", "unbiased"),
+    "askkm": Method("askkm", "original"),
+    "original_sem": Method("sem", "original"),
+    "unbiased_sem": Method("sem", "unbiased"),
+    "supervised": Method("sem", "supervised"),
+    "supervised_sem": Method("sem", "supervised"),
+}
+
+
+def method_solver(name: str, base: SolverOptions, weight: float | None = None) -> SolverOptions:
+    """``base`` with the unlabeled weighting of method ``name``, or with the
+    custom ``weight`` in its place."""
+    mode = METHODS[name].mode
+    if weight is None and mode == "supervised":
+        weight = 0.0
+    if weight is not None:
+        return replace(base, unlabeled_weight_mode="custom", custom_weight=weight)
+    return replace(base, unlabeled_weight_mode=mode, custom_weight=None)
+
+
+def fit_method(
+    name: str,
+    train: Dataset,
+    km: KernelMatrix | None,
+    solver: SolverOptions,
+    components: int | None = None,
+    askkm: AskkmOptions = AskkmOptions(),
+) -> GmmModel | ClusterModel | AskkmModel:
+    """Fit method ``name`` with ``solver`` (see method_solver). ``km`` is the
+    training Gram of the kernel families; ``components`` is the mixture size
+    of the sem family (default: one per class); ``askkm`` holds the outer-loop
+    knobs of askkm, whose solver options ``solver`` replaces."""
+    family = METHODS[name].family
+    if family == "sem":
+        k = components if components is not None else train.n_classes
+        return fit_sem(train, k, np.arange(k) % train.n_classes, solver)
+    if family == "sskkm":
+        identity = LabelMap.identity(train.labels, train.n_classes)
+        return fit_sskkm(km, train, identity, train.n_classes, solver)
+    return fit_askkm(km, train, replace(askkm, solver=solver))
+
+
+def predict(
+    model: GmmModel | ClusterModel | AskkmModel,
+    x: np.ndarray,
+    rows: np.ndarray | None,
+    diag: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (Q,) and per-class scores (Q, C) of Q query points. A mixture
+    reads their features ``x``; a kernel model reads their kernel ``rows``
+    against its training points and their self-similarities ``diag``."""
+    if isinstance(model, GmmModel):
+        return bayes_classify_batch(model, x), class_posteriors_batch(model, x)
+    if isinstance(model, AskkmModel):
+        model = model.final_model
+    return classify_batch(model, rows, diag), score_batch(model, rows, diag)
 
 
 class UndefinedMetricError(InputError):
@@ -113,20 +172,9 @@ class LearningCurve:
 
 
 def _canonical_method(name: str) -> str:
-    name = METHOD_ALIASES.get(name, name)
-    if name not in CURVE_METHODS:
-        raise InputError(f"unknown method {name!r}; choose from {CURVE_METHODS}")
-    return name
-
-
-def _sem_scores(train: Dataset, mode: str, seed: int, test_x: np.ndarray,
-                solver: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
-    if mode == "supervised":
-        opts = replace(solver, seed=seed, unlabeled_weight_mode="custom", custom_weight=0.0)
-    else:
-        opts = replace(solver, seed=seed, unlabeled_weight_mode=mode, custom_weight=None)
-    model = fit_sem(train, train.n_classes, np.arange(train.n_classes), opts)
-    return bayes_classify_batch(model, test_x), class_posteriors_batch(model, test_x)
+    if name not in METHODS:
+        raise InputError(f"unknown method {name!r}; choose from {tuple(METHODS)}")
+    return next(n for n, m in METHODS.items() if m == METHODS[name])
 
 
 def _evaluate_cell(
@@ -144,30 +192,17 @@ def _evaluate_cell(
     test_x, test_y = sample_eval_set(spec, eval_size, derive_seed(base_seed, "eval", seed_index))
     binary = train.n_classes == 2
 
-    need_kernel = any(m in ("original_sskkm", "unbiased_sskkm", "askkm") for m in methods)
     km = rows = diag = None
-    if need_kernel:
+    if any(METHODS[m].family != "sem" for m in methods):
         km = gram_matrix(train, kernel)
         rows = cross_matrix(test_x, train.features, km.spec)
         diag = kernel_diag(test_x, km.spec)
-    identity = LabelMap.identity(train.labels, train.n_classes)
 
     out: dict[str, float] = {}
     for method in methods:
         seed = derive_seed(base_seed, "fit", seed_index, method)
-        if method in ("original_sem", "unbiased_sem", "supervised"):
-            mode = method.replace("_sem", "")
-            preds, scores = _sem_scores(train, mode, seed, test_x, solver)
-        elif method == "askkm":
-            opts = AskkmOptions(solver=replace(solver, seed=seed))
-            model = fit_askkm(km, train, opts)
-            preds, scores = askkm_predict(model, rows, diag)
-        else:
-            mode = method.replace("_sskkm", "")
-            opts = replace(solver, seed=seed, unlabeled_weight_mode=mode, custom_weight=None)
-            fitted = fit_sskkm(km, train, identity, train.n_classes, opts)
-            preds = classify_batch(fitted, rows, diag)
-            scores = score_batch(fitted, rows, diag)
+        model = fit_method(method, train, km, method_solver(method, replace(solver, seed=seed)))
+        preds, scores = predict(model, test_x, rows, diag)
         if binary:
             out[method] = average_precision(scores[:, 1], test_y == 1)
         else:
@@ -194,6 +229,8 @@ def learning_curve(
     cells are independent, so the worker count never changes the result.
     """
     canon = tuple(_canonical_method(m) for m in methods)
+    if not canon:
+        raise InputError("no methods requested")
     if len(set(canon)) != len(canon):
         raise InputError("duplicate methods requested")
     grid = [int(g) for g in grid]

@@ -9,7 +9,7 @@ the disagreeing labeled points into new fine labels (one per distinct
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import ceil
 
 import numpy as np
@@ -51,6 +51,13 @@ class LabelMap:
             n_classes=n_classes,
         )
 
+    def to_dict(self) -> dict:
+        return {
+            "fine_to_class": self.fine_to_class.tolist(),
+            "fine_of_point": self.fine_of_point.tolist(),
+            "n_classes": self.n_classes,
+        }
+
     def check(self) -> None:
         k = self.n_fine
         if k < self.n_classes:
@@ -80,6 +87,9 @@ class CriterionReport:
     threshold: int
     misspecified: bool
     disagreeing_points: tuple[tuple[int, int, int], ...] = field(default_factory=tuple)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def disagreement_criterion(

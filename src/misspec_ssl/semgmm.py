@@ -62,6 +62,33 @@ class GmmModel:
     def dim(self) -> int:
         return int(self.means.shape[1])
 
+    def to_dict(self) -> dict:
+        return {
+            "family": "sem",
+            "n_components": self.n_components,
+            "n_classes": self.n_classes,
+            "weights": self.weights.tolist(),
+            "means": self.means.tolist(),
+            "covariance_type": self.covariance_type,
+            "covariances": self.covariances.tolist(),
+            "comp_map": self.comp_map.tolist(),
+            "unlabeled_weight": self.unlabeled_weight,
+            "final_loglik": self.final_loglik,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "GmmModel":
+        return GmmModel(
+            weights=d["weights"],
+            means=d["means"],
+            covariances=d["covariances"],
+            comp_map=d["comp_map"],
+            n_classes=d["n_classes"],
+            covariance_type=d["covariance_type"],
+            unlabeled_weight=d["unlabeled_weight"],
+            final_loglik=d["final_loglik"],
+        )
+
 
 @dataclass(frozen=True)
 class KlEstimate:

@@ -13,17 +13,13 @@ so the feature map never needs to exist explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .core import Dataset, InputError, SolverOptions, require_valid
 from .kernels import KernelMatrix, KernelSpec
 from .misspec import LabelMap
-
-
-class EmptyClusterError(RuntimeError):
-    """A cluster has zero total member weight; distances to it are undefined."""
 
 
 @dataclass(frozen=True)
@@ -61,6 +57,44 @@ class ClusterModel:
     @property
     def n_clusters(self) -> int:
         return self.assignments.n_clusters
+
+    def to_dict(self, train_features: np.ndarray) -> dict:
+        """JSON form; scoring a query needs the training features as well."""
+        return {
+            "family": "sskkm",
+            "n_clusters": self.n_clusters,
+            "assignments": self.assignments.cluster_of.tolist(),
+            "label_map": self.label_map.to_dict(),
+            "unlabeled_weight": self.unlabeled_weight,
+            "objective": self.objective,
+            "kernel": asdict(self.kernel_spec),
+            "iterations_run": self.iterations_run,
+            "converged": self.converged,
+            "point_weights": self.point_weights.tolist(),
+            "cluster_wsum": self.cluster_wsum.tolist(),
+            "cluster_inner": self.cluster_inner.tolist(),
+            "training_features": np.asarray(train_features).tolist(),
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> tuple["ClusterModel", np.ndarray]:
+        """Inverse of to_dict: (model, training features)."""
+        missing = [k for k in ("cluster_wsum", "cluster_inner") if k not in d]
+        if missing:
+            raise InputError(f"model JSON lacks {' and '.join(missing)}; refit the model")
+        model = ClusterModel(
+            assignments=Assignments(cluster_of=d["assignments"], n_clusters=d["n_clusters"]),
+            label_map=LabelMap(**d["label_map"]),
+            unlabeled_weight=d["unlabeled_weight"],
+            objective=d["objective"],
+            kernel_spec=KernelSpec(**d["kernel"]),
+            iterations_run=d["iterations_run"],
+            converged=d["converged"],
+            point_weights=np.asarray(d["point_weights"]),
+            cluster_wsum=np.asarray(d["cluster_wsum"]),
+            cluster_inner=np.asarray(d["cluster_inner"]),
+        )
+        return model, np.asarray(d["training_features"])
 
 
 def _weighted_indicator(cluster_of: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -103,7 +137,7 @@ def point_cluster_dist(
     member = a.cluster_of == k
     wsum = float(weights[member].sum())
     if wsum <= 0:
-        raise EmptyClusterError(f"cluster {k} has zero total weight")
+        raise InputError(f"cluster {k} has zero total weight")
     row = km.values[i]
     first = float(km.values[i, i])
     second = float(np.dot(weights[member], row[member]))
@@ -118,20 +152,20 @@ def _seed_weights(d: Dataset) -> np.ndarray:
     return w
 
 
+def _check_label_map(label_map: LabelMap, k: int) -> None:
+    """Require k fine labels, each carried by a labeled point: every cluster
+    then holds a pinned point of weight 1 and can never empty."""
+    if label_map.n_fine != k:
+        raise InputError(f"label map covers {label_map.n_fine} fine labels, expected {k}")
+    label_map.check()
+
+
 def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap, k: int) -> Assignments:
     """Pin labeled points to their designated clusters and give every other
     point the cluster whose labeled-seed mean is nearest in kernel distance
     (ties to the lowest cluster id). Deterministic.
     """
-    if label_map.n_fine != k:
-        raise InputError(f"label map covers {label_map.n_fine} fine labels, expected {k}")
-    label_map.check()
-    seeds = np.bincount(label_map.fine_of_point, minlength=k)
-    if np.any(seeds == 0):
-        raise InputError(
-            f"clusters without a labeled seed point: {np.flatnonzero(seeds == 0).tolist()}"
-        )
-
+    _check_label_map(label_map, k)
     cluster_of = np.zeros(d.n_points, dtype=int)
     cluster_of[d.labeled_idx] = label_map.fine_of_point
     free = np.setdiff1d(np.arange(d.n_points), d.labeled_idx)
@@ -147,40 +181,6 @@ def _point_weights(d: Dataset, unlabeled_weight: float) -> np.ndarray:
     w[d.labeled_idx] = 1.0
     w[d.unlabeled_idx] = unlabeled_weight
     return w
-
-
-def _repair_empty_clusters(
-    cluster_of: np.ndarray,
-    label_map: LabelMap,
-    weights: np.ndarray,
-    wsum: np.ndarray,
-    prev_dist: np.ndarray,
-    free: np.ndarray,
-) -> tuple[np.ndarray, LabelMap, bool]:
-    """Reseed an emptied cluster with the free point farthest from its former
-    centroid; with no free points available, drop the cluster and remap g.
-
-    Unreachable when every cluster keeps a pinned labeled seed, but kept so
-    the solver is total.
-    """
-    changed = False
-    for k in np.flatnonzero(wsum <= 0).tolist():
-        candidates = free[(cluster_of[free] != k) & (weights[free] > 0)]
-        if candidates.size:
-            far = candidates[int(np.argmax(prev_dist[candidates, k]))]
-            cluster_of[far] = k
-            changed = True
-        else:
-            keep = np.arange(label_map.n_fine) != k
-            renumber = np.cumsum(keep) - 1
-            cluster_of = renumber[np.where(cluster_of == k, 0, cluster_of)]
-            label_map = LabelMap(
-                fine_to_class=label_map.fine_to_class[keep],
-                fine_of_point=renumber[label_map.fine_of_point],
-                n_classes=label_map.n_classes,
-            )
-            changed = True
-    return cluster_of, label_map, changed
 
 
 def fit_sskkm(
@@ -202,6 +202,7 @@ def fit_sskkm(
     require_valid(d)
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
+    _check_label_map(label_map, k)
     weight = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
 
     if init is None:
@@ -234,12 +235,6 @@ def fit_sskkm(
         cluster_of = new_cluster_of
 
         wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, weights, k)
-        if np.any(wsum <= 0):
-            cluster_of, label_map, _ = _repair_empty_clusters(
-                cluster_of, label_map, weights, wsum, dist, free
-            )
-            k = label_map.n_fine
-            wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, weights, k)
         dist = _distances(km.diag, member_sum, wsum, inner)
         new_objective = float(np.dot(weights, dist[idx, cluster_of]))
         trace.append(new_objective)

@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from misspec_ssl.askkm import AskkmOptions, fit_askkm
-from misspec_ssl.askkm import predict as askkm_predict
 from misspec_ssl.cli import main as cli_main
 from misspec_ssl.core import Dataset, SolverOptions, derive_seed
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
-from misspec_ssl.evalx import average_precision
+from misspec_ssl.evalx import average_precision, predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.semgmm import GmmModel, bayes_classify_batch, fit_sem, kl_mc
@@ -112,7 +111,7 @@ class TestCriterion2DegradationShape:
             )
             base_acc = float(np.mean(classify_batch(base, rows, diag) == test_y))
             adaptive = fit_askkm(km, train1, AskkmOptions(solver=SolverOptions(seed=si)))
-            preds, _ = askkm_predict(adaptive, rows, diag)
+            preds, _ = predict(adaptive, test_x, rows, diag)
             askkm_at_least += float(np.mean(preds == test_y)) >= base_acc
             grew += adaptive.n_clusters > 2
 

@@ -3,10 +3,10 @@ import numpy as np
 from misspec_ssl.askkm import (
     AskkmOptions,
     fit_askkm,
-    predict,
 )
 from misspec_ssl.core import SolverOptions, derive_seed
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
+from misspec_ssl.evalx import predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import classify_batch, fit_sskkm
@@ -55,7 +55,7 @@ class TestFitAskkm:
             tx, ty = sample_eval_set(spec, 300, derive_seed(5, "ms-eval", si))
             rows = cross_matrix(tx, d.features, km.spec)
             diag = kernel_diag(tx, km.spec)
-            preds, _ = predict(model, rows, diag)
+            preds, _ = predict(model, tx, rows, diag)
             base = fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 2,
                              SolverOptions(seed=si))
             base_preds = classify_batch(base, rows, diag)
@@ -130,7 +130,7 @@ class TestPredict:
         km = gram_matrix(d, KernelSpec())
         model = fit_askkm(km, d, AskkmOptions())
         i = int(d.labeled_idx[0])
-        labels, scores = predict(model, km.values[[i]], km.diag[[i]])
+        labels, scores = predict(model, d.features[[i]], km.values[[i]], km.diag[[i]])
         assert labels[0] == d.labels[0]
         assert int(np.argmax(scores[0])) == labels[0]
 
@@ -138,7 +138,7 @@ class TestPredict:
         d, _ = well_specified(derive_seed(5, "self"))
         km = gram_matrix(d, KernelSpec())
         model = fit_askkm(km, d, AskkmOptions())
-        labels, scores = predict(model, km.values, km.diag)
+        labels, scores = predict(model, d.features, km.values, km.diag)
         np.testing.assert_array_equal(np.argmax(scores, axis=1), labels)
         # labeled points classify to their own class when clusters are clean
         assert np.mean(labels[d.labeled_idx] == d.labels) > 0.9

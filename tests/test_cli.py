@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from misspec_ssl import cli, kernels
-from misspec_ssl.cli import _cluster_model_from_dict, load_model_scores, main
+from misspec_ssl.cli import load_model_scores, main
 from misspec_ssl.datagen import load_csv
 from misspec_ssl.kernels import cross_matrix, gram_matrix, kernel_diag
-from misspec_ssl.sskkm import _cluster_stats, score_batch
+from misspec_ssl.sskkm import ClusterModel, _cluster_stats, score_batch
 
 
 def run(args):
@@ -116,6 +116,35 @@ class TestFit:
              "--weight", 0.25, "--out-model", out])
         assert json.loads(out.read_text())["resolved_unlabeled_weight"] == 0.25
 
+    def test_accepts_the_curve_alias(self, tmp_path, dataset_csv):
+        payloads = []
+        for method in ("supervised", "supervised_sem"):
+            out = tmp_path / f"{method}.json"
+            assert run(["fit", "--data", dataset_csv, "--method", method,
+                        "--out-model", out]) == 0
+            payload = json.loads(out.read_text())
+            assert payload.pop("config")["method"] == method
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["resolved_unlabeled_weight"] == 0.0
+
+    @pytest.mark.parametrize("method, flag", [
+        ("askkm", ["--weight", 0.5]),
+        ("original_sskkm", ["--components", 3]),
+        ("askkm", ["--components", 3]),
+    ])
+    def test_flag_the_method_ignores_exits_3(self, tmp_path, dataset_csv, method, flag, capsys):
+        out = tmp_path / "m.json"
+        code = run(["fit", "--data", dataset_csv, "--method", method, *flag, "--out-model", out])
+        assert code == 3
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stall_rounds_only_checked_for_askkm(self, tmp_path, dataset_csv):
+        args = ["fit", "--data", dataset_csv, "--stall-rounds", 0, "--out-model", tmp_path / "m"]
+        assert run(args + ["--method", "original_sem"]) == 0
+        assert run(args + ["--method", "askkm"]) == 3
+
 
 CURVE_ARGS = [
     "curve", "--kind", "misspecified", "--subclusters", 2, "--class-sep", 5.0,
@@ -145,6 +174,12 @@ class TestCurve:
         unb = payload["series"]["unbiased_sem"]["raw"][0]
         assert sem == unb
 
+    @pytest.mark.parametrize("flag, value", [("--grid", "a,b"), ("--methods", "")])
+    def test_malformed_input_exits_3(self, tmp_path, flag, value, capsys):
+        assert self.run_curve(tmp_path, extra=[flag, value]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
+
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
@@ -154,6 +189,20 @@ class TestCurve:
         self.run_curve(b, extra=["--workers", 4])
         assert (a / "curve.json").read_bytes() == (b / "curve.json").read_bytes()
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
+
+# Ways to break a model file, and what the error must say. The key dropped
+# is one that the sem (weights) or askkm (final_model) loader reads.
+MALFORMED = {
+    "not_json": (lambda text, d: text[: len(text) // 2], "is not JSON"),
+    "not_utf8": (lambda text, d: "\udcff", "is not JSON"),  # the byte 0xff
+    "not_object": (lambda text, d: json.dumps([d]), "holds a JSON list"),
+    "missing_key": (
+        lambda text, d: json.dumps({k: v for k, v in d.items()
+                                    if k not in ("weights", "final_model")}),
+        "lacks the key",
+    ),
+}
 
 
 class TestEval:
@@ -200,12 +249,28 @@ class TestEval:
                     "--out", out]) == 0
         assert json.loads(out.read_text())["mAP"] > 0.9
 
+    @pytest.mark.parametrize("method, key", [("original_sem", "'weights'"),
+                                             ("askkm", "'final_model'")])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_model_exits_3(self, tmp_path, method, key, case, capsys):
+        model = self.fit_model(tmp_path, method=method)
+        text = model.read_text()
+        corrupt, message = MALFORMED[case]
+        model.write_text(corrupt(text, json.loads(text)), errors="surrogateescape")
+        code = run(["eval", "--model", model, "--data", tmp_path / "data.csv",
+                    "--out", tmp_path / "m.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err
+        if case == "missing_key":
+            assert key in err
+
 
 def scores_from_recomputed_stats(model_path, x, train_gram):
     """Score queries after recomputing every cluster's W_k and w'Kw from a
     full training Gram ``train_gram(train, spec)``."""
     d = json.loads(model_path.read_text())
-    model, train = _cluster_model_from_dict(d.get("final_model", d))
+    model, train = ClusterModel.from_dict(d.get("final_model", d))
     spec = model.kernel_spec
     wsum, _, inner = _cluster_stats(
         train_gram(train, spec), model.assignments.cluster_of, model.point_weights,
@@ -296,6 +361,20 @@ class TestConfigFile:
         run(["gen", "--config", config, "--labeled-per-class", 5, "--unlabeled", 4,
              "--out-data", tmp_path / "b.csv", "--out-truth", tmp_path / "tb.json"])
         assert json.loads((tmp_path / "tb.json").read_text())["config"]["unlabeled"] == 4
+
+    def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"labeled_per_clas": 3, "func": "x"}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run(gen_args(tmp_path) + ["--config", config])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "labeled_per_clas" in err and "func" in err
+
+    def test_shared_config_keeps_keys_of_other_commands(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"methods": "askkm", "out_model": "m"}), encoding="utf-8")
+        assert run(gen_args(tmp_path) + ["--config", config]) == 0
 
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "config.json"

@@ -1,17 +1,27 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misspec_ssl.core import InputError
-from misspec_ssl.datagen import GenSpec
+from misspec_ssl.core import InputError, SolverOptions, derive_seed
+from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import (
+    METHODS,
     UndefinedMetricError,
     average_precision,
+    fit_method,
     interpolated_precision_points,
     learning_curve,
     mean_ap,
+    method_solver,
+    predict,
 )
+from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
+from misspec_ssl.semgmm import GmmModel
+from misspec_ssl.sskkm import ClusterModel
 
 
 def brute_force_ap(scores, relevance):
@@ -152,8 +162,72 @@ class TestLearningCurve:
             self.run_small(["supervised"], grid=(10, 10))
         with pytest.raises(InputError):
             self.run_small(["supervised", "supervised_sem"])  # alias duplicates
+        with pytest.raises(InputError, match="no methods"):
+            self.run_small([])
 
     def test_supervised_alias(self):
         curve = learning_curve(SCENARIO, ["supervised_sem"], [0], n_seeds=1,
                                eval_size=20, base_seed=1)
         assert curve.methods == ("supervised",)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_cell_matches_fit_method_and_predict(self, method):
+        base_seed, nu = 11, 30
+        curve = learning_curve(SCENARIO, [method], [nu], n_seeds=1, eval_size=40,
+                               base_seed=base_seed)
+        spec = replace(SCENARIO, n_unlabeled=nu, seed=derive_seed(base_seed, "scenario", 0))
+        train, _ = generate(spec)
+        test_x, test_y = sample_eval_set(spec, 40, derive_seed(base_seed, "eval", 0))
+        km = gram_matrix(train, KernelSpec())
+        rows = cross_matrix(test_x, train.features, km.spec)
+        diag = kernel_diag(test_x, km.spec)
+        name = curve.methods[0]
+        seed = derive_seed(base_seed, "fit", 0, name)
+        model = fit_method(method, train, km, method_solver(method, SolverOptions(seed=seed)))
+        _, scores = predict(model, test_x, rows, diag)
+        assert curve.raw[name][0, 0] == average_precision(scores[:, 1], test_y == 1)
+
+
+class TestMethodTable:
+    def test_solver_weights(self):
+        train, _ = generate(replace(SCENARIO, n_unlabeled=30, seed=1))
+        want = {"original": 1.0, "unbiased": 10 / 40, "supervised": 0.0}
+        for name, method in METHODS.items():
+            opts = method_solver(name, SolverOptions())
+            assert opts.resolve_unlabeled_weight(train.n_labeled, train.n_unlabeled) == (
+                want[method.mode]
+            )
+            custom = method_solver(name, SolverOptions(), weight=0.25)
+            assert custom.resolve_unlabeled_weight(train.n_labeled, train.n_unlabeled) == 0.25
+
+
+def json_roundtrip(d):
+    return json.loads(json.dumps(d))
+
+
+class TestSerializationRoundTrip:
+    """A model read back from its JSON form scores exactly as the fitted model."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        spec = replace(SCENARIO, n_unlabeled=60, seed=derive_seed(2, "roundtrip"))
+        train, _ = generate(spec)
+        test_x, _ = sample_eval_set(spec, 50, derive_seed(2, "roundtrip-eval"))
+        km = gram_matrix(train, KernelSpec(kind="generalized_rbf", distance="manhattan"))
+        rows = cross_matrix(test_x, train.features, km.spec)
+        return train, test_x, km, rows, kernel_diag(test_x, km.spec)
+
+    @pytest.mark.parametrize("method", ["original_sem", "unbiased_sskkm", "askkm"])
+    def test_scores_equal(self, data, method):
+        train, test_x, km, rows, diag = data
+        fitted = fit_method(method, train, km, method_solver(method, SolverOptions()))
+        if isinstance(fitted, GmmModel):
+            loaded = GmmModel.from_dict(json_roundtrip(fitted.to_dict()))
+        else:
+            d = json_roundtrip(fitted.to_dict(train.features))
+            loaded, features = ClusterModel.from_dict(d.get("final_model", d))
+            assert np.array_equal(features, train.features)
+        want_labels, want_scores = predict(fitted, test_x, rows, diag)
+        labels, scores = predict(loaded, test_x, rows, diag)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(scores, want_scores)

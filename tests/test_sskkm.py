@@ -5,6 +5,7 @@ from misspec_ssl.core import Dataset, InputError, SolverOptions
 from misspec_ssl.kernels import KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import (
+    Assignments,
     classify_batch,
     classify_point,
     class_scores,
@@ -110,6 +111,14 @@ class TestPointClusterDist:
         assert point_cluster_dist(km, a, 2.0 * weights, 3, 0) == base
         assert point_cluster_dist(km, a, 0.7 * weights, 3, 0) == pytest.approx(base, rel=1e-12)
 
+    def test_zero_weight_cluster_rejected(self):
+        d = seeded_instance(0, n=10)
+        km = gram_matrix(d, LINEAR)
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
+        weights = np.where(a.cluster_of == 1, 0.0, 1.0)
+        with pytest.raises(InputError, match="cluster 1 has zero total weight"):
+            point_cluster_dist(km, a, weights, 0, 1)
+
 
 def fit_modes(d, km, k=2, **kw):
     lm = LabelMap.identity(d.labels, k)
@@ -177,6 +186,17 @@ class TestFitSskkm:
         b = fit_sskkm(km, d, lm, 2, SolverOptions(seed=5))
         assert np.array_equal(a.assignments.cluster_of, b.assignments.cluster_of)
         assert a.objective == b.objective
+
+    def test_label_map_checked_even_with_init(self):
+        # every cluster needs a pinned labeled point, or it could empty
+        d = build_dataset(np.eye(3), [0, 1], [0, 1])
+        km = gram_matrix(d, LINEAR)
+        init = Assignments(cluster_of=[0, 1, 2], n_clusters=3)
+        uncarried = LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
+        with pytest.raises(InputError, match="without a labeled carrier"):
+            fit_sskkm(km, d, uncarried, 3, SolverOptions(), init=init)
+        with pytest.raises(InputError, match="2 fine labels, expected 3"):
+            fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 3, SolverOptions(), init=init)
 
     def test_matches_pinned_lloyd_oracle(self):
         for seed in range(5):
