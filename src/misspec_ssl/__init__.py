@@ -5,7 +5,7 @@ cluster growth to recover from a misspecified structure."""
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
 from .core import Dataset, InputError, SolverOptions, derive_seed, validate_dataset
 from .datagen import CsvSchema, GenSpec, generate, load_csv, sample_eval_set, write_csv
-from .evalx import LearningCurve, average_precision, learning_curve, mean_ap
+from .evalx import LearningCurve, average_precision, learning_curve, mean_ap, predict
 from .kernels import KernelMatrix, KernelSpec, check_psd, gram_matrix, kernel_eval
 from .misspec import (
     CriterionReport,
@@ -14,16 +14,8 @@ from .misspec import (
     disagreement_criterion,
     modify_structure,
 )
-from .semgmm import GmmModel, KlEstimate, bayes_classify, class_posteriors, fit_sem, kl_mc, loglik
-from .sskkm import (
-    Assignments,
-    ClusterModel,
-    class_scores,
-    classify_point,
-    fit_sskkm,
-    init_assignments,
-    point_cluster_dist,
-)
+from .semgmm import GmmModel, KlEstimate, bayes_classify_batch, fit_sem, kl_mc, loglik
+from .sskkm import Assignments, ClusterModel, fit_sskkm, init_assignments, score_batch
 
 __all__ = [
     "AskkmModel",
@@ -43,11 +35,8 @@ __all__ = [
     "LearningCurve",
     "SolverOptions",
     "average_precision",
-    "bayes_classify",
+    "bayes_classify_batch",
     "check_psd",
-    "class_posteriors",
-    "class_scores",
-    "classify_point",
     "default_threshold",
     "derive_seed",
     "disagreement_criterion",
@@ -64,8 +53,9 @@ __all__ = [
     "loglik",
     "mean_ap",
     "modify_structure",
-    "point_cluster_dist",
+    "predict",
     "sample_eval_set",
+    "score_batch",
     "validate_dataset",
     "write_csv",
 ]

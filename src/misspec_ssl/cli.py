@@ -163,6 +163,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise InputError("--weight does not apply to askkm, which fits both weightings itself")
     if args.components is not None and family != "sem":
         raise InputError(f"--components applies to sem methods only, not to {args.method}")
+    askkm_only = {"--threshold": args.threshold, "--k-max": args.k_max,
+                  "--out-criterion": args.out_criterion}
+    for flag, value in askkm_only.items():
+        if value is not None and family != "askkm":
+            raise InputError(f"{flag} applies to askkm only, not to {args.method}")
     base = SolverOptions(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
     solver = method_solver(args.method, base, args.weight)
     askkm = AskkmOptions()
@@ -176,7 +181,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
     model = fit_method(args.method, dataset, km, solver, args.components, askkm)
     payload = model.to_dict() if family == "sem" else model.to_dict(dataset.features)
-    if family == "askkm" and args.out_criterion:
+    if args.out_criterion:
         out_criterion = _check_output_path(args.out_criterion)
         _dump_json(
             {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion

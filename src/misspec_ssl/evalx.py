@@ -15,8 +15,8 @@ from .core import Dataset, InputError, SolverOptions, derive_seed
 from .datagen import GenSpec, generate, sample_eval_set
 from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .misspec import LabelMap
-from .semgmm import GmmModel, bayes_classify_batch, class_posteriors_batch, fit_sem
-from .sskkm import ClusterModel, classify_batch, fit_sskkm, score_batch
+from .semgmm import GmmModel, bayes_classify_batch, fit_sem
+from .sskkm import ClusterModel, fit_sskkm, score_batch
 
 RECALL_POINTS = 11
 
@@ -80,14 +80,17 @@ def predict(
     rows: np.ndarray | None,
     diag: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (Q,) and per-class scores (Q, C) of Q query points. A mixture
-    reads their features ``x``; a kernel model reads their kernel ``rows``
-    against its training points and their self-similarities ``diag``."""
+    """Labels (Q,) and per-class scores (Q, C) of Q query points, each model
+    scored once. A mixture reads their features ``x``; a kernel model reads
+    their kernel ``rows`` against its training points and their
+    self-similarities ``diag``. Non-finite features are an InputError."""
+    if not np.all(np.isfinite(x)):
+        raise InputError("query points contain non-finite values")
     if isinstance(model, GmmModel):
-        return bayes_classify_batch(model, x), class_posteriors_batch(model, x)
+        return bayes_classify_batch(model, x)
     if isinstance(model, AskkmModel):
         model = model.final_model
-    return classify_batch(model, rows, diag), score_batch(model, rows, diag)
+    return score_batch(model, rows, diag)
 
 
 class UndefinedMetricError(InputError):

@@ -1,4 +1,4 @@
-"""Weighted semi-supervised EM for Gaussian mixtures.
+"""Weighted semi-supervised EM for diagonal-covariance Gaussian mixtures.
 
 The objective is
 
@@ -7,14 +7,16 @@ The objective is
 with f(x, y) summing the components mapped to class y and f(x) marginalizing
 over all components. The unlabeled weight w realizes the original (w=1),
 unbiased (w=N_l/(N_l+N_u)) and supervised (w=0) objectives in one code path.
-Also provides Bayes plug-in classification and a Monte-Carlo estimator of the
-KL divergence between two fitted joints (no closed form exists for
-mixture-mixture KL).
+Every density comes from one helper, the per-component log-joint: masked to
+a row's allowed components, its log-normalizers are both the E-step's and
+the objective's. Also provides Bayes plug-in classification and a
+Monte-Carlo estimator of the KL divergence between two fitted joints (no
+closed form exists for mixture-mixture KL).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,16 +26,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR_SCALE = 1e-6
 SURPLUS_JITTER_SCALE = 0.1
 
-COVARIANCE_TYPES = ("diag", "full")
-
 
 @dataclass(frozen=True)
 class GmmModel:
-    """Gaussian mixture with a component-to-class map.
+    """Gaussian mixture with diagonal covariances and a component-to-class map.
 
-    ``covariances`` holds per-component variance vectors (K, d) in "diag"
-    mode or full matrices (K, d, d) in "full" mode. Mixing weights sum to 1
-    and every variance is floored away from singularity.
+    ``covariances`` holds per-component variance vectors (K, d). Mixing
+    weights sum to 1 and every variance is floored away from singularity.
     """
 
     weights: np.ndarray
@@ -41,7 +40,6 @@ class GmmModel:
     covariances: np.ndarray
     comp_map: np.ndarray
     n_classes: int
-    covariance_type: str = "diag"
     unlabeled_weight: float = 1.0
     final_loglik: float = float("nan")
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
@@ -51,8 +49,6 @@ class GmmModel:
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "covariances", np.asarray(self.covariances, dtype=float))
         object.__setattr__(self, "comp_map", np.asarray(self.comp_map, dtype=int))
-        if self.covariance_type not in COVARIANCE_TYPES:
-            raise InputError(f"covariance_type must be one of {COVARIANCE_TYPES}")
 
     @property
     def n_components(self) -> int:
@@ -69,7 +65,7 @@ class GmmModel:
             "n_classes": self.n_classes,
             "weights": self.weights.tolist(),
             "means": self.means.tolist(),
-            "covariance_type": self.covariance_type,
+            "covariance_type": "diag",
             "covariances": self.covariances.tolist(),
             "comp_map": self.comp_map.tolist(),
             "unlabeled_weight": self.unlabeled_weight,
@@ -78,16 +74,35 @@ class GmmModel:
 
     @staticmethod
     def from_dict(d: dict) -> "GmmModel":
-        return GmmModel(
+        """Inverse of to_dict; InputError unless the arrays have consistent
+        shapes, the weights are finite and >= 0, the variances finite and
+        > 0, and the component map names classes 0..C-1."""
+        if d["covariance_type"] != "diag":
+            raise InputError(f"covariance_type must be 'diag', got {d['covariance_type']!r}")
+        m = GmmModel(
             weights=d["weights"],
             means=d["means"],
             covariances=d["covariances"],
             comp_map=d["comp_map"],
             n_classes=d["n_classes"],
-            covariance_type=d["covariance_type"],
             unlabeled_weight=d["unlabeled_weight"],
             final_loglik=d["final_loglik"],
         )
+        k = m.n_components
+        if m.weights.ndim != 1 or m.means.ndim != 2 or m.means.shape[0] != k:
+            raise InputError(
+                f"weights {m.weights.shape} and means {m.means.shape} must have shapes "
+                "(K,) and (K, d)"
+            )
+        if not np.all(np.isfinite(m.weights) & (m.weights >= 0)):
+            raise InputError("weights must be finite and >= 0")
+        if m.covariances.shape != m.means.shape:
+            raise InputError(f"covariances {m.covariances.shape} must have shape {m.means.shape}")
+        if not np.all(np.isfinite(m.covariances) & (m.covariances > 0)):
+            raise InputError("covariances must be finite and > 0")
+        if m.comp_map.shape != (k,) or np.any((m.comp_map < 0) | (m.comp_map >= m.n_classes)):
+            raise InputError(f"comp_map must map {k} components to classes 0..{m.n_classes - 1}")
+        return m
 
 
 @dataclass(frozen=True)
@@ -102,29 +117,18 @@ class KlEstimate:
     raw_mean: float
 
 
-def _component_log_density(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    """log N(x_i; mu_k, Sigma_k) for all points and components, shape (N, K)."""
+def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
+    """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and
+    components, shape (N, K)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
     out = np.empty((n, m.n_components))
-    if m.covariance_type == "diag":
-        for k in range(m.n_components):
-            var = m.covariances[k]
-            diff = x - m.means[k]
-            out[:, k] = -0.5 * (d * LOG_2PI + np.sum(np.log(var)) + np.sum(diff * diff / var, axis=1))
-    else:
-        for k in range(m.n_components):
-            chol = np.linalg.cholesky(m.covariances[k])
-            diff = x - m.means[k]
-            z = np.linalg.solve(chol, diff.T)
-            logdet = 2.0 * np.sum(np.log(np.diagonal(chol)))
-            out[:, k] = -0.5 * (d * LOG_2PI + logdet + np.sum(z * z, axis=0))
-    return out
-
-
-def _log_weights(m: GmmModel) -> np.ndarray:
+    for k in range(m.n_components):
+        var = m.covariances[k]
+        diff = x - m.means[k]
+        out[:, k] = -0.5 * (d * LOG_2PI + np.sum(np.log(var)) + np.sum(diff * diff / var, axis=1))
     with np.errstate(divide="ignore"):
-        return np.log(m.weights)
+        return out + np.log(m.weights)[None, :]
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -134,40 +138,45 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _normalized_resp(log_r: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-    """Row-normalize responsibilities in the log domain; rows with no finite
-    entry (all allowed components collapsed) fall back to uniform over the
-    allowed set."""
-    norm = _logsumexp(log_r, axis=1)
-    with np.errstate(invalid="ignore"):
-        r = np.exp(log_r - norm[:, None])
-    bad = ~np.isfinite(norm)
-    if np.any(bad):
-        fallback = (
-            np.ones_like(log_r) if allowed is None else allowed.astype(float)
-        )
-        fallback = fallback / fallback.sum(axis=1, keepdims=True)
-        r[bad] = fallback[bad]
-    return r
+def _masked_log_joint(
+    m: GmmModel, x: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Component log-joints of the rows of ``x``, -inf where ``mask`` is
+    False, shape (N, K), and their row log-normalizers (N,)."""
+    log_r = np.where(mask, _component_log_joint(m, x), -np.inf)
+    return log_r, _logsumexp(log_r, axis=1)
+
+
+def _objective_rows(
+    d: Dataset, comp_map: np.ndarray, w: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the weighted objective: features, component mask and row
+    weights. Labeled rows come first, each restricted to the components of
+    its class; the unlabeled rows, over all components, follow when w != 0."""
+    x = [d.features[d.labeled_idx]]
+    mask = [comp_map[None, :] == d.labels[:, None]]
+    alpha = [np.ones(d.n_labeled)]
+    if d.n_unlabeled and w != 0.0:
+        x.append(d.features[d.unlabeled_idx])
+        mask.append(np.ones((d.n_unlabeled, comp_map.size), dtype=bool))
+        alpha.append(np.full(d.n_unlabeled, w))
+    return np.concatenate(x), np.concatenate(mask), np.concatenate(alpha)
+
+
+def _objective(norm: np.ndarray, n_labeled: int, w: float) -> float:
+    """The weighted objective from the row log-normalizers of _objective_rows."""
+    return float(np.sum(norm[:n_labeled])) + w * float(np.sum(norm[n_labeled:]))
 
 
 def joint_log_density(m: GmmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log f(x_i, y_i | theta): logsumexp over the components of class y_i."""
-    comp = _component_log_density(m, x) + _log_weights(m)[None, :]
     y = np.atleast_1d(np.asarray(y, dtype=int))
-    masked = np.where(m.comp_map[None, :] == y[:, None], comp, -np.inf)
-    return _logsumexp(masked, axis=1)
-
-
-def marginal_log_density(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    """log f(x_i | theta): logsumexp over all components."""
-    comp = _component_log_density(m, x) + _log_weights(m)[None, :]
-    return _logsumexp(comp, axis=1)
+    return _masked_log_joint(m, x, m.comp_map[None, :] == y[:, None])[1]
 
 
 def class_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     """log f(x_i, y | theta) for every class y, shape (N, C)."""
-    comp = _component_log_density(m, x) + _log_weights(m)[None, :]
+    comp = _component_log_joint(m, x)
     out = np.full((comp.shape[0], m.n_classes), -np.inf)
     for c in range(m.n_classes):
         cols = np.flatnonzero(m.comp_map == c)
@@ -180,12 +189,8 @@ def loglik(m: GmmModel, d: Dataset, w: float) -> float:
     """Weighted objective value of the model on a dataset; pure."""
     if d.dim != m.dim:
         raise InputError(f"model dimension {m.dim} != dataset dimension {d.dim}")
-    total = 0.0
-    if d.n_labeled:
-        total += float(np.sum(joint_log_density(m, d.features[d.labeled_idx], d.labels)))
-    if d.n_unlabeled and w != 0.0:
-        total += w * float(np.sum(marginal_log_density(m, d.features[d.unlabeled_idx])))
-    return total
+    x, mask, _ = _objective_rows(d, m.comp_map, w)
+    return _objective(_masked_log_joint(m, x, mask)[1], d.n_labeled, w)
 
 
 def _variance_floor(features: np.ndarray) -> float:
@@ -193,9 +198,7 @@ def _variance_floor(features: np.ndarray) -> float:
     return max(VARIANCE_FLOOR_SCALE * mean_var, 1e-12)
 
 
-def _init_model(
-    d: Dataset, k: int, comp_map: np.ndarray, covariance_type: str, floor: float, seed: int
-) -> GmmModel:
+def _init_model(d: Dataset, k: int, comp_map: np.ndarray, floor: float, seed: int) -> GmmModel:
     """Per-class labeled means; surplus components of a class get seeded
     Gaussian jitter of 0.1 x the per-class std around that mean."""
     rng = np.random.default_rng(derive_seed(seed, "sem-init"))
@@ -214,36 +217,24 @@ def _init_model(
                 jitter = SURPLUS_JITTER_SCALE * np.sqrt(var) * rng.standard_normal(dim)
             means[comp] = mu + jitter
             variances[comp] = var
-    if covariance_type == "diag":
-        covs = variances
-    else:
-        covs = np.array([np.diag(v) for v in variances])
     return GmmModel(
         weights=np.full(k, 1.0 / k),
         means=means,
-        covariances=covs,
+        covariances=variances,
         comp_map=comp_map,
         n_classes=d.n_classes,
-        covariance_type=covariance_type,
     )
 
 
-def fit_sem(
-    d: Dataset,
-    k: int,
-    comp_map: np.ndarray,
-    opts: SolverOptions,
-    covariance_type: str = "diag",
-    ignore_labels: bool = False,
-) -> GmmModel:
+def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> GmmModel:
     """Weighted EM on the semi-supervised objective.
 
     Labeled points distribute responsibility only among the components of
     their class; unlabeled points over all components, scaled by the resolved
-    weight. ``ignore_labels`` realizes the unsupervised limit by giving
-    labeled points unrestricted responsibilities as well. The weighted
-    objective is non-decreasing per iteration; singular covariances are
-    repaired by flooring, never fatal.
+    weight. One masked log-joint pass per model gives both its objective and
+    the next E-step's responsibilities. The weighted objective is
+    non-decreasing per iteration; singular covariances are repaired by
+    flooring, never fatal.
     """
     require_valid(d)
     comp_map = np.asarray(comp_map, dtype=int)
@@ -253,139 +244,67 @@ def fit_sem(
         raise InputError(f"comp_map covers {comp_map.size} components, expected {k}")
     if set(comp_map.tolist()) != set(range(d.n_classes)):
         raise InputError("comp_map must be surjective onto the class set")
-    if covariance_type not in COVARIANCE_TYPES:
-        raise InputError(f"covariance_type must be one of {COVARIANCE_TYPES}")
 
     w = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
     floor = _variance_floor(d.features)
-    model = _init_model(d, k, comp_map, covariance_type, floor, opts.seed)
+    model = _init_model(d, k, comp_map, floor, opts.seed)
+    x, mask, alpha = _objective_rows(d, comp_map, w)
 
-    lab_x = d.features[d.labeled_idx]
-    unl_x = d.features[d.unlabeled_idx]
-    lab_mask = comp_map[None, :] == d.labels[:, None] if d.n_labeled else None
-
-    objective = loglik(model, d, w)
+    log_r, norm = _masked_log_joint(model, x, mask)
+    objective = _objective(norm, d.n_labeled, w)
     trace = [objective]
     for _ in range(opts.max_iter):
-        # E-step: per-point responsibilities, class-restricted for labeled points.
-        resp_rows: list[np.ndarray] = []
-        alpha_rows: list[np.ndarray] = []
-        x_rows: list[np.ndarray] = []
-        if d.n_labeled:
-            log_r = _component_log_density(model, lab_x) + _log_weights(model)[None, :]
-            mask = None if ignore_labels else lab_mask
-            if mask is not None:
-                log_r = np.where(mask, log_r, -np.inf)
-            resp_rows.append(_normalized_resp(log_r, mask))
-            alpha_rows.append(np.ones(d.n_labeled))
-            x_rows.append(lab_x)
-        if d.n_unlabeled and w > 0.0:
-            log_r = _component_log_density(model, unl_x) + _log_weights(model)[None, :]
-            resp_rows.append(_normalized_resp(log_r, None))
-            alpha_rows.append(np.full(d.n_unlabeled, w))
-            x_rows.append(unl_x)
-        resp = np.concatenate(resp_rows, axis=0)
-        alpha = np.concatenate(alpha_rows)
-        x = np.concatenate(x_rows, axis=0)
+        # E-step: row-normalized responsibilities; a row whose allowed
+        # components all collapsed falls back to uniform over them.
+        with np.errstate(invalid="ignore"):
+            resp = np.exp(log_r - norm[:, None])
+        bad = ~np.isfinite(norm)
+        if np.any(bad):
+            resp[bad] = mask[bad] / mask[bad].sum(axis=1, keepdims=True)
 
         # M-step: weighted closed-form updates with variance flooring.
         wr = resp * alpha[:, None]
         mass = wr.sum(axis=0)
-        weights = mass / mass.sum()
         means = model.means.copy()
-        covs = model.covariances.copy()
+        variances = model.covariances.copy()
         for comp in range(k):
             if mass[comp] <= 1e-12:
                 continue
             mu = wr[:, comp] @ x / mass[comp]
             diff = x - mu
             means[comp] = mu
-            if covariance_type == "diag":
-                covs[comp] = np.maximum(wr[:, comp] @ (diff * diff) / mass[comp], floor)
-            else:
-                cov = (wr[:, comp][:, None] * diff).T @ diff / mass[comp]
-                eigval, eigvec = np.linalg.eigh(cov)
-                covs[comp] = (eigvec * np.maximum(eigval, floor)) @ eigvec.T
+            variances[comp] = np.maximum(wr[:, comp] @ (diff * diff) / mass[comp], floor)
+        model = replace(model, weights=mass / mass.sum(), means=means, covariances=variances)
 
-        model = GmmModel(
-            weights=weights,
-            means=means,
-            covariances=covs,
-            comp_map=comp_map,
-            n_classes=d.n_classes,
-            covariance_type=covariance_type,
-            unlabeled_weight=w,
-        )
-        new_objective = loglik(model, d, w)
+        log_r, norm = _masked_log_joint(model, x, mask)
+        new_objective = _objective(norm, d.n_labeled, w)
         trace.append(new_objective)
         delta = new_objective - objective
         objective = new_objective
         if delta < opts.tol:
             break
 
-    return GmmModel(
-        weights=model.weights,
-        means=model.means,
-        covariances=model.covariances,
-        comp_map=comp_map,
-        n_classes=d.n_classes,
-        covariance_type=covariance_type,
-        unlabeled_weight=w,
-        final_loglik=objective,
-        objective_trace=tuple(trace),
+    return replace(
+        model, unlabeled_weight=w, final_loglik=objective, objective_trace=tuple(trace)
     )
 
 
-def bayes_classify(m: GmmModel, x: np.ndarray) -> int:
-    """argmax over classes of the joint density f(x, y); ties go to the
-    lowest class id. Log-domain throughout."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InputError("query point contains non-finite values")
-    return int(np.argmax(class_log_joint(m, x[None, :])[0]))
-
-
-def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise InputError("query points contain non-finite values")
-    return np.argmax(class_log_joint(m, x), axis=1)
-
-
-def class_posteriors(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    """Normalized per-class joint densities; sums to 1, argmax agrees with
-    bayes_classify."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InputError("query point contains non-finite values")
-    logj = class_log_joint(m, x[None, :])[0]
-    p = np.exp(logj - np.max(logj))
-    return p / p.sum()
-
-
-def class_posteriors_batch(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes plug-in labels (Q,) and class posteriors (Q, C) of query points,
+    from one pass over the components. A label is the argmax over classes of
+    the joint density f(x, y), ties to the lowest class id; the posteriors
+    are the normalized joint densities. Log-domain throughout."""
     logj = class_log_joint(m, x)
     p = np.exp(logj - np.max(logj, axis=1, keepdims=True))
-    return p / p.sum(axis=1, keepdims=True)
+    return np.argmax(logj, axis=1), p / p.sum(axis=1, keepdims=True)
 
 
 def sample_joint(m: GmmModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw (x, y) pairs from the model: component by mixing weight, then the
     component's Gaussian; y is the component's class."""
     comps = rng.choice(m.n_components, size=n, p=m.weights / m.weights.sum())
-    if m.covariance_type == "diag":
-        noise = rng.standard_normal((n, m.dim)) * np.sqrt(m.covariances[comps])
-        x = m.means[comps] + noise
-    else:
-        x = np.empty((n, m.dim))
-        std_normal = rng.standard_normal((n, m.dim))
-        for k in range(m.n_components):
-            rows = np.flatnonzero(comps == k)
-            if rows.size:
-                chol = np.linalg.cholesky(m.covariances[k])
-                x[rows] = m.means[k] + std_normal[rows] @ chol.T
-    return x, m.comp_map[comps]
+    noise = rng.standard_normal((n, m.dim)) * np.sqrt(m.covariances[comps])
+    return m.means[comps] + noise, m.comp_map[comps]
 
 
 def kl_mc(m1: GmmModel, m2: GmmModel, n_samples: int, seed: int) -> KlEstimate:

@@ -94,7 +94,17 @@ class ClusterModel:
             cluster_wsum=np.asarray(d["cluster_wsum"]),
             cluster_inner=np.asarray(d["cluster_inner"]),
         )
-        return model, np.asarray(d["training_features"])
+        train = np.asarray(d["training_features"], dtype=float)
+        if train.ndim != 2:
+            raise InputError(f"training_features {train.shape} must have shape (N, d)")
+        n, k = train.shape[0], model.n_clusters
+        if model.assignments.cluster_of.shape != (n,) or model.point_weights.shape != (n,):
+            raise InputError(f"assignments and point_weights must have one entry per "
+                             f"training row ({n})")
+        if model.cluster_wsum.shape != (k,) or model.cluster_inner.shape != (k,):
+            raise InputError(f"cluster_wsum and cluster_inner must have length n_clusters ({k})")
+        _check_label_map(model.label_map, k)
+        return model, train
 
 
 def _weighted_indicator(cluster_of: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -122,28 +132,6 @@ def _distances(
         d = diag[:, None] - 2.0 * member_sum / wsum + inner / (wsum * wsum)
     d[:, wsum <= 0] = np.inf
     return np.maximum(d, 0.0)
-
-
-def point_cluster_dist(
-    km: KernelMatrix,
-    a: Assignments,
-    weights: np.ndarray,
-    i: int,
-    k: int,
-) -> float:
-    """Squared kernel-space distance from point i to the weighted centroid of
-    cluster k. The distance is invariant to scaling all weights by c > 0."""
-    weights = np.asarray(weights, dtype=float)
-    member = a.cluster_of == k
-    wsum = float(weights[member].sum())
-    if wsum <= 0:
-        raise InputError(f"cluster {k} has zero total weight")
-    row = km.values[i]
-    first = float(km.values[i, i])
-    second = float(np.dot(weights[member], row[member]))
-    sub = km.values[np.ix_(member, member)]
-    third = float(weights[member] @ sub @ weights[member])
-    return max(first - 2.0 * second / wsum + third / wsum**2, 0.0)
 
 
 def _seed_weights(d: Dataset) -> np.ndarray:
@@ -279,22 +267,15 @@ def classify_batch(model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarray)
     return model.label_map.fine_to_class[np.argmin(dist, axis=1)]
 
 
-def score_batch(model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarray) -> np.ndarray:
-    """Per-class scores (Q, C): minus the squared distance to the nearest
-    cluster mapped to each class."""
+def score_batch(
+    model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (Q,) as in classify_batch and per-class scores (Q, C), minus
+    the squared distance to the nearest cluster mapped to each class, from
+    one computation of the query distances."""
     dist = _query_distances(model, km_rows, self_k)
     scores = np.full((dist.shape[0], model.label_map.n_classes), -np.inf)
     for c in range(model.label_map.n_classes):
         cols = np.flatnonzero(model.label_map.fine_to_class == c)
         scores[:, c] = -np.min(dist[:, cols], axis=1)
-    return scores
-
-
-def classify_point(model: ClusterModel, km_row: np.ndarray, self_k: float) -> int:
-    """Single-query version of classify_batch."""
-    return int(classify_batch(model, km_row, np.array([self_k]))[0])
-
-
-def class_scores(model: ClusterModel, km_row: np.ndarray, self_k: float) -> np.ndarray:
-    """Single-query version of score_batch; argmax agrees with classify_point."""
-    return score_batch(model, km_row, np.array([self_k]))[0]
+    return model.label_map.fine_to_class[np.argmin(dist, axis=1)], scores

@@ -56,7 +56,7 @@ def sem_fit(train, mode, seed):
 
 def sem_accuracy(train, test_x, test_y, mode, seed):
     model = sem_fit(train, mode, seed)
-    return float(np.mean(bayes_classify_batch(model, test_x) == test_y))
+    return float(np.mean(bayes_classify_batch(model, test_x)[0] == test_y))
 
 
 class TestCriterion1VanishingGap:

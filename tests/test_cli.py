@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,9 @@ class TestFit:
         ("askkm", ["--weight", 0.5]),
         ("original_sskkm", ["--components", 3]),
         ("askkm", ["--components", 3]),
+        ("original_sem", ["--threshold", 3]),
+        ("unbiased_sskkm", ["--k-max", 5]),
+        ("supervised", ["--out-criterion", "criterion.json"]),
     ])
     def test_flag_the_method_ignores_exits_3(self, tmp_path, dataset_csv, method, flag, capsys):
         out = tmp_path / "m.json"
@@ -205,6 +210,38 @@ MALFORMED = {
 }
 
 
+# Edits that leave a model file readable but inconsistent: (method, edit of
+# the model's dict, or of its final_model for askkm, part of the message).
+INCONSISTENT = {
+    "flat_means": ("original_sem", lambda m: {**m, "means": [1.0, 2.0]}, "means"),
+    "negative_variance": (
+        "original_sem",
+        lambda m: {**m, "covariances": (-np.asarray(m["covariances"])).tolist()},
+        "covariances must be finite and > 0",
+    ),
+    "negative_weight": (
+        "original_sem", lambda m: {**m, "weights": [-0.5, *m["weights"][1:]]}, "weights"
+    ),
+    "comp_map_out_of_range": (
+        "original_sem", lambda m: {**m, "comp_map": [7, *m["comp_map"][1:]]}, "comp_map"
+    ),
+    "full_covariance": (
+        "unbiased_sem", lambda m: {**m, "covariance_type": "full"}, "covariance_type"
+    ),
+    "truncated_assignments": (
+        "original_sskkm", lambda m: {**m, "assignments": m["assignments"][:-1]}, "assignments"
+    ),
+    "fine_to_class_out_of_range": (
+        "unbiased_sskkm",
+        lambda m: {**m, "label_map": {**m["label_map"], "fine_to_class": [0, 7]}},
+        "fine_to_class",
+    ),
+    "short_cluster_wsum": (
+        "askkm", lambda m: {**m, "cluster_wsum": m["cluster_wsum"][:1]}, "cluster_wsum"
+    ),
+}
+
+
 class TestEval:
     def fit_model(self, tmp_path, method="supervised_sem"):
         run(gen_args(tmp_path, kind="well_specified", unlabeled=20, seed=21,
@@ -266,6 +303,33 @@ class TestEval:
             assert key in err
 
 
+    @pytest.mark.parametrize("method", ["original_sem", "original_sskkm", "askkm"])
+    def test_non_finite_query_exits_3(self, tmp_path, method, capsys):
+        model = self.fit_model(tmp_path, method=method)
+        header, first, *rest = (tmp_path / "data.csv").read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, "nan" + first[first.index(","):], *rest]) + "\n")
+        code = run(["eval", "--model", model, "--data", bad, "--out", tmp_path / "m.json"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT))
+    def test_inconsistent_model_exits_3(self, tmp_path, case, capsys):
+        method, edit, message = INCONSISTENT[case]
+        model = self.fit_model(tmp_path, method=method)
+        d = json.loads(model.read_text())
+        if method == "askkm":
+            d["final_model"] = edit(d["final_model"])
+        else:
+            d = edit(d)
+        model.write_text(json.dumps(d))
+        code = run(["eval", "--model", model, "--data", tmp_path / "data.csv",
+                    "--out", tmp_path / "m.json"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+
 def scores_from_recomputed_stats(model_path, x, train_gram):
     """Score queries after recomputing every cluster's W_k and w'Kw from a
     full training Gram ``train_gram(train, spec)``."""
@@ -277,7 +341,7 @@ def scores_from_recomputed_stats(model_path, x, train_gram):
         model.n_clusters,
     )
     model = replace(model, cluster_wsum=wsum, cluster_inner=inner)
-    return score_batch(model, cross_matrix(x, train, spec), kernel_diag(x, spec))
+    return score_batch(model, cross_matrix(x, train, spec), kernel_diag(x, spec))[1]
 
 
 class TestKernelModelEval:
@@ -380,3 +444,100 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text("[1,2]", encoding="utf-8")
         assert run(["gen", "--config", config]) == 2
+
+
+# One small end-to-end run of every command. Each (model file stem, method,
+# extra fit flags) is fitted on data.csv and evaluated with --verbose on
+# heldout.csv.
+PINNED_FITS = [
+    ("original_sskkm", "original_sskkm", []),
+    ("unbiased_sskkm", "unbiased_sskkm", []),
+    ("askkm", "askkm", ["--out-criterion", "askkm.criterion.json"]),
+    ("original_sem", "original_sem", []),
+    ("unbiased_sem", "unbiased_sem", []),
+    ("supervised", "supervised", []),
+    ("sem_components4", "original_sem", ["--components", 4]),
+    ("sem_weight03", "original_sem", ["--weight", 0.3]),
+]
+
+
+def pinned_run_digests():
+    """Run the pinned commands in an empty working directory, with relative
+    paths so that the echoed configurations do not depend on where it is;
+    sha256 of every file written."""
+    scenario = ["--kind", "misspecified", "--class-sep", 5.0, "--labeled-per-class"]
+    commands = [
+        ["gen", *scenario, 5, "--unlabeled", 60, "--seed", 41,
+         "--out-data", "data.csv", "--out-truth", "truth.json"],
+        ["gen", *scenario, 25, "--unlabeled", 0, "--seed", 42,
+         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+    ]
+    for stem, method, extra in PINNED_FITS:
+        commands.append(["fit", "--data", "data.csv", "--method", method, *extra,
+                         "--out-model", f"{stem}.json"])
+        commands.append(["eval", "--model", f"{stem}.json", "--data", "heldout.csv",
+                         "--verbose", "--out", f"{stem}.eval.json"])
+    commands.append(["curve", *scenario, 5, "--grid", "0,40", "--seeds", 2,
+                     "--eval-size", 50, "--methods", "original_sem,unbiased_sem,original_sskkm",
+                     "--seed", 43, "--out-json", "curve.json", "--out-csv", "curve.csv"])
+    for argv in commands:
+        assert run(argv) == 0, argv
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
+
+
+# sha256 of every file pinned_run_digests writes. They pin the CLI's
+# outputs byte for byte on one numpy build; a change that alters an output
+# must say why, and then record the new digest here.
+PINNED_DIGESTS = {
+    "askkm.criterion.json":
+        "f3b44230deaa1e9010e17a4ee90fe2e873abc44411fa289c9300e91f24788dca",
+    "askkm.eval.json":
+        "c64e51a26a0550cb124290773653942270b93cb93becbad4946cb2aec9d3c895",
+    "askkm.json":
+        "0f8557f507c56c411ec47bc2fa2b34a6471e5bba84990ac8027ac3d833e5f64f",
+    "curve.csv":
+        "f9269f3f7d1ebc14046f4ec02acd0343cf2cce6cbfa262c7dd63df1063448598",
+    "curve.json":
+        "28124fe1b0f8479cd85efb39a39728ea713484f418a12ff41794eb0d4e09f300",
+    "data.csv":
+        "45dd7b2387237f7ceccaf973c0c00405141b2a3f3aa31aca8fa4b8bdd90d46e0",
+    "heldout.csv":
+        "32ab454a4be57f652aeefecdb0fdb6991ce3095f80c98e7deb71115a172f8f87",
+    "heldout.truth.json":
+        "896c924ff8809af5b78b71f218c599243b43ae512d3ec299e20b19988f94dffa",
+    "original_sem.eval.json":
+        "92339952fe6ff8b3f56d058eec147b43c768af7eedf9e3bbbdf490602791bd05",
+    "original_sem.json":
+        "9e0410b052425437b5f5065c00508ccc5d5aff6bcbe54704a80ef962c1352f5c",
+    "original_sskkm.eval.json":
+        "7f539397464481364ee46532d45123402505b60544c9527cd1d07e66cff26c11",
+    "original_sskkm.json":
+        "a572027409939e17528353e509789736884faacd491966d010d1820cdebd8300",
+    "sem_components4.eval.json":
+        "d664da0114e3b95a4006f7968d9366a9e1b8fd59e478dcaac1ed204c4c377607",
+    "sem_components4.json":
+        "ed15636703a1045db1de3eb8f8fe182f0dfac19c6421b256b03944fc98607ce1",
+    "sem_weight03.eval.json":
+        "6fe233614a2b7672808d99ae2d97b5e3a864eae42ca03fcee5b7cd00be7c07ee",
+    "sem_weight03.json":
+        "0ceb03cf35c1f59fdf949670c484f7d4514f13b36bfe890ee817d760d1fe0538",
+    "supervised.eval.json":
+        "e8e64ea7a67855703bbb03dfbc8c76f9b4c5315cf59aebda6e6c694c96daf693",
+    "supervised.json":
+        "a786a3e3339298b6fc1358617c23b68caed0ed3423a038d3f1c1888d9ff64bd2",
+    "truth.json":
+        "423d3123ff4a107ce34a27f448de415115cdd08a84a82a87159ce2ac081e555b",
+    "unbiased_sem.eval.json":
+        "3f09ce594582eb6f3be8973709c11d4db90b05a69edbfe04c368222d66869a2e",
+    "unbiased_sem.json":
+        "5332bc2c5132bb558ce553e87e2d8e0d99b1d91793c55fa82261659a52ee7f18",
+    "unbiased_sskkm.eval.json":
+        "d965e5391a82105287ce8f016d86cd739d5107065eaa0ddc1e116bf6c21321af",
+    "unbiased_sskkm.json":
+        "7995976a1e740179e41df283722802844446742b0e81d1be406981801936b074",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert pinned_run_digests() == PINNED_DIGESTS

@@ -102,7 +102,7 @@ class TestGenerate:
             accs = {}
             for k in (2, 4):
                 model = fit_sem(d, k, np.arange(k) % 2, SolverOptions(seed=si))
-                accs[k] = np.mean(bayes_classify_batch(model, tx) == ty)
+                accs[k] = np.mean(bayes_classify_batch(model, tx)[0] == ty)
             wins += accs[2] < accs[4]
         assert wins > 5
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from misspec_ssl import semgmm
 from misspec_ssl.core import Dataset, InputError, SolverOptions, derive_seed
 from misspec_ssl.datagen import GenSpec, generate
+from misspec_ssl.evalx import predict
 from misspec_ssl.semgmm import (
     GmmModel,
-    bayes_classify,
     bayes_classify_batch,
-    class_posteriors,
-    class_posteriors_batch,
+    class_log_joint,
     fit_sem,
     joint_log_density,
     kl_mc,
@@ -17,6 +17,20 @@ from misspec_ssl.semgmm import (
 )
 
 LOG_2PI = np.log(2 * np.pi)
+
+
+def bayes_classify(m, x):
+    """Single-query oracle of the batch labels: argmax over classes of the
+    joint density f(x, y), ties to the lowest class id."""
+    return int(np.argmax(class_log_joint(m, np.asarray(x, dtype=float)[None, :])[0]))
+
+
+def class_posteriors(m, x):
+    """Single-query oracle of the batch posteriors: the normalized per-class
+    joint densities."""
+    logj = class_log_joint(m, np.asarray(x, dtype=float)[None, :])[0]
+    p = np.exp(logj - np.max(logj))
+    return p / p.sum()
 
 
 def all_labeled_dataset(x, labels, n_classes=2):
@@ -108,19 +122,6 @@ class TestFitSem:
             assert abs(model.weights.sum() - 1.0) < 1e-12
             assert np.all(model.weights >= 0)
 
-    def test_ignore_labels_fits_marginal_structure(self):
-        # two tight blobs with a couple of mislabeled points: the restricted
-        # fit must drag a component across the gap to cover them, the
-        # label-free fit recovers the clean two-blob structure
-        rng = np.random.default_rng(10)
-        x = np.concatenate([rng.standard_normal((40, 1)) - 6, rng.standard_normal((40, 1)) + 6])
-        labels = np.concatenate([np.zeros(42, dtype=int), np.ones(38, dtype=int)])
-        d = all_labeled_dataset(x, labels)
-        unrestricted = fit_sem(d, 2, np.arange(2), SolverOptions(seed=0), ignore_labels=True)
-        centers = np.sort(unrestricted.means[:, 0])
-        assert abs(centers[0] + 6.0) < 0.5
-        assert abs(centers[1] - 6.0) < 0.5
-
     def test_em_objective_non_decreasing(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
@@ -162,6 +163,24 @@ class TestLoglik:
         assert model.objective_trace[-1] == pytest.approx(
             loglik(model, d, model.unlabeled_weight), rel=1e-12)
 
+    def test_trace_equals_full_recompute_of_each_iterate(self, monkeypatch):
+        # the fit with max_iter=j stops at the j-th iterate of the full fit;
+        # loglik recomputes that iterate's objective from scratch
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((60, 2)) * 2
+        d = Dataset(features=x, labeled_idx=np.arange(10), labels=np.array([0, 1] * 5),
+                    unlabeled_idx=np.arange(10, 60), n_classes=2)
+        for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.4)):
+            opts = SolverOptions(seed=2, unlabeled_weight_mode=mode, custom_weight=w)
+            trace = fit_sem(d, 3, np.array([0, 1, 1]), opts).objective_trace
+            assert len(trace) > 9
+            for j in (1, 2, 3, 5, 8, len(trace) - 1):
+                with monkeypatch.context() as mp:
+                    mp.setattr(semgmm, "loglik", None)  # fit_sem must not call it
+                    model = fit_sem(d, 3, np.array([0, 1, 1]), replace(opts, max_iter=j))
+                assert model.objective_trace == trace[: j + 1]
+                assert model.final_loglik == loglik(model, d, model.unlabeled_weight) == trace[j]
+
     def test_dimension_mismatch(self):
         d = all_labeled_dataset(np.zeros((4, 3)), [0, 1, 0, 1])
         with pytest.raises(InputError):
@@ -178,15 +197,15 @@ class TestBayesClassify:
         assert bayes_classify(two_gaussian_model(), np.array([0.0])) == 0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            bayes_classify(two_gaussian_model(), np.array([np.nan]))
+        with pytest.raises(InputError, match="non-finite"):
+            predict(two_gaussian_model(), np.array([[np.nan]]), None, None)
 
     def test_matches_direct_density_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
             m = random_model(rng)
             queries = rng.standard_normal((100, 2)) * 4
-            got = bayes_classify_batch(m, queries)
+            got = bayes_classify_batch(m, queries)[0]
             dens = np.zeros((100, m.n_classes))
             for k in range(m.n_components):
                 var = m.covariances[k]
@@ -210,9 +229,18 @@ class TestPosteriors:
         rng = np.random.default_rng(7)
         m = random_model(rng)
         queries = rng.standard_normal((1000, 2)) * 5
-        p = class_posteriors_batch(m, queries)
+        labels, p = bayes_classify_batch(m, queries)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(np.argmax(p, axis=1), bayes_classify_batch(m, queries))
+        np.testing.assert_array_equal(np.argmax(p, axis=1), labels)
+
+    def test_batch_equals_single_query_oracles(self):
+        rng = np.random.default_rng(11)
+        for n_classes in (2, 3):
+            m = random_model(rng, k=5, dim=3, n_classes=n_classes)
+            queries = rng.standard_normal((50, 3)) * 4
+            labels, p = bayes_classify_batch(m, queries)
+            assert labels.tolist() == [bayes_classify(m, q) for q in queries]
+            assert np.array_equal(p, np.stack([class_posteriors(m, q) for q in queries]))
 
 
 class TestKlMc:

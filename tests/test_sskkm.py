@@ -4,18 +4,36 @@ import pytest
 from misspec_ssl.core import Dataset, InputError, SolverOptions
 from misspec_ssl.kernels import KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
-from misspec_ssl.sskkm import (
-    Assignments,
-    classify_batch,
-    classify_point,
-    class_scores,
-    fit_sskkm,
-    init_assignments,
-    point_cluster_dist,
-    score_batch,
-)
+from misspec_ssl.sskkm import Assignments, classify_batch, fit_sskkm, init_assignments, score_batch
 
 LINEAR = KernelSpec(kind="linear")
+
+
+def point_cluster_dist(km, a, weights, i, k):
+    """Brute-force oracle: squared kernel-space distance from point i to the
+    weighted centroid of cluster k, from the full Gram matrix. The distance
+    is invariant to scaling all weights by c > 0."""
+    weights = np.asarray(weights, dtype=float)
+    member = a.cluster_of == k
+    wsum = float(weights[member].sum())
+    if wsum <= 0:
+        raise InputError(f"cluster {k} has zero total weight")
+    row = km.values[i]
+    first = float(km.values[i, i])
+    second = float(np.dot(weights[member], row[member]))
+    sub = km.values[np.ix_(member, member)]
+    third = float(weights[member] @ sub @ weights[member])
+    return max(first - 2.0 * second / wsum + third / wsum**2, 0.0)
+
+
+def classify_point(model, km_row, self_k):
+    """Single-query label of score_batch."""
+    return int(score_batch(model, km_row, np.array([self_k]))[0][0])
+
+
+def class_scores(model, km_row, self_k):
+    """Single-query scores of score_batch."""
+    return score_batch(model, km_row, np.array([self_k]))[1][0]
 
 
 def build_dataset(features, labeled_idx, labels, n_classes=2):
@@ -273,9 +291,24 @@ class TestClassification:
         queries = rng.standard_normal((100, d.dim)) * 4
         rows = queries @ d.features.T
         diag = (queries ** 2).sum(axis=1)
-        labels = classify_batch(model, rows, diag)
-        scores = score_batch(model, rows, diag)
+        labels, scores = score_batch(model, rows, diag)
+        np.testing.assert_array_equal(labels, classify_batch(model, rows, diag))
         np.testing.assert_array_equal(np.argmax(scores, axis=1), labels)
+
+    def test_scores_match_brute_force_distances(self):
+        # queries are the training points: their kernel rows are rows of the
+        # Gram, so point_cluster_dist gives every distance from scratch
+        d = seeded_instance(25, n=30, k=3)
+        km = gram_matrix(d, LINEAR)
+        lm = LabelMap(fine_to_class=[0, 1, 1], fine_of_point=d.labels, n_classes=2)
+        model = fit_sskkm(km, d, lm, 3, SolverOptions(unlabeled_weight_mode="unbiased"))
+        labels, scores = score_batch(model, km.values, km.diag)
+        for i in range(d.n_points):
+            dist = [point_cluster_dist(km, model.assignments, model.point_weights, i, k)
+                    for k in range(3)]
+            np.testing.assert_allclose(scores[i], [-dist[0], -min(dist[1:])],
+                                       rtol=1e-9, atol=1e-9)
+            assert labels[i] == lm.fine_to_class[int(np.argmin(dist))]
 
     def test_equidistant_scores_tie(self):
         x = np.array([[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [1.0, 0.1]])
