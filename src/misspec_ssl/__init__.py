@@ -4,9 +4,9 @@ cluster growth to recover from a misspecified structure."""
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
 from .core import Dataset, InputError, SolverOptions, derive_seed, validate_dataset
-from .datagen import CsvSchema, GenSpec, generate, load_csv, sample_eval_set, write_csv
+from .datagen import GenSpec, generate, load_csv, sample_eval_set, write_csv
 from .evalx import LearningCurve, average_precision, learning_curve, mean_ap, predict
-from .kernels import KernelMatrix, KernelSpec, check_psd, gram_matrix, kernel_eval
+from .kernels import KernelMatrix, KernelSpec, gram_matrix
 from .misspec import (
     CriterionReport,
     LabelMap,
@@ -23,7 +23,6 @@ __all__ = [
     "Assignments",
     "ClusterModel",
     "CriterionReport",
-    "CsvSchema",
     "Dataset",
     "GenSpec",
     "GmmModel",
@@ -36,7 +35,6 @@ __all__ = [
     "SolverOptions",
     "average_precision",
     "bayes_classify_batch",
-    "check_psd",
     "default_threshold",
     "derive_seed",
     "disagreement_criterion",
@@ -46,7 +44,6 @@ __all__ = [
     "generate",
     "gram_matrix",
     "init_assignments",
-    "kernel_eval",
     "kl_mc",
     "learning_curve",
     "load_csv",

@@ -42,7 +42,6 @@ class AskkmOptions:
     k_max: int | None = None
     stall_rounds: int = 3
     solver: SolverOptions = field(default_factory=SolverOptions)
-    map_new_to_true_class: bool = False
 
     def __post_init__(self) -> None:
         if self.stall_rounds < 1:
@@ -63,10 +62,16 @@ class RoundRecord:
 @dataclass(frozen=True)
 class AskkmModel:
     final_model: ClusterModel
-    label_map: LabelMap
     history: tuple[RoundRecord, ...]
-    rounds: int
     terminated_by: str
+
+    @property
+    def label_map(self) -> LabelMap:
+        return self.final_model.label_map
+
+    @property
+    def rounds(self) -> int:
+        return len(self.history)
 
     @property
     def n_clusters(self) -> int:
@@ -156,22 +161,9 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
             terminated_by = TERMINATED_NO_IMPROVEMENT
             break
         try:
-            label_map = modify_structure(
-                label_map,
-                report,
-                d.labels,
-                preds_unbiased,
-                k_max=k_max,
-                map_new_to_true_class=opts.map_new_to_true_class,
-            )
+            label_map = modify_structure(label_map, report, d.labels, preds_unbiased, k_max=k_max)
         except StructureGrowthCapped:
             terminated_by = TERMINATED_GROWTH_CAPPED
             break
 
-    return AskkmModel(
-        final_model=original,
-        label_map=original.label_map,
-        history=tuple(history),
-        rounds=len(history),
-        terminated_by=terminated_by,
-    )
+    return AskkmModel(final_model=original, history=tuple(history), terminated_by=terminated_by)

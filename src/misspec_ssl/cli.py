@@ -30,6 +30,7 @@ from .evalx import (
     mean_ap,
     method_solver,
     predict,
+    require_finite_queries,
 )
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .semgmm import GmmModel
@@ -90,6 +91,7 @@ def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, int]
         raise InputError(f"model dimension {dim} != data dimension {x.shape[1]}")
     rows = diag = None
     if train is not None:
+        require_finite_queries(x)  # before building any kernel row
         rows = cross_matrix(x, train, model.kernel_spec)
         diag = kernel_diag(x, model.kernel_spec)
     scores = predict(model, x, rows, diag)[1]

@@ -37,7 +37,8 @@ class Dataset:
     features : (N, d) float array
     labeled_idx : row indices of the labeled points, in order
     labels : class id (0..n_classes-1) per labeled index
-    unlabeled_idx : row indices of the unlabeled points, disjoint from labeled_idx
+    unlabeled_idx : row indices of the unlabeled points, disjoint from labeled_idx;
+        together the two cover every row
     n_classes : declared number of classes C (>= 2)
     """
 
@@ -135,8 +136,11 @@ def validate_dataset(d: Dataset) -> ValidationReport:
         bad = np.argwhere(~np.isfinite(d.features))
         problems.append(f"non-finite feature value at (row, col) {tuple(bad[0])}")
 
+    covered = np.zeros(n, dtype=bool)
     for name, idx in (("labeled_idx", d.labeled_idx), ("unlabeled_idx", d.unlabeled_idx)):
-        out = idx[(idx < 0) | (idx >= n)]
+        outside = (idx < 0) | (idx >= n)
+        covered[idx[~outside]] = True
+        out = idx[outside]
         if out.size:
             problems.append(f"{name} out of range [0, {n}): {sorted(out.tolist())}")
         uniq, counts = np.unique(idx, return_counts=True)
@@ -147,6 +151,13 @@ def validate_dataset(d: Dataset) -> ValidationReport:
     overlap = np.intersect1d(d.labeled_idx, d.unlabeled_idx)
     for i in overlap.tolist():
         problems.append(f"labeled/unlabeled overlap at index {i}")
+
+    uncovered = np.flatnonzero(~covered)
+    if uncovered.size:
+        problems.append(
+            f"{uncovered.size} rows in neither labeled_idx nor unlabeled_idx, "
+            f"first {uncovered[:5].tolist()}"
+        )
 
     if d.labels.size != d.labeled_idx.size:
         problems.append(

@@ -23,6 +23,7 @@ GEN_KINDS = ("well_specified", "misspecified")
 SUBCLUSTER_JITTER = 0.05
 SUBCLUSTER_TILT = np.deg2rad(25.0)
 HEAVY_SUBCLUSTER_SHARE = 2  # heavy:light prevalence ratio within a class
+UNLABELED_MARKER = "?"
 
 
 @dataclass(frozen=True)
@@ -232,45 +233,20 @@ def sample_eval_set(spec: GenSpec, n: int, seed: int) -> tuple[np.ndarray, np.nd
     return np.concatenate(xs, axis=0), np.concatenate(ys)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Which columns hold features and labels, and the unlabeled marker.
+def load_csv(path: str | Path) -> tuple[Dataset, list[str]]:
+    """Read a dataset in the format write_csv writes (UTF-8, header row
+    required): the feature columns, then the label column last.
 
-    ``feature_columns=None`` means every column except the label column;
-    ``label_column=None`` means the last column.
-    """
-
-    feature_columns: tuple[str, ...] | None = None
-    label_column: str | None = None
-    unlabeled_marker: str = "?"
-
-
-def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> tuple[Dataset, list[str]]:
-    """Read a dataset from CSV (header row required, UTF-8).
-
-    Rows whose label equals the marker become unlabeled; remaining label
-    strings are mapped to dense class ids in first-appearance order. Returns
-    the dataset and the class names in id order.
+    Rows labeled ``?`` become unlabeled; remaining label strings are mapped
+    to dense class ids in first-appearance order. Returns the dataset and the
+    class names in id order.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header row required") from None
-        label_col = schema.label_column if schema.label_column is not None else header[-1]
-        if label_col not in header:
-            raise InputError(f"{path}: unknown label column {label_col!r}")
-        if schema.feature_columns is None:
-            feature_cols = [h for h in header if h != label_col]
-        else:
-            missing = [c for c in schema.feature_columns if c not in header]
-            if missing:
-                raise InputError(f"{path}: unknown feature columns {missing}")
-            feature_cols = list(schema.feature_columns)
-        fpos = [header.index(c) for c in feature_cols]
-        lpos = header.index(label_col)
+        header = next(reader, None)
+        if not header:
+            raise InputError(f"{path}: header row required (empty file or blank first line)")
 
         features: list[list[float]] = []
         labeled_idx: list[int] = []
@@ -283,13 +259,13 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> tuple[Dataset
                 raise InputError(
                     f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
                 )
+            *values, raw = row
             try:
-                features.append([float(row[p]) for p in fpos])
+                features.append([float(v) for v in values])
             except ValueError as exc:
                 raise InputError(f"{path}:{line_no}: bad feature value ({exc})") from None
             i = len(features) - 1
-            raw = row[lpos]
-            if raw == schema.unlabeled_marker:
+            if raw == UNLABELED_MARKER:
                 unlabeled_idx.append(i)
             else:
                 if raw not in name_to_id:
@@ -308,17 +284,14 @@ def load_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> tuple[Dataset
     return dataset, names
 
 
-def write_csv(d: Dataset, path: str | Path, class_names: list[str] | None = None,
-              unlabeled_marker: str = "?") -> None:
-    """Write a dataset in the format load_csv reads (feature columns then a
-    final label column). ``class_names`` defaults to the string class ids."""
+def write_csv(d: Dataset, path: str | Path) -> None:
+    """Write a dataset in the format load_csv reads: feature columns, then a
+    final label column holding the class id, or ``?`` for an unlabeled row."""
     path = Path(path)
-    if class_names is None:
-        class_names = [str(c) for c in range(d.n_classes)]
-    label_of_row = {int(i): class_names[int(c)] for i, c in zip(d.labeled_idx, d.labels)}
+    label_of_row = {int(i): str(int(c)) for i, c in zip(d.labeled_idx, d.labels)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(d.dim)] + ["label"])
         for i in range(d.n_points):
-            label = label_of_row.get(i, unlabeled_marker)
+            label = label_of_row.get(i, UNLABELED_MARKER)
             writer.writerow([repr(v) for v in d.features[i].tolist()] + [label])

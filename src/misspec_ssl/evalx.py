@@ -74,6 +74,12 @@ def fit_method(
     return fit_askkm(km, train, replace(askkm, solver=solver))
 
 
+def require_finite_queries(x: np.ndarray) -> None:
+    """Raise InputError unless every query feature is finite."""
+    if not np.all(np.isfinite(x)):
+        raise InputError("query points contain non-finite values")
+
+
 def predict(
     model: GmmModel | ClusterModel | AskkmModel,
     x: np.ndarray,
@@ -84,8 +90,7 @@ def predict(
     scored once. A mixture reads their features ``x``; a kernel model reads
     their kernel ``rows`` against its training points and their
     self-similarities ``diag``. Non-finite features are an InputError."""
-    if not np.all(np.isfinite(x)):
-        raise InputError("query points contain non-finite values")
+    require_finite_queries(x)
     if isinstance(model, GmmModel):
         return bayes_classify_batch(model, x)
     if isinstance(model, AskkmModel):

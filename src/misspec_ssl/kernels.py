@@ -8,10 +8,7 @@ k-means solver works purely off Gram matrix entries.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -61,45 +58,20 @@ class KernelMatrix:
 
     values: np.ndarray
     spec: KernelSpec
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
 
     @property
     def diag(self) -> np.ndarray:
         return np.diagonal(self.values)
 
 
-def _pair_distance(x: np.ndarray, y: np.ndarray, distance: str) -> float:
-    diff = x - y
-    if distance == "euclidean":
-        return float(np.sqrt(np.dot(diff, diff)))
-    if distance == "manhattan":
-        return float(np.sum(np.abs(diff)))
-    return float(np.sum(diff * diff / (x + y + CHI_SQUARE_EPS)))
-
-
 def _check_chi_square_inputs(*arrays: np.ndarray) -> None:
     for a in arrays:
         if np.any(a < 0):
             raise InputError("chi_square distance requires nonnegative feature values")
-
-
-def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate k(x, y) for a single pair of feature vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.kind == "linear":
-        return float(np.dot(x, y))
-    gamma = spec.gamma
-    if gamma is None:
-        raise InputError("gamma unresolved; call resolve_gamma or pass an explicit value")
-    if spec.kind == "rbf":
-        diff = x - y
-        return float(np.exp(-gamma * np.dot(diff, diff)))
-    if spec.distance == "chi_square":
-        _check_chi_square_inputs(x, y)
-    return float(np.exp(-gamma * _pair_distance(x, y, spec.distance)))
 
 
 def _kernel_params(spec: KernelSpec) -> tuple[str | None, bool, float | None]:
@@ -235,41 +207,4 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
         values[r1:, r0:r1] = values[r0:r1, r1:].T
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)
-    return KernelMatrix(values=values, spec=spec, n=n)
-
-
-def check_psd(m: KernelMatrix, tol: float) -> bool:
-    """True iff the smallest eigenvalue is >= -tol (symmetric eigensolve)."""
-    smallest = float(np.linalg.eigvalsh(m.values)[0])
-    return smallest >= -tol
-
-
-def save_gram(m: KernelMatrix, path: str | Path) -> None:
-    """Write a Gram matrix as CSV plus a JSON sidecar carrying the spec.
-
-    ``path`` is the CSV file; the sidecar is ``path`` with a .json suffix.
-    """
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m.values:
-            writer.writerow([repr(v) for v in row.tolist()])
-    sidecar = {
-        "kind": m.spec.kind,
-        "gamma": m.spec.gamma,
-        "distance": m.spec.distance,
-        "n": m.n,
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def load_gram(path: str | Path) -> KernelMatrix:
-    """Inverse of save_gram."""
-    path = Path(path)
-    side = json.loads(path.with_suffix(".json").read_text())
-    spec = KernelSpec(kind=side["kind"], gamma=side["gamma"], distance=side["distance"])
-    with open(path, newline="") as fh:
-        values = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-    if values.shape != (side["n"], side["n"]):
-        raise InputError(f"Gram shape {values.shape} does not match sidecar n={side['n']}")
-    return KernelMatrix(values=values, spec=spec, n=side["n"])
+    return KernelMatrix(values=values, spec=spec)

@@ -129,13 +129,12 @@ def modify_structure(
     labels: np.ndarray,
     preds_unbiased: np.ndarray,
     k_max: int | None = None,
-    map_new_to_true_class: bool = False,
 ) -> LabelMap:
     """Grow the label map: one new fine label per distinct disagreement pair.
 
     Disagreeing labeled points are grouped by (true class y, unbiased
     prediction y_hat); each distinct pair gets a new fine label carrying all
-    its points, mapped to y_hat (or to y when ``map_new_to_true_class``).
+    its points, mapped to y_hat.
     Agreeing points keep their fine label where it still maps to their class,
     and fall back to the base label of their class otherwise.
 
@@ -155,16 +154,13 @@ def modify_structure(
         pair = (int(labels[p]), int(preds_unbiased[p]))
         pair_points.setdefault(pair, []).append(p)
 
-    def group_class(pair: tuple[int, int]) -> int:
-        return pair[0] if map_new_to_true_class else pair[1]
-
     # A regrouping may not strip a class of its last carrier: simulate the
     # post-move carrier counts and keep the lowest-index disagreeing point of
     # any endangered class on its base label instead.
     post_carriers = np.zeros(lm.n_classes, dtype=int)
     mover = {p: pair for pair, pts in pair_points.items() for p in pts}
     for p in range(report.n_labeled):
-        post_carriers[group_class(mover[p]) if p in mover else labels[p]] += 1
+        post_carriers[mover[p][1] if p in mover else labels[p]] += 1
     keep_home: set[int] = set()
     for c in np.flatnonzero(post_carriers == 0).tolist():
         stay = min(p for p in disagreeing if labels[p] == c)
@@ -185,7 +181,7 @@ def modify_structure(
 
     for pair in new_pairs:
         new_label = len(fine_to_class)
-        fine_to_class.append(group_class(pair))
+        fine_to_class.append(pair[1])
         for p in pair_points[pair]:
             if p in mover:
                 fine_of_point[p] = new_label

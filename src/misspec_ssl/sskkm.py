@@ -134,12 +134,6 @@ def _distances(
     return np.maximum(d, 0.0)
 
 
-def _seed_weights(d: Dataset) -> np.ndarray:
-    w = np.zeros(d.n_points)
-    w[d.labeled_idx] = 1.0
-    return w
-
-
 def _check_label_map(label_map: LabelMap, k: int) -> None:
     """Require k fine labels, each carried by a labeled point: every cluster
     then holds a pinned point of weight 1 and can never empty."""
@@ -149,16 +143,16 @@ def _check_label_map(label_map: LabelMap, k: int) -> None:
 
 
 def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap, k: int) -> Assignments:
-    """Pin labeled points to their designated clusters and give every other
-    point the cluster whose labeled-seed mean is nearest in kernel distance
-    (ties to the lowest cluster id). Deterministic.
+    """Pin labeled points to their designated clusters and give every
+    unlabeled point the cluster whose labeled-seed mean is nearest in kernel
+    distance (ties to the lowest cluster id). Deterministic.
     """
     _check_label_map(label_map, k)
     cluster_of = np.zeros(d.n_points, dtype=int)
     cluster_of[d.labeled_idx] = label_map.fine_of_point
-    free = np.setdiff1d(np.arange(d.n_points), d.labeled_idx)
+    free = d.unlabeled_idx
     if free.size:
-        wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, _seed_weights(d), k)
+        wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, _point_weights(d, 0.0), k)
         dist = _distances(km.diag, member_sum, wsum, inner)
         cluster_of[free] = np.argmin(dist[free], axis=1)
     return Assignments(cluster_of=cluster_of, n_clusters=k)
@@ -202,7 +196,7 @@ def fit_sskkm(
         raise InputError("init assignments do not pin labeled points to their fine labels")
 
     weights = _point_weights(d, weight)
-    free = np.setdiff1d(np.arange(d.n_points), d.labeled_idx)
+    free = d.unlabeled_idx
     idx = np.arange(d.n_points)
 
     wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, weights, k)

@@ -304,15 +304,23 @@ class TestEval:
 
 
     @pytest.mark.parametrize("method", ["original_sem", "original_sskkm", "askkm"])
-    def test_non_finite_query_exits_3(self, tmp_path, method, capsys):
+    def test_non_finite_query_exits_3(self, tmp_path, method, capsys, monkeypatch):
         model = self.fit_model(tmp_path, method=method)
         header, first, *rest = (tmp_path / "data.csv").read_text().splitlines()
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join([header, "nan" + first[first.index(","):], *rest]) + "\n")
+        calls = []
+
+        def spy(q, y, spec):
+            calls.append(q.shape)
+            return cross_matrix(q, y, spec)
+
+        monkeypatch.setattr(cli, "cross_matrix", spy)
         code = run(["eval", "--model", model, "--data", bad, "--out", tmp_path / "m.json"])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+        assert calls == []  # rejected before any kernel row is built
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT))
     def test_inconsistent_model_exits_3(self, tmp_path, case, capsys):

@@ -56,6 +56,14 @@ class TestValidateDataset:
         report = validate_dataset(d)
         assert any("out of range" in v for v in report.violations)
 
+    def test_rows_in_neither_partition_reported(self):
+        d = make_dataset(n=6)
+        report = validate_dataset(d)
+        assert not report.ok
+        assert report.violations == (
+            "2 rows in neither labeled_idx nor unlabeled_idx, first [4, 5]",
+        )
+
     def test_no_labeled_points_rejected(self):
         d = make_dataset(labeled=(), labels=(), unlabeled=(0, 1, 2, 3))
         report = validate_dataset(d)

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 from misspec_ssl.core import InputError, SolverOptions, derive_seed, validate_dataset
 from misspec_ssl.datagen import (
-    CsvSchema,
     GenSpec,
     generate,
     load_csv,
@@ -139,6 +138,7 @@ class TestCsv:
         f = tmp_path / "rt.csv"
         write_csv(d, f)
         loaded, names = load_csv(f)
+        assert names == [str(c) for c in range(d.n_classes)]
         np.testing.assert_array_equal(loaded.features, d.features)
         np.testing.assert_array_equal(loaded.labeled_idx, d.labeled_idx)
         np.testing.assert_array_equal(loaded.labels, d.labels)
@@ -146,7 +146,7 @@ class TestCsv:
         assert loaded.n_classes == d.n_classes
         # second round trip is byte-stable
         f2 = tmp_path / "rt2.csv"
-        write_csv(loaded, f2, class_names=names)
+        write_csv(loaded, f2)
         assert f.read_bytes() == f2.read_bytes()
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -161,16 +161,9 @@ class TestCsv:
         with pytest.raises(InputError, match=":3:"):
             load_csv(f)
 
-    def test_unknown_column_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n1,cat\n"], ids=["empty", "blank-header"])
+    def test_missing_header_rejected(self, tmp_path, text):
         f = tmp_path / "d.csv"
-        self.write_lines(f, ["f0,f1,label", "1,2,cat"])
-        with pytest.raises(InputError, match="unknown label column"):
-            load_csv(f, CsvSchema(label_column="target"))
-        with pytest.raises(InputError, match="unknown feature columns"):
-            load_csv(f, CsvSchema(feature_columns=("f7",)))
-
-    def test_custom_marker(self, tmp_path):
-        f = tmp_path / "d.csv"
-        self.write_lines(f, ["f0,label", "1,cat", "2,NA", "3,dog"])
-        d, _ = load_csv(f, CsvSchema(unlabeled_marker="NA"))
-        assert d.n_unlabeled == 1
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="header row required"):
+            load_csv(f)

@@ -8,15 +8,13 @@ from misspec_ssl.core import Dataset, InputError
 from misspec_ssl.kernels import (
     BLOCK_ROWS,
     CHI_SQUARE_EPS,
+    KernelMatrix,
     KernelSpec,
-    check_psd,
+    _check_chi_square_inputs,
     cross_matrix,
     gram_matrix,
     kernel_diag,
-    kernel_eval,
-    load_gram,
     resolve_gamma,
-    save_gram,
 )
 
 
@@ -70,6 +68,40 @@ def numpy_gram(x, spec):
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)
     return values
+
+
+def _pair_distance(x, y, distance):
+    diff = x - y
+    if distance == "euclidean":
+        return float(np.sqrt(np.dot(diff, diff)))
+    if distance == "manhattan":
+        return float(np.sum(np.abs(diff)))
+    return float(np.sum(diff * diff / (x + y + CHI_SQUARE_EPS)))
+
+
+def kernel_eval(x, y, spec):
+    """Single-pair oracle: k(x, y) for two feature vectors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if spec.kind == "linear":
+        return float(np.dot(x, y))
+    gamma = spec.gamma
+    if gamma is None:
+        raise InputError("gamma unresolved; call resolve_gamma or pass an explicit value")
+    if spec.kind == "rbf":
+        diff = x - y
+        return float(np.exp(-gamma * np.dot(diff, diff)))
+    if spec.distance == "chi_square":
+        _check_chi_square_inputs(x, y)
+    return float(np.exp(-gamma * _pair_distance(x, y, spec.distance)))
+
+
+def check_psd(m, tol):
+    """True iff the smallest eigenvalue is >= -tol (symmetric eigensolve)."""
+    smallest = float(np.linalg.eigvalsh(m.values)[0])
+    return smallest >= -tol
 
 
 class TestKernelEval:
@@ -179,9 +211,7 @@ class TestCheckPsd:
         assert check_psd(km, 0.0)
 
     def test_indefinite_matrix(self):
-        from misspec_ssl.kernels import KernelMatrix
-
-        m = KernelMatrix(values=np.array([[1.0, 2.0], [2.0, 1.0]]), spec=KernelSpec(kind="linear"), n=2)
+        m = KernelMatrix(values=np.array([[1.0, 2.0], [2.0, 1.0]]), spec=KernelSpec(kind="linear"))
         # eigenvalues 3 and -1
         assert not check_psd(m, 1e-9)
 
@@ -250,15 +280,3 @@ class TestCrossAndDiag:
         x = np.array([[1.0, 2.0], [0.0, 3.0]])
         np.testing.assert_array_equal(kernel_diag(x, KernelSpec(kind="linear")), [5.0, 9.0])
         np.testing.assert_array_equal(kernel_diag(x, KernelSpec(kind="rbf", gamma=1.0)), [1.0, 1.0])
-
-
-class TestGramIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        km = gram_matrix(dataset_from_features(rng.standard_normal((6, 2))), KernelSpec())
-        path = tmp_path / "gram.csv"
-        save_gram(km, path)
-        loaded = load_gram(path)
-        assert np.array_equal(loaded.values, km.values)
-        assert loaded.spec == km.spec
-        assert loaded.n == km.n

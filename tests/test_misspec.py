@@ -131,16 +131,6 @@ class TestModifyStructure:
                 assert mapped[p] == labels[p]
         lm.check()
 
-    def test_map_new_to_true_class_switch(self):
-        labels = np.array([0, 0, 1, 1])
-        preds_unb = np.array([1, 0, 1, 1])
-        preds_orig = np.array([0, 0, 1, 1])
-        report = disagreement_criterion(preds_orig, preds_unb, 0)
-        lm = modify_structure(
-            identity_map(labels), report, labels, preds_unb, map_new_to_true_class=True
-        )
-        assert lm.fine_to_class[lm.fine_of_point[0]] == 0
-
     def test_growth_cap(self):
         labels = np.array([0, 0, 1, 1])
         preds_unb = np.array([1, 0, 1, 1])
