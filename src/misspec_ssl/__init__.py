@@ -3,7 +3,7 @@ forms, misspecification detection from their disagreement, and adaptive
 cluster growth to recover from a misspecified structure."""
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
-from .core import Dataset, InputError, SolverOptions, derive_seed, validate_dataset
+from .core import Dataset, InputError, SolverOptions, derive_seed
 from .datagen import GenSpec, generate, load_csv, sample_eval_set, write_csv
 from .evalx import LearningCurve, average_precision, learning_curve, mean_ap, predict
 from .kernels import KernelMatrix, KernelSpec, gram_matrix
@@ -14,7 +14,7 @@ from .misspec import (
     disagreement_criterion,
     modify_structure,
 )
-from .semgmm import GmmModel, KlEstimate, bayes_classify_batch, fit_sem, kl_mc, loglik
+from .semgmm import GmmModel, KlEstimate, bayes_classify_batch, fit_sem, kl_mc
 from .sskkm import Assignments, ClusterModel, fit_sskkm, init_assignments, score_batch
 
 __all__ = [
@@ -47,12 +47,10 @@ __all__ = [
     "kl_mc",
     "learning_curve",
     "load_csv",
-    "loglik",
     "mean_ap",
     "modify_structure",
     "predict",
     "sample_eval_set",
     "score_batch",
-    "validate_dataset",
     "write_csv",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, require_valid
+from .core import Dataset, InputError, SolverOptions
 from .kernels import KernelMatrix
 from .misspec import (
     CriterionReport,
@@ -24,7 +24,7 @@ from .misspec import (
     disagreement_criterion,
     modify_structure,
 )
-from .sskkm import ClusterModel, classify_batch, fit_sskkm, init_assignments
+from .sskkm import ClusterModel, fit_sskkm, init_assignments, score_batch
 
 DEFAULT_KMAX_PER_CLASS = 10
 
@@ -105,7 +105,6 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
     """Run the adaptive loop and return the original-objective fit at the
     final structure, with the full round history. Deterministic given the
     solver seed."""
-    require_valid(d)
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
 
@@ -137,8 +136,8 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
             init=init,
         )
 
-        preds_original = classify_batch(original, lab_rows, lab_diag)
-        preds_unbiased = classify_batch(unbiased, lab_rows, lab_diag)
+        preds_original = score_batch(original, lab_rows, lab_diag)[0]
+        preds_unbiased = score_batch(unbiased, lab_rows, lab_diag)[0]
         report = disagreement_criterion(preds_original, preds_unbiased, threshold)
         history.append(
             RoundRecord(

@@ -30,7 +30,6 @@ from .evalx import (
     mean_ap,
     method_solver,
     predict,
-    require_finite_queries,
 )
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .semgmm import GmmModel
@@ -91,7 +90,6 @@ def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, int]
         raise InputError(f"model dimension {dim} != data dimension {x.shape[1]}")
     rows = diag = None
     if train is not None:
-        require_finite_queries(x)  # before building any kernel row
         rows = cross_matrix(x, train, model.kernel_spec)
         diag = kernel_diag(x, model.kernel_spec)
     scores = predict(model, x, rows, diag)[1]
@@ -253,8 +251,6 @@ EVAL_KEYS = ["model", "data", "verbose"]
 def cmd_eval(args: argparse.Namespace) -> int:
     out = _check_output_path(args.out)
     dataset, names = load_csv(args.data)
-    if dataset.n_labeled == 0:
-        raise InputError("evaluation data has no labeled rows")
     x = dataset.features[dataset.labeled_idx]
     y = dataset.labels
     scores, n_classes = load_model_scores(args.model, x)

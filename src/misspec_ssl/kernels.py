@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, derive_seed, require_valid
+from .core import Dataset, InputError, derive_seed
 
 KERNEL_KINDS = ("linear", "rbf", "generalized_rbf")
 DISTANCES = ("euclidean", "manhattan", "chi_square")
@@ -187,7 +187,6 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
     result, memory use is O(BLOCK_ROWS * N); a failed allocation of the
     result is an InputError, not a crash.
     """
-    require_valid(d)
     spec = resolve_gamma(spec, d.features)
     x = np.asarray(d.features, dtype=float)
     n = x.shape[0]

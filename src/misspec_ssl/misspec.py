@@ -27,7 +27,9 @@ class LabelMap:
     fine label of every labeled point.
 
     Fine labels 0..C-1 are the base labels (g is the identity there); labels
-    created by modify_structure come after them.
+    created by modify_structure come after them. Construction raises
+    InputError unless g is onto the classes and every fine label is carried
+    by a labeled point.
     """
 
     fine_to_class: np.ndarray
@@ -37,6 +39,19 @@ class LabelMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fine_to_class", np.asarray(self.fine_to_class, dtype=int))
         object.__setattr__(self, "fine_of_point", np.asarray(self.fine_of_point, dtype=int))
+        k = self.n_fine
+        if k < self.n_classes:
+            raise InputError(f"label map has {k} fine labels for {self.n_classes} classes")
+        if np.any((self.fine_to_class < 0) | (self.fine_to_class >= self.n_classes)):
+            raise InputError("fine_to_class maps outside 0..C-1")
+        if set(self.fine_to_class.tolist()) != set(range(self.n_classes)):
+            raise InputError("fine_to_class is not surjective onto the class set")
+        if np.any((self.fine_of_point < 0) | (self.fine_of_point >= k)):
+            raise InputError("fine_of_point outside 0..K-1")
+        carriers = np.bincount(self.fine_of_point, minlength=k)
+        if np.any(carriers == 0):
+            empty = np.flatnonzero(carriers == 0).tolist()
+            raise InputError(f"fine labels without a labeled carrier: {empty}")
 
     @property
     def n_fine(self) -> int:
@@ -57,21 +72,6 @@ class LabelMap:
             "fine_of_point": self.fine_of_point.tolist(),
             "n_classes": self.n_classes,
         }
-
-    def check(self) -> None:
-        k = self.n_fine
-        if k < self.n_classes:
-            raise InputError(f"label map has {k} fine labels for {self.n_classes} classes")
-        if np.any((self.fine_to_class < 0) | (self.fine_to_class >= self.n_classes)):
-            raise InputError("fine_to_class maps outside 0..C-1")
-        if set(self.fine_to_class.tolist()) != set(range(self.n_classes)):
-            raise InputError("fine_to_class is not surjective onto the class set")
-        if np.any((self.fine_of_point < 0) | (self.fine_of_point >= k)):
-            raise InputError("fine_of_point outside 0..K-1")
-        carriers = np.bincount(self.fine_of_point, minlength=k)
-        if np.any(carriers == 0):
-            empty = np.flatnonzero(carriers == 0).tolist()
-            raise InputError(f"fine labels without a labeled carrier: {empty}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,6 @@ def modify_structure(
         fine_of_point=renumber[fine_of_point],
         n_classes=lm.n_classes,
     )
-    out.check()
     if out.n_fine <= lm.n_fine:
         raise StructureGrowthCapped(
             f"modification did not grow the structure (K stayed {lm.n_fine})"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, derive_seed, require_valid
+from .core import Dataset, InputError, SolverOptions, derive_seed
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR_SCALE = 1e-6
@@ -185,14 +185,6 @@ def class_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def loglik(m: GmmModel, d: Dataset, w: float) -> float:
-    """Weighted objective value of the model on a dataset; pure."""
-    if d.dim != m.dim:
-        raise InputError(f"model dimension {m.dim} != dataset dimension {d.dim}")
-    x, mask, _ = _objective_rows(d, m.comp_map, w)
-    return _objective(_masked_log_joint(m, x, mask)[1], d.n_labeled, w)
-
-
 def _variance_floor(features: np.ndarray) -> float:
     mean_var = float(np.mean(np.var(features, axis=0)))
     return max(VARIANCE_FLOOR_SCALE * mean_var, 1e-12)
@@ -236,7 +228,6 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
     non-decreasing per iteration; singular covariances are repaired by
     flooring, never fatal.
     """
-    require_valid(d)
     comp_map = np.asarray(comp_map, dtype=int)
     if k < d.n_classes:
         raise InputError(f"K={k} must be >= number of classes {d.n_classes}")

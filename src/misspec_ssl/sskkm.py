@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, require_valid
+from .core import Dataset, InputError, SolverOptions
 from .kernels import KernelMatrix, KernelSpec
 from .misspec import LabelMap
 
@@ -135,11 +135,11 @@ def _distances(
 
 
 def _check_label_map(label_map: LabelMap, k: int) -> None:
-    """Require k fine labels, each carried by a labeled point: every cluster
-    then holds a pinned point of weight 1 and can never empty."""
+    """Require k fine labels. A LabelMap carries each of them by a labeled
+    point, so every cluster holds a pinned point of weight 1 and can never
+    empty."""
     if label_map.n_fine != k:
         raise InputError(f"label map covers {label_map.n_fine} fine labels, expected {k}")
-    label_map.check()
 
 
 def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap, k: int) -> Assignments:
@@ -181,7 +181,6 @@ def fit_sskkm(
     from the options) is non-increasing across iterations, and the whole
     procedure is deterministic given its inputs.
     """
-    require_valid(d)
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
     _check_label_map(label_map, k)
@@ -254,19 +253,14 @@ def _query_distances(model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarra
     return _distances(self_k, member_sum, model.cluster_wsum, model.cluster_inner)
 
 
-def classify_batch(model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarray) -> np.ndarray:
-    """Class of the nearest cluster (ties to the lowest cluster id), mapped
-    through the model's cluster-to-class map."""
-    dist = _query_distances(model, km_rows, self_k)
-    return model.label_map.fine_to_class[np.argmin(dist, axis=1)]
-
-
 def score_batch(
     model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (Q,) as in classify_batch and per-class scores (Q, C), minus
-    the squared distance to the nearest cluster mapped to each class, from
-    one computation of the query distances."""
+    """Labels (Q,), the class of the nearest cluster (ties to the lowest
+    cluster id) mapped through the model's cluster-to-class map, and
+    per-class scores (Q, C), minus the squared distance to the nearest
+    cluster mapped to each class, from one computation of the query
+    distances."""
     dist = _query_distances(model, km_rows, self_k)
     scores = np.full((dist.shape[0], model.label_map.n_classes), -np.inf)
     for c in range(model.label_map.n_classes):

@@ -27,7 +27,7 @@ from misspec_ssl.evalx import average_precision, predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.semgmm import GmmModel, bayes_classify_batch, fit_sem, kl_mc
-from misspec_ssl.sskkm import classify_batch, fit_sskkm, init_assignments
+from misspec_ssl.sskkm import fit_sskkm, init_assignments, score_batch
 
 BASE_SEED = 2026
 N_SEEDS = 20
@@ -109,7 +109,7 @@ class TestCriterion2DegradationShape:
             base = fit_sskkm(
                 km, train1, LabelMap.identity(train1.labels, 2), 2, SolverOptions(seed=si)
             )
-            base_acc = float(np.mean(classify_batch(base, rows, diag) == test_y))
+            base_acc = float(np.mean(score_batch(base, rows, diag)[0] == test_y))
             adaptive = fit_askkm(km, train1, AskkmOptions(solver=SolverOptions(seed=si)))
             preds, _ = predict(adaptive, test_x, rows, diag)
             askkm_at_least += float(np.mean(preds == test_y)) >= base_acc

@@ -9,7 +9,7 @@ from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
-from misspec_ssl.sskkm import classify_batch, fit_sskkm
+from misspec_ssl.sskkm import fit_sskkm, score_batch
 
 
 def well_specified(seed, n_unlabeled=200):
@@ -58,7 +58,7 @@ class TestFitAskkm:
             preds, _ = predict(model, tx, rows, diag)
             base = fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 2,
                              SolverOptions(seed=si))
-            base_preds = classify_batch(base, rows, diag)
+            base_preds = score_batch(base, rows, diag)[0]
             grew += model.n_clusters > 2
             beat += np.mean(preds == ty) >= np.mean(base_preds == ty)
         assert grew >= 3
@@ -113,9 +113,9 @@ class TestStallDetection:
             if model.unlabeled_weight == 1.0:
                 for p in flips_by_round.get(model.n_clusters, []):
                     labels[p] = 1 - labels[p]
-            return labels
+            return labels, np.eye(2)[labels]
 
-        monkeypatch.setattr(askkm_mod, "classify_batch", stubborn_classifier)
+        monkeypatch.setattr(askkm_mod, "score_batch", stubborn_classifier)
         model = askkm_mod.fit_askkm(
             km, d, AskkmOptions(stall_rounds=2, k_max=50, solver=SolverOptions(seed=0))
         )

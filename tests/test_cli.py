@@ -145,6 +145,15 @@ class TestFit:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["original_sem", "original_sskkm"])
+    def test_dataset_without_feature_columns_exits_3(self, tmp_path, method, capsys):
+        data = tmp_path / "labels_only.csv"
+        data.write_text("label\n0\n1\n?\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run(["fit", "--data", data, "--method", method, "--out-model", out]) == 3
+        assert "dim >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stall_rounds_only_checked_for_askkm(self, tmp_path, dataset_csv):
         args = ["fit", "--data", dataset_csv, "--stall-rounds", 0, "--out-model", tmp_path / "m"]
         assert run(args + ["--method", "original_sem"]) == 0
@@ -278,6 +287,23 @@ class TestEval:
         bad.write_text("f0,label\n1.0,0\n2.0,1\n", encoding="utf-8")
         assert run(["eval", "--model", model, "--data", bad,
                     "--out", tmp_path / "m.json"]) == 3
+
+    @pytest.mark.parametrize("keep, message", [
+        ({"1"}, "n_classes must be >= 2"),
+        ({"?"}, "no labeled points"),
+    ], ids=["one_class", "unlabeled_only"])
+    def test_data_without_two_classes_exits_3(self, tmp_path, keep, message, capsys):
+        # class ids follow first appearance, so a class-1-only file would be
+        # scored against the model's class-0 column
+        model = self.fit_model(tmp_path)
+        header, *rows = (tmp_path / "data.csv").read_text().splitlines()
+        data = tmp_path / "part.csv"
+        data.write_text("\n".join([header, *(r for r in rows if r.rsplit(",", 1)[1] in keep)])
+                        + "\n")
+        out = tmp_path / "m.json"
+        assert run(["eval", "--model", model, "--data", data, "--out", out]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kernel_model_eval(self, tmp_path):
         model = self.fit_model(tmp_path, method="askkm")

@@ -3,19 +3,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misspec_ssl.core import (
-    Dataset,
-    InputError,
-    SolverOptions,
-    derive_seed,
-    validate_dataset,
-)
+from misspec_ssl.core import Dataset, InputError, SolverOptions, derive_seed
 
 
-def make_dataset(n=4, labeled=(0, 1), labels=(0, 1), unlabeled=(2, 3), n_classes=2, dim=2):
+def oracle_violations(features, labeled_idx, labels, unlabeled_idx, n_classes):
+    """Sort-based oracle of the Dataset construction check: every broken
+    invariant of the five fields, as messages, in the order construction
+    reports them."""
+    features = np.asarray(features, dtype=float)
+    labeled_idx = np.asarray(labeled_idx, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
+    if features.ndim != 2:
+        return [f"features must be a 2-D matrix, got ndim={features.ndim}"]
+    problems = []
+    n, dim = features.shape
+    if dim < 1:
+        problems.append(f"features need at least one column (dim >= 1), got dim={dim}")
+
+    if not np.all(np.isfinite(features)):
+        bad = np.argwhere(~np.isfinite(features))
+        problems.append(f"non-finite feature value at (row, col) {tuple(bad[0])}")
+
+    covered = np.zeros(n, dtype=bool)
+    for name, idx in (("labeled_idx", labeled_idx), ("unlabeled_idx", unlabeled_idx)):
+        outside = (idx < 0) | (idx >= n)
+        covered[idx[~outside]] = True
+        out = idx[outside]
+        if out.size:
+            problems.append(f"{name} out of range [0, {n}): {sorted(out.tolist())}")
+        uniq, counts = np.unique(idx, return_counts=True)
+        dups = uniq[counts > 1]
+        if dups.size:
+            problems.append(f"duplicate indices in {name}: {sorted(dups.tolist())}")
+
+    overlap = np.intersect1d(labeled_idx, unlabeled_idx)
+    for i in overlap.tolist():
+        problems.append(f"labeled/unlabeled overlap at index {i}")
+
+    uncovered = np.flatnonzero(~covered)
+    if uncovered.size:
+        problems.append(
+            f"{uncovered.size} rows in neither labeled_idx nor unlabeled_idx, "
+            f"first {uncovered[:5].tolist()}"
+        )
+
+    if labels.size != labeled_idx.size:
+        problems.append(
+            f"labels length {labels.size} != labeled_idx length {labeled_idx.size}"
+        )
+
+    if n_classes < 2:
+        problems.append(f"n_classes must be >= 2, got {n_classes}")
+
+    if labeled_idx.size == 0:
+        problems.append("no labeled points (every solver needs >= 1 labeled point per class)")
+    else:
+        out = labels[(labels < 0) | (labels >= n_classes)]
+        if out.size:
+            problems.append(
+                f"label ids outside 0..{n_classes - 1}: {sorted(set(out.tolist()))}"
+            )
+        present = set(labels.tolist())
+        for c in range(n_classes):
+            if c not in present:
+                problems.append(f"class {c} unrepresented among labels")
+
+    return problems
+
+
+def make_dataset(n=4, labeled=(0, 1), labels=(0, 1), unlabeled=(2, 3), n_classes=2, dim=2,
+                 features=None):
     rng = np.random.default_rng(0)
     return Dataset(
-        features=rng.standard_normal((n, dim)),
+        features=rng.standard_normal((n, dim)) if features is None else features,
         labeled_idx=np.array(labeled),
         labels=np.array(labels),
         unlabeled_idx=np.array(unlabeled),
@@ -25,53 +86,39 @@ def make_dataset(n=4, labeled=(0, 1), labels=(0, 1), unlabeled=(2, 3), n_classes
 
 class TestValidateDataset:
     def test_consistent_partition_ok(self):
-        report = validate_dataset(make_dataset())
-        assert report.ok
-        assert report.violations == ()
+        d = make_dataset()
+        assert d.n_points == 4 and d.n_labeled == 2 and d.n_unlabeled == 2
 
     def test_overlap_reported_with_index(self):
-        d = make_dataset(labeled=(0, 1), unlabeled=(1, 2))
-        report = validate_dataset(d)
-        assert not report.ok
-        assert any("overlap at index 1" in v for v in report.violations)
+        with pytest.raises(InputError, match="overlap at index 1"):
+            make_dataset(labeled=(0, 1), unlabeled=(1, 2))
 
     def test_unrepresented_class(self):
-        d = make_dataset(labels=(0, 0))
-        report = validate_dataset(d)
-        assert not report.ok
-        assert any("class 1 unrepresented" in v for v in report.violations)
+        with pytest.raises(InputError, match="class 1 unrepresented"):
+            make_dataset(labels=(0, 0))
 
     def test_non_finite_features(self):
-        d = make_dataset()
-        d.features[1, 1] = np.nan
-        report = validate_dataset(d)
-        assert not report.ok
-        assert any("non-finite" in v for v in report.violations)
+        features = np.random.default_rng(0).standard_normal((4, 2))
+        features[1, 1] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            make_dataset(features=features)
 
     def test_out_of_range_and_duplicates(self):
-        d = make_dataset(unlabeled=(2, 2))
-        report = validate_dataset(d)
-        assert any("duplicate" in v for v in report.violations)
-        d = make_dataset(unlabeled=(2, 9))
-        report = validate_dataset(d)
-        assert any("out of range" in v for v in report.violations)
+        with pytest.raises(InputError, match="duplicate"):
+            make_dataset(unlabeled=(2, 2))
+        with pytest.raises(InputError, match="out of range"):
+            make_dataset(unlabeled=(2, 9))
 
     def test_rows_in_neither_partition_reported(self):
-        d = make_dataset(n=6)
-        report = validate_dataset(d)
-        assert not report.ok
-        assert report.violations == (
-            "2 rows in neither labeled_idx nor unlabeled_idx, first [4, 5]",
+        with pytest.raises(InputError) as exc:
+            make_dataset(n=6)
+        assert str(exc.value) == (
+            "invalid dataset: 2 rows in neither labeled_idx nor unlabeled_idx, first [4, 5]"
         )
 
     def test_no_labeled_points_rejected(self):
-        d = make_dataset(labeled=(), labels=(), unlabeled=(0, 1, 2, 3))
-        report = validate_dataset(d)
-        assert not report.ok
-
-    def test_pure_function(self):
-        d = make_dataset(labeled=(0, 1), unlabeled=(1, 2))
-        assert validate_dataset(d) == validate_dataset(d)
+        with pytest.raises(InputError, match="no labeled points"):
+            make_dataset(labeled=(), labels=(), unlabeled=(0, 1, 2, 3))
 
     @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -87,7 +134,43 @@ class TestValidateDataset:
             unlabeled_idx=perm[n_classes * per_class :],
             n_classes=n_classes,
         )
-        assert validate_dataset(d).ok
+        assert d.n_points == n
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_construction_matches_sort_based_oracle(self, seed):
+        # N 0..7, dim 0..3, n_classes 0..4. In-range index arrays: a row is
+        # labeled, unlabeled, both or neither, and either array may repeat a
+        # row. A label may fall outside the classes, the label list may be
+        # one short or long, and a feature may be nan. About one draw in 20
+        # is a valid dataset.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 8))
+        dim = int(rng.choice(4, p=[0.1, 0.3, 0.3, 0.3]))
+        n_classes = int(rng.choice(5, p=[0.05, 0.05, 0.4, 0.3, 0.2]))
+        role = rng.choice(4, size=n, p=[0.45, 0.45, 0.05, 0.05])
+        labeled = rng.permutation(np.flatnonzero((role == 0) | (role == 2)))
+        unlabeled = np.flatnonzero((role == 1) | (role == 2))
+        if n and rng.random() < 0.1:
+            labeled = np.append(labeled, rng.integers(n))
+        if n and rng.random() < 0.1:
+            unlabeled = np.append(unlabeled, rng.integers(n))
+        n_labels = max(labeled.size + rng.choice([0, 1, -1], p=[0.9, 0.05, 0.05]), 0)
+        labels = rng.integers(0, max(n_classes, 1), size=n_labels)
+        labels[rng.random(n_labels) < 0.05] = -1
+        labels[rng.random(n_labels) < 0.05] = n_classes
+        features = rng.standard_normal((n, dim))
+        if features.size and rng.random() < 0.1:
+            features[rng.integers(n), rng.integers(dim)] = np.nan
+
+        want = oracle_violations(features, labeled, labels, unlabeled, n_classes)
+        try:
+            Dataset(features=features, labeled_idx=labeled, labels=labels,
+                    unlabeled_idx=unlabeled, n_classes=n_classes)
+        except InputError as exc:
+            assert str(exc) == "invalid dataset: " + "; ".join(want)
+        else:
+            assert want == []
 
 
 class TestSolverOptions:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from misspec_ssl.core import InputError, SolverOptions, derive_seed, validate_dataset
+from misspec_ssl.core import InputError, SolverOptions, derive_seed
 from misspec_ssl.datagen import (
     GenSpec,
     generate,
@@ -41,8 +41,7 @@ class TestGenerate:
         for kind, m in (("well_specified", 1), ("misspecified", 3)):
             spec = GenSpec(kind=kind, subclusters_per_class=m, n_classes=3, dim=4,
                            n_unlabeled=31, seed=5)
-            d, truth = generate(spec)
-            assert validate_dataset(d).ok
+            d, truth = generate(spec)  # construction checks the dataset
             assert d.n_labeled == 30
             assert d.n_unlabeled == 31
             assert truth.component_means.shape == (3 * m, 4)

@@ -153,14 +153,7 @@ class TestKernelEval:
 
 class TestGramMatrix:
     def test_single_point(self):
-        d = Dataset(
-            features=np.array([[1.0, 2.0]]),
-            labeled_idx=np.array([0]),
-            labels=np.array([0]),
-            unlabeled_idx=np.array([], dtype=int),
-            n_classes=2,
-        )
-        # single point cannot represent two classes; bypass via two identical points
+        # a single point cannot represent two classes: use two identical points
         d = dataset_from_features(np.array([[1.0, 2.0], [1.0, 2.0]]))
         km = gram_matrix(d, KernelSpec(kind="linear"))
         assert km.values.shape == (2, 2)

@@ -68,17 +68,15 @@ def identity_map(labels, n_classes=2):
 
 class TestLabelMapChecks:
     def test_identity_valid(self):
-        identity_map([0, 1, 0, 1]).check()
+        assert identity_map([0, 1, 0, 1]).n_fine == 2
 
     def test_not_surjective(self):
-        lm = LabelMap(fine_to_class=[0, 0], fine_of_point=[0, 1], n_classes=2)
-        with pytest.raises(InputError):
-            lm.check()
+        with pytest.raises(InputError, match="not surjective"):
+            LabelMap(fine_to_class=[0, 0], fine_of_point=[0, 1], n_classes=2)
 
     def test_carrierless_label(self):
-        lm = LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
-        with pytest.raises(InputError):
-            lm.check()
+        with pytest.raises(InputError, match="without a labeled carrier"):
+            LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
 
 
 class TestModifyStructure:
@@ -129,7 +127,6 @@ class TestModifyStructure:
                 assert mapped[p] == preds_unb[p]
             else:
                 assert mapped[p] == labels[p]
-        lm.check()
 
     def test_growth_cap(self):
         labels = np.array([0, 0, 1, 1])
@@ -155,7 +152,6 @@ class TestModifyStructure:
             except StructureGrowthCapped:
                 continue
             assert lm1.n_fine > lm0.n_fine
-            lm1.check()
 
     def test_class_keeps_a_carrier(self):
         # every class-0 point disagrees and the unbiased model calls them all class 1
@@ -164,5 +160,5 @@ class TestModifyStructure:
         preds_orig = np.array([0, 0, 1, 1])
         report = disagreement_criterion(preds_orig, preds_unb, 0)
         lm = modify_structure(identity_map(labels), report, labels, preds_unb)
-        lm.check()  # surjectivity onto both classes preserved
+        assert set(lm.fine_to_class.tolist()) == {0, 1}  # still onto both classes
         assert 0 in lm.fine_to_class[lm.fine_of_point[labels == 0]]

@@ -13,7 +13,6 @@ from misspec_ssl.semgmm import (
     fit_sem,
     joint_log_density,
     kl_mc,
-    loglik,
 )
 
 LOG_2PI = np.log(2 * np.pi)
@@ -31,6 +30,15 @@ def class_posteriors(m, x):
     logj = class_log_joint(m, np.asarray(x, dtype=float)[None, :])[0]
     p = np.exp(logj - np.max(logj))
     return p / p.sum()
+
+
+def loglik(m, d, w):
+    """Objective oracle: the weighted objective of the model on a dataset,
+    recomputed from scratch over the rows fit_sem builds."""
+    if d.dim != m.dim:
+        raise InputError(f"model dimension {m.dim} != dataset dimension {d.dim}")
+    x, mask, _ = semgmm._objective_rows(d, m.comp_map, w)
+    return semgmm._objective(semgmm._masked_log_joint(m, x, mask)[1], d.n_labeled, w)
 
 
 def all_labeled_dataset(x, labels, n_classes=2):
@@ -163,7 +171,7 @@ class TestLoglik:
         assert model.objective_trace[-1] == pytest.approx(
             loglik(model, d, model.unlabeled_weight), rel=1e-12)
 
-    def test_trace_equals_full_recompute_of_each_iterate(self, monkeypatch):
+    def test_trace_equals_full_recompute_of_each_iterate(self):
         # the fit with max_iter=j stops at the j-th iterate of the full fit;
         # loglik recomputes that iterate's objective from scratch
         rng = np.random.default_rng(12)
@@ -175,9 +183,7 @@ class TestLoglik:
             trace = fit_sem(d, 3, np.array([0, 1, 1]), opts).objective_trace
             assert len(trace) > 9
             for j in (1, 2, 3, 5, 8, len(trace) - 1):
-                with monkeypatch.context() as mp:
-                    mp.setattr(semgmm, "loglik", None)  # fit_sem must not call it
-                    model = fit_sem(d, 3, np.array([0, 1, 1]), replace(opts, max_iter=j))
+                model = fit_sem(d, 3, np.array([0, 1, 1]), replace(opts, max_iter=j))
                 assert model.objective_trace == trace[: j + 1]
                 assert model.final_loglik == loglik(model, d, model.unlabeled_weight) == trace[j]
 

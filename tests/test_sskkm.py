@@ -4,7 +4,7 @@ import pytest
 from misspec_ssl.core import Dataset, InputError, SolverOptions
 from misspec_ssl.kernels import KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
-from misspec_ssl.sskkm import Assignments, classify_batch, fit_sskkm, init_assignments, score_batch
+from misspec_ssl.sskkm import Assignments, fit_sskkm, init_assignments, score_batch
 
 LINEAR = KernelSpec(kind="linear")
 
@@ -87,11 +87,9 @@ class TestInitAssignments:
             assert a.cluster_of[i] == want
 
     def test_missing_seed_rejected(self):
-        d = build_dataset(np.eye(3), [0, 1], [0, 1])
-        km = gram_matrix(d, LINEAR)
-        lm = LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
-        with pytest.raises(InputError):
-            init_assignments(km, d, lm, 3)
+        # a fine label with no labeled seed cannot exist, so it never reaches the init
+        with pytest.raises(InputError, match="without a labeled carrier"):
+            LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
 
 
 class TestPointClusterDist:
@@ -210,9 +208,8 @@ class TestFitSskkm:
         d = build_dataset(np.eye(3), [0, 1], [0, 1])
         km = gram_matrix(d, LINEAR)
         init = Assignments(cluster_of=[0, 1, 2], n_clusters=3)
-        uncarried = LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
         with pytest.raises(InputError, match="without a labeled carrier"):
-            fit_sskkm(km, d, uncarried, 3, SolverOptions(), init=init)
+            LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
         with pytest.raises(InputError, match="2 fine labels, expected 3"):
             fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 3, SolverOptions(), init=init)
 
@@ -280,7 +277,7 @@ class TestClassification:
         queries = rng.standard_normal((100, x.shape[1])) * 3
         rows = queries @ x.T
         diag = (queries ** 2).sum(axis=1)
-        got = classify_batch(model, rows, diag)
+        got = score_batch(model, rows, diag)[0]
         d2 = ((queries[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         want = model.label_map.fine_to_class[np.argmin(d2, axis=1)]
         np.testing.assert_array_equal(got, want)
@@ -292,7 +289,6 @@ class TestClassification:
         rows = queries @ d.features.T
         diag = (queries ** 2).sum(axis=1)
         labels, scores = score_batch(model, rows, diag)
-        np.testing.assert_array_equal(labels, classify_batch(model, rows, diag))
         np.testing.assert_array_equal(np.argmax(scores, axis=1), labels)
 
     def test_scores_match_brute_force_distances(self):
