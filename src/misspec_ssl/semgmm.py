@@ -25,6 +25,9 @@ from .core import Dataset, InputError, SolverOptions, derive_seed
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR_SCALE = 1e-6
 SURPLUS_JITTER_SCALE = 0.1
+# numpy's np.sum adds fewer values than this strictly left to right, and
+# this many or more pairwise.
+PAIRWISE_SUM_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -117,25 +120,64 @@ class KlEstimate:
     raw_mean: float
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=1) of a 2-D array, bit for bit. Below PAIRWISE_SUM_MIN
+    columns numpy adds a row strictly left to right from 0.0; this fold does
+    the same one whole column at a time, without numpy's per-row reduction
+    overhead."""
+    if a.shape[1] >= PAIRWISE_SUM_MIN:
+        return np.sum(a, axis=1)
+    out = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        out += a[:, j]
+    return out
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.max(a, axis=1) of a 2-D array, folded over the columns; a max is
+    exact in any order."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
 def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and
-    components, shape (N, K)."""
+    components, shape (N, K). Below PAIRWISE_SUM_MIN features the scaled
+    squared distance is accumulated one feature column at a time, in
+    _row_sum's order, with no (N, d) temporaries."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
+    with np.errstate(divide="ignore"):
+        log_w = np.log(m.weights)
     out = np.empty((n, m.n_components))
     for k in range(m.n_components):
-        var = m.covariances[k]
-        diff = x - m.means[k]
-        out[:, k] = -0.5 * (d * LOG_2PI + np.sum(np.log(var)) + np.sum(diff * diff / var, axis=1))
-    with np.errstate(divide="ignore"):
-        return out + np.log(m.weights)[None, :]
-
-
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
+        var, mu = m.covariances[k], m.means[k]
+        if d >= PAIRWISE_SUM_MIN:
+            diff = x - mu
+            row = np.sum(diff * diff / var, axis=1)
+        else:
+            row = np.zeros(n)
+            for j in range(d):
+                t = x[:, j] - mu[j]
+                t *= t
+                t /= var[j]
+                row += t
+        row += d * LOG_2PI + np.sum(np.log(var))
+        row *= -0.5
+        row += log_w[k]
+        out[:, k] = row
     return out
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row log-sum-exp of a 2-D array, shifted by the finite row max; -inf
+    for a row that is all -inf."""
+    amax = _row_max(a)
+    amax[~np.isfinite(amax)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(_row_sum(np.exp(a - amax[:, None]))) + amax
 
 
 def _masked_log_joint(
@@ -144,7 +186,7 @@ def _masked_log_joint(
     """Component log-joints of the rows of ``x``, -inf where ``mask`` is
     False, shape (N, K), and their row log-normalizers (N,)."""
     log_r = np.where(mask, _component_log_joint(m, x), -np.inf)
-    return log_r, _logsumexp(log_r, axis=1)
+    return log_r, _logsumexp(log_r)
 
 
 def _objective_rows(
@@ -181,7 +223,7 @@ def class_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     for c in range(m.n_classes):
         cols = np.flatnonzero(m.comp_map == c)
         if cols.size:
-            out[:, c] = _logsumexp(comp[:, cols], axis=1)
+            out[:, c] = _logsumexp(comp[:, cols])
     return out
 
 
@@ -235,6 +277,15 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
         raise InputError(f"comp_map covers {comp_map.size} components, expected {k}")
     if set(comp_map.tolist()) != set(range(d.n_classes)):
         raise InputError("comp_map must be surjective onto the class set")
+    # Every deviation from a mean is at most 2*peak, so N squared deviations
+    # sum to at most 4*N*peak**2: the bound keeps that sum finite.
+    peak = float(np.max(np.abs(d.features)))
+    bound = 0.5 * float(np.sqrt(np.finfo(float).max / d.n_points))
+    if peak > bound:
+        raise InputError(
+            f"feature magnitude {peak:.3g} exceeds {bound:.3g}, beyond which the "
+            f"squared deviations of {d.n_points} points overflow float64"
+        )
 
     w = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
     floor = _variance_floor(d.features)
@@ -286,8 +337,8 @@ def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
     the joint density f(x, y), ties to the lowest class id; the posteriors
     are the normalized joint densities. Log-domain throughout."""
     logj = class_log_joint(m, x)
-    p = np.exp(logj - np.max(logj, axis=1, keepdims=True))
-    return np.argmax(logj, axis=1), p / p.sum(axis=1, keepdims=True)
+    p = np.exp(logj - _row_max(logj)[:, None])
+    return np.argmax(logj, axis=1), p / _row_sum(p)[:, None]
 
 
 def sample_joint(m: GmmModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -154,6 +154,17 @@ class TestFit:
         assert "dim >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["original_sem", "unbiased_sem", "supervised"])
+    def test_features_too_large_for_em_exit_3(self, tmp_path, method, capsys):
+        # finite, but their squares overflow float64; the suite turns the
+        # RuntimeWarnings of such an overflow into errors
+        data = tmp_path / "huge.csv"
+        data.write_text("f0,label\n0,0\n1e200,1\n-1e200,?\n5,?\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run(["fit", "--data", data, "--method", method, "--out-model", out]) == 3
+        assert "overflow float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stall_rounds_only_checked_for_askkm(self, tmp_path, dataset_csv):
         args = ["fit", "--data", dataset_csv, "--stall-rounds", 0, "--out-model", tmp_path / "m"]
         assert run(args + ["--method", "original_sem"]) == 0
@@ -304,6 +315,18 @@ class TestEval:
         assert run(["eval", "--model", model, "--data", data, "--out", out]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sem_model_with_a_zero_weight_class_evaluates(self, tmp_path):
+        # every point has log-joint -inf for class 1; the suite turns a
+        # log(0) RuntimeWarning into an error
+        model = self.fit_model(tmp_path)
+        d = json.loads(model.read_text())
+        d["weights"] = [1.0, 0.0]
+        model.write_text(json.dumps(d))
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--model", model, "--data", tmp_path / "data.csv",
+                    "--out", out]) == 0
+        assert 0.0 <= json.loads(out.read_text())["mAP"] <= 1.0
 
     def test_kernel_model_eval(self, tmp_path):
         model = self.fit_model(tmp_path, method="askkm")
@@ -575,3 +598,47 @@ PINNED_DIGESTS = {
 def test_outputs_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert pinned_run_digests() == PINNED_DIGESTS
+
+
+# sha256 of a 9-feature run whose sem fits use 9 and 3 components, recorded
+# before semgmm's row sums became column folds: numpy sums 8 or more columns
+# pairwise and fewer left to right, and these fits meet both orders, in the
+# feature sums (9) and in the component sums (9 and 3).
+PINNED_WIDE_DIGESTS = {
+    "data.csv":
+        "411d150ea820c88141b1189093ad6c67a682769b7a1ca8edb5fb736a82c01a0c",
+    "heldout.csv":
+        "53fd36c5c745b39381f40d0fefb44991e7087bcb2c5464a85637a4f576cd5e3e",
+    "heldout.truth.json":
+        "cf5732c60abbc245947567f4320af87a98c3d857a4f9f2955af17bf08fb61d24",
+    "sem_components3.eval.json":
+        "98acafa4e365837221edb59f4ea8f22b55addd2ce51a69b776803dadc474f51d",
+    "sem_components3.json":
+        "3c45e79219d674f561b2a0e2f74ad36c610cf482416dc42b7801870a7fa48353",
+    "sem_components9.eval.json":
+        "31b0796a4cce87b1f4ce400b96fcaff08fe863383c2c309b824b48960f5bdda0",
+    "sem_components9.json":
+        "9768a6e075363c240276f9d67f195072383c1d9d0e4dbe4e164cb6385e5f9e28",
+    "truth.json":
+        "2331a358a60117c74a63c93a97ae0c1237b7a34c4f7a3dcb91f3285605ee64b5",
+}
+
+
+def test_wide_sem_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scenario = ["--kind", "misspecified", "--dim", 9, "--class-sep", 5.0, "--labeled-per-class"]
+    commands = [
+        ["gen", *scenario, 6, "--unlabeled", 80, "--seed", 44,
+         "--out-data", "data.csv", "--out-truth", "truth.json"],
+        ["gen", *scenario, 20, "--unlabeled", 0, "--seed", 45,
+         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+    ]
+    for k in (9, 3):
+        commands.append(["fit", "--data", "data.csv", "--method", "original_sem",
+                         "--components", k, "--out-model", f"sem_components{k}.json"])
+        commands.append(["eval", "--model", f"sem_components{k}.json", "--data", "heldout.csv",
+                         "--verbose", "--out", f"sem_components{k}.eval.json"])
+    for argv in commands:
+        assert run(argv) == 0, argv
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
+    assert digests == PINNED_WIDE_DIGESTS

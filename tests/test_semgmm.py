@@ -41,6 +41,69 @@ def loglik(m, d, w):
     return semgmm._objective(semgmm._masked_log_joint(m, x, mask)[1], d.n_labeled, w)
 
 
+def component_log_joint_oracle(m, x):
+    """semgmm._component_log_joint as it was before the column folds: one
+    numpy row reduction over the d features per component."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n, d = x.shape
+    out = np.empty((n, m.n_components))
+    for k in range(m.n_components):
+        var = m.covariances[k]
+        diff = x - m.means[k]
+        out[:, k] = -0.5 * (d * LOG_2PI + np.sum(np.log(var)) + np.sum(diff * diff / var, axis=1))
+    with np.errstate(divide="ignore"):
+        return out + np.log(m.weights)[None, :]
+
+
+def logsumexp_oracle(a, axis=-1):
+    """semgmm._logsumexp as it was before the column folds."""
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
+    return out
+
+
+def bayes_classify_batch_oracle(m, x):
+    """bayes_classify_batch as it was before the column folds."""
+    logj = class_log_joint(m, x)
+    p = np.exp(logj - np.max(logj, axis=1, keepdims=True))
+    return np.argmax(logj, axis=1), p / p.sum(axis=1, keepdims=True)
+
+
+def bits(value):
+    """The exact bytes of a result: every float compared bit for bit, the
+    sign of a zero and the payload of a NaN included."""
+    if isinstance(value, GmmModel):
+        return (bits(value.weights), bits(value.means), bits(value.covariances),
+                bits(value.comp_map), bits(np.array(value.objective_trace)),
+                bits(np.array([value.final_loglik, value.unlabeled_weight])))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, semgmm.KlEstimate):
+        return (bits(np.array([value.value, value.std_error, value.raw_mean])),
+                value.n_samples, value.seed)
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+@pytest.fixture()
+def with_oracle(monkeypatch):
+    """Calls a function once on semgmm's column folds and once with the
+    oracle's numpy row reductions patched in; returns both results."""
+    def both(fn):
+        fast = fn()
+        with monkeypatch.context() as patch:
+            patch.setattr(semgmm, "_component_log_joint", component_log_joint_oracle)
+            patch.setattr(semgmm, "_logsumexp", logsumexp_oracle)
+            patch.setattr(semgmm, "bayes_classify_batch", bayes_classify_batch_oracle)
+            # the oracle warns on log(0) of a row whose allowed components
+            # are all -inf, where semgmm does not
+            with np.errstate(divide="ignore"):
+                slow = fn()
+        return fast, slow
+    return both
+
+
 def all_labeled_dataset(x, labels, n_classes=2):
     x = np.asarray(x, dtype=float)
     return Dataset(
@@ -283,3 +346,75 @@ class TestKlMc:
         m = two_gaussian_model()
         with pytest.raises(InputError):
             kl_mc(m, m, 0, seed=0)
+
+
+# Widths on both sides of numpy's switch from left-to-right to pairwise
+# summation at 8 columns.
+WIDTHS = (1, 2, 3, 7, 8, 9)
+
+
+class TestColumnFoldsEqualOracle:
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_row_sum_equals_numpy_row_sum(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((40, width)) * 10.0 ** rng.integers(-8, 9, size=(40, width))
+        a[0] = 0.0
+        a[1] = -0.0
+        a[2, ::2] = -0.0
+        a[3, 0] = np.inf
+        a[4, -1] = -np.inf
+        a[5] = np.inf
+        a[5, ::2] = -np.inf
+        a[6, width // 2] = np.nan
+        a[7] = -np.inf
+        with np.errstate(invalid="ignore"):
+            assert bits(semgmm._row_sum(a)) == bits(np.sum(a, axis=1))
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_row_max_equals_numpy_row_max(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((40, width))
+        a[0] = -np.inf
+        a[1, -1] = np.inf
+        a[2, width // 2] = np.nan
+        assert np.array_equal(semgmm._row_max(a), np.max(a, axis=1), equal_nan=True)
+
+    @pytest.mark.parametrize("dim", WIDTHS)
+    @pytest.mark.parametrize("k", WIDTHS[1:])  # K >= C = 2
+    def test_fit_sem(self, with_oracle, dim, k):
+        spec = GenSpec(kind="misspecified", subclusters_per_class=2, dim=dim,
+                       class_separation=5.0, n_labeled_per_class=5, n_unlabeled=60,
+                       seed=derive_seed(13, dim, k))
+        d, _ = generate(spec)
+        comp_map = np.arange(k) % 2
+        iterations = []
+        for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.3)):
+            opts = SolverOptions(seed=k, unlabeled_weight_mode=mode, custom_weight=w)
+            fast, slow = with_oracle(lambda: fit_sem(d, k, comp_map, opts))
+            assert bits(fast) == bits(slow)
+            iterations.append(len(fast.objective_trace) - 1)
+        assert max(iterations) > 3
+
+    @pytest.mark.parametrize("dim", WIDTHS)
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_scoring_and_kl(self, with_oracle, dim, k):
+        # with K = 1, class 1 has no component; zeroing the weights of class
+        # 1's components makes every row of class 1 all -inf
+        rng = np.random.default_rng(100 * dim + k)
+        comp_map = np.arange(k) % 2
+        models = []
+        for _ in range(2):
+            w = rng.uniform(0.2, 1.0, size=k)
+            models.append(GmmModel(weights=w / w.sum(), means=rng.standard_normal((k, dim)) * 3,
+                                   covariances=rng.uniform(0.5, 2.0, size=(k, dim)),
+                                   comp_map=comp_map, n_classes=2))
+        dead = replace(models[0], weights=np.where(comp_map == 1, 0.0, models[0].weights))
+        queries = rng.standard_normal((200, dim)) * 4
+        classes = np.arange(200) % 2
+        for m in (models[0], dead):
+            fast, slow = with_oracle(lambda: (
+                semgmm.bayes_classify_batch(m, queries),
+                joint_log_density(m, queries, classes),
+                kl_mc(m, models[1], 500, seed=k),
+            ))
+            assert bits(fast) == bits(slow)
