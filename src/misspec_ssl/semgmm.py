@@ -134,8 +134,12 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """np.max(a, axis=1) of a 2-D array, folded over the columns; a max is
-    exact in any order."""
+    """np.max(a, axis=1) of a 2-D array. Below PAIRWISE_SUM_MIN columns it
+    folds np.maximum over the columns (a max is exact in any order); from
+    there up it calls np.max, as _row_sum calls np.sum, since a loop over
+    many strided columns loses to numpy's row reduction at wide K."""
+    if a.shape[1] >= PAIRWISE_SUM_MIN:
+        return np.max(a, axis=1)
     out = a[:, 0].copy()
     for j in range(1, a.shape[1]):
         np.maximum(out, a[:, j], out=out)
@@ -144,9 +148,10 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and
-    components, shape (N, K). Below PAIRWISE_SUM_MIN features the scaled
-    squared distance is accumulated one feature column at a time, in
-    _row_sum's order, with no (N, d) temporaries."""
+    components, shape (N, K). The scaled squared distance is _row_sum of
+    (x - mu)**2 / var over the features; below PAIRWISE_SUM_MIN features
+    that is the same left-to-right fold done one feature column at a time
+    in place, with no (N, d) temporaries."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
     with np.errstate(divide="ignore"):
@@ -154,16 +159,16 @@ def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     out = np.empty((n, m.n_components))
     for k in range(m.n_components):
         var, mu = m.covariances[k], m.means[k]
-        if d >= PAIRWISE_SUM_MIN:
-            diff = x - mu
-            row = np.sum(diff * diff / var, axis=1)
-        else:
+        if d < PAIRWISE_SUM_MIN:
             row = np.zeros(n)
             for j in range(d):
                 t = x[:, j] - mu[j]
                 t *= t
                 t /= var[j]
                 row += t
+        else:
+            diff = x - mu
+            row = _row_sum(diff * diff / var)
         row += d * LOG_2PI + np.sum(np.log(var))
         row *= -0.5
         row += log_w[k]
