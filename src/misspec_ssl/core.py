@@ -1,5 +1,5 @@
 """Shared domain types: datasets with a labeled/unlabeled split, solver options,
-and seed derivation.
+seed derivation, and a pin of the BLAS thread count.
 
 All types here check their invariants once, on construction, and are
 immutable afterwards, so they are safe to share across workers.
@@ -7,7 +7,11 @@ immutable afterwards, so they are safe to share across workers.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,55 @@ def derive_seed(base: int, *parts: object) -> int:
     text = str(int(base)) + "".join(f"|{p}" for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+@functools.cache
+def blas_thread_api() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """(set, get) of the thread count of the OpenBLAS that numpy loaded, or
+    None for any other BLAS. The symbols are looked up through ctypes on
+    numpy's own extension module: the bundled scipy-openblas ones first, then
+    those of a system OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in (
+        ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+        ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ):
+        set_threads = getattr(lib, set_name, None)
+        get_threads = getattr(lib, get_name, None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold BLAS at one thread inside the block and restore the earlier count
+    on the way out, however the block ends; a no-op without blas_thread_api.
+
+    Products from about 1,000 rows up differ in their last bits between 1-
+    and 2-thread OpenBLAS, so a fixed count makes them independent of the
+    machine's default; one thread also keeps BLAS from competing with a pool
+    of workers for the same cores."""
+    api = blas_thread_api()
+    if api is None:
+        yield
+        return
+    set_threads, get_threads = api
+    earlier = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(earlier)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
-from .core import Dataset, InputError, SolverOptions, derive_seed
+from .core import Dataset, InputError, SolverOptions, derive_seed, one_blas_thread
 from .datagen import GenSpec, generate, sample_eval_set
 from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .misspec import LabelMap
@@ -229,7 +229,9 @@ def learning_curve(
 
     Binary scenarios record average precision of the positive class, others
     accuracy. Fully reproducible from (scenario, grid, n_seeds, base_seed);
-    cells are independent, so the worker count never changes the result.
+    cells are independent and every cell runs with BLAS held at one thread
+    (core.one_blas_thread), so neither the worker count nor the BLAS thread
+    count changes the result.
     """
     canon = tuple(_canonical_method(m) for m in methods)
     if not canon:
@@ -250,11 +252,12 @@ def learning_curve(
             scenario, canon, grid[gi], si, eval_size, base_seed, kernel, solver
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(c) for c in cells]
+    with one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, cells))
+        else:
+            results = [run(c) for c in cells]
 
     raw = {m: np.empty((len(grid), n_seeds)) for m in canon}
     for (gi, si), res in zip(cells, results):

@@ -74,6 +74,22 @@ def _check_chi_square_inputs(*arrays: np.ndarray) -> None:
             raise InputError("chi_square distance requires nonnegative feature values")
 
 
+def _check_magnitude(*arrays: np.ndarray) -> None:
+    """Reject features too large for the kernel arithmetic. Below
+    0.5 * sqrt(float64 max / d) in magnitude, every dot product, squared
+    norm and distance over d features stays finite, as does the sum
+    ||x||^2 + ||y||^2 that the euclidean distance subtracts from."""
+    dim = arrays[0].shape[1]
+    bound = 0.5 * float(np.sqrt(np.finfo(float).max / dim))
+    for a in arrays:
+        peak = float(np.max(np.abs(a), initial=0.0))
+        if peak > bound:
+            raise InputError(
+                f"feature magnitude {peak:.3g} exceeds {bound:.3g}, beyond which "
+                f"products and squared distances over {dim} features overflow float64"
+            )
+
+
 def _kernel_params(spec: KernelSpec) -> tuple[str | None, bool, float | None]:
     """(distance, squared, gamma) of the kernel: the dot product (distance
     None) for linear, else exp(-gamma * distance) with the squared euclidean
@@ -100,8 +116,10 @@ def _fill_pairwise(
 
     Work proceeds in blocks of rows, so temporaries are O(BLOCK_ROWS * len(y))
     however large ``out`` is. With ``upper`` (y is x) only entries on and
-    above the diagonal are written; the rest of ``out`` is scratch.
+    above the diagonal are written; the rest of ``out`` is scratch. Features
+    too large for the arithmetic are an InputError, raised before any product.
     """
+    _check_magnitude(x, y)
     if distance in (None, "euclidean"):
         np.matmul(x, y.T, out=out)
         if distance is None:
@@ -149,11 +167,23 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray, seed: int = 0) -> Kern
         rng = np.random.default_rng(derive_seed(seed, "median-gamma"))
         x = x[rng.choice(n, size=MEDIAN_SUBSAMPLE, replace=False)]
     distance, squared, _ = _kernel_params(spec)
-    d = np.empty((x.shape[0], x.shape[0]))
+    m = x.shape[0]
+    d = np.empty((m, m))
     _fill_pairwise(d, x, x, distance, squared, None, upper=True)
-    iu = np.triu_indices(x.shape[0], k=1)
-    med = float(np.median(d[iu])) if iu[0].size else 0.0
-    gamma = 1.0 / med if med > 0 else 1.0
+    # The strict upper triangle, row by row, then its exact median: the
+    # upper middle value by one partition and, for an even count, the
+    # lower middle value as the max below it, averaged as np.median does.
+    pairs = np.empty(m * (m - 1) // 2)
+    at = 0
+    for i in range(m - 1):
+        pairs[at : at + m - 1 - i] = d[i, i + 1 :]
+        at += m - 1 - i
+    med = 0.0
+    if pairs.size:
+        half = pairs.size // 2
+        pairs.partition(half)
+        med = pairs[half] if pairs.size % 2 else (pairs[:half].max() + pairs[half]) / 2
+    gamma = 1.0 / float(med) if med > 0 else 1.0
     return KernelSpec(kind=spec.kind, gamma=gamma, distance=spec.distance)
 
 
@@ -198,11 +228,11 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
             "which could not be allocated"
         ) from None
     _fill_pairwise(values, x, x, *_kernel_params(spec), upper=True)
+    below = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
     for r0 in range(0, n, BLOCK_ROWS):
         r1 = min(r0 + BLOCK_ROWS, n)
         tile = values[r0:r1, r0:r1]
-        below = np.tril_indices(r1 - r0, k=-1)
-        tile[below] = tile.T[below]
+        np.copyto(tile, tile.T, where=below[: r1 - r0, : r1 - r0])
         values[r1:, r0:r1] = values[r0:r1, r1:].T
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)

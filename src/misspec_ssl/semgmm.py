@@ -336,11 +336,28 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
     )
 
 
+def _check_query_magnitude(m: GmmModel, x: np.ndarray) -> None:
+    """Reject query features too large for the model's log-densities. While
+    every |x - mu| stays within 0.5 * sqrt(float64 max * min(1, var_min / d)),
+    each square, each (x - mu)**2 / var and their sum over the d features
+    stay finite; |x - mu| is at most max|x| + max|mu|."""
+    limit = 0.5 * float(np.sqrt(np.finfo(float).max * min(1.0, m.covariances.min() / m.dim)))
+    bound = limit - float(np.max(np.abs(m.means)))
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if peak > bound:
+        raise InputError(
+            f"query feature magnitude {peak:.3g} exceeds {bound:.3g}, beyond which "
+            "the model's squared distances overflow float64"
+        )
+
+
 def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bayes plug-in labels (Q,) and class posteriors (Q, C) of query points,
     from one pass over the components. A label is the argmax over classes of
     the joint density f(x, y), ties to the lowest class id; the posteriors
-    are the normalized joint densities. Log-domain throughout."""
+    are the normalized joint densities. Log-domain throughout. Features too
+    large for the model's arithmetic are an InputError."""
+    _check_query_magnitude(m, x)
     logj = class_log_joint(m, x)
     p = np.exp(logj - _row_max(logj)[:, None])
     return np.argmax(logj, axis=1), p / _row_sum(p)[:, None]

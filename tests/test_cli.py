@@ -165,6 +165,23 @@ class TestFit:
         assert "overflow float64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, kernel", [
+        ("original_sskkm", "rbf"),
+        ("unbiased_sskkm", "linear"),
+        ("askkm", "rbf"),
+        ("askkm", "generalized_rbf"),
+    ])
+    def test_features_too_large_for_kernels_exit_3(self, tmp_path, method, kernel, capsys):
+        # the squared norms of these finite features overflow float64; the
+        # bound is named before any product, so no RuntimeWarning is raised
+        data = tmp_path / "huge.csv"
+        data.write_text("f0,label\n0,0\n1e200,1\n-1e200,?\n5,?\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        args = ["fit", "--data", data, "--method", method, "--kernel", kernel, "--out-model", out]
+        assert run(args) == 3
+        assert "exceeds 6.7e+153" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stall_rounds_only_checked_for_askkm(self, tmp_path, dataset_csv):
         args = ["fit", "--data", dataset_csv, "--stall-rounds", 0, "--out-model", tmp_path / "m"]
         assert run(args + ["--method", "original_sem"]) == 0
@@ -314,6 +331,22 @@ class TestEval:
         out = tmp_path / "m.json"
         assert run(["eval", "--model", model, "--data", data, "--out", out]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["original_sem", "original_sskkm"])
+    def test_query_features_too_large_exit_3(self, tmp_path, method, capsys):
+        # finite queries whose squared distances to the model overflow
+        # float64: exit 3 with a message, no metrics and no RuntimeWarning
+        # (the suite turns those into errors)
+        data = tmp_path / "small.csv"
+        data.write_text("f0,label\n0,0\n1,1\n2,?\n5,?\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--method", method, "--out-model", model]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text("f0,label\n0,0\n1e200,1\n2,0\n-1e200,1\n", encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--model", model, "--data", query, "--out", out]) == 3
+        assert "magnitude 1e+200 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sem_model_with_a_zero_weight_class_evaluates(self, tmp_path):

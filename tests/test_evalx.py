@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misspec_ssl.core import InputError, SolverOptions, derive_seed
+from misspec_ssl import core, evalx
+from misspec_ssl.core import InputError, SolverOptions, blas_thread_api, derive_seed
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import (
     METHODS,
@@ -136,9 +137,11 @@ class TestLearningCurve:
         np.testing.assert_array_equal(kk.raw["original_sskkm"][0], kk.raw["askkm"][0])
 
     def test_deterministic_and_worker_invariant(self):
-        a = self.run_small(["original_sem", "askkm"])
-        b = self.run_small(["original_sem", "askkm"])
-        c = self.run_small(["original_sem", "askkm"], workers=3)
+        # N_u = 500 is a size at which OpenBLAS threads its products
+        grid = (0, 30, 500)
+        a = self.run_small(["original_sem", "askkm"], grid=grid)
+        b = self.run_small(["original_sem", "askkm"], grid=grid)
+        c = self.run_small(["original_sem", "askkm"], grid=grid, workers=3)
         for m in a.methods:
             np.testing.assert_array_equal(a.raw[m], b.raw[m])
             np.testing.assert_array_equal(a.raw[m], c.raw[m])
@@ -186,6 +189,57 @@ class TestLearningCurve:
         model = fit_method(method, train, km, method_solver(method, SolverOptions(seed=seed)))
         _, scores = predict(model, test_x, rows, diag)
         assert curve.raw[name][0, 0] == average_precision(scores[:, 1], test_y == 1)
+
+
+@pytest.fixture()
+def blas_at_two_threads():
+    """The BLAS (set, get) pair, with the count at 2 for the test and the
+    count found before it restored afterwards."""
+    api = blas_thread_api()
+    if api is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count symbols")
+    set_threads, get_threads = api
+    before = get_threads()
+    set_threads(2)
+    yield api
+    set_threads(before)
+
+
+class TestBlasThreadPin:
+    def run_small(self, workers=1, grid=(0, 30)):
+        return learning_curve(SCENARIO, ["original_sem", "askkm"], list(grid), n_seeds=2,
+                              eval_size=40, base_seed=11, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_cell_runs_on_one_blas_thread(self, monkeypatch, blas_at_two_threads, workers):
+        _, get_threads = blas_at_two_threads
+        seen = []
+        real = evalx._evaluate_cell
+
+        def spy(*args):
+            seen.append(get_threads())
+            return real(*args)
+
+        monkeypatch.setattr(evalx, "_evaluate_cell", spy)
+        self.run_small(workers=workers)
+        assert seen == [1] * 4
+        assert get_threads() == 2
+
+    def test_earlier_count_restored_after_a_cell_raises(self, monkeypatch, blas_at_two_threads):
+        def failing(*args):
+            raise InputError("cell failed")
+
+        monkeypatch.setattr(evalx, "_evaluate_cell", failing)
+        with pytest.raises(InputError, match="cell failed"):
+            self.run_small(workers=2)
+        assert blas_at_two_threads[1]() == 2
+
+    def test_without_thread_symbols_the_sweep_is_unchanged(self, monkeypatch):
+        pinned = self.run_small()
+        monkeypatch.setattr(core, "blas_thread_api", lambda: None)
+        unpinned = self.run_small()
+        assert json.dumps(unpinned.to_json_dict()) == json.dumps(pinned.to_json_dict())
+        assert unpinned.csv_rows() == pinned.csv_rows()
 
 
 class TestMethodTable:

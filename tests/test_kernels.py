@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from misspec_ssl.core import Dataset, InputError
+from misspec_ssl.core import Dataset, InputError, derive_seed
 from misspec_ssl.kernels import (
     BLOCK_ROWS,
     CHI_SQUARE_EPS,
+    MEDIAN_SUBSAMPLE,
     KernelMatrix,
     KernelSpec,
     _check_chi_square_inputs,
@@ -96,6 +99,35 @@ def kernel_eval(x, y, spec):
     if spec.distance == "chi_square":
         _check_chi_square_inputs(x, y)
     return float(np.exp(-gamma * _pair_distance(x, y, spec.distance)))
+
+
+def median_gamma_oracle(spec, features, seed=0):
+    """resolve_gamma's gamma as it was first written: the same seeded
+    subsample, whole-matrix distances, and np.median over np.triu_indices."""
+    x = np.asarray(features, dtype=float)
+    n = x.shape[0]
+    if n > MEDIAN_SUBSAMPLE:
+        rng = np.random.default_rng(derive_seed(seed, "median-gamma"))
+        x = x[rng.choice(n, size=MEDIAN_SUBSAMPLE, replace=False)]
+    distance = "euclidean" if spec.kind == "rbf" else spec.distance
+    d = numpy_distances(x, x, distance, spec.kind == "rbf")
+    iu = np.triu_indices(x.shape[0], k=1)
+    med = float(np.median(d[iu])) if iu[0].size else 0.0
+    return 1.0 / med if med > 0 else 1.0
+
+
+def median_features(n, dim, pattern, seed):
+    """Features for the median oracle: nonnegative normals, small integers
+    (many tied distances), two distinct rows (a zero median at times), or
+    one constant row (median 0, gamma 1.0)."""
+    rng = np.random.default_rng(seed)
+    if pattern == "normal":
+        return np.abs(rng.standard_normal((n, dim)))
+    if pattern == "tied":
+        return rng.integers(0, 3, size=(n, dim)).astype(float)
+    if pattern == "two_rows":
+        return np.abs(rng.standard_normal((2, dim)))[rng.integers(0, 2, size=n)]
+    return np.full((n, dim), 1.5)
 
 
 def check_psd(m, tol):
@@ -232,6 +264,31 @@ class TestGammaResolution:
         d = numpy_distances(x, x, distance, spec.kind == "rbf")
         assert resolve_gamma(spec, x).gamma == 1.0 / np.median(d[np.triu_indices(90, k=1)])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS[1:]),
+        n=st.integers(0, 700),
+        dim=st.integers(1, 4),
+        pattern=st.sampled_from(["normal", "tied", "two_rows", "constant"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_median_equals_np_median_oracle(self, spec, n, dim, pattern, seed):
+        x = median_features(n, dim, pattern, seed)
+        got = resolve_gamma(spec, x, seed=seed).gamma
+        assert got.hex() == median_gamma_oracle(spec, x, seed).hex()
+
+    @pytest.mark.parametrize("spec", SPECS[1:], ids=lambda s: f"{s.kind}-{s.distance}")
+    def test_median_equals_np_median_oracle_at_edges(self, spec):
+        # n < 2 has no pairs; from 3 on the pair count alternates odd and
+        # even (3, 6, 10, 15 pairs); 512 is the largest sample taken whole
+        for n in (0, 1, 2, 3, 4, 5, 511, 512, 513, 700):
+            for pattern in ("normal", "tied", "two_rows", "constant"):
+                x = median_features(n, 2, pattern, n)
+                got = resolve_gamma(spec, x, seed=n).gamma
+                assert got.hex() == median_gamma_oracle(spec, x, n).hex(), (n, pattern)
+                if pattern == "constant" or n < 2:
+                    assert got == 1.0
+
     def test_explicit_gamma_untouched(self):
         spec = KernelSpec(kind="rbf", gamma=2.5)
         assert resolve_gamma(spec, np.zeros((3, 2))).gamma == 2.5
@@ -243,6 +300,37 @@ class TestGammaResolution:
             KernelSpec(kind="bogus")
         with pytest.raises(InputError):
             KernelSpec(kind="generalized_rbf", gamma=1.0, distance="bogus")
+
+
+def with_unit_gamma(spec):
+    return spec if spec.kind == "linear" else KernelSpec(spec.kind, 1.0, spec.distance)
+
+
+class TestMagnitudeBound:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_features_at_the_bound_stay_finite_beyond_it_rejected(self, spec, dim):
+        # below 0.5 * sqrt(float64 max / d) no product warns (the suite turns
+        # RuntimeWarnings into errors); just above it every entry point that
+        # builds products rejects the features, naming the bound
+        bound = 0.5 * np.sqrt(np.finfo(float).max / dim)
+        for scale, fits in ((0.999, True), (1.001, False)):
+            x = np.zeros((4, dim))
+            x[1], x[3] = scale * bound, 1.0
+            if spec.distance != "chi_square":
+                x[2] = -scale * bound
+            calls = [
+                lambda: gram_matrix(dataset_from_features(x), spec),
+                lambda: cross_matrix(x, x, with_unit_gamma(spec)),
+            ]
+            if spec.kind != "linear":  # linear resolves no gamma, builds nothing
+                calls.append(lambda: resolve_gamma(spec, x))
+            for call in calls:
+                if fits:
+                    call()
+                else:
+                    with pytest.raises(InputError, match=re.escape(f"exceeds {bound:.3g},")):
+                        call()
 
 
 class TestCrossAndDiag:

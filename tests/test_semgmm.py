@@ -269,6 +269,19 @@ class TestBayesClassify:
         with pytest.raises(InputError, match="non-finite"):
             predict(two_gaussian_model(), np.array([[np.nan]]), None, None)
 
+    @pytest.mark.parametrize("var", [1e-12, 1.0, 1e300])
+    def test_features_at_the_bound_score_beyond_it_rejected(self, var):
+        # |x - mu| within 0.5 * sqrt(float64 max * min(1, var / d)) scores
+        # with finite posteriors and no RuntimeWarning (an error in this
+        # suite); past that bound, less max|mu|, the query is an InputError
+        limit = 0.5 * np.sqrt(np.finfo(float).max * min(1.0, var))
+        m = two_gaussian_model(mu1=limit / 4, var=var)
+        bound = limit - limit / 4
+        _, post = bayes_classify_batch(m, np.array([[0.999 * bound], [-0.999 * bound], [0.0]]))
+        assert np.all(np.isfinite(post))
+        with pytest.raises(InputError, match="exceeds"):
+            bayes_classify_batch(m, np.array([[0.0], [-1.001 * bound]]))
+
     def test_matches_direct_density_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
