@@ -2,7 +2,9 @@
 and evaluate fitted models, emitting JSON/CSV artifacts.
 
 Every command echoes its fully resolved configuration inside its JSON output,
-so config echo + seed determine the outputs byte for byte. Settings may also
+so config echo + seed determine the outputs byte for byte. Every command runs
+with BLAS held at one thread (core.one_blas_thread), so no output depends on
+the BLAS thread count of the machine. Settings may also
 be supplied as a JSON config file (``--config``); explicit flags override it.
 Exit codes: 0 success, 2 usage/config error, 3 data/solver input error.
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .askkm import AskkmOptions
-from .core import InputError, SolverOptions
+from .core import InputError, SolverOptions, one_blas_thread
 from .datagen import GenSpec, generate, load_csv, write_csv
 from .evalx import (
     METHODS,
@@ -407,7 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "subclusters", None) is None and hasattr(args, "kind"):
         args.subclusters = 2 if args.kind == "misspecified" else 1
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

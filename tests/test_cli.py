@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 
 from misspec_ssl import cli, kernels
 from misspec_ssl.cli import load_model_scores, main
+from misspec_ssl.core import blas_thread_api
 from misspec_ssl.datagen import load_csv
 from misspec_ssl.kernels import cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.sskkm import ClusterModel, _cluster_stats, score_batch
@@ -180,6 +184,26 @@ class TestFit:
         args = ["fit", "--data", data, "--method", method, "--kernel", kernel, "--out-model", out]
         assert run(args) == 3
         assert "exceeds 6.7e+153" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["original_sskkm", "askkm"])
+    def test_median_gamma_overflow_exits_3(self, tmp_path, method, capsys):
+        # the median squared distance of these finite features is subnormal,
+        # and 1/median overflows to inf
+        data = tmp_path / "tiny.csv"
+        data.write_text("f0,label\n0,0\n1e-160,1\n2e-160,?\n3e-160,?\n1,?\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run(["fit", "--data", data, "--method", method, "--out-model", out]) == 3
+        assert "median-heuristic gamma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_exits_3(self, tmp_path, dataset_csv, gamma, capsys):
+        out = tmp_path / "m.json"
+        args = ["fit", "--data", dataset_csv, "--method", "original_sskkm", "--gamma", gamma,
+                "--out-model", out]
+        assert run(args) == 3
+        assert "gamma must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stall_rounds_only_checked_for_askkm(self, tmp_path, dataset_csv):
@@ -466,12 +490,13 @@ class TestKernelModelEval:
             model, x, lambda train, spec: gram_matrix(train_set, spec).values
         )
         assert np.array_equal(scores, fit_gram)
-        # a cross_matrix(train, train) rebuild differs only where its diagonal
-        # rounds below the exact 1 the fit used
+        # so does a cross_matrix(train, train) rebuild: below 8 features each
+        # distance is a per-feature fold, the same for (x, y) as for (y, x)
+        # and exactly 0 for (x, x)
         rebuilt = scores_from_recomputed_stats(
             model, x, lambda train, spec: cross_matrix(train, train, spec)
         )
-        np.testing.assert_allclose(scores, rebuilt, rtol=0, atol=1e-12)
+        assert np.array_equal(scores, rebuilt)
 
     @pytest.mark.parametrize("method", ["original_sskkm", "askkm"])
     @pytest.mark.parametrize("key", ["cluster_wsum", "cluster_inner"])
@@ -584,7 +609,7 @@ PINNED_DIGESTS = {
     "askkm.eval.json":
         "c64e51a26a0550cb124290773653942270b93cb93becbad4946cb2aec9d3c895",
     "askkm.json":
-        "0f8557f507c56c411ec47bc2fa2b34a6471e5bba84990ac8027ac3d833e5f64f",
+        "7751812be5388cc90591476e209cb900519d3c7f5b9d5920023ebffdb7b1604d",
     "curve.csv":
         "f9269f3f7d1ebc14046f4ec02acd0343cf2cce6cbfa262c7dd63df1063448598",
     "curve.json":
@@ -602,7 +627,7 @@ PINNED_DIGESTS = {
     "original_sskkm.eval.json":
         "7f539397464481364ee46532d45123402505b60544c9527cd1d07e66cff26c11",
     "original_sskkm.json":
-        "a572027409939e17528353e509789736884faacd491966d010d1820cdebd8300",
+        "d8c18607048885a155ec9b32a9591853d039bcb94adaf6d62bc9910987894172",
     "sem_components4.eval.json":
         "d664da0114e3b95a4006f7968d9366a9e1b8fd59e478dcaac1ed204c4c377607",
     "sem_components4.json":
@@ -624,7 +649,7 @@ PINNED_DIGESTS = {
     "unbiased_sskkm.eval.json":
         "d965e5391a82105287ce8f016d86cd739d5107065eaa0ddc1e116bf6c21321af",
     "unbiased_sskkm.json":
-        "7995976a1e740179e41df283722802844446742b0e81d1be406981801936b074",
+        "be0c5ea6962390e5bb6af46464e3cee43c6d6cf3d8eef78fe0df4ad52bcfe918",
 }
 
 
@@ -675,3 +700,61 @@ def test_wide_sem_outputs_match_pinned_digests(tmp_path, monkeypatch):
         assert run(argv) == 0, argv
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
     assert digests == PINNED_WIDE_DIGESTS
+
+
+# Checks that OpenBLAS starts with the OPENBLAS_NUM_THREADS threads asked
+# for, then runs the commands of argv[1] (a JSON list of argument lists)
+# through cli.main in one process, in its working directory.
+RUN_COMMANDS = """
+import json, os, sys
+from misspec_ssl.cli import main
+from misspec_ssl.core import blas_thread_api
+threads = blas_thread_api()[1]()
+if threads != int(os.environ["OPENBLAS_NUM_THREADS"]):
+    sys.exit(f"OpenBLAS runs {threads} threads")
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exit != 0: {argv}")
+"""
+
+
+@pytest.mark.skipif(
+    blas_thread_api() is None or (os.cpu_count() or 1) < 2,
+    reason="needs OpenBLAS and 2 CPUs: OpenBLAS runs at most one thread per CPU",
+)
+def test_fit_and_eval_bytes_independent_of_blas_threads(tmp_path):
+    # From about 1,000 rows up, OpenBLAS splits a product by thread, and 1-
+    # and 2-thread products differ in their last bits. The member sums of a
+    # kernel fit at N = 1,100 are such products, so without the one-thread
+    # pin of cli.main the fit and eval bytes would follow the thread count.
+    scenario = ["gen", "--kind", "misspecified", "--class-sep", "5"]
+    commands = [
+        [*scenario, "--unlabeled", "1080", "--seed", "12",
+         "--out-data", "data.csv", "--out-truth", "truth.json"],
+        [*scenario, "--unlabeled", "0", "--labeled-per-class", "100", "--seed", "13",
+         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+    ]
+    for method in ("original_sskkm", "unbiased_sskkm", "askkm"):
+        commands.append(["fit", "--data", "data.csv", "--method", method,
+                         "--out-model", f"{method}.json"])
+        commands.append(["eval", "--model", f"{method}.json", "--data", "heldout.csv",
+                         "--verbose", "--out", f"{method}.eval.json"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=paths, OPENBLAS_NUM_THREADS=threads)
+        procs[work] = subprocess.Popen(
+            [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    one, two = procs
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir()) and len(names) == 10
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name

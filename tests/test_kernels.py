@@ -8,12 +8,15 @@ from hypothesis.extra import numpy as hnp
 
 from misspec_ssl.core import Dataset, InputError, derive_seed
 from misspec_ssl.kernels import (
+    BLOCK_ENTRIES,
     BLOCK_ROWS,
     CHI_SQUARE_EPS,
+    EUCLIDEAN_FOLD_BELOW,
     MEDIAN_SUBSAMPLE,
     KernelMatrix,
     KernelSpec,
     _check_chi_square_inputs,
+    _fill_pairwise,
     cross_matrix,
     gram_matrix,
     kernel_diag,
@@ -43,16 +46,31 @@ SPECS = [
 
 
 def numpy_distances(x, y, distance, squared):
-    """All-pairs distances as plain whole-matrix numpy expressions."""
-    if distance == "euclidean":
+    """All-pairs distances as plain whole-matrix numpy expressions: the
+    (rows, cols) planes of per-feature terms added left to right, except the
+    euclidean distance from EUCLIDEAN_FOLD_BELOW features on, which is
+    ||x||^2 + ||y||^2 - 2 x.y."""
+    diff = x[:, None, :] - y[None, :, :]
+    if distance == "euclidean" and x.shape[1] >= EUCLIDEAN_FOLD_BELOW:
         xx = np.sum(x * x, axis=1)[:, None]
         yy = np.sum(y * y, axis=1)[None, :]
         d2 = np.maximum(xx + yy - 2.0 * (x @ y.T), 0.0)
         return d2 if squared else np.sqrt(d2)
     if distance == "manhattan":
-        return np.sum(np.abs(x[:, None, :] - y[None, :, :]), axis=2)
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sum(diff * diff / (x[:, None, :] + y[None, :, :] + CHI_SQUARE_EPS), axis=2)
+        terms = np.abs(diff)
+    elif distance == "euclidean":
+        terms = diff * diff
+    else:
+        terms = diff * diff / (x[:, None, :] + y[None, :, :] + CHI_SQUARE_EPS)
+    total = terms[:, :, 0]
+    for f in range(1, x.shape[1]):
+        total = total + terms[:, :, f]
+    return np.sqrt(total) if distance == "euclidean" and not squared else total
+
+
+# Both sides of the euclidean fold switch, and widths from 8 up, where np.sum
+# would add pairwise and the fold still adds left to right
+GRAM_DIMS = sorted({1, 2, 7, 8, 9, EUCLIDEAN_FOLD_BELOW - 1, EUCLIDEAN_FOLD_BELOW})
 
 
 def numpy_cross(x, y, spec):
@@ -202,12 +220,17 @@ class TestGramMatrix:
         km = gram_matrix(dataset_from_features(x), KernelSpec(kind="linear"))
         np.testing.assert_allclose(km.values, x @ x.T, rtol=1e-12, atol=1e-12)
 
-    def test_symmetry_is_bit_exact(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((20, 4))
-        for spec in (KernelSpec(kind="linear"), KernelSpec(kind="rbf", gamma=None)):
-            km = gram_matrix(dataset_from_features(x), spec)
-            assert np.array_equal(km.values, km.values.T)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
+    @pytest.mark.parametrize("n", [20, 400, 1100])
+    def test_symmetry_is_bit_exact(self, spec, n):
+        # sskkm takes member sums as (w'K)', which needs K exactly symmetric;
+        # from n = 363 on the upper triangle spans more than one fold block
+        assert 400 * 400 > BLOCK_ENTRIES > 362 * 362
+        x = np.random.default_rng(4).standard_normal((n, 4))
+        if spec.distance == "chi_square":
+            x = np.abs(x)
+        km = gram_matrix(dataset_from_features(x), spec)
+        assert np.array_equal(km.values, km.values.T)
 
     def test_rbf_diagonal_exactly_one(self):
         rng = np.random.default_rng(5)
@@ -216,8 +239,8 @@ class TestGramMatrix:
 
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
-    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
-    @pytest.mark.parametrize("dim", [1, 2, 7])
+    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, 400])
+    @pytest.mark.parametrize("dim", GRAM_DIMS)
     def test_in_place_build_matches_whole_matrix_oracle(self, spec, n, dim):
         # n=1 cannot form a valid two-class dataset; cross_matrix covers it
         x = np.abs(np.random.default_rng(n * 10 + dim).standard_normal((n, dim))) * 3.0
@@ -227,6 +250,23 @@ class TestGramMatrix:
         assert np.array_equal(km.values, km.values.T)
         if spec.is_rbf_kind:
             assert np.all(km.diag == 1.0)
+
+
+@pytest.mark.parametrize("distance", ["manhattan", "chi_square"])
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_fold_is_np_sum_below_eight_features(distance, dim):
+    # np.sum adds fewer than 8 values left to right from 0.0, so at these
+    # widths the fold gives the bits of np.sum over the per-feature terms
+    rng = np.random.default_rng(dim)
+    x, y = np.abs(rng.standard_normal((30, dim))), np.abs(rng.standard_normal((40, dim)))
+    diff = x[:, None, :] - y[None, :, :]
+    if distance == "manhattan":
+        want = np.sum(np.abs(diff), axis=2)
+    else:
+        want = np.sum(diff * diff / (x[:, None, :] + y[None, :, :] + CHI_SQUARE_EPS), axis=2)
+    got = np.empty((30, 40))
+    _fill_pairwise(got, x, y, distance, False, None, upper=False)
+    assert np.array_equal(got, want)
 
 
 class TestCheckPsd:
@@ -258,8 +298,9 @@ class TestGammaResolution:
         assert a.gamma > 0
 
     @pytest.mark.parametrize("spec", SPECS[1:], ids=lambda s: f"{s.kind}-{s.distance}")
-    def test_median_matches_whole_matrix_oracle(self, spec):
-        x = np.abs(np.random.default_rng(12).standard_normal((90, 4)))
+    @pytest.mark.parametrize("dim", [4, EUCLIDEAN_FOLD_BELOW, 8, 9])
+    def test_median_matches_whole_matrix_oracle(self, spec, dim):
+        x = np.abs(np.random.default_rng(12).standard_normal((90, dim)))
         distance = "euclidean" if spec.kind == "rbf" else spec.distance
         d = numpy_distances(x, x, distance, spec.kind == "rbf")
         assert resolve_gamma(spec, x).gamma == 1.0 / np.median(d[np.triu_indices(90, k=1)])
@@ -289,13 +330,26 @@ class TestGammaResolution:
                 if pattern == "constant" or n < 2:
                     assert got == 1.0
 
+    @pytest.mark.parametrize("spec, step", [
+        (KernelSpec(kind="rbf"), 1e-160),  # squared distances of 1e-320 and so on
+        (KernelSpec(kind="generalized_rbf", distance="manhattan"), 1e-310),
+        (KernelSpec(kind="generalized_rbf", distance="chi_square"), 1e-161),
+    ], ids=lambda v: getattr(v, "distance", ""))
+    def test_median_too_small_for_a_finite_gamma_rejected(self, spec, step):
+        # the median distance over 0, step, 2 step, 3 step and 1 is subnormal,
+        # and 1/median overflows to inf
+        x = np.array([[0.0], [step], [2 * step], [3 * step], [1.0]])
+        with pytest.raises(InputError, match="median-heuristic gamma"):
+            resolve_gamma(spec, x)
+
     def test_explicit_gamma_untouched(self):
         spec = KernelSpec(kind="rbf", gamma=2.5)
         assert resolve_gamma(spec, np.zeros((3, 2))).gamma == 2.5
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(InputError):
-            KernelSpec(kind="rbf", gamma=-1.0)
+        for gamma in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(InputError, match="gamma must be positive and finite"):
+                KernelSpec(kind="rbf", gamma=gamma)
         with pytest.raises(InputError):
             KernelSpec(kind="bogus")
         with pytest.raises(InputError):
@@ -348,11 +402,14 @@ class TestCrossAndDiag:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
-    @pytest.mark.parametrize("q", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
-    def test_cross_matches_whole_matrix_oracle(self, spec, q):
+    # the largest q takes more than one fold block of BLOCK_ENTRIES entries
+    @pytest.mark.parametrize("q", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3,
+                                   BLOCK_ENTRIES // (BLOCK_ROWS + 5) + 7])
+    @pytest.mark.parametrize("dim", [3, EUCLIDEAN_FOLD_BELOW, 8, 9])
+    def test_cross_matches_whole_matrix_oracle(self, spec, q, dim):
         rng = np.random.default_rng(q)
-        x = np.abs(rng.standard_normal((q, 3)))
-        y = np.abs(rng.standard_normal((BLOCK_ROWS + 5, 3)))
+        x = np.abs(rng.standard_normal((q, dim)))
+        y = np.abs(rng.standard_normal((BLOCK_ROWS + 5, dim)))
         y[: min(q, 9)] = x[:9]
         spec = resolve_gamma(spec, y)
         assert np.array_equal(cross_matrix(x, y, spec), numpy_cross(x, y, spec))

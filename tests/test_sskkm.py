@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from misspec_ssl.core import Dataset, InputError, SolverOptions
 from misspec_ssl.kernels import KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
-from misspec_ssl.sskkm import Assignments, fit_sskkm, init_assignments, score_batch
+from misspec_ssl.sskkm import (
+    Assignments,
+    _cluster_stats,
+    fit_sskkm,
+    init_assignments,
+    score_batch,
+)
 
 LINEAR = KernelSpec(kind="linear")
 
@@ -90,6 +98,27 @@ class TestInitAssignments:
         # a fine label with no labeled seed cannot exist, so it never reaches the init
         with pytest.raises(InputError, match="without a labeled carrier"):
             LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
+
+
+class TestClusterStats:
+    @pytest.mark.parametrize("n, k", [(30, 2), (30, 4), (400, 3), (600, 13), (1100, 4)])
+    def test_matches_fsum_reference(self, n, k):
+        # weights 1 and 1/4 make every product w_j w_l K_jl exact, so fsum
+        # gives each reference sum correctly rounded; the member sums come
+        # from the transposed product (w'K)' and land within a few ulps
+        rng = np.random.default_rng(n + k)
+        d = build_dataset(rng.standard_normal((n, 2)), [0, 1], [0, 1])
+        kv = gram_matrix(d, KernelSpec()).values
+        cluster_of = rng.integers(0, k, size=n)
+        weights = rng.choice([1.0, 0.25], size=n)
+        wsum, member_sum, inner = _cluster_stats(kv, cluster_of, weights, k)
+        for c in range(k):
+            m = np.flatnonzero(cluster_of == c)
+            assert wsum[c] == math.fsum(weights[m])
+            ref = np.array([math.fsum(weights[m] * kv[i, m]) for i in range(n)])
+            assert np.all(np.abs(member_sum[:, c] - ref) <= 16 * np.spacing(ref))
+            ref_inner = math.fsum((np.outer(weights[m], weights[m]) * kv[np.ix_(m, m)]).ravel())
+            assert abs(inner[c] - ref_inner) <= 16 * np.spacing(ref_inner)
 
 
 class TestPointClusterDist:
