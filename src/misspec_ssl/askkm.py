@@ -1,11 +1,12 @@
 """The adaptive semi-supervised kernel k-means driver.
 
 Each round fits the original-weighted and unbiased-weighted solvers from one
-shared initialization, classifies the labeled points with both, and checks
-the disagreement criterion. While the criterion exceeds its threshold the
-label map grows (one new cluster per disagreement group) and the round
-restarts cold at the larger structure. Growth is bounded by a cluster budget
-and a stall detector, so the loop always terminates.
+shared initialization, on two threads of core.fan_out from
+FAN_OUT_MIN_ENTRIES Gram entries, classifies the labeled points with both,
+and checks the disagreement criterion. While the criterion exceeds its
+threshold the label map grows (one new cluster per disagreement group) and
+the round restarts cold at the larger structure. Growth is bounded by a
+cluster budget and a stall detector, so the loop always terminates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions
+from .core import Dataset, InputError, SolverOptions, fan_out
 from .kernels import KernelMatrix
 from .misspec import (
     CriterionReport,
@@ -122,19 +123,16 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
     stall = 0
     prev_disagreements: int | None = None
 
+    width = fan_out.width(km.values.size)
     while True:
         k = label_map.n_fine
         init = init_assignments(km, d, label_map, k)
-        original = fit_sskkm(
-            km, d, label_map, k,
-            replace(opts.solver, unlabeled_weight_mode="original", custom_weight=None),
-            init=init,
-        )
-        unbiased = fit_sskkm(
-            km, d, label_map, k,
-            replace(opts.solver, unlabeled_weight_mode="unbiased", custom_weight=None),
-            init=init,
-        )
+
+        def fit(mode: str) -> ClusterModel:
+            solver = replace(opts.solver, unlabeled_weight_mode=mode, custom_weight=None)
+            return fit_sskkm(km, d, label_map, k, solver, init=init)
+
+        original, unbiased = fan_out(fit, ("original", "unbiased"), width)
 
         preds_original = score_batch(original, lab_rows, lab_diag)[0]
         preds_unbiased = score_batch(unbiased, lab_rows, lab_diag)[0]

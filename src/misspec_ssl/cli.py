@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,8 +35,6 @@ from .evalx import (
 from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .semgmm import GmmModel
 from .sskkm import ClusterModel
-
-ENV_THREADS = "MISSPEC_SSL_THREADS"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -203,16 +200,6 @@ CURVE_KEYS = GEN_KEYS + [
 ]
 
 
-def _resolve_workers(requested: int) -> int:
-    cap = os.environ.get(ENV_THREADS)
-    if cap is not None:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            raise InputError(f"{ENV_THREADS} must be an integer, got {cap!r}") from None
-    return max(1, requested)
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     out_json = _check_output_path(args.out_json)
     out_csv = _check_output_path(args.out_csv)
@@ -231,7 +218,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         kernel=_kernel_from_args(args),
         solver=SolverOptions(max_iter=args.max_iter, tol=args.tol, seed=args.seed),
-        workers=_resolve_workers(args.workers),
+        workers=args.workers,
     )
     payload = curve.to_json_dict()
     payload["config"] = _echo(args, CURVE_KEYS)

@@ -1,7 +1,7 @@
 """Shared domain types: datasets with a labeled/unlabeled split, solver options,
-seed derivation, and a pin of the BLAS thread count.
+seed derivation, a pin of the BLAS thread count, and the package thread pool.
 
-All types here check their invariants once, on construction, and are
+The data types here check their invariants once, on construction, and are
 immutable afterwards, so they are safe to share across workers.
 """
 
@@ -10,15 +10,31 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-from collections.abc import Callable, Iterator
+import os
+import threading
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 
 class InputError(ValueError):
     """Raised when an operation receives arguments violating its contract."""
+
+
+ENV_THREADS = "MISSPEC_SSL_THREADS"
+# An output of fewer entries than this is computed on the calling thread:
+# below it a second thread costs more than it saves. In paired runs on a
+# 2-vCPU VM the fit pair of an askkm round lost or broke even up to
+# N = 1,250 and won most pairs from N = 1,500; waking an idle pool thread
+# took ~1 ms.
+FAN_OUT_MIN_ENTRIES = 2**21
+
+Job = TypeVar("Job")
+Result = TypeVar("Result")
 
 
 def derive_seed(base: int, *parts: object) -> int:
@@ -79,6 +95,100 @@ def one_blas_thread() -> Iterator[None]:
         yield
     finally:
         set_threads(earlier)
+
+
+@functools.cache
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class FanOut:
+    """Maps a function over a list of jobs on one lazily created,
+    process-wide thread pool of one thread per usable CPU.
+
+    Jobs must be independent: each computes exactly what it would compute in
+    a serial loop, so no result depends on the thread count. Calls made on a
+    pool thread run inline, so pools never nest and a job never waits for a
+    pool thread."""
+
+    def __init__(self) -> None:
+        self._executor: ThreadPoolExecutor | None = None
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        os.register_at_fork(after_in_child=self._forget_pool)
+
+    def _forget_pool(self) -> None:
+        # A forked child has none of the parent's pool threads.
+        self._executor = None
+        self._lock = threading.Lock()
+
+    def _mark_pool_thread(self) -> None:
+        self._local.on_pool = True
+
+    def _on_pool_thread(self) -> bool:
+        return getattr(self._local, "on_pool", False)
+
+    def width(self, entries: int | None = None) -> int:
+        """Threads a fan-out from the calling thread may use: 1 on a pool
+        thread or for an output of fewer than FAN_OUT_MIN_ENTRIES
+        ``entries`` (None: no floor), else the usable CPUs, capped by the
+        integer in MISSPEC_SSL_THREADS when it is set (InputError when it is
+        not an integer)."""
+        cap = os.environ.get(ENV_THREADS)
+        threads = _usable_cpus()
+        if cap is not None:
+            try:
+                threads = max(1, min(threads, int(cap)))
+            except ValueError:
+                raise InputError(f"{ENV_THREADS} must be an integer, got {cap!r}") from None
+        if self._on_pool_thread() or (entries is not None and entries < FAN_OUT_MIN_ENTRIES):
+            return 1
+        return threads
+
+    def __call__(
+        self, fn: Callable[[Job], Result], jobs: Iterable[Job], width: int
+    ) -> list[Result]:
+        """[fn(job) for job in jobs], with the jobs taken in order by up to
+        ``width`` pool threads while the caller waits; inline with one
+        thread, one job or on a pool thread. Every job runs to its end
+        before the first error in job order is raised."""
+        jobs = list(jobs)
+        width = min(width, len(jobs))
+        if width <= 1 or self._on_pool_thread():
+            return [fn(job) for job in jobs]
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    _usable_cpus(), "misspec-ssl", initializer=self._mark_pool_thread
+                )
+            executor = self._executor
+        results: list = [None] * len(jobs)
+        errors: list[BaseException | None] = [None] * len(jobs)
+        order = iter(range(len(jobs)))
+        taking = threading.Lock()
+
+        def lane() -> None:
+            while True:
+                with taking:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(jobs[i])
+                except BaseException as exc:  # raised below, after every job
+                    errors[i] = exc
+
+        for future in [executor.submit(lane) for _ in range(width)]:
+            future.result()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return results
+
+
+fan_out = FanOut()
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,13 @@ learning-curve harness sweeping unlabeled-set sizes over seeds and methods.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
-from .core import Dataset, InputError, SolverOptions, derive_seed, one_blas_thread
+from .core import Dataset, InputError, SolverOptions, derive_seed, fan_out, one_blas_thread
 from .datagen import GenSpec, generate, sample_eval_set
 from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .misspec import LabelMap
@@ -229,7 +228,8 @@ def learning_curve(
 
     Binary scenarios record average precision of the positive class, others
     accuracy. Fully reproducible from (scenario, grid, n_seeds, base_seed);
-    cells are independent and every cell runs with BLAS held at one thread
+    cells are independent, run on up to ``workers`` threads of core.fan_out
+    (which caps them), and every cell runs with BLAS held at one thread
     (core.one_blas_thread), so neither the worker count nor the BLAS thread
     count changes the result.
     """
@@ -253,11 +253,7 @@ def learning_curve(
         )
 
     with one_blas_thread():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, cells))
-        else:
-            results = [run(c) for c in cells]
+        results = fan_out(run, cells, min(workers, fan_out.width()))
 
     raw = {m: np.empty((len(grid), n_seeds)) for m in canon}
     for (gi, si), res in zip(cells, results):

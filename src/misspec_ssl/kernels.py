@@ -9,12 +9,13 @@ k-means solver works purely off Gram matrix entries.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, derive_seed
+from .core import Dataset, InputError, derive_seed, fan_out
 
 KERNEL_KINDS = ("linear", "rbf", "generalized_rbf")
 DISTANCES = ("euclidean", "manhattan", "chi_square")
@@ -164,10 +165,13 @@ def _fill_pairwise(
     EUCLIDEAN_FOLD_BELOW features, are a per-feature fold (_fold_distance):
     exact differences and no BLAS. From there up the euclidean distance
     comes from ||x||^2 + ||y||^2 - 2 x.y. Work proceeds in row blocks of
-    about BLOCK_ENTRIES entries, so temporaries stay O(BLOCK_ENTRIES) however
-    large ``out`` is. With ``upper`` (y is x) only entries on and above the
-    diagonal are written; the rest of ``out`` is scratch. Features too large
-    for the arithmetic are an InputError, raised before any product.
+    about BLOCK_ENTRIES entries, taken in order by whichever thread of
+    core.fan_out is free, each thread with its own scratch, so temporaries
+    stay O(BLOCK_ENTRIES) per thread however large ``out`` is, and every
+    entry is computed as on one thread. With ``upper`` (y is x) only entries
+    on and above the diagonal are written; the rest of ``out`` is scratch.
+    Features too large for the arithmetic are an InputError, raised before
+    any product.
     """
     _check_magnitude(x, y)
     if distance == "chi_square":
@@ -177,17 +181,21 @@ def _fill_pairwise(
     )
     if fold:
         yt = np.ascontiguousarray(y.T)
-        scratch = np.empty(2 * max(BLOCK_ENTRIES, y.shape[0]))
     else:
         np.matmul(x, y.T, out=out)
         if distance is None:
             return
         xx = np.sum(x * x, axis=1)
         yy = xx if upper else np.sum(y * y, axis=1)
-    for r0, r1, c0 in _row_blocks(x.shape[0], y.shape[0], upper):
+    scratch = threading.local()
+
+    def fill(rows: tuple[int, int, int]) -> None:
+        r0, r1, c0 = rows
         block = out[r0:r1, c0:]
         if fold:
-            _fold_distance(block, x[r0:r1], yt[:, c0:], distance, scratch)
+            if not hasattr(scratch, "buffer"):
+                scratch.buffer = np.empty(2 * max(BLOCK_ENTRIES, y.shape[0]))
+            _fold_distance(block, x[r0:r1], yt[:, c0:], distance, scratch.buffer)
         else:
             np.multiply(block, 2.0, out=block)
             np.subtract(xx[r0:r1, None] + yy[None, c0:], block, out=block)
@@ -197,6 +205,8 @@ def _fill_pairwise(
         if gamma is not None:
             np.multiply(block, -gamma, out=block)
             np.exp(block, out=block)
+
+    fan_out(fill, _row_blocks(x.shape[0], y.shape[0], upper), fan_out.width(out.size))
 
 
 def resolve_gamma(spec: KernelSpec, features: np.ndarray, seed: int = 0) -> KernelSpec:
@@ -263,10 +273,11 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
     """Precompute the full Gram matrix over all dataset points.
 
     The matrix is built in one N x N buffer: the upper triangle is computed
-    once, in blocks of rows, and mirrored so symmetry holds bit-exactly; for
-    rbf kinds the diagonal is set to exactly 1. Beyond the 8*N^2 bytes of the
-    result, memory use is O(BLOCK_ENTRIES + N); a failed allocation of the
-    result is an InputError, not a crash.
+    once, in blocks of rows, and mirrored so symmetry holds bit-exactly, in
+    tiles of BLOCK_ROWS rows on the threads of core.fan_out; for rbf kinds
+    the diagonal is set to exactly 1. Beyond the 8*N^2 bytes of the result,
+    memory use is O(BLOCK_ENTRIES + N) per thread; a failed allocation of
+    the result is an InputError, not a crash.
     """
     spec = resolve_gamma(spec, d.features)
     x = np.asarray(d.features, dtype=float)
@@ -280,11 +291,14 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
         ) from None
     _fill_pairwise(values, x, x, *_kernel_params(spec), upper=True)
     below = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
-    for r0 in range(0, n, BLOCK_ROWS):
+
+    def mirror(r0: int) -> None:
         r1 = min(r0 + BLOCK_ROWS, n)
         tile = values[r0:r1, r0:r1]
         np.copyto(tile, tile.T, where=below[: r1 - r0, : r1 - r0])
         values[r1:, r0:r1] = values[r0:r1, r1:].T
+
+    fan_out(mirror, range(0, n, BLOCK_ROWS), fan_out.width(values.size))
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)
     return KernelMatrix(values=values, spec=spec)

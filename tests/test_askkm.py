@@ -1,10 +1,15 @@
-import numpy as np
+import threading
+import time
 
+import numpy as np
+import pytest
+
+from misspec_ssl import askkm, core
 from misspec_ssl.askkm import (
     AskkmOptions,
     fit_askkm,
 )
-from misspec_ssl.core import SolverOptions, derive_seed
+from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, InputError, SolverOptions, derive_seed, fan_out
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
@@ -142,3 +147,52 @@ class TestPredict:
         np.testing.assert_array_equal(np.argmax(scores, axis=1), labels)
         # labeled points classify to their own class when clusters are clean
         assert np.mean(labels[d.labeled_idx] == d.labels) > 0.9
+
+
+class TestFitPairOnTwoThreads:
+    @pytest.mark.parametrize("spec", [KernelSpec(),
+                                      KernelSpec(kind="generalized_rbf", distance="manhattan")],
+                             ids=["rbf", "manhattan"])
+    def test_one_and_two_threads_equal(self, spec, fan_out_threads):
+        d, _ = misspecified(derive_seed(5, "pair"), n_unlabeled=1440)
+        km = gram_matrix(d, spec)
+        assert fan_out.width(km.values.size) == 2 and km.n ** 2 >= FAN_OUT_MIN_ENTRIES
+        fits = {}
+        for threads in (1, 2):
+            fan_out_threads(threads)
+            fits[threads] = fit_askkm(km, d, AskkmOptions(solver=SolverOptions(seed=4)))
+        one, two = fits[1], fits[2]
+        assert one.rounds > 1
+        assert one.history == two.history and one.terminated_by == two.terminated_by
+        a, b = one.final_model, two.final_model
+        assert a.objective_trace == b.objective_trace
+        for name in ("point_weights", "cluster_wsum", "cluster_inner"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a.assignments.cluster_of, b.assignments.cluster_of)
+        assert one.to_dict(d.features) == two.to_dict(d.features)
+
+    def test_error_in_unbiased_half_raised_after_both_fits(self, fan_out_threads, monkeypatch):
+        fan_out_threads(2)
+        monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
+        d, _ = misspecified(derive_seed(5, "pair-error"), n_unlabeled=200)
+        km = gram_matrix(d, KernelSpec())
+        real = askkm.fit_sskkm
+        ended, threads = [], set()
+
+        def spy(km, d, label_map, k, opts, init=None):
+            threads.add(threading.get_ident())
+            if opts.unlabeled_weight_mode == "unbiased":
+                raise InputError("unbiased half failed")
+            model = real(km, d, label_map, k, opts, init=init)
+            time.sleep(0.2)
+            ended.append(opts.unlabeled_weight_mode)
+            return model
+
+        monkeypatch.setattr(askkm, "fit_sskkm", spy)
+        with pytest.raises(InputError, match="unbiased half failed"):
+            fit_askkm(km, d, AskkmOptions())
+        assert ended == ["original"]
+        # Both halves ran on pool threads; the caller only waited.
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        monkeypatch.setattr(askkm, "fit_sskkm", real)
+        assert fit_askkm(km, d, AskkmOptions()).rounds >= 1

@@ -3,15 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from misspec_ssl import cli, kernels
+from misspec_ssl import askkm, cli, core, kernels
 from misspec_ssl.cli import load_model_scores, main
-from misspec_ssl.core import blas_thread_api
+from misspec_ssl.core import ENV_THREADS, InputError, blas_thread_api
 from misspec_ssl.datagen import load_csv
 from misspec_ssl.kernels import cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.sskkm import ClusterModel, _cluster_stats, score_batch
@@ -255,6 +256,12 @@ class TestCurve:
         self.run_curve(b, extra=["--workers", 4])
         assert (a / "curve.json").read_bytes() == (b / "curve.json").read_bytes()
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
+    def test_thread_cap_that_is_no_integer_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_THREADS, "two")
+        assert self.run_curve(tmp_path, extra=["--workers", 2]) == 3
+        assert "MISSPEC_SSL_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+        assert not (tmp_path / "curve.json").exists()
 
 
 # Ways to break a model file, and what the error must say. The key dropped
@@ -758,3 +765,87 @@ def test_fit_and_eval_bytes_independent_of_blas_threads(tmp_path):
     assert names == sorted(p.name for p in two.iterdir()) and len(names) == 10
     for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def fit_and_eval_commands(data, heldout):
+    """fit + eval of every kernel method, and of askkm on the manhattan
+    distance, writing into the working directory."""
+    fits = {m: ["--method", m] for m in ("original_sskkm", "unbiased_sskkm", "askkm")}
+    fits["askkm_manhattan"] = ["--method", "askkm", "--kernel", "generalized_rbf",
+                               "--distance", "manhattan"]
+    commands = []
+    for name, method in fits.items():
+        commands.append(["fit", "--data", data, *method, "--out-model", f"{name}.json"])
+        commands.append(["eval", "--model", f"{name}.json", "--data", heldout, "--verbose",
+                         "--out", f"{name}.eval.json"])
+    return commands
+
+
+@pytest.mark.skipif(core._usable_cpus() < 2, reason="needs 2 CPUs for a second pool thread")
+def test_fit_and_eval_bytes_independent_of_fan_out_threads(tmp_path, monkeypatch):
+    # N = 1,500 training rows and 1,500 eval rows: the Gram, the askkm fit
+    # pairs and the eval cross matrix all sit above FAN_OUT_MIN_ENTRIES.
+    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5]
+    data, heldout = tmp_path / "data.csv", tmp_path / "heldout.csv"
+    assert run([*scenario, "--unlabeled", 1480, "--seed", 21,
+                "--out-data", data, "--out-truth", tmp_path / "truth.json"]) == 0
+    assert run([*scenario, "--unlabeled", 0, "--labeled-per-class", 750, "--seed", 22,
+                "--out-data", heldout, "--out-truth", tmp_path / "heldout.truth.json"]) == 0
+    assert 1500 * 1500 >= core.FAN_OUT_MIN_ENTRIES
+
+    threads = set()
+    fold, fit_sskkm = kernels._fold_distance, askkm.fit_sskkm
+
+    def spy(real):
+        def record(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(kernels, "_fold_distance", spy(fold))
+    monkeypatch.setattr(askkm, "fit_sskkm", spy(fit_sskkm))
+    seen = {}
+    for cap in ("1", None):
+        out = tmp_path / f"threads-{cap}"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        if cap is None:
+            monkeypatch.delenv(ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(ENV_THREADS, cap)
+        threads.clear()
+        for argv in fit_and_eval_commands(data, heldout):
+            assert run(argv) == 0, argv
+        seen[cap] = set(threads)
+    here = threading.get_ident()
+    assert seen["1"] == {here}
+    assert len(seen[None] - {here}) >= 2
+    one, unset = tmp_path / "threads-1", tmp_path / "threads-None"
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in unset.iterdir()) and len(names) == 8
+    for name in names:
+        assert (one / name).read_bytes() == (unset / name).read_bytes(), name
+
+
+def test_error_in_unbiased_half_exits_3_as_on_one_thread(
+    tmp_path, dataset_csv, fan_out_threads, monkeypatch, capsys
+):
+    monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
+    real = askkm.fit_sskkm
+
+    def failing(km, d, label_map, k, opts, init=None):
+        if opts.unlabeled_weight_mode == "unbiased":
+            raise InputError(f"unbiased half failed at K={k}")
+        return real(km, d, label_map, k, opts, init=init)
+
+    monkeypatch.setattr(askkm, "fit_sskkm", failing)
+    args = ["fit", "--data", dataset_csv, "--method", "askkm", "--out-model", tmp_path / "m.json"]
+    errors = []
+    for threads in (1, 2):
+        fan_out_threads(threads)
+        assert run(args) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: unbiased half failed at K=2\n"
+    assert not (tmp_path / "m.json").exists()
+    monkeypatch.setattr(askkm, "fit_sskkm", real)
+    assert run(args) == 0

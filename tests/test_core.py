@@ -1,9 +1,24 @@
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misspec_ssl.core import Dataset, InputError, SolverOptions, derive_seed
+from misspec_ssl import core
+from misspec_ssl.core import (
+    ENV_THREADS,
+    FAN_OUT_MIN_ENTRIES,
+    Dataset,
+    InputError,
+    SolverOptions,
+    derive_seed,
+    fan_out,
+)
 
 
 def oracle_violations(features, labeled_idx, labels, unlabeled_idx, n_classes):
@@ -210,3 +225,153 @@ class TestDeriveSeed:
     def test_in_range(self):
         s = derive_seed(2**63 - 1, "x")
         assert 0 <= s < 2**63
+
+
+@pytest.fixture()
+def submissions(monkeypatch):
+    """Every task handed to a thread pool during the test, by thread name."""
+    seen = []
+    real = ThreadPoolExecutor.submit
+
+    def spy(self, fn, *args, **kwargs):
+        seen.append(threading.current_thread().name)
+        return real(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+    return seen
+
+
+class TestFanOut:
+    def test_results_in_job_order(self, fan_out_threads):
+        fan_out_threads(2)
+        assert fan_out(lambda j: j * j, range(9), 2) == [j * j for j in range(9)]
+        assert fan_out(lambda j: j, [], 2) == []
+
+    def test_width_floor_and_cap(self, fan_out_threads, monkeypatch):
+        fan_out_threads(2)
+        assert fan_out.width() == 2
+        assert fan_out.width(FAN_OUT_MIN_ENTRIES) == 2
+        assert fan_out.width(FAN_OUT_MIN_ENTRIES - 1) == 1
+        fan_out_threads(1)
+        assert fan_out.width(FAN_OUT_MIN_ENTRIES) == 1
+        fan_out_threads(0)
+        assert fan_out.width() == 1
+        fan_out_threads(8)
+        assert fan_out.width() == 2
+        monkeypatch.delenv(ENV_THREADS)
+        assert fan_out.width() == 2
+
+    def test_cap_that_is_no_integer_rejected(self, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "two")
+        with pytest.raises(InputError, match="MISSPEC_SSL_THREADS must be an integer, got 'two'"):
+            fan_out.width()
+
+    def test_one_thread_runs_inline(self, fan_out_threads, submissions):
+        fan_out_threads(1)
+        here = threading.get_ident()
+        assert fan_out(lambda j: threading.get_ident(), range(3), fan_out.width()) == [here] * 3
+        assert submissions == []
+
+    def test_calls_from_a_pool_thread_run_inline(self, fan_out_threads, submissions):
+        fan_out_threads(2)
+
+        def job(j):
+            me = threading.get_ident()
+            inner = fan_out(lambda i: threading.get_ident(), range(4), 2)
+            return me, fan_out.width(), inner == [me] * 4
+
+        got = []
+        caller = threading.Thread(target=lambda: got.append(fan_out(job, range(4), 2)),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()  # a nested call that waits for the pool deadlocks
+        [results] = got
+        assert {width for _, width, _ in results} == {1}
+        assert all(inline for _, _, inline in results)
+        assert caller.ident not in {me for me, _, _ in results}
+        # The outer call's two lanes, and nothing from the nested calls.
+        assert submissions == [caller.name] * 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pools_of_one_and_two_threads_never_deadlock(self, monkeypatch, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        pool = core.FanOut()
+
+        def job(j):
+            return sum(pool(lambda i: i + j, range(4), 2))
+
+        want = [sum(i + j for i in range(4)) for j in range(6)]
+        got = []
+        callers = [threading.Thread(target=lambda: got.append(pool(job, range(6), 2)), daemon=True)
+                   for _ in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert got == [want] * 3
+
+    def test_every_job_runs_once_under_contention(self, monkeypatch):
+        # More lanes than cores, three callers at once, and a thread switch
+        # every microsecond: a job taken twice or never shows in the counts.
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        pool = core.FanOut()
+        runs = [0] * 3000
+        counting = threading.Lock()
+
+        def job(j):
+            with counting:
+                runs[j] += 1
+            return j
+
+        got = []
+        callers = [threading.Thread(target=lambda c=c: got.append(
+            pool(job, range(c * 1000, (c + 1) * 1000), 4)), daemon=True) for c in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [1] * 3000
+        assert sorted(got) == [list(range(c * 1000, (c + 1) * 1000)) for c in range(3)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_pool_of_its_own(self, fan_out_threads):
+        fan_out_threads(2)
+        assert fan_out(lambda j: j, range(4), 2) == [0, 1, 2, 3]  # the parent's pool exists
+        pid = os.fork()
+        if pid == 0:  # the child: its copy of the pool has no threads
+            os._exit(0 if fan_out(lambda j: j + 1, range(4), 2) == [1, 2, 3, 4] else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_first_error_in_job_order_raised_after_every_job(self, fan_out_threads):
+        fan_out_threads(2)
+        ended = []
+
+        def job(j):
+            if j == 1:
+                time.sleep(0.05)
+                raise InputError("job 1 failed")
+            if j == 2:
+                raise InputError("job 2 failed")
+            time.sleep(0.1)
+            ended.append(j)
+            return j
+
+        with pytest.raises(InputError, match="job 1 failed"):
+            fan_out(job, range(5), 2)
+        assert sorted(ended) == [0, 3, 4]
+        # The pool serves the next call.
+        assert fan_out(lambda j: -j, range(3), 2) == [0, -1, -2]

@@ -1,4 +1,6 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +148,32 @@ class TestLearningCurve:
             np.testing.assert_array_equal(a.raw[m], b.raw[m])
             np.testing.assert_array_equal(a.raw[m], c.raw[m])
         assert a.to_json_dict() == c.to_json_dict()
+
+    def test_calls_inside_a_worker_run_inline(self, fan_out_threads, monkeypatch):
+        # With no floor, every Gram, cross matrix and askkm pair of a cell
+        # would fan out, unless it runs on a pool thread.
+        monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
+        fan_out_threads(2)
+        serial = self.run_small(["original_sskkm", "askkm"], workers=1)
+        submitted, widths = [], []
+        real_submit, real_cell = ThreadPoolExecutor.submit, evalx._evaluate_cell
+
+        def submit(executor, fn, *args, **kwargs):
+            submitted.append(threading.get_ident())
+            return real_submit(executor, fn, *args, **kwargs)
+
+        def cell(*args):
+            widths.append((threading.get_ident(), core.fan_out.width()))
+            return real_cell(*args)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        monkeypatch.setattr(evalx, "_evaluate_cell", cell)
+        pooled = self.run_small(["original_sskkm", "askkm"], workers=2)
+        here = threading.get_ident()
+        assert len(widths) == 4 and {w for _, w in widths} == {1}
+        assert here not in {t for t, _ in widths}
+        assert submitted == [here, here]  # the two lanes of the cells, nothing nested
+        assert pooled.to_json_dict() == serial.to_json_dict()
 
     def test_binary_scenario_uses_ap(self):
         curve = self.run_small(["supervised"], grid=(0,))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from misspec_ssl.core import Dataset, InputError, derive_seed
+from misspec_ssl import core
+from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, Dataset, InputError, derive_seed
 from misspec_ssl.kernels import (
     BLOCK_ENTRIES,
     BLOCK_ROWS,
@@ -418,3 +419,29 @@ class TestCrossAndDiag:
         x = np.array([[1.0, 2.0], [0.0, 3.0]])
         np.testing.assert_array_equal(kernel_diag(x, KernelSpec(kind="linear")), [5.0, 9.0])
         np.testing.assert_array_equal(kernel_diag(x, KernelSpec(kind="rbf", gamma=1.0)), [1.0, 1.0])
+
+
+class TestFanOutBitForBit:
+    """The Gram and cross matrices are the same bits whether core.fan_out
+    runs their row blocks and mirror tiles inline or on two threads."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
+    @pytest.mark.parametrize("dim", [3, EUCLIDEAN_FOLD_BELOW])
+    # 400 rows sit below the floor, unless it is lowered to 0; 1,460 above it.
+    @pytest.mark.parametrize("n, floor", [(400, FAN_OUT_MIN_ENTRIES), (400, 0),
+                                          (1460, FAN_OUT_MIN_ENTRIES)])
+    def test_one_and_two_threads_equal(self, spec, dim, n, floor, fan_out_threads, monkeypatch):
+        assert (n * n >= FAN_OUT_MIN_ENTRIES) == (n == 1460)
+        monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", floor)
+        rng = np.random.default_rng(n + dim)
+        x = rng.standard_normal((n, dim))
+        q = rng.standard_normal((FAN_OUT_MIN_ENTRIES // n + 1, dim))
+        if spec.distance == "chi_square":
+            x, q = np.abs(x), np.abs(q)
+        out = {}
+        for threads in (1, 2):
+            fan_out_threads(threads)
+            km = gram_matrix(dataset_from_features(x), spec)
+            out[threads] = km.values, cross_matrix(q, x, km.spec)
+        assert np.array_equal(out[1][0], out[2][0])
+        assert np.array_equal(out[1][1], out[2][1])
