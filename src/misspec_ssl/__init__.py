@@ -15,12 +15,11 @@ from .misspec import (
     modify_structure,
 )
 from .semgmm import GmmModel, KlEstimate, bayes_classify_batch, fit_sem, kl_mc
-from .sskkm import Assignments, ClusterModel, fit_sskkm, init_assignments, score_batch
+from .sskkm import ClusterModel, fit_sskkm, init_assignments, score_batch
 
 __all__ = [
     "AskkmModel",
     "AskkmOptions",
-    "Assignments",
     "ClusterModel",
     "CriterionReport",
     "Dataset",

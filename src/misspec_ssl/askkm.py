@@ -125,12 +125,11 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
 
     width = fan_out.width(km.values.size)
     while True:
-        k = label_map.n_fine
-        init = init_assignments(km, d, label_map, k)
+        init = init_assignments(km, d, label_map)
 
         def fit(mode: str) -> ClusterModel:
             solver = replace(opts.solver, unlabeled_weight_mode=mode, custom_weight=None)
-            return fit_sskkm(km, d, label_map, k, solver, init=init)
+            return fit_sskkm(km, d, label_map, solver, init=init)
 
         original, unbiased = fan_out(fit, ("original", "unbiased"), width)
 
@@ -139,7 +138,7 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
         report = disagreement_criterion(preds_original, preds_unbiased, threshold)
         history.append(
             RoundRecord(
-                n_clusters=k,
+                n_clusters=label_map.n_fine,
                 report=report,
                 objective_original=original.objective,
                 objective_unbiased=unbiased.objective,

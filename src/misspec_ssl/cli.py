@@ -53,8 +53,9 @@ def _check_output_path(path: str) -> Path:
     return out
 
 
-def _echo(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _echo(args: argparse.Namespace) -> dict:
+    """The command's resolved settings: every flag but the output paths."""
+    return {k: getattr(args, k) for k in args.echo_keys}
 
 
 def _load_model(path: str | Path) -> tuple[GmmModel | ClusterModel, np.ndarray | None]:
@@ -81,8 +82,8 @@ def _load_model(path: str | Path) -> tuple[GmmModel | ClusterModel, np.ndarray |
     raise InputError(f"unrecognized model family {family!r} in {path}")
 
 
-def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Load a fitted model JSON and score query points: (scores (Q, C), C)."""
+def load_model_scores(path: str | Path, x: np.ndarray) -> np.ndarray:
+    """Load a fitted model JSON and score query points: scores (Q, C)."""
     model, train = _load_model(path)
     dim = model.dim if train is None else train.shape[1]
     if x.shape[1] != dim:
@@ -91,8 +92,7 @@ def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, int]
     if train is not None:
         rows = cross_matrix(x, train, model.kernel_spec)
         diag = kernel_diag(x, model.kernel_spec)
-    scores = predict(model, x, rows, diag)[1]
-    return scores, scores.shape[1]
+    return predict(model, x, rows, diag)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +114,6 @@ def _gen_spec_from_args(args: argparse.Namespace) -> GenSpec:
     )
 
 
-GEN_KEYS = [
-    "kind", "classes", "dim", "subclusters", "class_sep", "subcluster_sep",
-    "labeled_per_class", "unlabeled", "seed",
-]
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = _gen_spec_from_args(args)
     out_data = _check_output_path(args.out_data)
@@ -128,7 +122,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     write_csv(dataset, out_data)
     _dump_json(
         {
-            "config": _echo(args, GEN_KEYS),
+            "config": _echo(args),
             "component_means": truth.component_means.tolist(),
             "component_class": truth.component_class.tolist(),
             "variance": truth.variance,
@@ -149,14 +143,9 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
     return KernelSpec(kind=args.kernel, gamma=args.gamma, distance=args.distance)
 
 
-FIT_KEYS = [
-    "data", "method", "kernel", "gamma", "distance", "components",
-    "max_iter", "tol", "seed", "weight", "threshold", "k_max", "stall_rounds",
-]
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     out_model = _check_output_path(args.out_model)
+    out_criterion = _check_output_path(args.out_criterion) if args.out_criterion else None
     family = METHODS[args.method].family
     if args.weight is not None and family == "askkm":
         raise InputError("--weight does not apply to askkm, which fits both weightings itself")
@@ -175,13 +164,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             threshold=args.threshold, k_max=args.k_max, stall_rounds=args.stall_rounds
         )
     dataset, _ = load_csv(args.data)
-    echo = _echo(args, FIT_KEYS)
+    echo = _echo(args)
 
     km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
     model = fit_method(args.method, dataset, km, solver, args.components, askkm)
     payload = model.to_dict() if family == "sem" else model.to_dict(dataset.features)
-    if args.out_criterion:
-        out_criterion = _check_output_path(args.out_criterion)
+    if out_criterion:
         _dump_json(
             {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion
         )
@@ -192,12 +180,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _dump_json(payload, out_model)
     print(f"fitted {args.method} (unlabeled weight {weight}) -> {out_model}")
     return EXIT_OK
-
-
-CURVE_KEYS = GEN_KEYS + [
-    "methods", "grid", "seeds", "eval_size", "kernel", "gamma", "distance",
-    "max_iter", "tol", "workers",
-]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -221,7 +203,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     payload = curve.to_json_dict()
-    payload["config"] = _echo(args, CURVE_KEYS)
+    payload["config"] = _echo(args)
     _dump_json(payload, out_json)
     with open(out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -234,18 +216,15 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-EVAL_KEYS = ["model", "data", "verbose"]
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     out = _check_output_path(args.out)
     dataset, names = load_csv(args.data)
     x = dataset.features[dataset.labeled_idx]
     y = dataset.labels
-    scores, n_classes = load_model_scores(args.model, x)
+    scores = load_model_scores(args.model, x)
     per_class = {}
     aps = []
-    for c in range(n_classes):
+    for c in range(scores.shape[1]):
         relevance = y == c
         if not relevance.any():
             continue
@@ -254,11 +233,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             entry["interpolated_precisions"] = interpolated_precision_points(
                 scores[:, c], relevance
             )
-        name = names[c] if c < len(names) else str(c)
-        per_class[name] = entry
+        per_class[names[c]] = entry
         aps.append(entry["average_precision"])
     payload = {
-        "config": _echo(args, EVAL_KEYS),
+        "config": _echo(args),
         "per_class": per_class,
         "mAP": mean_ap(aps),
         "n_eval_points": int(x.shape[0]),
@@ -310,6 +288,12 @@ class _Parser(argparse.ArgumentParser):
         self.dests.add(action.dest)
         return action
 
+    def set_command(self, func) -> None:
+        """Run ``func`` for this subcommand, echoing every flag declared so
+        far except help and the output paths (out*)."""
+        echo = sorted(k for k in self.dests if k != "help" and not k.startswith("out"))
+        self.set_defaults(func=func, echo_keys=echo)
+
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The CLI parser. ``defaults`` (the settings of a config file) become the
@@ -329,7 +313,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-data", default="dataset.csv")
     gen.add_argument("--out-truth", default="truth.json")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_command(cmd_gen)
 
     fit = sub.add_parser("fit", parents=[common], help="fit a model to a dataset CSV")
     fit.add_argument("--data", required=True)
@@ -347,7 +331,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     fit.add_argument("--stall-rounds", type=int, default=3)
     fit.add_argument("--out-model", default="model.json")
     fit.add_argument("--out-criterion", default=None)
-    fit.set_defaults(func=cmd_fit)
+    fit.set_command(cmd_fit)
 
     curve = sub.add_parser("curve", parents=[common], help="learning-curve sweep over N_u")
     _add_scenario_flags(curve)
@@ -361,14 +345,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     curve.add_argument("--workers", type=int, default=1)
     curve.add_argument("--out-json", default="curve.json")
     curve.add_argument("--out-csv", default="curve.csv")
-    curve.set_defaults(func=cmd_curve)
+    curve.set_command(cmd_curve)
 
     ev = sub.add_parser("eval", parents=[common], help="per-class AP and mAP of a fitted model")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", default="metrics.json")
     ev.add_argument("--verbose", action="store_true")
-    ev.set_defaults(func=cmd_eval)
+    ev.set_command(cmd_eval)
 
     if defaults:
         commands = (gen, fit, curve, ev)

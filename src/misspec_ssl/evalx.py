@@ -69,7 +69,7 @@ def fit_method(
         return fit_sem(train, k, np.arange(k) % train.n_classes, solver)
     if family == "sskkm":
         identity = LabelMap.identity(train.labels, train.n_classes)
-        return fit_sskkm(km, train, identity, train.n_classes, solver)
+        return fit_sskkm(km, train, identity, solver)
     return fit_askkm(km, train, replace(askkm, solver=solver))
 
 

@@ -98,17 +98,6 @@ def _check_magnitude(*arrays: np.ndarray) -> None:
             )
 
 
-def _kernel_params(spec: KernelSpec) -> tuple[str | None, bool, float | None]:
-    """(distance, squared, gamma) of the kernel: the dot product (distance
-    None) for linear, else exp(-gamma * distance) with the squared euclidean
-    distance for rbf."""
-    if spec.kind == "linear":
-        return None, False, None
-    if spec.kind == "rbf":
-        return "euclidean", True, spec.gamma
-    return spec.distance, False, spec.gamma
-
-
 def _row_blocks(n_rows: int, n_cols: int, upper: bool) -> Iterator[tuple[int, int, int]]:
     """(r0, r1, c0) of the row blocks of an n_rows x n_cols output: rows
     r0:r1, columns c0: (c0 = r0 with ``upper``, else 0). Each block covers
@@ -149,17 +138,12 @@ def _fold_distance(
 
 
 def _fill_pairwise(
-    out: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    distance: str | None,
-    squared: bool,
-    gamma: float | None,
-    upper: bool,
+    out: np.ndarray, x: np.ndarray, y: np.ndarray, spec: KernelSpec, upper: bool
 ) -> None:
-    """Write pairwise values between rows of x and rows of y into ``out`` in
-    place: the dot product (``distance`` None), a distance, or with ``gamma``
-    set exp(-gamma * distance).
+    """Write pairwise values of kernel ``spec`` between rows of x and rows of
+    y into ``out`` in place: the dot product for linear, else
+    exp(-gamma * distance), with the squared euclidean distance for rbf. With
+    gamma None (unresolved) the distances themselves are written.
 
     Manhattan and chi-square distances, and euclidean ones below
     EUCLIDEAN_FOLD_BELOW features, are a per-feature fold (_fold_distance):
@@ -173,6 +157,8 @@ def _fill_pairwise(
     Features too large for the arithmetic are an InputError, raised before
     any product.
     """
+    squared = spec.kind == "rbf"
+    distance = None if spec.kind == "linear" else "euclidean" if squared else spec.distance
     _check_magnitude(x, y)
     if distance == "chi_square":
         _check_chi_square_inputs(x, y)
@@ -202,14 +188,14 @@ def _fill_pairwise(
             np.maximum(block, 0.0, out=block)
         if distance == "euclidean" and not squared:
             np.sqrt(block, out=block)
-        if gamma is not None:
-            np.multiply(block, -gamma, out=block)
+        if spec.gamma is not None:
+            np.multiply(block, -spec.gamma, out=block)
             np.exp(block, out=block)
 
     fan_out(fill, _row_blocks(x.shape[0], y.shape[0], upper), fan_out.width(out.size))
 
 
-def resolve_gamma(spec: KernelSpec, features: np.ndarray, seed: int = 0) -> KernelSpec:
+def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
     """Fill in gamma via the median heuristic when it was left unspecified.
 
     The median is taken over pairwise distances of a subsample of at most 512
@@ -220,12 +206,11 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray, seed: int = 0) -> Kern
     x = np.asarray(features, dtype=float)
     n = x.shape[0]
     if n > MEDIAN_SUBSAMPLE:
-        rng = np.random.default_rng(derive_seed(seed, "median-gamma"))
+        rng = np.random.default_rng(derive_seed(0, "median-gamma"))
         x = x[rng.choice(n, size=MEDIAN_SUBSAMPLE, replace=False)]
-    distance, squared, _ = _kernel_params(spec)
     m = x.shape[0]
     d = np.empty((m, m))
-    _fill_pairwise(d, x, x, distance, squared, None, upper=True)
+    _fill_pairwise(d, x, x, spec, upper=True)
     # The strict upper triangle, row by row, then its exact median: the
     # upper middle value by one partition and, for an even count, the
     # lower middle value as the max below it, averaged as np.median does.
@@ -257,7 +242,7 @@ def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.is_rbf_kind and spec.gamma is None:
         raise InputError("gamma unresolved; call resolve_gamma first")
     out = np.empty((x.shape[0], y.shape[0]))
-    _fill_pairwise(out, x, y, *_kernel_params(spec), upper=False)
+    _fill_pairwise(out, x, y, spec, upper=False)
     return out
 
 
@@ -289,7 +274,7 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
             f"the Gram matrix of N={n} points needs {8 * n * n} bytes (8*N^2), "
             "which could not be allocated"
         ) from None
-    _fill_pairwise(values, x, x, *_kernel_params(spec), upper=True)
+    _fill_pairwise(values, x, x, spec, upper=True)
     below = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
 
     def mirror(r0: int) -> None:

@@ -78,8 +78,8 @@ class GmmModel:
     @staticmethod
     def from_dict(d: dict) -> "GmmModel":
         """Inverse of to_dict; InputError unless the arrays have consistent
-        shapes, the weights are finite and >= 0, the variances finite and
-        > 0, and the component map names classes 0..C-1."""
+        shapes, the weights are finite and >= 0, the means finite, the
+        variances finite and > 0, and the component map names classes 0..C-1."""
         if d["covariance_type"] != "diag":
             raise InputError(f"covariance_type must be 'diag', got {d['covariance_type']!r}")
         m = GmmModel(
@@ -99,6 +99,8 @@ class GmmModel:
             )
         if not np.all(np.isfinite(m.weights) & (m.weights >= 0)):
             raise InputError("weights must be finite and >= 0")
+        if not np.all(np.isfinite(m.means)):
+            raise InputError("means must be finite")
         if m.covariances.shape != m.means.shape:
             raise InputError(f"covariances {m.covariances.shape} must have shape {m.means.shape}")
         if not np.all(np.isfinite(m.covariances) & (m.covariances > 0)):

@@ -23,26 +23,14 @@ from .misspec import LabelMap
 
 
 @dataclass(frozen=True)
-class Assignments:
-    """Hard cluster id per point, for K clusters."""
-
-    cluster_of: np.ndarray
-    n_clusters: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cluster_of", np.asarray(self.cluster_of, dtype=int))
-        if self.cluster_of.size and (
-            self.cluster_of.min() < 0 or self.cluster_of.max() >= self.n_clusters
-        ):
-            raise InputError("cluster ids outside 0..K-1")
-
-
-@dataclass(frozen=True)
 class ClusterModel:
     """A fitted kernel k-means model plus the cached per-cluster statistics
-    needed to classify new points from their kernel rows alone."""
+    needed to classify new points from their kernel rows alone.
 
-    assignments: Assignments
+    The label map is the cluster structure: cluster k is fine label k, and
+    ``cluster_of`` holds the cluster id of every training point."""
+
+    cluster_of: np.ndarray
     label_map: LabelMap
     unlabeled_weight: float
     objective: float
@@ -56,14 +44,14 @@ class ClusterModel:
 
     @property
     def n_clusters(self) -> int:
-        return self.assignments.n_clusters
+        return self.label_map.n_fine
 
     def to_dict(self, train_features: np.ndarray) -> dict:
         """JSON form; scoring a query needs the training features as well."""
         return {
             "family": "sskkm",
             "n_clusters": self.n_clusters,
-            "assignments": self.assignments.cluster_of.tolist(),
+            "assignments": self.cluster_of.tolist(),
             "label_map": self.label_map.to_dict(),
             "unlabeled_weight": self.unlabeled_weight,
             "objective": self.objective,
@@ -78,32 +66,48 @@ class ClusterModel:
 
     @staticmethod
     def from_dict(d: dict) -> tuple["ClusterModel", np.ndarray]:
-        """Inverse of to_dict: (model, training features)."""
+        """Inverse of to_dict: (model, training features). The one check of
+        a model from outside: every array has its shape, every cluster id
+        lies in 0..K-1 for the label map's K, the features and statistics
+        are finite, the point weights lie in [0, 1], and every cluster weighs
+        at least its pinned carrier's 1, so no query distance divides by 0."""
         missing = [k for k in ("cluster_wsum", "cluster_inner") if k not in d]
         if missing:
             raise InputError(f"model JSON lacks {' and '.join(missing)}; refit the model")
         model = ClusterModel(
-            assignments=Assignments(cluster_of=d["assignments"], n_clusters=d["n_clusters"]),
+            cluster_of=np.asarray(d["assignments"], dtype=int),
             label_map=LabelMap(**d["label_map"]),
             unlabeled_weight=d["unlabeled_weight"],
             objective=d["objective"],
             kernel_spec=KernelSpec(**d["kernel"]),
             iterations_run=d["iterations_run"],
             converged=d["converged"],
-            point_weights=np.asarray(d["point_weights"]),
-            cluster_wsum=np.asarray(d["cluster_wsum"]),
-            cluster_inner=np.asarray(d["cluster_inner"]),
+            point_weights=np.asarray(d["point_weights"], dtype=float),
+            cluster_wsum=np.asarray(d["cluster_wsum"], dtype=float),
+            cluster_inner=np.asarray(d["cluster_inner"], dtype=float),
         )
         train = np.asarray(d["training_features"], dtype=float)
         if train.ndim != 2:
             raise InputError(f"training_features {train.shape} must have shape (N, d)")
         n, k = train.shape[0], model.n_clusters
-        if model.assignments.cluster_of.shape != (n,) or model.point_weights.shape != (n,):
+        if d["n_clusters"] != k:
+            raise InputError(f"n_clusters {d['n_clusters']} != the label map's {k} fine labels")
+        cluster_of, weights, wsum = model.cluster_of, model.point_weights, model.cluster_wsum
+        if cluster_of.shape != (n,) or weights.shape != (n,):
             raise InputError(f"assignments and point_weights must have one entry per "
                              f"training row ({n})")
-        if model.cluster_wsum.shape != (k,) or model.cluster_inner.shape != (k,):
+        if wsum.shape != (k,) or model.cluster_inner.shape != (k,):
             raise InputError(f"cluster_wsum and cluster_inner must have length n_clusters ({k})")
-        _check_label_map(model.label_map, k)
+        if np.any((cluster_of < 0) | (cluster_of >= k)):
+            raise InputError(f"assignments outside the cluster ids 0..{k - 1}")
+        if not np.all(np.isfinite(train)):
+            raise InputError("training_features must be finite")
+        if not np.all(np.isfinite(model.cluster_inner)):
+            raise InputError("cluster_inner must be finite")
+        if not np.all((weights >= 0) & (weights <= 1)):
+            raise InputError("point_weights must lie in [0, 1]")
+        if not np.all(np.isfinite(wsum) & (wsum >= 1)):
+            raise InputError("cluster_wsum must be finite and >= 1")
         return model, train
 
 
@@ -133,34 +137,26 @@ def _cluster_stats(
 def _distances(
     diag: np.ndarray, member_sum: np.ndarray, wsum: np.ndarray, inner: np.ndarray
 ) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = diag[:, None] - 2.0 * member_sum / wsum + inner / (wsum * wsum)
-    d[:, wsum <= 0] = np.inf
+    """Squared distances of points to clusters. Every cluster of a fitted or
+    loaded model has a total weight of at least 1, from its pinned carrier."""
+    d = diag[:, None] - 2.0 * member_sum / wsum + inner / (wsum * wsum)
     return np.maximum(d, 0.0)
 
 
-def _check_label_map(label_map: LabelMap, k: int) -> None:
-    """Require k fine labels. A LabelMap carries each of them by a labeled
-    point, so every cluster holds a pinned point of weight 1 and can never
-    empty."""
-    if label_map.n_fine != k:
-        raise InputError(f"label map covers {label_map.n_fine} fine labels, expected {k}")
-
-
-def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap, k: int) -> Assignments:
-    """Pin labeled points to their designated clusters and give every
-    unlabeled point the cluster whose labeled-seed mean is nearest in kernel
-    distance (ties to the lowest cluster id). Deterministic.
+def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap) -> np.ndarray:
+    """The cluster id of every point: labeled points pinned to their fine
+    labels, and every unlabeled point given the cluster whose labeled-seed
+    mean is nearest in kernel distance (ties to the lowest cluster id).
+    Deterministic.
     """
-    _check_label_map(label_map, k)
     cluster_of = np.zeros(d.n_points, dtype=int)
     cluster_of[d.labeled_idx] = label_map.fine_of_point
-    free = d.unlabeled_idx
-    if free.size:
-        wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, _point_weights(d, 0.0), k)
-        dist = _distances(km.diag, member_sum, wsum, inner)
-        cluster_of[free] = np.argmin(dist[free], axis=1)
-    return Assignments(cluster_of=cluster_of, n_clusters=k)
+    wsum, member_sum, inner = _cluster_stats(
+        km.values, cluster_of, _point_weights(d, 0.0), label_map.n_fine
+    )
+    dist = _distances(km.diag, member_sum, wsum, inner)
+    cluster_of[d.unlabeled_idx] = np.argmin(dist[d.unlabeled_idx], axis=1)
+    return cluster_of
 
 
 def _point_weights(d: Dataset, unlabeled_weight: float) -> np.ndarray:
@@ -174,13 +170,15 @@ def fit_sskkm(
     km: KernelMatrix,
     d: Dataset,
     label_map: LabelMap,
-    k: int,
     opts: SolverOptions,
-    init: Assignments | None = None,
+    init: np.ndarray | None = None,
 ) -> ClusterModel:
     """Alternate cached-statistics updates with nearest-centroid reassignment
     of the unlabeled points until assignments stop changing, the weighted
-    objective decrease falls below tol, or max_iter is reached.
+    objective decrease falls below tol, or max_iter is reached. There is one
+    cluster per fine label of ``label_map``; ``init`` (default
+    init_assignments) gives every point a cluster id and must pin the
+    labeled points to their fine labels.
 
     The weighted objective (labeled weight 1, unlabeled weight as resolved
     from the options) is non-increasing across iterations, and the whole
@@ -188,14 +186,15 @@ def fit_sskkm(
     """
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
-    _check_label_map(label_map, k)
+    k = label_map.n_fine
     weight = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
 
     if init is None:
-        init = init_assignments(km, d, label_map, k)
-    elif init.n_clusters != k:
-        raise InputError(f"init has {init.n_clusters} clusters, expected {k}")
-    cluster_of = init.cluster_of.copy()
+        init = init_assignments(km, d, label_map)
+    cluster_of = np.array(init, dtype=int)
+    if cluster_of.shape != (d.n_points,) or np.any((cluster_of < 0) | (cluster_of >= k)):
+        raise InputError(f"init must give every one of {d.n_points} points a cluster id "
+                         f"in 0..{k - 1}")
     if not np.array_equal(cluster_of[d.labeled_idx], label_map.fine_of_point):
         raise InputError("init assignments do not pin labeled points to their fine labels")
 
@@ -213,8 +212,7 @@ def fit_sskkm(
     for _ in range(opts.max_iter):
         iterations += 1
         new_cluster_of = cluster_of.copy()
-        if free.size:
-            new_cluster_of[free] = np.argmin(dist[free], axis=1)
+        new_cluster_of[free] = np.argmin(dist[free], axis=1)
         if np.array_equal(new_cluster_of, cluster_of):
             converged = True
             break
@@ -231,7 +229,7 @@ def fit_sskkm(
         objective = new_objective
 
     return ClusterModel(
-        assignments=Assignments(cluster_of=cluster_of, n_clusters=k),
+        cluster_of=cluster_of,
         label_map=label_map,
         unlabeled_weight=weight,
         objective=objective,
@@ -253,7 +251,7 @@ def _query_distances(model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarra
     if km_rows.shape[1] != n:
         raise InputError(f"kernel row length {km_rows.shape[1]} != training size {n}")
     self_k = np.atleast_1d(np.asarray(self_k, dtype=float))
-    wz = _weighted_indicator(model.assignments.cluster_of, model.point_weights, model.n_clusters)
+    wz = _weighted_indicator(model.cluster_of, model.point_weights, model.n_clusters)
     member_sum = km_rows @ wz
     return _distances(self_k, member_sum, model.cluster_wsum, model.cluster_inner)
 

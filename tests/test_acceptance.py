@@ -107,7 +107,7 @@ class TestCriterion2DegradationShape:
             rows = cross_matrix(test_x, train1.features, km.spec)
             diag = kernel_diag(test_x, km.spec)
             base = fit_sskkm(
-                km, train1, LabelMap.identity(train1.labels, 2), 2, SolverOptions(seed=si)
+                km, train1, LabelMap.identity(train1.labels, 2), SolverOptions(seed=si)
             )
             base_acc = float(np.mean(score_batch(base, rows, diag)[0] == test_y))
             adaptive = fit_askkm(km, train1, AskkmOptions(solver=SolverOptions(seed=si)))
@@ -200,7 +200,7 @@ class TestCriterion4SolverOracles:
             km = gram_matrix(d, spec)
             mode = ("original", "unbiased")[trial % 2]
             model = fit_sskkm(
-                km, d, LabelMap.identity(d.labels, d.n_classes), d.n_classes,
+                km, d, LabelMap.identity(d.labels, d.n_classes),
                 SolverOptions(seed=trial, unlabeled_weight_mode=mode),
             )
             trace = np.array(model.objective_trace)
@@ -219,10 +219,10 @@ class TestCriterion4SolverOracles:
             )
             km = gram_matrix(d, KernelSpec(kind="linear"))
             lm = LabelMap.identity(d.labels, k)
-            init = init_assignments(km, d, lm, k)
-            model = fit_sskkm(km, d, lm, k, SolverOptions(seed=trial), init=init)
+            init = init_assignments(km, d, lm)
+            model = fit_sskkm(km, d, lm, SolverOptions(seed=trial), init=init)
 
-            z = init.cluster_of.copy()
+            z = init.copy()
             free = np.arange(k, n)
             for _ in range(300):
                 centroids = np.stack([x[z == c].mean(axis=0) for c in range(k)])
@@ -232,7 +232,7 @@ class TestCriterion4SolverOracles:
                 if np.array_equal(new_z, z):
                     break
                 z = new_z
-            assert np.array_equal(model.assignments.cluster_of, z), f"trial {trial}"
+            assert np.array_equal(model.cluster_of, z), f"trial {trial}"
         report("4c (Lloyd oracle)", True, "20/20 fixed points match in feature space")
 
     def test_no_unlabeled_weight_modes_bit_identical(self):
@@ -251,10 +251,10 @@ class TestCriterion4SolverOracles:
         km = gram_matrix(d, KernelSpec())
         lm = LabelMap.identity(d.labels, 2)
         kkms = [
-            fit_sskkm(km, d, lm, 2, SolverOptions(unlabeled_weight_mode=m))
+            fit_sskkm(km, d, lm, SolverOptions(unlabeled_weight_mode=m))
             for m in ("original", "unbiased")
         ]
-        assert np.array_equal(kkms[0].assignments.cluster_of, kkms[1].assignments.cluster_of)
+        assert np.array_equal(kkms[0].cluster_of, kkms[1].cluster_of)
         assert kkms[0].objective == kkms[1].objective
         assert kkms[0].objective_trace == kkms[1].objective_trace
         report("4d (N_u=0 equivalence)", True, "original == unbiased bit-for-bit, both families")

@@ -61,7 +61,7 @@ class TestFitAskkm:
             rows = cross_matrix(tx, d.features, km.spec)
             diag = kernel_diag(tx, km.spec)
             preds, _ = predict(model, tx, rows, diag)
-            base = fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 2,
+            base = fit_sskkm(km, d, LabelMap.identity(d.labels, 2),
                              SolverOptions(seed=si))
             base_preds = score_batch(base, rows, diag)[0]
             grew += model.n_clusters > 2
@@ -96,8 +96,8 @@ class TestFitAskkm:
         a = fit_askkm(km, d, AskkmOptions(solver=SolverOptions(seed=3)))
         b = fit_askkm(km, d, AskkmOptions(solver=SolverOptions(seed=3)))
         assert a.rounds == b.rounds
-        assert np.array_equal(a.final_model.assignments.cluster_of,
-                              b.final_model.assignments.cluster_of)
+        assert np.array_equal(a.final_model.cluster_of,
+                              b.final_model.cluster_of)
         assert a.final_model.objective == b.final_model.objective
 
 
@@ -168,7 +168,7 @@ class TestFitPairOnTwoThreads:
         assert a.objective_trace == b.objective_trace
         for name in ("point_weights", "cluster_wsum", "cluster_inner"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert np.array_equal(a.assignments.cluster_of, b.assignments.cluster_of)
+        assert np.array_equal(a.cluster_of, b.cluster_of)
         assert one.to_dict(d.features) == two.to_dict(d.features)
 
     def test_error_in_unbiased_half_raised_after_both_fits(self, fan_out_threads, monkeypatch):
@@ -179,11 +179,11 @@ class TestFitPairOnTwoThreads:
         real = askkm.fit_sskkm
         ended, threads = [], set()
 
-        def spy(km, d, label_map, k, opts, init=None):
+        def spy(km, d, label_map, opts, init=None):
             threads.add(threading.get_ident())
             if opts.unlabeled_weight_mode == "unbiased":
                 raise InputError("unbiased half failed")
-            model = real(km, d, label_map, k, opts, init=init)
+            model = real(km, d, label_map, opts, init=init)
             time.sleep(0.2)
             ended.append(opts.unlabeled_weight_mode)
             return model

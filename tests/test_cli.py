@@ -103,6 +103,19 @@ class TestFit:
         report = json.loads(crit.read_text())["criterion"]
         assert report["disagreements"] <= report["n_labeled"]
 
+    def test_out_criterion_into_missing_directory_exits_2_before_loading(
+        self, tmp_path, dataset_csv, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args: calls.append("load_csv"))
+        monkeypatch.setattr(cli, "gram_matrix", lambda *args: calls.append("gram_matrix"))
+        out = tmp_path / "askkm.json"
+        code = run(["fit", "--data", dataset_csv, "--method", "askkm", "--out-model", out,
+                    "--out-criterion", tmp_path / "missing" / "criterion.json"])
+        assert code == 2
+        assert "output directory does not exist" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_sskkm_model_roundtrips_for_eval(self, tmp_path, dataset_csv):
         out = tmp_path / "kkm.json"
         assert run(["fit", "--data", dataset_csv, "--method", "original_sskkm",
@@ -278,6 +291,12 @@ MALFORMED = {
 }
 
 
+def nan_at(values):
+    """``values`` (a list, or a list of lists) with its first number NaN."""
+    first = values[0]
+    return [nan_at(first) if isinstance(first, list) else float("nan"), *values[1:]]
+
+
 # Edits that leave a model file readable but inconsistent: (method, edit of
 # the model's dict, or of its final_model for askkm, part of the message).
 INCONSISTENT = {
@@ -306,6 +325,34 @@ INCONSISTENT = {
     ),
     "short_cluster_wsum": (
         "askkm", lambda m: {**m, "cluster_wsum": m["cluster_wsum"][:1]}, "cluster_wsum"
+    ),
+    "nan_mean": ("original_sem", lambda m: {**m, "means": nan_at(m["means"])}, "means"),
+    "n_clusters_not_the_label_maps": (
+        "original_sskkm", lambda m: {**m, "n_clusters": 3}, "n_clusters 3"
+    ),
+    "assignment_out_of_range": (
+        "askkm", lambda m: {**m, "assignments": [9, *m["assignments"][1:]]}, "assignments"
+    ),
+    "nan_training_feature": (
+        "original_sskkm",
+        lambda m: {**m, "training_features": nan_at(m["training_features"])},
+        "training_features",
+    ),
+    "nan_cluster_inner": (
+        "original_sskkm", lambda m: {**m, "cluster_inner": nan_at(m["cluster_inner"])},
+        "cluster_inner",
+    ),
+    "zero_cluster_wsum": (
+        "original_sskkm", lambda m: {**m, "cluster_wsum": [0.0, *m["cluster_wsum"][1:]]},
+        "cluster_wsum",
+    ),
+    "nan_point_weight": (
+        "original_sskkm", lambda m: {**m, "point_weights": nan_at(m["point_weights"])},
+        "point_weights",
+    ),
+    "point_weight_above_one": (
+        "unbiased_sskkm", lambda m: {**m, "point_weights": [2.0, *m["point_weights"][1:]]},
+        "point_weights",
     ),
 }
 
@@ -449,6 +496,7 @@ class TestEval:
                     "--out", tmp_path / "m.json"])
         assert code == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 def scores_from_recomputed_stats(model_path, x, train_gram):
@@ -458,8 +506,7 @@ def scores_from_recomputed_stats(model_path, x, train_gram):
     model, train = ClusterModel.from_dict(d.get("final_model", d))
     spec = model.kernel_spec
     wsum, _, inner = _cluster_stats(
-        train_gram(train, spec), model.assignments.cluster_of, model.point_weights,
-        model.n_clusters,
+        train_gram(train, spec), model.cluster_of, model.point_weights, model.n_clusters
     )
     model = replace(model, cluster_wsum=wsum, cluster_inner=inner)
     return score_batch(model, cross_matrix(x, train, spec), kernel_diag(x, spec))[1]
@@ -490,8 +537,8 @@ class TestKernelModelEval:
             return cross_matrix(q, y, spec)
 
         monkeypatch.setattr(cli, "cross_matrix", query_rows_only)
-        scores, n_classes = load_model_scores(model, x)
-        assert calls == [x.shape] and n_classes == 2
+        scores = load_model_scores(model, x)
+        assert calls == [x.shape] and scores.shape[1] == 2
         # the fit's own Gram gives the serialized statistics exactly
         fit_gram = scores_from_recomputed_stats(
             model, x, lambda train, spec: gram_matrix(train_set, spec).values
@@ -781,16 +828,38 @@ def fit_and_eval_commands(data, heldout):
     return commands
 
 
+# sha256 of the eight files fit_and_eval_commands writes at N = 1,500, from
+# relative paths, at every thread count.
+FAN_OUT_DIGESTS = {
+    "askkm.eval.json":
+        "defcee363e2e60b458a5a58e99c76ebcd5b85592c1ff376bc243edf211dfbc5e",
+    "askkm.json":
+        "b495e665f2058817a7457282c2e82a7ac1858ccc69af17e19be9e1442133feca",
+    "askkm_manhattan.eval.json":
+        "a35246e59c1b6bb242de6be233a4c70385725847c605214ec60e2cb1e60078e5",
+    "askkm_manhattan.json":
+        "251e752870b5e57093b98fb61e0a1ab85bb2d9ccef0a6935c2c51130938d58ed",
+    "original_sskkm.eval.json":
+        "7350aeb9d4dd5a1e480f28ac12e84d9605601212d577ab719f45fa53aee2ad9a",
+    "original_sskkm.json":
+        "00cca6b0ca8837766f38462176a2ca22318e576bddba33778e88d5b2b85e8b9d",
+    "unbiased_sskkm.eval.json":
+        "49a7ded0d90538af510c6e6c4790f9caf4e2cd528c087507b33afea3fdf5a627",
+    "unbiased_sskkm.json":
+        "12d044eecb9fc8eac45c41929b001ea791d4633622e41fb0e2b714e85b3dc639",
+}
+
+
 @pytest.mark.skipif(core._usable_cpus() < 2, reason="needs 2 CPUs for a second pool thread")
 def test_fit_and_eval_bytes_independent_of_fan_out_threads(tmp_path, monkeypatch):
     # N = 1,500 training rows and 1,500 eval rows: the Gram, the askkm fit
     # pairs and the eval cross matrix all sit above FAN_OUT_MIN_ENTRIES.
+    monkeypatch.chdir(tmp_path)
     scenario = ["gen", "--kind", "misspecified", "--class-sep", 5]
-    data, heldout = tmp_path / "data.csv", tmp_path / "heldout.csv"
     assert run([*scenario, "--unlabeled", 1480, "--seed", 21,
-                "--out-data", data, "--out-truth", tmp_path / "truth.json"]) == 0
+                "--out-data", "data.csv", "--out-truth", "truth.json"]) == 0
     assert run([*scenario, "--unlabeled", 0, "--labeled-per-class", 750, "--seed", 22,
-                "--out-data", heldout, "--out-truth", tmp_path / "heldout.truth.json"]) == 0
+                "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"]) == 0
     assert 1500 * 1500 >= core.FAN_OUT_MIN_ENTRIES
 
     threads = set()
@@ -814,17 +883,15 @@ def test_fit_and_eval_bytes_independent_of_fan_out_threads(tmp_path, monkeypatch
         else:
             monkeypatch.setenv(ENV_THREADS, cap)
         threads.clear()
-        for argv in fit_and_eval_commands(data, heldout):
+        for argv in fit_and_eval_commands("../data.csv", "../heldout.csv"):
             assert run(argv) == 0, argv
         seen[cap] = set(threads)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        assert digests == FAN_OUT_DIGESTS, cap
     here = threading.get_ident()
     assert seen["1"] == {here}
     assert len(seen[None] - {here}) >= 2
-    one, unset = tmp_path / "threads-1", tmp_path / "threads-None"
-    names = sorted(p.name for p in one.iterdir())
-    assert names == sorted(p.name for p in unset.iterdir()) and len(names) == 8
-    for name in names:
-        assert (one / name).read_bytes() == (unset / name).read_bytes(), name
 
 
 def test_error_in_unbiased_half_exits_3_as_on_one_thread(
@@ -833,10 +900,10 @@ def test_error_in_unbiased_half_exits_3_as_on_one_thread(
     monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
     real = askkm.fit_sskkm
 
-    def failing(km, d, label_map, k, opts, init=None):
+    def failing(km, d, label_map, opts, init=None):
         if opts.unlabeled_weight_mode == "unbiased":
-            raise InputError(f"unbiased half failed at K={k}")
-        return real(km, d, label_map, k, opts, init=init)
+            raise InputError(f"unbiased half failed at K={label_map.n_fine}")
+        return real(km, d, label_map, opts, init=init)
 
     monkeypatch.setattr(askkm, "fit_sskkm", failing)
     args = ["fit", "--data", dataset_csv, "--method", "askkm", "--out-model", tmp_path / "m.json"]

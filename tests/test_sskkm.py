@@ -7,7 +7,6 @@ from misspec_ssl.core import Dataset, InputError, SolverOptions
 from misspec_ssl.kernels import KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import (
-    Assignments,
     _cluster_stats,
     fit_sskkm,
     init_assignments,
@@ -17,12 +16,12 @@ from misspec_ssl.sskkm import (
 LINEAR = KernelSpec(kind="linear")
 
 
-def point_cluster_dist(km, a, weights, i, k):
+def point_cluster_dist(km, cluster_of, weights, i, k):
     """Brute-force oracle: squared kernel-space distance from point i to the
     weighted centroid of cluster k, from the full Gram matrix. The distance
     is invariant to scaling all weights by c > 0."""
     weights = np.asarray(weights, dtype=float)
-    member = a.cluster_of == k
+    member = cluster_of == k
     wsum = float(weights[member].sum())
     if wsum <= 0:
         raise InputError(f"cluster {k} has zero total weight")
@@ -70,15 +69,15 @@ class TestInitAssignments:
         x = [[0.0, 0.0], [5.0, 5.0], [0.0, 0.0]]
         d = build_dataset(x, [0, 1], [0, 1])
         km = gram_matrix(d, KernelSpec(kind="rbf", gamma=1.0))
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
-        assert a.cluster_of[2] == 0
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
+        assert a[2] == 0
 
     def test_tie_breaks_to_lowest_cluster(self):
         x = [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
         d = build_dataset(x, [0, 1], [0, 1])
         km = gram_matrix(d, KernelSpec(kind="rbf", gamma=0.5))
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
-        assert a.cluster_of[2] == 0
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
+        assert a[2] == 0
 
     def test_matches_explicit_nearest_seed_mean_oracle(self):
         rng = np.random.default_rng(11)
@@ -88,11 +87,11 @@ class TestInitAssignments:
         labels = np.array([0, 0, 0, 1, 1, 1])
         d = build_dataset(x, labeled, labels)
         km = gram_matrix(d, LINEAR)
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
         means = np.stack([x[labeled[labels == c]].mean(axis=0) for c in (0, 1)])
         for i in d.unlabeled_idx:
             want = int(np.argmin(((x[i] - means) ** 2).sum(axis=1)))
-            assert a.cluster_of[i] == want
+            assert a[i] == want
 
     def test_missing_seed_rejected(self):
         # a fine label with no labeled seed cannot exist, so it never reaches the init
@@ -125,7 +124,7 @@ class TestPointClusterDist:
     def test_singleton_self_distance_zero(self):
         d = seeded_instance(0, n=10)
         km = gram_matrix(d, LINEAR)
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
         weights = np.zeros(10)
         weights[0] = 1.0  # cluster 0 holds only point 0
         assert point_cluster_dist(km, a, weights, 0, 0) == 0.0
@@ -135,11 +134,11 @@ class TestPointClusterDist:
         x = rng.standard_normal((8, 3))
         d = build_dataset(x, [0, 4], [0, 1])
         km = gram_matrix(d, LINEAR)
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
         weights = np.ones(8)
         for i in range(8):
             for k in (0, 1):
-                members = a.cluster_of == k
+                members = a == k
                 centroid = x[members].mean(axis=0)
                 want = float(((x[i] - centroid) ** 2).sum())
                 got = point_cluster_dist(km, a, weights, i, k)
@@ -150,7 +149,7 @@ class TestPointClusterDist:
         x = rng.standard_normal((9, 2))
         d = build_dataset(x, [0, 5], [0, 1])
         km = gram_matrix(d, LINEAR)
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
         weights = rng.uniform(0.1, 1.0, size=9)
         base = point_cluster_dist(km, a, weights, 3, 0)
         assert point_cluster_dist(km, a, 2.0 * weights, 3, 0) == base
@@ -159,8 +158,8 @@ class TestPointClusterDist:
     def test_zero_weight_cluster_rejected(self):
         d = seeded_instance(0, n=10)
         km = gram_matrix(d, LINEAR)
-        a = init_assignments(km, d, LabelMap.identity(d.labels, 2), 2)
-        weights = np.where(a.cluster_of == 1, 0.0, 1.0)
+        a = init_assignments(km, d, LabelMap.identity(d.labels, 2))
+        weights = np.where(a == 1, 0.0, 1.0)
         with pytest.raises(InputError, match="cluster 1 has zero total weight"):
             point_cluster_dist(km, a, weights, 0, 1)
 
@@ -169,7 +168,7 @@ def fit_modes(d, km, k=2, **kw):
     lm = LabelMap.identity(d.labels, k)
     out = {}
     for mode in ("original", "unbiased"):
-        out[mode] = fit_sskkm(km, d, lm, k, SolverOptions(unlabeled_weight_mode=mode, **kw))
+        out[mode] = fit_sskkm(km, d, lm, SolverOptions(unlabeled_weight_mode=mode, **kw))
     return out
 
 
@@ -181,7 +180,7 @@ class TestFitSskkm:
         km = gram_matrix(d, LINEAR)
         fits = fit_modes(d, km)
         a, b = fits["original"], fits["unbiased"]
-        assert np.array_equal(a.assignments.cluster_of, b.assignments.cluster_of)
+        assert np.array_equal(a.cluster_of, b.cluster_of)
         assert a.objective == b.objective
         assert a.unlabeled_weight == b.unlabeled_weight == 1.0
 
@@ -189,10 +188,10 @@ class TestFitSskkm:
         d = seeded_instance(15, n=40)
         km = gram_matrix(d, KernelSpec(kind="rbf", gamma=0.2))
         lm = LabelMap.identity(d.labels, 2)
-        orig = fit_sskkm(km, d, lm, 2, SolverOptions(unlabeled_weight_mode="original"))
-        cust = fit_sskkm(km, d, lm, 2,
+        orig = fit_sskkm(km, d, lm, SolverOptions(unlabeled_weight_mode="original"))
+        cust = fit_sskkm(km, d, lm,
                          SolverOptions(unlabeled_weight_mode="custom", custom_weight=1.0))
-        assert np.array_equal(orig.assignments.cluster_of, cust.assignments.cluster_of)
+        assert np.array_equal(orig.cluster_of, cust.cluster_of)
         assert orig.objective == cust.objective
         assert orig.objective_trace == cust.objective_trace
 
@@ -201,7 +200,7 @@ class TestFitSskkm:
         x = rng.standard_normal((100, 2))
         d = build_dataset(x, np.arange(20), [0, 1] * 10)
         km = gram_matrix(d, LINEAR)
-        model = fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 2,
+        model = fit_sskkm(km, d, LabelMap.identity(d.labels, 2),
                           SolverOptions(unlabeled_weight_mode="unbiased"))
         assert model.unlabeled_weight == 20 / 100
 
@@ -218,40 +217,46 @@ class TestFitSskkm:
         d = seeded_instance(17, n=50, k=3)
         km = gram_matrix(d, KernelSpec(kind="rbf", gamma=None))
         lm = LabelMap.identity(d.labels, 3)
-        model = fit_sskkm(km, d, lm, 3, SolverOptions())
+        model = fit_sskkm(km, d, lm, SolverOptions())
         np.testing.assert_array_equal(
-            model.assignments.cluster_of[d.labeled_idx], lm.fine_of_point
+            model.cluster_of[d.labeled_idx], lm.fine_of_point
         )
 
     def test_deterministic(self):
         d = seeded_instance(18, n=45)
         km = gram_matrix(d, KernelSpec(kind="rbf", gamma=None))
         lm = LabelMap.identity(d.labels, 2)
-        a = fit_sskkm(km, d, lm, 2, SolverOptions(seed=5))
-        b = fit_sskkm(km, d, lm, 2, SolverOptions(seed=5))
-        assert np.array_equal(a.assignments.cluster_of, b.assignments.cluster_of)
+        a = fit_sskkm(km, d, lm, SolverOptions(seed=5))
+        b = fit_sskkm(km, d, lm, SolverOptions(seed=5))
+        assert np.array_equal(a.cluster_of, b.cluster_of)
         assert a.objective == b.objective
 
-    def test_label_map_checked_even_with_init(self):
-        # every cluster needs a pinned labeled point, or it could empty
+    def test_init_checked_against_label_map(self):
+        # one cluster id of the label map's K per point, with the labeled
+        # points pinned to their fine labels
         d = build_dataset(np.eye(3), [0, 1], [0, 1])
         km = gram_matrix(d, LINEAR)
-        init = Assignments(cluster_of=[0, 1, 2], n_clusters=3)
-        with pytest.raises(InputError, match="without a labeled carrier"):
-            LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
-        with pytest.raises(InputError, match="2 fine labels, expected 3"):
-            fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 3, SolverOptions(), init=init)
+        lm = LabelMap.identity(d.labels, 2)
+        for init in ([0, 1, 2], [0, 1, -1], [0, 1]):
+            with pytest.raises(InputError, match=r"cluster id in 0\.\.1"):
+                fit_sskkm(km, d, lm, SolverOptions(), init=np.array(init))
+        with pytest.raises(InputError, match="do not pin labeled points"):
+            fit_sskkm(km, d, lm, SolverOptions(), init=np.array([1, 0, 0]))
+        init = np.array([0, 1, 0])
+        model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
+        assert model.n_clusters == 2
+        assert init.tolist() == [0, 1, 0]  # the caller's init is not written to
 
     def test_matches_pinned_lloyd_oracle(self):
         for seed in range(5):
             d = seeded_instance(seed + 100, n=40, dim=3, k=2)
             km = gram_matrix(d, LINEAR)
             lm = LabelMap.identity(d.labels, 2)
-            init = init_assignments(km, d, lm, 2)
-            model = fit_sskkm(km, d, lm, 2, SolverOptions(), init=init)
+            init = init_assignments(km, d, lm)
+            model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
             oracle = pinned_lloyd(d.features, d.labeled_idx, lm.fine_of_point,
-                                  init.cluster_of, 2)
-            np.testing.assert_array_equal(model.assignments.cluster_of, oracle)
+                                  init, 2)
+            np.testing.assert_array_equal(model.cluster_of, oracle)
 
 
 def pinned_lloyd(x, labeled_idx, pins, init, k, max_iter=300):
@@ -274,21 +279,21 @@ class TestClassification:
         d = seeded_instance(seed, n=30, k=k)
         km = gram_matrix(d, LINEAR)
         lm = LabelMap.identity(d.labels, k)
-        model = fit_sskkm(km, d, lm, k, SolverOptions())
+        model = fit_sskkm(km, d, lm, SolverOptions())
         return d, km, model
 
     def test_training_point_maps_to_its_class(self):
         d, km, model = self.build_model()
         i = int(d.labeled_idx[1])
         label = classify_point(model, km.values[i], km.values[i, i])
-        assert label == model.label_map.fine_to_class[model.assignments.cluster_of[i]]
+        assert label == model.label_map.fine_to_class[model.cluster_of[i]]
 
     def test_two_clusters_same_class(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [8.0, 8.0], [8.1, 8.0], [4.0, 4.0]])
         d = build_dataset(x, [0, 1, 2, 3], [0, 0, 1, 1])
         km = gram_matrix(d, LINEAR)
         lm = LabelMap(fine_to_class=[0, 0, 1], fine_of_point=[0, 1, 2, 2], n_classes=2)
-        model = fit_sskkm(km, d, lm, 3, SolverOptions())
+        model = fit_sskkm(km, d, lm, SolverOptions())
         # query near either of the two class-0 clusters gives class 0
         assert classify_point(model, km.values[0], km.values[0, 0]) == 0
         assert classify_point(model, km.values[1], km.values[1, 1]) == 0
@@ -299,7 +304,7 @@ class TestClassification:
         w = model.point_weights
         centroids = []
         for k in range(model.n_clusters):
-            members = model.assignments.cluster_of == k
+            members = model.cluster_of == k
             centroids.append((w[members] @ x[members]) / w[members].sum())
         centroids = np.stack(centroids)
         rng = np.random.default_rng(21)
@@ -326,10 +331,10 @@ class TestClassification:
         d = seeded_instance(25, n=30, k=3)
         km = gram_matrix(d, LINEAR)
         lm = LabelMap(fine_to_class=[0, 1, 1], fine_of_point=d.labels, n_classes=2)
-        model = fit_sskkm(km, d, lm, 3, SolverOptions(unlabeled_weight_mode="unbiased"))
+        model = fit_sskkm(km, d, lm, SolverOptions(unlabeled_weight_mode="unbiased"))
         labels, scores = score_batch(model, km.values, km.diag)
         for i in range(d.n_points):
-            dist = [point_cluster_dist(km, model.assignments, model.point_weights, i, k)
+            dist = [point_cluster_dist(km, model.cluster_of, model.point_weights, i, k)
                     for k in range(3)]
             np.testing.assert_allclose(scores[i], [-dist[0], -min(dist[1:])],
                                        rtol=1e-9, atol=1e-9)
@@ -339,7 +344,7 @@ class TestClassification:
         x = np.array([[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.1], [1.0, 0.1]])
         d = build_dataset(x, [0, 1, 2, 3], [0, 1, 0, 1])
         km = gram_matrix(d, LINEAR)
-        model = fit_sskkm(km, d, LabelMap.identity(d.labels, 2), 2, SolverOptions())
+        model = fit_sskkm(km, d, LabelMap.identity(d.labels, 2), SolverOptions())
         q = np.array([0.0, 0.05])
         scores = class_scores(model, q @ x.T, float(q @ q))
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
