@@ -3,7 +3,7 @@ forms, misspecification detection from their disagreement, and adaptive
 cluster growth to recover from a misspecified structure."""
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
-from .core import Dataset, InputError, SolverOptions, derive_seed
+from .core import UNLABELED, Dataset, InputError, SolverOptions, derive_seed
 from .datagen import GenSpec, generate, load_csv, sample_eval_set, write_csv
 from .evalx import LearningCurve, average_precision, learning_curve, mean_ap, predict
 from .kernels import KernelMatrix, KernelSpec, gram_matrix
@@ -32,6 +32,7 @@ __all__ = [
     "LabelMap",
     "LearningCurve",
     "SolverOptions",
+    "UNLABELED",
     "average_precision",
     "bayes_classify_batch",
     "default_threshold",

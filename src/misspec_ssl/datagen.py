@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, InputError, derive_seed
+from .core import UNLABELED, Dataset, InputError, derive_seed
 
 GEN_KINDS = ("well_specified", "misspecified")
 SUBCLUSTER_JITTER = 0.05
@@ -174,12 +174,8 @@ def generate(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
 
     unl_counts = _split_counts(spec.n_unlabeled, spec.n_classes)
     rows: list[np.ndarray] = []
-    labels_all: list[np.ndarray] = []
+    row_labels: list[np.ndarray] = []
     comps_all: list[np.ndarray] = []
-    labeled_idx: list[int] = []
-    unlabeled_idx: list[int] = []
-    labels: list[int] = []
-    cursor = 0
     for c in range(spec.n_classes):
         comps = np.flatnonzero(comp_class == c)
         pattern = _subcluster_pattern(m, c)
@@ -189,26 +185,20 @@ def generate(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
         unl_x = means[unl_sub] + rng_unl.standard_normal((unl_counts[c], spec.dim))
 
         rows.extend([lab_x, unl_x])
-        labels_all.append(np.full(spec.n_labeled_per_class + unl_counts[c], c))
+        row_labels.extend([np.full(spec.n_labeled_per_class, c),
+                           np.full(unl_counts[c], UNLABELED)])
         comps_all.extend([lab_sub, unl_sub])
-        labeled_idx.extend(range(cursor, cursor + spec.n_labeled_per_class))
-        labels.extend([c] * spec.n_labeled_per_class)
-        cursor += spec.n_labeled_per_class
-        unlabeled_idx.extend(range(cursor, cursor + int(unl_counts[c])))
-        cursor += int(unl_counts[c])
 
     dataset = Dataset(
         features=np.concatenate(rows, axis=0),
-        labeled_idx=np.asarray(labeled_idx, dtype=int),
-        labels=np.asarray(labels, dtype=int),
-        unlabeled_idx=np.asarray(unlabeled_idx, dtype=int),
+        row_labels=np.concatenate(row_labels),
         n_classes=spec.n_classes,
     )
     truth = GroundTruth(
         component_means=means,
         component_class=comp_class,
         variance=1.0,
-        true_labels=np.concatenate(labels_all),
+        true_labels=np.repeat(np.arange(spec.n_classes), spec.n_labeled_per_class + unl_counts),
         true_component=np.concatenate(comps_all),
     )
     return dataset, truth
@@ -249,11 +239,9 @@ def load_csv(path: str | Path) -> tuple[Dataset, list[str]]:
             raise InputError(f"{path}: header row required (empty file or blank first line)")
 
         features: list[list[float]] = []
-        labeled_idx: list[int] = []
-        unlabeled_idx: list[int] = []
-        labels: list[int] = []
-        names: list[str] = []
-        name_to_id: dict[str, int] = {}
+        row_labels: list[int] = []
+        # the unlabeled mark, then the class names in id order
+        name_to_id: dict[str, int] = {UNLABELED_MARKER: UNLABELED}
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise InputError(
@@ -264,21 +252,12 @@ def load_csv(path: str | Path) -> tuple[Dataset, list[str]]:
                 features.append([float(v) for v in values])
             except ValueError as exc:
                 raise InputError(f"{path}:{line_no}: bad feature value ({exc})") from None
-            i = len(features) - 1
-            if raw == UNLABELED_MARKER:
-                unlabeled_idx.append(i)
-            else:
-                if raw not in name_to_id:
-                    name_to_id[raw] = len(names)
-                    names.append(raw)
-                labeled_idx.append(i)
-                labels.append(name_to_id[raw])
+            row_labels.append(name_to_id.setdefault(raw, len(name_to_id) - 1))
 
+    names = list(name_to_id)[1:]
     dataset = Dataset(
         features=np.asarray(features, dtype=float),
-        labeled_idx=np.asarray(labeled_idx, dtype=int),
-        labels=np.asarray(labels, dtype=int),
-        unlabeled_idx=np.asarray(unlabeled_idx, dtype=int),
+        row_labels=np.asarray(row_labels, dtype=int),
         n_classes=len(names),
     )
     return dataset, names
@@ -288,10 +267,9 @@ def write_csv(d: Dataset, path: str | Path) -> None:
     """Write a dataset in the format load_csv reads: feature columns, then a
     final label column holding the class id, or ``?`` for an unlabeled row."""
     path = Path(path)
-    label_of_row = {int(i): str(int(c)) for i, c in zip(d.labeled_idx, d.labels)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(d.dim)] + ["label"])
-        for i in range(d.n_points):
-            label = label_of_row.get(i, UNLABELED_MARKER)
-            writer.writerow([repr(v) for v in d.features[i].tolist()] + [label])
+        for row, c in zip(d.features.tolist(), d.row_labels.tolist()):
+            label = UNLABELED_MARKER if c == UNLABELED else str(c)
+            writer.writerow([repr(v) for v in row] + [label])

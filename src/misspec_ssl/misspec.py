@@ -26,10 +26,11 @@ class LabelMap:
     """Surjection g from fine labels (clusters) onto classes, plus the current
     fine label of every labeled point.
 
-    Fine labels 0..C-1 are the base labels (g is the identity there); labels
-    created by modify_structure come after them. Construction raises
-    InputError unless g is onto the classes and every fine label is carried
-    by a labeled point.
+    The identity map gives class c the fine label c. modify_structure appends
+    its new labels in creation order, then drops every label left without a
+    carrier and renumbers the rest in order, so fine label c need not map to
+    class c afterwards. Construction raises InputError unless g is onto the
+    classes and every fine label is carried by a labeled point.
     """
 
     fine_to_class: np.ndarray

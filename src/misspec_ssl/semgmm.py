@@ -79,7 +79,9 @@ class GmmModel:
     def from_dict(d: dict) -> "GmmModel":
         """Inverse of to_dict; InputError unless the arrays have consistent
         shapes, the weights are finite and >= 0, the means finite, the
-        variances finite and > 0, and the component map names classes 0..C-1."""
+        variances finite and > 0 and not so small, nor the means so large,
+        that no query can be scored, and the component map names classes
+        0..C-1."""
         if d["covariance_type"] != "diag":
             raise InputError(f"covariance_type must be 'diag', got {d['covariance_type']!r}")
         m = GmmModel(
@@ -105,6 +107,10 @@ class GmmModel:
             raise InputError(f"covariances {m.covariances.shape} must have shape {m.means.shape}")
         if not np.all(np.isfinite(m.covariances) & (m.covariances > 0)):
             raise InputError("covariances must be finite and > 0")
+        if _query_bound(m) <= 0:
+            raise InputError(f"covariances (min {m.covariances.min():.3g}) and means "
+                             f"(max |mean| {np.max(np.abs(m.means)):.3g}) leave no query "
+                             "whose squared distances stay finite")
         if m.comp_map.shape != (k,) or np.any((m.comp_map < 0) | (m.comp_map >= m.n_classes)):
             raise InputError(f"comp_map must map {k} components to classes 0..{m.n_classes - 1}")
         return m
@@ -338,28 +344,28 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
     )
 
 
-def _check_query_magnitude(m: GmmModel, x: np.ndarray) -> None:
-    """Reject query features too large for the model's log-densities. While
-    every |x - mu| stays within 0.5 * sqrt(float64 max * min(1, var_min / d)),
-    each square, each (x - mu)**2 / var and their sum over the d features
-    stay finite; |x - mu| is at most max|x| + max|mu|."""
+def _query_bound(m: GmmModel) -> float:
+    """The largest query feature magnitude the model's log-densities take.
+    While every |x - mu| stays within 0.5 * sqrt(float64 max * min(1,
+    var_min / d)), each square, each (x - mu)**2 / var and their sum over the
+    d features stay finite; |x - mu| is at most max|x| + max|mu|."""
     limit = 0.5 * float(np.sqrt(np.finfo(float).max * min(1.0, m.covariances.min() / m.dim)))
-    bound = limit - float(np.max(np.abs(m.means)))
-    peak = float(np.max(np.abs(x), initial=0.0))
-    if peak > bound:
-        raise InputError(
-            f"query feature magnitude {peak:.3g} exceeds {bound:.3g}, beyond which "
-            "the model's squared distances overflow float64"
-        )
+    return limit - float(np.max(np.abs(m.means)))
 
 
 def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bayes plug-in labels (Q,) and class posteriors (Q, C) of query points,
     from one pass over the components. A label is the argmax over classes of
     the joint density f(x, y), ties to the lowest class id; the posteriors
-    are the normalized joint densities. Log-domain throughout. Features too
-    large for the model's arithmetic are an InputError."""
-    _check_query_magnitude(m, x)
+    are the normalized joint densities. Log-domain throughout. Features
+    beyond _query_bound are an InputError."""
+    bound = _query_bound(m)
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if peak > bound:
+        raise InputError(
+            f"query feature magnitude {peak:.3g} exceeds {bound:.3g}, beyond which "
+            "the model's squared distances overflow float64"
+        )
     logj = class_log_joint(m, x)
     p = np.exp(logj - _row_max(logj)[:, None])
     return np.argmax(logj, axis=1), p / _row_sum(p)[:, None]

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions
+from .core import UNLABELED, Dataset, InputError, SolverOptions
 from .kernels import KernelMatrix, KernelSpec
 from .misspec import LabelMap
 
@@ -160,10 +160,7 @@ def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap) -> np.nd
 
 
 def _point_weights(d: Dataset, unlabeled_weight: float) -> np.ndarray:
-    w = np.zeros(d.n_points)
-    w[d.labeled_idx] = 1.0
-    w[d.unlabeled_idx] = unlabeled_weight
-    return w
+    return np.where(d.row_labels == UNLABELED, unlabeled_weight, 1.0)
 
 
 def fit_sskkm(

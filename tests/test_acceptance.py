@@ -21,7 +21,7 @@ import pytest
 
 from misspec_ssl.askkm import AskkmOptions, fit_askkm
 from misspec_ssl.cli import main as cli_main
-from misspec_ssl.core import Dataset, SolverOptions, derive_seed
+from misspec_ssl.core import UNLABELED, Dataset, SolverOptions, derive_seed
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import average_precision, predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
@@ -166,14 +166,9 @@ def random_ssl_dataset(rng, n_max=60):
     per_class = int(rng.integers(2, 5))
     n = int(rng.integers(n_classes * per_class + 2, n_max))
     x = rng.standard_normal((n, int(rng.integers(1, 4)))) * rng.uniform(0.5, 4.0)
-    labeled = np.arange(n_classes * per_class)
-    return Dataset(
-        features=x,
-        labeled_idx=labeled,
-        labels=np.repeat(np.arange(n_classes), per_class),
-        unlabeled_idx=np.arange(labeled.size, n),
-        n_classes=n_classes,
-    )
+    row_labels = np.full(n, UNLABELED)
+    row_labels[: n_classes * per_class] = np.repeat(np.arange(n_classes), per_class)
+    return Dataset(features=x, row_labels=row_labels, n_classes=n_classes)
 
 
 class TestCriterion4SolverOracles:
@@ -213,10 +208,8 @@ class TestCriterion4SolverOracles:
             k = int(rng.integers(2, 4))
             n = int(rng.integers(k + 3, 51))
             x = rng.standard_normal((n, int(rng.integers(1, 4)))) * 3
-            d = Dataset(
-                features=x, labeled_idx=np.arange(k), labels=np.arange(k),
-                unlabeled_idx=np.arange(k, n), n_classes=k,
-            )
+            d = Dataset(features=x, row_labels=np.r_[np.arange(k), np.full(n - k, UNLABELED)],
+                        n_classes=k)
             km = gram_matrix(d, KernelSpec(kind="linear"))
             lm = LabelMap.identity(d.labels, k)
             init = init_assignments(km, d, lm)
@@ -238,8 +231,7 @@ class TestCriterion4SolverOracles:
     def test_no_unlabeled_weight_modes_bit_identical(self):
         rng = np.random.default_rng(derive_seed(BASE_SEED, "nu0"))
         x = rng.standard_normal((24, 2))
-        d = Dataset(features=x, labeled_idx=np.arange(24), labels=np.array([0, 1] * 12),
-                    unlabeled_idx=np.array([], dtype=int), n_classes=2)
+        d = Dataset(features=x, row_labels=[0, 1] * 12, n_classes=2)
         sems = [
             fit_sem(d, 2, np.arange(2), SolverOptions(unlabeled_weight_mode=m))
             for m in ("original", "unbiased")

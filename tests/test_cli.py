@@ -354,6 +354,17 @@ INCONSISTENT = {
         "unbiased_sskkm", lambda m: {**m, "point_weights": [2.0, *m["point_weights"][1:]]},
         "point_weights",
     ),
+    # every query overflows: the model, not the query, is at fault
+    "tiny_variance": (
+        "original_sem",
+        lambda m: {**m, "covariances": np.full(np.shape(m["covariances"]), 1e-320).tolist()},
+        "is malformed: covariances (min 1e-320)",
+    ),
+    "huge_mean": (
+        "original_sem",
+        lambda m: {**m, "means": np.full(np.shape(m["means"]), 1e300).tolist()},
+        "and means (max |mean| 1e+300) leave no query",
+    ),
 }
 
 
@@ -754,6 +765,56 @@ def test_wide_sem_outputs_match_pinned_digests(tmp_path, monkeypatch):
         assert run(argv) == 0, argv
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
     assert digests == PINNED_WIDE_DIGESTS
+
+
+# sha256 of every file test_shuffled_csv_outputs_match_pinned_digests writes:
+# a CSV whose labeled and unlabeled rows interleave and whose classes are
+# named out of sorted order ("b" appears first), so the dataset's labeled
+# rows, their class ids and the unlabeled rows come from one label column in
+# an order no generated file has.
+SHUFFLED_DIGESTS = {
+    "askkm.criterion.json":
+        "3b0f1a2a701e3827fc00fd5bb8f3df1db2ba205767a9464fcb11f12d7ebb3b68",
+    "askkm.eval.json":
+        "b463ef3e323b9c95d2e7e3c3d5e597e486677b983d38c238159ba00745c12541",
+    "askkm.json":
+        "c6acb6287223a94571fda1a49cd4092a5ea2a309a4fc94de7590b6a77cac2f8f",
+    "original_sem.eval.json":
+        "864e5a2181428b728cae6d97d383684b8413fd415436609dce5b1229cde671bf",
+    "original_sem.json":
+        "7e65fe1cfe07f3bc5ecdf15a6a66471a84b782833abdc3166989f680b5cf80f9",
+    "shuffled.csv":
+        "b8e6d7b0e30e534fccd36bcbfb6d847da3314840f7ced1888fab75ce5ac501f2",
+    "unbiased_sskkm.eval.json":
+        "d77b0a818b53795f43fa02074d5987da706cde38555d295da5c11297981783f9",
+    "unbiased_sskkm.json":
+        "c0abf66a4aeb05df1ee60111f088f29c8ff5b6d2910d6b06acd706c4b797ba52",
+}
+
+
+def test_shuffled_csv_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--kind", "misspecified", "--class-sep", 3.0, "--labeled-per-class", 6,
+                "--unlabeled", 60, "--seed", 46, "--out-data", "generated.csv",
+                "--out-truth", "truth.json"]) == 0
+    header, *rows = Path("generated.csv").read_text(encoding="utf-8").splitlines()
+    Path("generated.csv").unlink()
+    Path("truth.json").unlink()
+    names = {"0": "b", "1": "a", "?": "?"}
+    rows = [row.rsplit(",", 1) for row in rows]
+    lines = [f"{rows[i][0]},{names[rows[i][1]]}"
+             for i in np.random.default_rng(46).permutation(len(rows))]
+    labels = [line.rsplit(",", 1)[1] for line in lines]
+    assert labels[:5] == ["?", "?", "?", "?", "b"] and "a" in labels[5:12]
+    Path("shuffled.csv").write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    for method, extra in (("original_sem", []), ("unbiased_sskkm", []),
+                          ("askkm", ["--out-criterion", "askkm.criterion.json"])):
+        assert run(["fit", "--data", "shuffled.csv", "--method", method, *extra,
+                    "--out-model", f"{method}.json"]) == 0
+        assert run(["eval", "--model", f"{method}.json", "--data", "shuffled.csv",
+                    "--verbose", "--out", f"{method}.eval.json"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
+    assert digests == SHUFFLED_DIGESTS
 
 
 # Checks that OpenBLAS starts with the OPENBLAS_NUM_THREADS threads asked

@@ -13,6 +13,7 @@ from misspec_ssl import core
 from misspec_ssl.core import (
     ENV_THREADS,
     FAN_OUT_MIN_ENTRIES,
+    UNLABELED,
     Dataset,
     InputError,
     SolverOptions,
@@ -21,82 +22,57 @@ from misspec_ssl.core import (
 )
 
 
-def oracle_violations(features, labeled_idx, labels, unlabeled_idx, n_classes):
-    """Sort-based oracle of the Dataset construction check: every broken
-    invariant of the five fields, as messages, in the order construction
-    reports them."""
-    features = np.asarray(features, dtype=float)
-    labeled_idx = np.asarray(labeled_idx, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    unlabeled_idx = np.asarray(unlabeled_idx, dtype=int)
-    if features.ndim != 2:
-        return [f"features must be a 2-D matrix, got ndim={features.ndim}"]
-    problems = []
+def oracle_violations(features, row_labels, n_classes):
+    """Plain-loop oracle of the Dataset construction check for a 2-D
+    feature matrix and a list of row labels: every broken invariant, as
+    messages, in the order construction reports them."""
     n, dim = features.shape
+    problems = []
     if dim < 1:
         problems.append(f"features need at least one column (dim >= 1), got dim={dim}")
 
-    if not np.all(np.isfinite(features)):
-        bad = np.argwhere(~np.isfinite(features))
-        problems.append(f"non-finite feature value at (row, col) {tuple(bad[0])}")
+    bad = [(i, j) for i in range(n) for j in range(dim) if not np.isfinite(features[i, j])]
+    if bad:
+        # the message shows the position as numpy integers
+        row, col = bad[0]
+        problems.append(f"non-finite feature value at (row, col) {(np.intp(row), np.intp(col))}")
 
-    covered = np.zeros(n, dtype=bool)
-    for name, idx in (("labeled_idx", labeled_idx), ("unlabeled_idx", unlabeled_idx)):
-        outside = (idx < 0) | (idx >= n)
-        covered[idx[~outside]] = True
-        out = idx[outside]
-        if out.size:
-            problems.append(f"{name} out of range [0, {n}): {sorted(out.tolist())}")
-        uniq, counts = np.unique(idx, return_counts=True)
-        dups = uniq[counts > 1]
-        if dups.size:
-            problems.append(f"duplicate indices in {name}: {sorted(dups.tolist())}")
-
-    overlap = np.intersect1d(labeled_idx, unlabeled_idx)
-    for i in overlap.tolist():
-        problems.append(f"labeled/unlabeled overlap at index {i}")
-
-    uncovered = np.flatnonzero(~covered)
-    if uncovered.size:
+    if len(row_labels) != n:
         problems.append(
-            f"{uncovered.size} rows in neither labeled_idx nor unlabeled_idx, "
-            f"first {uncovered[:5].tolist()}"
+            f"row_labels must hold one label per row ({n}), got shape ({len(row_labels)},)"
         )
 
-    if labels.size != labeled_idx.size:
-        problems.append(
-            f"labels length {labels.size} != labeled_idx length {labeled_idx.size}"
-        )
+    out = sorted({c for c in row_labels if c != UNLABELED and not 0 <= c < n_classes})
+    if out:
+        problems.append(f"row labels outside -1..{n_classes - 1}: {out}")
 
     if n_classes < 2:
         problems.append(f"n_classes must be >= 2, got {n_classes}")
 
-    if labeled_idx.size == 0:
+    labels = [c for c in row_labels if c != UNLABELED]
+    if not labels:
         problems.append("no labeled points (every solver needs >= 1 labeled point per class)")
     else:
-        out = labels[(labels < 0) | (labels >= n_classes)]
-        if out.size:
-            problems.append(
-                f"label ids outside 0..{n_classes - 1}: {sorted(set(out.tolist()))}"
-            )
-        present = set(labels.tolist())
-        for c in range(n_classes):
-            if c not in present:
-                problems.append(f"class {c} unrepresented among labels")
+        problems += [f"class {c} unrepresented among labels"
+                     for c in range(n_classes) if c not in labels]
 
     return problems
 
 
-def make_dataset(n=4, labeled=(0, 1), labels=(0, 1), unlabeled=(2, 3), n_classes=2, dim=2,
-                 features=None):
+def make_dataset(row_labels=(0, 1, UNLABELED, UNLABELED), n_classes=2, dim=2, features=None):
     rng = np.random.default_rng(0)
     return Dataset(
-        features=rng.standard_normal((n, dim)) if features is None else features,
-        labeled_idx=np.array(labeled),
-        labels=np.array(labels),
-        unlabeled_idx=np.array(unlabeled),
+        features=rng.standard_normal((len(row_labels), dim)) if features is None else features,
+        row_labels=np.array(row_labels),
         n_classes=n_classes,
     )
+
+
+def assert_derived_arrays(d):
+    """labeled_idx, labels and unlabeled_idx as read off row_labels."""
+    np.testing.assert_array_equal(d.labeled_idx, np.flatnonzero(d.row_labels != UNLABELED))
+    np.testing.assert_array_equal(d.labels, d.row_labels[d.labeled_idx])
+    np.testing.assert_array_equal(d.unlabeled_idx, np.flatnonzero(d.row_labels == UNLABELED))
 
 
 class TestValidateDataset:
@@ -104,13 +80,9 @@ class TestValidateDataset:
         d = make_dataset()
         assert d.n_points == 4 and d.n_labeled == 2 and d.n_unlabeled == 2
 
-    def test_overlap_reported_with_index(self):
-        with pytest.raises(InputError, match="overlap at index 1"):
-            make_dataset(labeled=(0, 1), unlabeled=(1, 2))
-
     def test_unrepresented_class(self):
         with pytest.raises(InputError, match="class 1 unrepresented"):
-            make_dataset(labels=(0, 0))
+            make_dataset(row_labels=(0, 0, UNLABELED, UNLABELED))
 
     def test_non_finite_features(self):
         features = np.random.default_rng(0).standard_normal((4, 2))
@@ -118,74 +90,65 @@ class TestValidateDataset:
         with pytest.raises(InputError, match="non-finite"):
             make_dataset(features=features)
 
-    def test_out_of_range_and_duplicates(self):
-        with pytest.raises(InputError, match="duplicate"):
-            make_dataset(unlabeled=(2, 2))
-        with pytest.raises(InputError, match="out of range"):
-            make_dataset(unlabeled=(2, 9))
-
-    def test_rows_in_neither_partition_reported(self):
+    def test_one_label_per_row(self):
         with pytest.raises(InputError) as exc:
-            make_dataset(n=6)
+            make_dataset(features=np.zeros((5, 2)))
         assert str(exc.value) == (
-            "invalid dataset: 2 rows in neither labeled_idx nor unlabeled_idx, first [4, 5]"
+            "invalid dataset: row_labels must hold one label per row (5), got shape (4,)"
         )
+        with pytest.raises(InputError, match=r"one label per row \(4\), got shape \(2, 2\)"):
+            make_dataset(row_labels=[[0, 1], [UNLABELED, UNLABELED]], features=np.zeros((4, 2)))
+
+    def test_labels_outside_the_classes_reported(self):
+        with pytest.raises(InputError) as exc:
+            make_dataset(row_labels=(0, 1, -2, 2))
+        assert str(exc.value) == "invalid dataset: row labels outside -1..1: [-2, 2]"
 
     def test_no_labeled_points_rejected(self):
         with pytest.raises(InputError, match="no labeled points"):
-            make_dataset(labeled=(), labels=(), unlabeled=(0, 1, 2, 3))
+            make_dataset(row_labels=(UNLABELED,) * 4)
 
     @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_random_consistent_datasets_validate(self, n_classes, per_class, n_unl, seed):
         rng = np.random.default_rng(seed)
         n = n_classes * per_class + n_unl
-        perm = rng.permutation(n)
-        labeled = perm[: n_classes * per_class]
-        d = Dataset(
-            features=rng.standard_normal((n, 3)),
-            labeled_idx=labeled,
-            labels=np.repeat(np.arange(n_classes), per_class),
-            unlabeled_idx=perm[n_classes * per_class :],
-            n_classes=n_classes,
+        row_labels = np.full(n, UNLABELED)
+        row_labels[rng.permutation(n)[: n_classes * per_class]] = np.repeat(
+            np.arange(n_classes), per_class
         )
-        assert d.n_points == n
+        d = Dataset(features=rng.standard_normal((n, 3)), row_labels=row_labels,
+                    n_classes=n_classes)
+        assert d.n_points == n and d.n_labeled == n_classes * per_class
+        assert_derived_arrays(d)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
-    def test_construction_matches_sort_based_oracle(self, seed):
-        # N 0..7, dim 0..3, n_classes 0..4. In-range index arrays: a row is
-        # labeled, unlabeled, both or neither, and either array may repeat a
-        # row. A label may fall outside the classes, the label list may be
-        # one short or long, and a feature may be nan. About one draw in 20
-        # is a valid dataset.
+    def test_construction_matches_loop_oracle(self, seed):
+        # N 0..7, dim 0..3, n_classes 0..4. A row label is a class or
+        # UNLABELED, now and then -2 or n_classes (out of range); the label
+        # list may be one short or long, and a feature may be nan. About one
+        # draw in 8 is a valid dataset.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 8))
         dim = int(rng.choice(4, p=[0.1, 0.3, 0.3, 0.3]))
         n_classes = int(rng.choice(5, p=[0.05, 0.05, 0.4, 0.3, 0.2]))
-        role = rng.choice(4, size=n, p=[0.45, 0.45, 0.05, 0.05])
-        labeled = rng.permutation(np.flatnonzero((role == 0) | (role == 2)))
-        unlabeled = np.flatnonzero((role == 1) | (role == 2))
-        if n and rng.random() < 0.1:
-            labeled = np.append(labeled, rng.integers(n))
-        if n and rng.random() < 0.1:
-            unlabeled = np.append(unlabeled, rng.integers(n))
-        n_labels = max(labeled.size + rng.choice([0, 1, -1], p=[0.9, 0.05, 0.05]), 0)
-        labels = rng.integers(0, max(n_classes, 1), size=n_labels)
-        labels[rng.random(n_labels) < 0.05] = -1
-        labels[rng.random(n_labels) < 0.05] = n_classes
+        length = max(n + int(rng.choice([0, 1, -1], p=[0.9, 0.05, 0.05])), 0)
+        row_labels = rng.integers(UNLABELED, max(n_classes, 1), size=length)
+        row_labels[rng.random(length) < 0.05] = -2
+        row_labels[rng.random(length) < 0.05] = n_classes
         features = rng.standard_normal((n, dim))
         if features.size and rng.random() < 0.1:
             features[rng.integers(n), rng.integers(dim)] = np.nan
 
-        want = oracle_violations(features, labeled, labels, unlabeled, n_classes)
+        want = oracle_violations(features, row_labels.tolist(), n_classes)
         try:
-            Dataset(features=features, labeled_idx=labeled, labels=labels,
-                    unlabeled_idx=unlabeled, n_classes=n_classes)
+            d = Dataset(features=features, row_labels=row_labels, n_classes=n_classes)
         except InputError as exc:
             assert str(exc) == "invalid dataset: " + "; ".join(want)
         else:
             assert want == []
+            assert_derived_arrays(d)
 
 
 class TestSolverOptions:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from misspec_ssl.core import InputError, SolverOptions, derive_seed
+from misspec_ssl.core import UNLABELED, InputError, SolverOptions, derive_seed
 from misspec_ssl.datagen import (
     GenSpec,
     generate,
@@ -123,6 +123,7 @@ class TestCsv:
         assert d.n_labeled == 2
         assert d.n_unlabeled == 1
         assert names == ["cat", "dog"]
+        np.testing.assert_array_equal(d.row_labels, [0, UNLABELED, 1])
         np.testing.assert_array_equal(d.labels, [0, 1])
 
     def test_first_appearance_mapping(self, tmp_path):
@@ -139,9 +140,7 @@ class TestCsv:
         loaded, names = load_csv(f)
         assert names == [str(c) for c in range(d.n_classes)]
         np.testing.assert_array_equal(loaded.features, d.features)
-        np.testing.assert_array_equal(loaded.labeled_idx, d.labeled_idx)
-        np.testing.assert_array_equal(loaded.labels, d.labels)
-        np.testing.assert_array_equal(loaded.unlabeled_idx, d.unlabeled_idx)
+        np.testing.assert_array_equal(loaded.row_labels, d.row_labels)
         assert loaded.n_classes == d.n_classes
         # second round trip is byte-stable
         f2 = tmp_path / "rt2.csv"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from misspec_ssl import core
-from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, Dataset, InputError, derive_seed
+from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, UNLABELED, Dataset, InputError, derive_seed
 from misspec_ssl.kernels import (
     BLOCK_ENTRIES,
     BLOCK_ROWS,
@@ -26,15 +26,10 @@ from misspec_ssl.kernels import (
 
 
 def dataset_from_features(x, n_classes=2):
-    n = x.shape[0]
-    labels = np.arange(n_classes)
-    return Dataset(
-        features=x,
-        labeled_idx=np.arange(n_classes),
-        labels=labels,
-        unlabeled_idx=np.arange(n_classes, n),
-        n_classes=n_classes,
-    )
+    """Row c is labeled with class c for every class; the rest are unlabeled."""
+    row_labels = np.full(x.shape[0], UNLABELED)
+    row_labels[:n_classes] = np.arange(n_classes)
+    return Dataset(features=x, row_labels=row_labels, n_classes=n_classes)
 
 
 SPECS = [

@@ -110,6 +110,17 @@ class TestModifyStructure:
         assert lm.n_fine == 4
         assert sorted(lm.fine_to_class[2:].tolist()) == [0, 1]
 
+    def test_base_label_without_carriers_dropped(self):
+        # both class-0 points move to a (0, 1) label and the class-1 point 2
+        # to a (1, 0) label: base label 0 loses its carriers, and the
+        # survivors are renumbered, so fine label 0 now maps to class 1
+        labels = np.array([0, 0, 1, 1])
+        preds_unb = np.array([1, 1, 0, 1])
+        report = disagreement_criterion(labels, preds_unb, 0)
+        lm = modify_structure(identity_map(labels), report, labels, preds_unb)
+        np.testing.assert_array_equal(lm.fine_to_class, [1, 1, 0])
+        np.testing.assert_array_equal(lm.fine_of_point, [1, 1, 2, 0])
+
     def test_composition_invariant(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=30)

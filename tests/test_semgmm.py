@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from misspec_ssl import semgmm
-from misspec_ssl.core import Dataset, InputError, SolverOptions, derive_seed
+from misspec_ssl.core import UNLABELED, Dataset, InputError, SolverOptions, derive_seed
 from misspec_ssl.datagen import GenSpec, generate
 from misspec_ssl.evalx import predict
 from misspec_ssl.semgmm import (
@@ -105,14 +105,14 @@ def with_oracle(monkeypatch):
 
 
 def all_labeled_dataset(x, labels, n_classes=2):
-    x = np.asarray(x, dtype=float)
-    return Dataset(
-        features=x,
-        labeled_idx=np.arange(x.shape[0]),
-        labels=np.asarray(labels),
-        unlabeled_idx=np.array([], dtype=int),
-        n_classes=n_classes,
-    )
+    return Dataset(features=x, row_labels=labels, n_classes=n_classes)
+
+
+def leading_labeled_dataset(x, labels, n_classes=2):
+    """The first len(labels) rows carry ``labels``; the rest are unlabeled."""
+    row_labels = np.full(len(x), UNLABELED)
+    row_labels[: len(labels)] = labels
+    return Dataset(features=x, row_labels=row_labels, n_classes=n_classes)
 
 
 def two_gaussian_model(mu0=-3.0, mu1=3.0, var=1.0):
@@ -186,9 +186,7 @@ class TestFitSem:
         for trial in range(10):
             n = 30
             x = rng.standard_normal((n, 2)) * 2
-            labeled = np.arange(10)
-            d = Dataset(features=x, labeled_idx=labeled, labels=np.array([0, 1] * 5),
-                        unlabeled_idx=np.arange(10, n), n_classes=2)
+            d = leading_labeled_dataset(x, [0, 1] * 5)
             model = fit_sem(d, 3, np.array([0, 1, 0]), SolverOptions(seed=trial))
             assert abs(model.weights.sum() - 1.0) < 1e-12
             assert np.all(model.weights >= 0)
@@ -198,9 +196,7 @@ class TestFitSem:
         for trial in range(20):
             n = 40
             x = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3)
-            labeled = np.arange(8)
-            d = Dataset(features=x, labeled_idx=labeled, labels=np.array([0, 1] * 4),
-                        unlabeled_idx=np.arange(8, n), n_classes=2)
+            d = leading_labeled_dataset(x, [0, 1] * 4)
             mode = ("original", "unbiased", "custom")[trial % 3]
             w = 0.37 if mode == "custom" else None
             model = fit_sem(d, 2, np.arange(2), SolverOptions(
@@ -228,8 +224,7 @@ class TestLoglik:
     def test_trace_matches_post_hoc_evaluation(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 2))
-        d = Dataset(features=x, labeled_idx=np.arange(10), labels=np.array([0, 1] * 5),
-                    unlabeled_idx=np.arange(10, 30), n_classes=2)
+        d = leading_labeled_dataset(x, [0, 1] * 5)
         model = fit_sem(d, 2, np.arange(2), SolverOptions())
         assert model.objective_trace[-1] == pytest.approx(
             loglik(model, d, model.unlabeled_weight), rel=1e-12)
@@ -239,8 +234,7 @@ class TestLoglik:
         # loglik recomputes that iterate's objective from scratch
         rng = np.random.default_rng(12)
         x = rng.standard_normal((60, 2)) * 2
-        d = Dataset(features=x, labeled_idx=np.arange(10), labels=np.array([0, 1] * 5),
-                    unlabeled_idx=np.arange(10, 60), n_classes=2)
+        d = leading_labeled_dataset(x, [0, 1] * 5)
         for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.4)):
             opts = SolverOptions(seed=2, unlabeled_weight_mode=mode, custom_weight=w)
             trace = fit_sem(d, 3, np.array([0, 1, 1]), opts).objective_trace

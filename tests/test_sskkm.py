@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from misspec_ssl.core import Dataset, InputError, SolverOptions
+from misspec_ssl.core import UNLABELED, Dataset, InputError, SolverOptions
 from misspec_ssl.kernels import KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import (
@@ -43,16 +43,12 @@ def class_scores(model, km_row, self_k):
     return score_batch(model, km_row, np.array([self_k]))[1][0]
 
 
-def build_dataset(features, labeled_idx, labels, n_classes=2):
+def build_dataset(features, labeled, labels, n_classes=2):
+    """Rows ``labeled`` carry ``labels``; every other row is unlabeled."""
     features = np.asarray(features, dtype=float)
-    labeled_idx = np.asarray(labeled_idx)
-    return Dataset(
-        features=features,
-        labeled_idx=labeled_idx,
-        labels=np.asarray(labels),
-        unlabeled_idx=np.setdiff1d(np.arange(features.shape[0]), labeled_idx),
-        n_classes=n_classes,
-    )
+    row_labels = np.full(features.shape[0], UNLABELED)
+    row_labels[labeled] = labels
+    return Dataset(features=features, row_labels=row_labels, n_classes=n_classes)
 
 
 def seeded_instance(seed, n=30, dim=2, k=2, separation=6.0):
