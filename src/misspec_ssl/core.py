@@ -200,7 +200,9 @@ class Dataset:
 
     Construction checks every invariant below and raises InputError listing
     each violation, so any Dataset satisfies the preconditions of every
-    solver in this package.
+    solver in this package. ``features`` and ``row_labels`` are read-only
+    copies of the arrays given, so no later write, to the caller's arrays
+    or through these, can break the checked invariants.
 
     Attributes
     ----------
@@ -219,8 +221,10 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "row_labels", np.asarray(self.row_labels, dtype=int))
+        for name, dtype in (("features", float), ("row_labels", int)):
+            own = np.array(getattr(self, name), dtype=dtype)
+            own.flags.writeable = False
+            object.__setattr__(self, name, own)
         problems = _dataset_violations(self)
         if problems:
             raise InputError("invalid dataset: " + "; ".join(problems))
@@ -304,7 +308,7 @@ def _dataset_violations(d: Dataset) -> list[str]:
 
     if not np.all(np.isfinite(d.features)):
         bad = np.argwhere(~np.isfinite(d.features))
-        problems.append(f"non-finite feature value at (row, col) {tuple(bad[0])}")
+        problems.append(f"non-finite feature value at (row, col) {tuple(bad[0].tolist())}")
 
     if d.row_labels.shape != (d.n_points,):
         problems.append(f"row_labels must hold one label per row ({d.n_points}), "

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import UNLABELED, Dataset, InputError, SolverOptions
-from .kernels import KernelMatrix, KernelSpec
+from .kernels import BLOCK_ENTRIES, KernelMatrix, KernelSpec, _row_blocks
 from .misspec import LabelMap
 
 
@@ -121,7 +121,7 @@ def _cluster_stats(
     kvalues: np.ndarray, cluster_of: np.ndarray, weights: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster weight totals W_k, member-sum columns M[:, k], and the
-    second-order terms T_k = w' K w (cached once per iteration).
+    second-order terms T_k = w' K w, from one full product over K.
 
     ``kvalues`` must be exactly symmetric, as gram_matrix builds it (it
     mirrors one triangle). M is then (wz' K)', which equals K wz in exact
@@ -143,19 +143,160 @@ def _distances(
     return np.maximum(d, 0.0)
 
 
+# Above this share of the points moved, the member sums are recomputed by one
+# full product rather than updated from the moved rows of K.
+FULL_PRODUCT_MOVED_SHARE = 0.3
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Kernel entries below this are floored in the error bounds, so that
+# underflow, whose error is absolute rather than relative, stays inside them.
+ENTRY_BOUND_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _gamma(n: int) -> float:
+    """n u / (1 - n u): the relative error bound of a sum or dot product of
+    n float64 terms taken in any order (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, section 3.1)."""
+    nu = n * UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+class _MemberSums:
+    """The statistics of one clustering of the Gram's points, kept current
+    by full products and by updates from the moved rows of K.
+
+    A full product (_cluster_stats) gives the statistics bit for bit as a
+    fresh computation does: they are *exact*. A move to a new clustering
+    updates M += (D' K[moved])', where D holds the signed weights of the
+    |moved| weighted points whose cluster changed. The rows of K of those
+    points are its columns too, since K is exactly symmetric, and they are
+    gathered in blocks of at most kernels.BLOCK_ENTRIES entries. W_k and T_k
+    are then taken from the new clustering as _cluster_stats takes them. A
+    move is a full product when more than FULL_PRODUCT_MOVED_SHARE of the
+    points moved, or when K is no larger than one block: the update then
+    saves nothing.
+
+    An updated M differs from the full product in its last bits. ``err``
+    (None when exact) bounds, per cluster, each entry's distance from the
+    member sum over the stored K in exact arithmetic. It rests on a bound of
+    every |K_ij| by max |K_ii|: that is 1 for the rbf kinds, and for linear
+    Cauchy-Schwarz holds up to a relative d*u of rounding, which doubling
+    the bound covers. From ``err`` follow ``distance_err`` and
+    ``objective_err``, bounds on how far the computed distances and
+    objective lie from those a full product gives (0 when exact)."""
+
+    def __init__(
+        self, km: KernelMatrix, weights: np.ndarray, k: int, cluster_of: np.ndarray | None
+    ) -> None:
+        self.km = km
+        self.weights = weights
+        self.k = k
+        if cluster_of is None:  # the empty clustering: every member sum is exactly 0
+            self.cluster_of = None
+            self.member_sum = np.zeros((k, km.n)).T
+            self.wsum = np.zeros(k)
+            self.inner = np.zeros(k)
+            self.err = None
+            self.distance_err = self.objective_err = 0.0
+        else:
+            self.recompute(cluster_of)
+
+    def recompute(self, cluster_of: np.ndarray) -> None:
+        """The statistics of ``cluster_of`` from one full product."""
+        self.wsum, self.member_sum, self.inner = _cluster_stats(
+            self.km.values, cluster_of, self.weights, self.k
+        )
+        self.cluster_of = cluster_of
+        self.err = None
+        self.distance_err = self.objective_err = 0.0
+
+    def move(self, cluster_of: np.ndarray) -> None:
+        """The statistics of ``cluster_of`` (an array the caller no longer
+        writes to)."""
+        n = self.km.n
+        if n * n <= BLOCK_ENTRIES:
+            self.recompute(cluster_of)
+            return
+        weighted = self.weights != 0
+        if self.cluster_of is not None:
+            weighted &= cluster_of != self.cluster_of
+        moved = np.flatnonzero(weighted)
+        if moved.size > FULL_PRODUCT_MOVED_SHARE * n:
+            self.recompute(cluster_of)
+            return
+        w = self.weights[moved]
+        signed = np.zeros((moved.size, self.k))
+        at = np.arange(moved.size)
+        signed[at, cluster_of[moved]] = w
+        if self.cluster_of is not None:
+            signed[at, self.cluster_of[moved]] = -w
+        member_t = self.member_sum.T
+        blocks, rows = 0, 0
+        for r0, r1, _ in _row_blocks(moved.size, n, upper=False):
+            member_t += signed[r0:r1].T @ self.km.values[moved[r0:r1]]
+            blocks, rows = blocks + 1, max(rows, r1 - r0)
+
+        # A full product errs by gamma(N) W_k max|K|. Each block's product
+        # errs by gamma(rows) sum |D| max|K|, and adding it to M rounds once,
+        # relative to at most the earlier weight plus the weight moved.
+        kb = max(2.0 * float(np.max(np.abs(self.km.diag))), ENTRY_BOUND_FLOOR)
+        gamma_n = _gamma(n)
+        err = gamma_n * self.wsum * kb if self.err is None else self.err
+        shift = np.abs(signed).sum(axis=0)
+        self.err = err + kb * (_gamma(rows) * shift + blocks * UNIT_ROUNDOFF * (self.wsum + shift))
+        wz = _weighted_indicator(cluster_of, self.weights, self.k)
+        self.wsum = wz.sum(axis=0)
+        self.inner = np.einsum("ik,ik->k", wz, self.member_sum)
+        self.cluster_of = cluster_of
+        # M enters a distance through 2 M/W_k and, by way of T_k = w'M,
+        # through T_k/W_k^2; T_k's sum of N terms and the distance's own four
+        # operations round on both sides. Each of the objective's N terms is
+        # at most 4 max|K|, and its dot product rounds on both sides too.
+        to_full = self.err + gamma_n * self.wsum * kb
+        rounding = (2.0 * gamma_n + 20.0 * UNIT_ROUNDOFF) * kb
+        self.distance_err = float(np.max(3.0 * to_full / self.wsum)) + rounding
+        self.objective_err = float(self.wsum.sum()) * (self.distance_err + 8.0 * gamma_n * kb)
+
+    def distances(self) -> np.ndarray:
+        return _distances(self.km.diag, self.member_sum, self.wsum, self.inner)
+
+
+def _near_tie(dist: np.ndarray, err: float) -> bool:
+    """Whether some row's two smallest distances lie within 2 * ``err`` of
+    each other, so that errors of up to ``err`` could change its argmin.
+    With no error nothing is near a tie: the argmin breaks exact ties to the
+    lowest cluster id as it always does."""
+    if err == 0.0 or dist.shape[0] == 0:
+        return False
+    two = np.partition(dist, 1, axis=1)
+    return bool(np.any(two[:, 1] - two[:, 0] <= 2.0 * err))
+
+
+def _objective(weights: np.ndarray, dist: np.ndarray, cluster_of: np.ndarray) -> float:
+    return float(np.dot(weights, dist[np.arange(cluster_of.size), cluster_of]))
+
+
 def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap) -> np.ndarray:
     """The cluster id of every point: labeled points pinned to their fine
     labels, and every unlabeled point given the cluster whose labeled-seed
     mean is nearest in kernel distance (ties to the lowest cluster id).
     Deterministic.
+
+    Unlabeled points weigh 0 here, so the member sums are the sums of the
+    labeled rows of K alone, gathered in blocks. When their error bound
+    leaves some point's nearest cluster in doubt, the argmin is taken on a
+    full product instead.
     """
-    cluster_of = np.zeros(d.n_points, dtype=int)
-    cluster_of[d.labeled_idx] = label_map.fine_of_point
-    wsum, member_sum, inner = _cluster_stats(
-        km.values, cluster_of, _point_weights(d, 0.0), label_map.n_fine
-    )
-    dist = _distances(km.diag, member_sum, wsum, inner)
-    cluster_of[d.unlabeled_idx] = np.argmin(dist[d.unlabeled_idx], axis=1)
+    pinned = np.zeros(d.n_points, dtype=int)
+    pinned[d.labeled_idx] = label_map.fine_of_point
+    sums = _MemberSums(km, _point_weights(d, 0.0), label_map.n_fine, None)
+    sums.move(pinned)
+    free = d.unlabeled_idx
+    dist = sums.distances()[free]
+    if _near_tie(dist, sums.distance_err):
+        sums.recompute(pinned)
+        dist = sums.distances()[free]
+    cluster_of = pinned.copy()
+    cluster_of[free] = np.argmin(dist, axis=1)
     return cluster_of
 
 
@@ -180,6 +321,18 @@ def fit_sskkm(
     The weighted objective (labeled weight 1, unlabeled weight as resolved
     from the options) is non-increasing across iterations, and the whole
     procedure is deterministic given its inputs.
+
+    A fit reads all of K twice, in one full product at its start and one at
+    its end; in between it updates the statistics from the rows of K of the
+    points that moved (_MemberSums). Every decision is the one that a full
+    product at every iteration gives. An argmin with two distances within
+    their error bound of each other, and a tolerance test within the
+    objectives' error bound of tol, are decided on exactly recomputed
+    statistics. The intermediate ``objective_trace`` entries are the
+    updated values, which may differ from a full product's in their last
+    bits; the last entry, ``objective``, ``cluster_wsum`` and
+    ``cluster_inner`` are exact. The final recomputation is not an
+    iteration.
     """
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
@@ -197,33 +350,53 @@ def fit_sskkm(
 
     weights = _point_weights(d, weight)
     free = d.unlabeled_idx
-    idx = np.arange(d.n_points)
 
-    wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, weights, k)
-    dist = _distances(km.diag, member_sum, wsum, inner)
-    objective = float(np.dot(weights, dist[idx, cluster_of]))
+    sums = _MemberSums(km, weights, k, cluster_of)
+    dist = sums.distances()
+    objective, objective_err = _objective(weights, dist, cluster_of), 0.0
     trace = [objective]
 
     iterations = 0
     converged = False
     for _ in range(opts.max_iter):
         iterations += 1
+        dist_free = dist[free]
+        if _near_tie(dist_free, sums.distance_err):
+            sums.recompute(cluster_of)
+            dist = sums.distances()
+            dist_free = dist[free]
+            objective, objective_err = _objective(weights, dist, cluster_of), 0.0
         new_cluster_of = cluster_of.copy()
-        new_cluster_of[free] = np.argmin(dist[free], axis=1)
+        new_cluster_of[free] = np.argmin(dist_free, axis=1)
         if np.array_equal(new_cluster_of, cluster_of):
             converged = True
             break
-        cluster_of = new_cluster_of
+        previous, cluster_of = cluster_of, new_cluster_of
 
-        wsum, member_sum, inner = _cluster_stats(km.values, cluster_of, weights, k)
-        dist = _distances(km.diag, member_sum, wsum, inner)
-        new_objective = float(np.dot(weights, dist[idx, cluster_of]))
+        sums.move(cluster_of)
+        dist = sums.distances()
+        new_objective, new_err = _objective(weights, dist, cluster_of), sums.objective_err
         trace.append(new_objective)
+        err = objective_err + new_err
+        # the slack covers the rounding of the difference, on both sides
+        slack = 4.0 * UNIT_ROUNDOFF * (abs(objective) + abs(new_objective))
+        if err and abs(objective - new_objective - opts.tol) <= err + slack:
+            if objective_err:
+                before = _MemberSums(km, weights, k, previous)
+                objective = _objective(weights, before.distances(), previous)
+            sums.recompute(cluster_of)
+            dist = sums.distances()
+            new_objective, new_err = _objective(weights, dist, cluster_of), 0.0
         if objective - new_objective < opts.tol:
             objective = new_objective
             converged = True
             break
-        objective = new_objective
+        objective, objective_err = new_objective, new_err
+
+    if sums.err is not None:
+        sums.recompute(cluster_of)
+        objective = _objective(weights, sums.distances(), cluster_of)
+    trace[-1] = objective
 
     return ClusterModel(
         cluster_of=cluster_of,
@@ -234,8 +407,8 @@ def fit_sskkm(
         iterations_run=iterations,
         converged=converged,
         point_weights=weights,
-        cluster_wsum=wsum,
-        cluster_inner=inner,
+        cluster_wsum=sums.wsum,
+        cluster_inner=sums.inner,
         objective_trace=tuple(trace),
     )
 

@@ -15,6 +15,7 @@ from misspec_ssl.evalx import predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import fit_sskkm, score_batch
+from test_sskkm import oracle_fit_sskkm, oracle_init_assignments
 
 
 def well_specified(seed, n_unlabeled=200):
@@ -196,3 +197,25 @@ class TestFitPairOnTwoThreads:
         assert len(threads) == 2 and threading.get_ident() not in threads
         monkeypatch.setattr(askkm, "fit_sskkm", real)
         assert fit_askkm(km, d, AskkmOptions()).rounds >= 1
+
+
+class TestIncrementalMatchesFullProductOracle:
+    @pytest.mark.parametrize("criterion", [2, 3])
+    def test_acceptance_seeds(self, criterion, monkeypatch):
+        # the askkm fits of acceptance criteria 2 and 3 (N = 1,020), against
+        # askkm on init_assignments and fit_sskkm as full products over K
+        if criterion == 2:
+            cases = [(misspecified, derive_seed(2026, "deg", si), si) for si in range(20)]
+        else:
+            cases = [(make, derive_seed(2026, "crit", make.__name__, si), si)
+                     for make in (well_specified, misspecified) for si in range(10)]
+        for make, seed, si in cases:
+            d, _ = make(seed, n_unlabeled=1000)
+            km = gram_matrix(d, KernelSpec())
+            opts = AskkmOptions(solver=SolverOptions(seed=si))
+            got = fit_askkm(km, d, opts)
+            with monkeypatch.context() as mp:
+                mp.setattr(askkm, "fit_sskkm", oracle_fit_sskkm)
+                mp.setattr(askkm, "init_assignments", oracle_init_assignments)
+                want = fit_askkm(km, d, opts)
+            assert got.to_dict(d.features) == want.to_dict(d.features), (make.__name__, si)

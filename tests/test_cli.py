@@ -172,6 +172,16 @@ class TestFit:
         assert "dim >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_feature_exits_3_naming_its_position(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("f0,f1,label\n0,1,0\nnan,2,1\n3,4,?\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run(["fit", "--data", data, "--method", "original_sem", "--out-model", out]) == 3
+        assert capsys.readouterr().err == (
+            "error: invalid dataset: non-finite feature value at (row, col) (1, 0)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["original_sem", "unbiased_sem", "supervised"])
     def test_features_too_large_for_em_exit_3(self, tmp_path, method, capsys):
         # finite, but their squares overflow float64; the suite turns the
@@ -815,6 +825,54 @@ def test_shuffled_csv_outputs_match_pinned_digests(tmp_path, monkeypatch):
                     "--verbose", "--out", f"{method}.eval.json"]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
     assert digests == SHUFFLED_DIGESTS
+
+
+# sha256 of every file test_bench_size_outputs_match_pinned_digests writes:
+# an askkm fit (with its criterion) and an original_sskkm fit at N = 6,020,
+# on the gen flags of the askkm_cli benchmark at a seed in none of its pools,
+# and the evals of both. At this size the fits update their member sums from
+# the moved rows of K between full products, in gathers of many blocks.
+BENCH_SIZE_DIGESTS = {
+    "askkm.criterion.json":
+        "6fc74f45c9245abf5c46483a77b64230f42f4f5427a78bef85bcab90c4c8d90d",
+    "askkm.eval.json":
+        "6835e6a922bb4a1b1235bee53e42c6ee3172adec28a29a636ffa4b44f9e8214d",
+    "askkm.json":
+        "18f57e6ee8baeffe77ef5db714e46eb13a11110a560d7c02097eea48291b866c",
+    "data.csv":
+        "891dfa20e52ed913af7b214f3df111f2bab1d72e7cda196045282bbb3d7abfbb",
+    "heldout.csv":
+        "4ee38a822cbcf83cefa58910a18311e303276065712c4e357a0927d2a606b0ca",
+    "heldout.truth.json":
+        "de9d0cf2f5fa9cb060f3a29a04756e5c6c99a6be479510779067891d8d8f2340",
+    "original_sskkm.eval.json":
+        "07404abb2ff52546d8c361103deff544828b2ffd81c8040b86ba29aaf834ede7",
+    "original_sskkm.json":
+        "3376aca41dd3a36b109710703071b0323d576954c40ab9f9c45c8ae52e800fbc",
+    "truth.json":
+        "5b2cfde8c7dc125ab86a8ecadc8ea813dc2bd96da67440b2c5d551e7104c2b18",
+}
+
+
+def test_bench_size_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5, "--subcluster-sep", 8]
+    commands = [
+        [*scenario, "--labeled-per-class", 10, "--unlabeled", 6000, "--seed", 31,
+         "--out-data", "data.csv", "--out-truth", "truth.json"],
+        [*scenario, "--labeled-per-class", 200, "--unlabeled", 0, "--seed", 32,
+         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+    ]
+    for method, extra in (("askkm", ["--out-criterion", "askkm.criterion.json"]),
+                          ("original_sskkm", [])):
+        commands.append(["fit", "--data", "data.csv", "--method", method, *extra,
+                         "--out-model", f"{method}.json"])
+        commands.append(["eval", "--model", f"{method}.json", "--data", "heldout.csv",
+                         "--verbose", "--out", f"{method}.eval.json"])
+    for argv in commands:
+        assert run(argv) == 0, argv
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
+    assert digests == BENCH_SIZE_DIGESTS
 
 
 # Checks that OpenBLAS starts with the OPENBLAS_NUM_THREADS threads asked

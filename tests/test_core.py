@@ -33,9 +33,7 @@ def oracle_violations(features, row_labels, n_classes):
 
     bad = [(i, j) for i in range(n) for j in range(dim) if not np.isfinite(features[i, j])]
     if bad:
-        # the message shows the position as numpy integers
-        row, col = bad[0]
-        problems.append(f"non-finite feature value at (row, col) {(np.intp(row), np.intp(col))}")
+        problems.append(f"non-finite feature value at (row, col) {bad[0]}")
 
     if len(row_labels) != n:
         problems.append(
@@ -89,6 +87,19 @@ class TestValidateDataset:
         features[1, 1] = np.nan
         with pytest.raises(InputError, match="non-finite"):
             make_dataset(features=features)
+
+    def test_holds_read_only_copies(self):
+        features = np.zeros((4, 2))
+        row_labels = np.array([0, 1, UNLABELED, UNLABELED])
+        d = Dataset(features=features, row_labels=row_labels, n_classes=2)
+        features[0, 0] = np.nan
+        row_labels[1] = 0
+        assert np.all(np.isfinite(d.features))
+        np.testing.assert_array_equal(d.labels, [0, 1])
+        with pytest.raises(ValueError, match="read-only"):
+            d.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            d.row_labels[2] = 0
 
     def test_one_label_per_row(self):
         with pytest.raises(InputError) as exc:

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from misspec_ssl.core import UNLABELED, Dataset, InputError, SolverOptions
-from misspec_ssl.kernels import KernelSpec, gram_matrix
+from misspec_ssl import kernels, sskkm
+from misspec_ssl.core import UNLABELED, Dataset, InputError, SolverOptions, derive_seed
+from misspec_ssl.datagen import GenSpec, generate
+from misspec_ssl.kernels import KernelMatrix, KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import (
+    ClusterModel,
     _cluster_stats,
     fit_sskkm,
     init_assignments,
@@ -350,3 +355,278 @@ class TestClassification:
         _, km, model = self.build_model(seed=24)
         with pytest.raises(InputError):
             classify_point(model, np.ones(km.n + 1), 1.0)
+
+
+# -- the full-product oracle -------------------------------------------------
+#
+# init_assignments and fit_sskkm with a full product over K for every set of
+# member sums: every decision and every stored statistic of the incremental
+# fits must equal theirs.
+
+
+def oracle_distances(km, cluster_of, weights, k):
+    """Distances (N, K), W_k and T_k from one full product (wz' K)'."""
+    wz = np.zeros((cluster_of.size, k))
+    wz[np.arange(cluster_of.size), cluster_of] = weights
+    member_sum = (wz.T @ km.values).T
+    wsum = wz.sum(axis=0)
+    inner = np.einsum("ik,ik->k", wz, member_sum)
+    dist = km.diag[:, None] - 2.0 * member_sum / wsum + inner / (wsum * wsum)
+    return np.maximum(dist, 0.0), wsum, inner
+
+
+def oracle_init_assignments(km, d, label_map):
+    cluster_of = np.zeros(d.n_points, dtype=int)
+    cluster_of[d.labeled_idx] = label_map.fine_of_point
+    weights = np.where(d.row_labels == UNLABELED, 0.0, 1.0)
+    dist, _, _ = oracle_distances(km, cluster_of, weights, label_map.n_fine)
+    cluster_of[d.unlabeled_idx] = np.argmin(dist[d.unlabeled_idx], axis=1)
+    return cluster_of
+
+
+def oracle_fit_sskkm(km, d, label_map, opts, init=None):
+    k = label_map.n_fine
+    weight = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
+    if init is None:
+        init = oracle_init_assignments(km, d, label_map)
+    cluster_of = np.array(init, dtype=int)
+    weights = np.where(d.row_labels == UNLABELED, weight, 1.0)
+    free = d.unlabeled_idx
+    idx = np.arange(d.n_points)
+    dist, wsum, inner = oracle_distances(km, cluster_of, weights, k)
+    objective = float(np.dot(weights, dist[idx, cluster_of]))
+    trace = [objective]
+    iterations = 0
+    converged = False
+    for _ in range(opts.max_iter):
+        iterations += 1
+        new_cluster_of = cluster_of.copy()
+        new_cluster_of[free] = np.argmin(dist[free], axis=1)
+        if np.array_equal(new_cluster_of, cluster_of):
+            converged = True
+            break
+        cluster_of = new_cluster_of
+        dist, wsum, inner = oracle_distances(km, cluster_of, weights, k)
+        new_objective = float(np.dot(weights, dist[idx, cluster_of]))
+        trace.append(new_objective)
+        if objective - new_objective < opts.tol:
+            objective = new_objective
+            converged = True
+            break
+        objective = new_objective
+    return ClusterModel(
+        cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
+        objective=objective, kernel_spec=km.spec, iterations_run=iterations,
+        converged=converged, point_weights=weights, cluster_wsum=wsum,
+        cluster_inner=inner, objective_trace=tuple(trace),
+    )
+
+
+def assert_same_fit(got, want, features):
+    """Equal decisions and stored statistics, bit for bit; the intermediate
+    trace entries are updated values, equal up to their last bits."""
+    assert got.to_dict(features) == want.to_dict(features)
+    np.testing.assert_array_equal(got.cluster_wsum, want.cluster_wsum)
+    np.testing.assert_array_equal(got.cluster_inner, want.cluster_inner)
+    assert len(got.objective_trace) == len(want.objective_trace)
+    assert got.objective_trace[-1] == want.objective_trace[-1] == want.objective
+    np.testing.assert_allclose(got.objective_trace, want.objective_trace, rtol=1e-12, atol=1e-12)
+
+
+def force_incremental(mp, n, rows):
+    """Update member sums from the moved rows however small K is and however
+    many points moved, gathering ``rows`` rows of K (n columns) per block.
+    Call it after the Gram is built: it shrinks the kernels' blocks too."""
+    mp.setattr(sskkm, "BLOCK_ENTRIES", 0)
+    mp.setattr(sskkm, "FULL_PRODUCT_MOVED_SHARE", 1.0)
+    mp.setattr(kernels, "BLOCK_ENTRIES", rows * n)
+
+
+def spy_cluster_stats(mp):
+    """Record the clustering of every full product _cluster_stats makes."""
+    calls = []
+    real = sskkm._cluster_stats
+
+    def spy(kvalues, cluster_of, weights, k):
+        calls.append(np.array(cluster_of))
+        return real(kvalues, cluster_of, weights, k)
+
+    mp.setattr(sskkm, "_cluster_stats", spy)
+    return calls
+
+
+def tie_prone_instance(seed):
+    """A small dataset on an integer grid: duplicated points, a constant
+    feature now and then, and exact ties in distance. The label map gives
+    each class one cluster, or each labeled point its own."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(2, 4))
+    per_class = int(rng.integers(1, 4))
+    n_labeled = n_classes * per_class
+    n = n_labeled + int(rng.integers(0, 31))
+    x = rng.integers(-3, 4, size=(n, int(rng.integers(1, 4)))) * rng.choice([0.5, 1.0, 3.0])
+    if rng.random() < 0.3:
+        x[:, 0] = 1.5
+    row_labels = np.full(n, UNLABELED)
+    labeled = rng.permutation(n)[:n_labeled]
+    row_labels[labeled] = np.repeat(np.arange(n_classes), per_class)
+    d = Dataset(features=x, row_labels=row_labels, n_classes=n_classes)
+    if rng.random() < 0.5:
+        label_map = LabelMap.identity(d.labels, n_classes)
+    else:
+        label_map = LabelMap(fine_to_class=d.labels, fine_of_point=np.arange(n_labeled),
+                             n_classes=n_classes)
+    spec = (LINEAR, KernelSpec(kind="rbf", gamma=0.5),
+            KernelSpec(kind="generalized_rbf", gamma=0.3, distance="manhattan"))[seed % 3]
+    return d, label_map, gram_matrix(d, spec), rng
+
+
+class TestIncrementalMatchesFullProductOracle:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_tie_prone_datasets(self, seed):
+        d, lm, km, rng = tie_prone_instance(seed)
+        init = rng.integers(0, lm.n_fine, d.n_points)
+        init[d.labeled_idx] = lm.fine_of_point
+        options = [SolverOptions(unlabeled_weight_mode=mode) for mode in ("original", "unbiased")]
+        options += [SolverOptions(unlabeled_weight_mode="custom", custom_weight=w, tol=0.0)
+                    for w in (0.0, 0.7)]
+        with pytest.MonkeyPatch.context() as mp:
+            force_incremental(mp, km.n, int(rng.integers(1, 4)))
+            np.testing.assert_array_equal(init_assignments(km, d, lm),
+                                          oracle_init_assignments(km, d, lm))
+            for opts in options:
+                for start in (None, init):
+                    assert_same_fit(fit_sskkm(km, d, lm, opts, init=start),
+                                    oracle_fit_sskkm(km, d, lm, opts, init=start), d.features)
+
+    @pytest.mark.parametrize("mode", ["original", "unbiased"])
+    def test_acceptance_seeds(self, mode):
+        # the datasets of acceptance criterion 2 (N = 1,020), unforced: the
+        # updates and their full-product fallbacks run as in production
+        for si in range(20):
+            seed = derive_seed(2026, "deg", si)
+            d = generate(GenSpec(kind="misspecified", subclusters_per_class=2,
+                                 class_separation=5.0, n_unlabeled=1000, seed=seed))[0]
+            km = gram_matrix(d, KernelSpec())
+            lm = LabelMap.identity(d.labels, 2)
+            opts = SolverOptions(seed=si, unlabeled_weight_mode=mode)
+            np.testing.assert_array_equal(init_assignments(km, d, lm),
+                                          oracle_init_assignments(km, d, lm))
+            assert_same_fit(fit_sskkm(km, d, lm, opts), oracle_fit_sskkm(km, d, lm, opts),
+                            d.features)
+
+
+def midway_instance(n_far=0):
+    """Labeled seeds at -2 (class 0) and 2 (class 1) on a line, an unlabeled
+    point at 0 midway between them, and ``n_far`` unlabeled points drawn
+    from [-10, 10], which lie nearer one seed."""
+    far = np.random.default_rng(7).uniform(-10.0, 10.0, n_far)
+    x = np.concatenate([[-2.0, 2.0, 0.0], far])[:, None]
+    return build_dataset(x, [0, 1], [0, 1])
+
+
+class TestExactDecisions:
+    def test_init_tie_taken_on_the_full_product(self, monkeypatch):
+        # at N = 403 the init sums the two labeled rows of K alone; the exact
+        # tie of the midway point is within their error bound, so its argmin
+        # waits for a full product and breaks the tie to cluster 0
+        d = midway_instance(n_far=400)
+        km = gram_matrix(d, LINEAR)
+        lm = LabelMap.identity(d.labels, 2)
+        calls = spy_cluster_stats(monkeypatch)
+        got = init_assignments(km, d, lm)
+        assert got[2] == 0 and len(calls) == 1
+        np.testing.assert_array_equal(got, oracle_init_assignments(km, d, lm))
+        # without the tie no full product is made
+        d = build_dataset(np.delete(d.features, 2, axis=0), [0, 1], [0, 1])
+        calls.clear()
+        got = init_assignments(gram_matrix(d, LINEAR), d, lm)
+        assert calls == []
+
+    def test_fit_tie_taken_on_the_full_product(self, monkeypatch):
+        # points -2, 2 (labeled), 0, 4, -2 from the init [0, 1, 1, 1, 1]: the
+        # first iteration moves the duplicate of seed 0 to cluster 0, which
+        # leaves both centroids on their seeds and the point at 0 midway
+        d = build_dataset([[-2.0], [2.0], [0.0], [4.0], [-2.0]], [0, 1], [0, 1])
+        km = gram_matrix(d, LINEAR)
+        lm = LabelMap.identity(d.labels, 2)
+        init = np.array([0, 1, 1, 1, 1])
+        force_incremental(monkeypatch, km.n, 1)
+        calls = spy_cluster_stats(monkeypatch)
+        model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
+        assert_same_fit(model, oracle_fit_sskkm(km, d, lm, SolverOptions(), init=init),
+                        d.features)
+        assert model.cluster_of[2] == 0
+        # the start, the tie at the second iteration, and the end
+        assert [c.tolist() for c in calls] == [[0, 1, 1, 1, 1], [0, 1, 1, 1, 0],
+                                               [0, 1, 0, 1, 0]]
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_tolerance_within_the_objective_bound(self, monkeypatch, stop):
+        # tol set to the exact decrease of the second iteration (or the next
+        # float up): the updated decrease lies within its error bound of tol,
+        # so both objectives are recomputed before the test is decided
+        d = generate(GenSpec(kind="misspecified", subclusters_per_class=2,
+                             class_separation=5.0, n_unlabeled=1000, seed=0))[0]
+        km = gram_matrix(d, KernelSpec())
+        lm = LabelMap.identity(d.labels, 2)
+        trace = oracle_fit_sskkm(km, d, lm, SolverOptions(tol=0.0)).objective_trace
+        assert len(trace) >= 4
+        tol = trace[1] - trace[2]
+        opts = SolverOptions(tol=np.nextafter(tol, np.inf) if stop else tol)
+        want = oracle_fit_sskkm(km, d, lm, opts)
+        assert (want.iterations_run == 2) == stop
+        after_one = oracle_fit_sskkm(km, d, lm, SolverOptions(max_iter=1)).cluster_of
+        calls = spy_cluster_stats(monkeypatch)
+        assert_same_fit(fit_sskkm(km, d, lm, opts), want, d.features)
+        assert np.array_equal(calls[1], after_one)  # the earlier objective, exactly
+
+
+class GramReads(np.ndarray):
+    """A Gram matrix that records the entries of every gather of its rows
+    and counts the products that read all of it."""
+
+    gathers: list[int] = []
+    full_reads = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(out, np.ndarray) and not np.may_share_memory(out, self):
+            GramReads.gathers.append(out.size)
+        return out
+
+    def take(self, *args, **kwargs):
+        out = super().take(*args, **kwargs)
+        GramReads.gathers.append(out.size)
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        n = self.shape[0] if self.ndim == 2 else 0
+        for a in inputs:
+            if isinstance(a, GramReads) and a.ndim == 2 and a.shape == (n, n):
+                GramReads.full_reads += 1
+        plain = [np.asarray(a).view(np.ndarray) if isinstance(a, GramReads) else a
+                 for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_fit_reads_k_twice_and_gathers_in_blocks(monkeypatch):
+    # a dataset of the benchmark's askkm_cli shape, N = 6,020, at a seed of
+    # its own: the init reads the 20 labeled rows of K, and a fit whose
+    # guards do not fire reads all of K only at its start and its end
+    d = generate(GenSpec(kind="misspecified", subclusters_per_class=2, class_separation=5.0,
+                         subcluster_separation=8.0, n_unlabeled=6000, seed=31))[0]
+    gram = gram_matrix(d, KernelSpec())
+    km = KernelMatrix(values=gram.values.view(GramReads), spec=gram.spec)
+    lm = LabelMap.identity(d.labels, 2)
+    monkeypatch.setattr(GramReads, "gathers", [])
+    monkeypatch.setattr(GramReads, "full_reads", 0)
+    init = init_assignments(km, d, lm)
+    assert GramReads.full_reads == 0
+    assert sum(GramReads.gathers) == d.n_labeled * d.n_points
+    model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
+    assert model.iterations_run > 2
+    assert GramReads.full_reads == 2
+    assert len(GramReads.gathers) > 1
+    assert max(GramReads.gathers) <= kernels.BLOCK_ENTRIES
