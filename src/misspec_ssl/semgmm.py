@@ -154,6 +154,28 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=0) of a 2-D array of N >= 1 rows and K >= 2 columns,
+    bit for bit: numpy adds each column of such an array strictly top to
+    bottom from 0.0, and so does this running total of one column at a
+    time, without numpy's per-row pass over K. (At K = 1 numpy sums the
+    contiguous column pairwise; this stays top to bottom.)"""
+    return np.array([0.0 + np.cumsum(a[:, j])[-1] for j in range(a.shape[1])])
+
+
+def _by_row(
+    op: np.ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """op(a, v[:, None]) of a 2-D array and a vector of its rows, one whole
+    column at a time (each element is the same operation, so the result is
+    the broadcast's bit for bit), without the broadcast's inner loop over
+    the K columns of a row. ``out`` may be ``a``."""
+    out = np.empty_like(a) if out is None else out
+    for j in range(a.shape[1]):
+        op(a[:, j], v, out=out[:, j])
+    return out
+
+
 def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and
     components, shape (N, K). The scaled squared distance is _row_sum of
@@ -189,33 +211,31 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     for a row that is all -inf."""
     amax = _row_max(a)
     amax[~np.isfinite(amax)] = 0.0
+    shifted = _by_row(np.subtract, a, amax)
     with np.errstate(divide="ignore"):
-        return np.log(_row_sum(np.exp(a - amax[:, None]))) + amax
+        return np.log(_row_sum(np.exp(shifted, out=shifted))) + amax
 
 
 def _masked_log_joint(
     m: GmmModel, x: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log-joints of the rows of ``x``, -inf where ``mask`` is
-    False, shape (N, K), and their row log-normalizers (N,)."""
-    log_r = np.where(mask, _component_log_joint(m, x), -np.inf)
+    """Component log-joints of the rows of ``x``, shape (N, K), and their
+    row log-normalizers (N,). ``mask`` covers the leading rows of ``x``: a
+    log-joint is -inf where it is False; rows past it are unmasked."""
+    log_r = _component_log_joint(m, x)
+    np.copyto(log_r[: len(mask)], -np.inf, where=~mask)
     return log_r, _logsumexp(log_r)
 
 
-def _objective_rows(
-    d: Dataset, comp_map: np.ndarray, w: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the weighted objective: features, component mask and row
-    weights. Labeled rows come first, each restricted to the components of
-    its class; the unlabeled rows, over all components, follow when w != 0."""
-    x = [d.features[d.labeled_idx]]
-    mask = [comp_map[None, :] == d.labels[:, None]]
-    alpha = [np.ones(d.n_labeled)]
+def _objective_rows(d: Dataset, comp_map: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the weighted objective and their component mask. Labeled
+    rows come first, each restricted by the mask to the components of its
+    class; the unlabeled rows, over all components and past the mask, follow
+    when w != 0."""
+    x = d.features[d.labeled_idx]
     if d.n_unlabeled and w != 0.0:
-        x.append(d.features[d.unlabeled_idx])
-        mask.append(np.ones((d.n_unlabeled, comp_map.size), dtype=bool))
-        alpha.append(np.full(d.n_unlabeled, w))
-    return np.concatenate(x), np.concatenate(mask), np.concatenate(alpha)
+        x = np.concatenate([x, d.features[d.unlabeled_idx]])
+    return x, comp_map[None, :] == d.labels[:, None]
 
 
 def _objective(norm: np.ndarray, n_labeled: int, w: float) -> float:
@@ -303,32 +323,39 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
     w = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
     floor = _variance_floor(d.features)
     model = _init_model(d, k, comp_map, floor, opts.seed)
-    x, mask, alpha = _objective_rows(d, comp_map, w)
+    x, mask = _objective_rows(d, comp_map, w)
+    diff = np.empty_like(x)
 
     log_r, norm = _masked_log_joint(model, x, mask)
     objective = _objective(norm, d.n_labeled, w)
     trace = [objective]
     for _ in range(opts.max_iter):
-        # E-step: row-normalized responsibilities; a row whose allowed
-        # components all collapsed falls back to uniform over them.
+        # E-step: row-normalized responsibilities, in place of the
+        # log-joints. A row whose allowed components all collapsed falls
+        # back to uniform over them; only a labeled row can, since an
+        # unlabeled row allows every component and some component has weight.
         with np.errstate(invalid="ignore"):
-            resp = np.exp(log_r - norm[:, None])
-        bad = ~np.isfinite(norm)
-        if np.any(bad):
-            resp[bad] = mask[bad] / mask[bad].sum(axis=1, keepdims=True)
+            wr = np.exp(_by_row(np.subtract, log_r, norm, out=log_r), out=log_r)
+        bad = np.flatnonzero(~np.isfinite(norm))
+        if bad.size:
+            wr[bad] = mask[bad] / mask[bad].sum(axis=1, keepdims=True)
 
-        # M-step: weighted closed-form updates with variance flooring.
-        wr = resp * alpha[:, None]
-        mass = wr.sum(axis=0)
+        # M-step: weighted closed-form updates with variance flooring. A
+        # labeled row weighs 1, so scaling the unlabeled block by w gives
+        # every weighted responsibility.
+        wr[d.n_labeled:] *= w
+        mass = _col_sum(wr)
         means = model.means.copy()
         variances = model.covariances.copy()
         for comp in range(k):
             if mass[comp] <= 1e-12:
                 continue
             mu = wr[:, comp] @ x / mass[comp]
-            diff = x - mu
+            for j in range(x.shape[1]):
+                np.subtract(x[:, j], mu[j], out=diff[:, j])
+            diff *= diff
             means[comp] = mu
-            variances[comp] = np.maximum(wr[:, comp] @ (diff * diff) / mass[comp], floor)
+            variances[comp] = np.maximum(wr[:, comp] @ diff / mass[comp], floor)
         model = replace(model, weights=mass / mass.sum(), means=means, covariances=variances)
 
         log_r, norm = _masked_log_joint(model, x, mask)
@@ -367,8 +394,9 @@ def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
             "the model's squared distances overflow float64"
         )
     logj = class_log_joint(m, x)
-    p = np.exp(logj - _row_max(logj)[:, None])
-    return np.argmax(logj, axis=1), p / _row_sum(p)[:, None]
+    p = _by_row(np.subtract, logj, _row_max(logj))
+    np.exp(p, out=p)
+    return np.argmax(logj, axis=1), _by_row(np.divide, p, _row_sum(p), out=p)
 
 
 def sample_joint(m: GmmModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

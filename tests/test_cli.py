@@ -875,6 +875,59 @@ def test_bench_size_outputs_match_pinned_digests(tmp_path, monkeypatch):
     assert digests == BENCH_SIZE_DIGESTS
 
 
+SEM_SIZE_DIGESTS = {
+    "data.csv":
+        "e6df343b20fc6f10156a8802a9094739c8fda472703401bfa566d0c4f2f54df2",
+    "heldout.csv":
+        "e34cdf65d37786fca06c74e960556b80850c8080fad8c4757cc7afc7031b2c2d",
+    "heldout.truth.json":
+        "0f778af54fb053f7dd6cd70ca8e4503f3dab49f29a568b0a18fc31c6493b1bd2",
+    "original_sem.eval.json":
+        "581028ac0c198cb06a84659f4e424aeab502fc72ee93d8bad5f070a93cb476cb",
+    "original_sem.json":
+        "7f7f770ae5a3e6162f9fb0fb3c1f2ba2cb384425594b429c1196c1d04d993d32",
+    "original_sem_k4.eval.json":
+        "173bb0c5f3776a80289b5cf4c84ac22d302b5e16f2a324dc92718814fd9dddf6",
+    "original_sem_k4.json":
+        "056ab25c3b8fb2f1efae31d4334d7789725addd3bdae2c9c6ccaa8c38a03a6b3",
+    "supervised.eval.json":
+        "c67dfb6099451577d439b83ffa79934fc799722d8bd7d507231ca9baad14d733",
+    "supervised.json":
+        "d59147d0abec2727b35e0043dc4c31982d19faf204d8fdd6d1f74c47f82da6c0",
+    "truth.json":
+        "fd56ec52c4a3cd6843d6f5f79758d185e81f4cd029427ffd07f682c5d54814da",
+    "unbiased_sem.eval.json":
+        "c16689ab9077eb2f885bae09e1b9c63951cf02ede7dc0f06793cdff1e17dbf9a",
+    "unbiased_sem.json":
+        "303d08d1cfb29c8b6e235fd87c6371d36a0c2a18330adde93b1877da89a83bfa",
+}
+
+
+def test_sem_size_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    # The semgmm fits at the bench's N_u = 20,000: 91, 12, 36 and 1 EM
+    # iterations for original, unbiased, original at K = 4 and supervised.
+    monkeypatch.chdir(tmp_path)
+    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5, "--subcluster-sep", 8]
+    commands = [
+        [*scenario, "--labeled-per-class", 10, "--unlabeled", 20000, "--seed", 41,
+         "--out-data", "data.csv", "--out-truth", "truth.json"],
+        [*scenario, "--labeled-per-class", 200, "--unlabeled", 0, "--seed", 42,
+         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+    ]
+    for name, method, extra in (("original_sem", "original_sem", []),
+                                ("unbiased_sem", "unbiased_sem", []),
+                                ("original_sem_k4", "original_sem", ["--components", 4]),
+                                ("supervised", "supervised", [])):
+        commands.append(["fit", "--data", "data.csv", "--method", method, *extra,
+                         "--out-model", f"{name}.json"])
+        commands.append(["eval", "--model", f"{name}.json", "--data", "heldout.csv",
+                         "--verbose", "--out", f"{name}.eval.json"])
+    for argv in commands:
+        assert run(argv) == 0, argv
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
+    assert digests == SEM_SIZE_DIGESTS
+
+
 # Checks that OpenBLAS starts with the OPENBLAS_NUM_THREADS threads asked
 # for, then runs the commands of argv[1] (a JSON list of argument lists)
 # through cli.main in one process, in its working directory.

@@ -37,7 +37,7 @@ def loglik(m, d, w):
     recomputed from scratch over the rows fit_sem builds."""
     if d.dim != m.dim:
         raise InputError(f"model dimension {m.dim} != dataset dimension {d.dim}")
-    x, mask, _ = semgmm._objective_rows(d, m.comp_map, w)
+    x, mask = semgmm._objective_rows(d, m.comp_map, w)
     return semgmm._objective(semgmm._masked_log_joint(m, x, mask)[1], d.n_labeled, w)
 
 
@@ -68,6 +68,68 @@ def bayes_classify_batch_oracle(m, x):
     logj = class_log_joint(m, x)
     p = np.exp(logj - np.max(logj, axis=1, keepdims=True))
     return np.argmax(logj, axis=1), p / p.sum(axis=1, keepdims=True)
+
+
+def fit_sem_oracle(d, k, comp_map, opts):
+    """fit_sem's EM loop as it was before the column-at-a-time operations,
+    verbatim but for its argument checks, with logsumexp_oracle for the
+    log-normalizers: a full (N, K) mask applied with np.where, the E-step
+    shift, the row weights and x - mu by broadcast, and the component masses
+    from wr.sum(axis=0)."""
+    def objective_rows(w):
+        x = [d.features[d.labeled_idx]]
+        mask = [comp_map[None, :] == d.labels[:, None]]
+        alpha = [np.ones(d.n_labeled)]
+        if d.n_unlabeled and w != 0.0:
+            x.append(d.features[d.unlabeled_idx])
+            mask.append(np.ones((d.n_unlabeled, comp_map.size), dtype=bool))
+            alpha.append(np.full(d.n_unlabeled, w))
+        return np.concatenate(x), np.concatenate(mask), np.concatenate(alpha)
+
+    def masked_log_joint(m, x, mask):
+        log_r = np.where(mask, semgmm._component_log_joint(m, x), -np.inf)
+        with np.errstate(divide="ignore"):  # log(0) of a row that is all -inf
+            return log_r, logsumexp_oracle(log_r)
+
+    w = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
+    floor = semgmm._variance_floor(d.features)
+    model = semgmm._init_model(d, k, comp_map, floor, opts.seed)
+    x, mask, alpha = objective_rows(w)
+
+    log_r, norm = masked_log_joint(model, x, mask)
+    objective = semgmm._objective(norm, d.n_labeled, w)
+    trace = [objective]
+    for _ in range(opts.max_iter):
+        with np.errstate(invalid="ignore"):
+            resp = np.exp(log_r - norm[:, None])
+        bad = ~np.isfinite(norm)
+        if np.any(bad):
+            resp[bad] = mask[bad] / mask[bad].sum(axis=1, keepdims=True)
+
+        wr = resp * alpha[:, None]
+        mass = wr.sum(axis=0)
+        means = model.means.copy()
+        variances = model.covariances.copy()
+        for comp in range(k):
+            if mass[comp] <= 1e-12:
+                continue
+            mu = wr[:, comp] @ x / mass[comp]
+            diff = x - mu
+            means[comp] = mu
+            variances[comp] = np.maximum(wr[:, comp] @ (diff * diff) / mass[comp], floor)
+        model = replace(model, weights=mass / mass.sum(), means=means, covariances=variances)
+
+        log_r, norm = masked_log_joint(model, x, mask)
+        new_objective = semgmm._objective(norm, d.n_labeled, w)
+        trace.append(new_objective)
+        delta = new_objective - objective
+        objective = new_objective
+        if delta < opts.tol:
+            break
+
+    return replace(
+        model, unlabeled_weight=w, final_loglik=objective, objective_trace=tuple(trace)
+    )
 
 
 def bits(value):
@@ -377,6 +439,40 @@ class TestColumnFoldsEqualOracle:
         with np.errstate(invalid="ignore"):
             assert bits(semgmm._row_sum(a)) == bits(np.sum(a, axis=1))
 
+    @pytest.mark.parametrize("n", [40, 8191, 8193, 20020])
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
+    def test_col_sum_equals_numpy_col_sum(self, n, width):
+        # numpy adds the columns of an (N, K >= 2) array top to bottom from
+        # 0.0, as _col_sum does; a lone column is contiguous, and numpy sums
+        # it pairwise, which _col_sum does not
+        rng = np.random.default_rng(n + width)
+        a = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 9, size=(n, width))
+        signed_zeros = np.zeros(n)
+        signed_zeros[::2] = -0.0
+        inf_late = a[:, -1].copy()
+        inf_late[-1] = np.inf
+        infs = a[:, -1].copy()
+        infs[n // 3] = np.inf
+        infs[n // 2] = -np.inf
+        nan = a[:, -1].copy()
+        nan[n // 2] = np.nan
+        lasts = [a[:, -1], np.zeros(n), np.full(n, -0.0), signed_zeros, -signed_zeros,
+                 inf_late, -inf_late, infs, nan]
+        for last in lasts:
+            b = a.copy()
+            b[:, -1] = last
+            with np.errstate(invalid="ignore"):
+                got = semgmm._col_sum(b)
+                if width >= 2:
+                    assert bits(got) == bits(np.sum(b, axis=0))
+                else:
+                    total = 0.0
+                    for v in b[:, 0].tolist():
+                        total += v
+                    assert bits(got) == bits(np.array([total]))
+        if width == 1:
+            assert bits(semgmm._col_sum(a)) != bits(np.sum(a, axis=0))
+
     @pytest.mark.parametrize("width", range(1, 18))
     def test_row_max_equals_numpy_row_max(self, width):
         rng = np.random.default_rng(width)
@@ -398,7 +494,7 @@ class TestColumnFoldsEqualOracle:
         for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.3)):
             opts = SolverOptions(seed=k, unlabeled_weight_mode=mode, custom_weight=w)
             fast, slow = with_oracle(lambda: fit_sem(d, k, comp_map, opts))
-            assert bits(fast) == bits(slow)
+            assert bits(fast) == bits(slow) == bits(fit_sem_oracle(d, k, comp_map, opts))
             iterations.append(len(fast.objective_trace) - 1)
         assert max(iterations) > 3
 
@@ -425,3 +521,47 @@ class TestColumnFoldsEqualOracle:
                 kl_mc(m, models[1], 500, seed=k),
             ))
             assert bits(fast) == bits(slow)
+
+
+class TestFitSemEqualsWholeLoopOracle:
+    @pytest.mark.parametrize("kind", ["well_specified", "misspecified"])
+    def test_bench_scenarios(self, kind):
+        # the sem_gap scenarios of bench/workloads.py at N_u = 20,000
+        spec = {"well_specified": GenSpec(kind="well_specified", class_separation=6.0),
+                "misspecified": GenSpec(kind="misspecified", subclusters_per_class=2,
+                                        class_separation=5.0, subcluster_separation=8.0)}[kind]
+        d, _ = generate(replace(spec, n_unlabeled=20_000, seed=derive_seed(14, kind)))
+        for mode in ("original", "unbiased"):
+            opts = SolverOptions(seed=14, unlabeled_weight_mode=mode)
+            fast = fit_sem(d, 2, np.arange(2), opts)
+            assert bits(fast) == bits(fit_sem_oracle(d, 2, np.arange(2), opts))
+            assert len(fast.objective_trace) > 3
+
+    @pytest.mark.parametrize("dead", [[2], [1]])
+    def test_dead_components(self, monkeypatch, dead):
+        # Zero initial weights: with comp_map [0, 1, 1], component 2 has no
+        # mass in any step (mass <= 1e-12, its update skipped); zeroing
+        # component 1 too leaves class 1 no component, so every labeled row
+        # of class 1 is all -inf (the uniform fallback) in the first E-step.
+        init = semgmm._init_model
+
+        def zeroed(*args):
+            m = init(*args)
+            weights = m.weights.copy()
+            weights[[*dead, 2]] = 0.0
+            return replace(m, weights=weights)
+
+        monkeypatch.setattr(semgmm, "_init_model", zeroed)
+        spec = GenSpec(kind="misspecified", subclusters_per_class=2, dim=3, class_separation=5.0,
+                       n_labeled_per_class=5, n_unlabeled=200, seed=derive_seed(14, "dead"))
+        d, _ = generate(spec)
+        comp_map = np.array([0, 1, 1])
+        for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.3)):
+            opts = SolverOptions(seed=3, unlabeled_weight_mode=mode, custom_weight=w)
+            fast = fit_sem(d, 3, comp_map, opts)
+            assert bits(fast) == bits(fit_sem_oracle(d, 3, comp_map, opts))
+            assert len(fast.objective_trace) > 2
+            if dead == [2]:
+                assert fast.weights[2] == 0.0
+            else:
+                assert fast.objective_trace[0] == -np.inf
