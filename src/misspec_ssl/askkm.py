@@ -1,11 +1,11 @@
 """The adaptive semi-supervised kernel k-means driver.
 
 Each round fits the original-weighted and unbiased-weighted solvers from one
-shared initialization, on two threads of core.fan_out from
-FAN_OUT_MIN_ENTRIES Gram entries, classifies the labeled points with both,
-and checks the disagreement criterion. While the criterion exceeds its
-threshold the label map grows (one new cluster per disagreement group) and
-the round restarts cold at the larger structure. Growth is bounded by a
+shared initialization, from FAN_OUT_MIN_ENTRIES Gram entries on a pool of two
+threads that core.fan_out makes for the pair, classifies the labeled points
+with both, and checks the disagreement criterion. While the criterion exceeds
+its threshold the label map grows (one new cluster per disagreement group)
+and the round restarts cold at the larger structure. Growth is bounded by a
 cluster budget and a stall detector, so the loop always terminates.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, fan_out
+from .core import Dataset, InputError, SolverOptions, fan_out, fan_out_width
 from .kernels import KernelMatrix
 from .misspec import (
     CriterionReport,
@@ -45,6 +45,8 @@ class AskkmOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self) -> None:
+        if self.threshold is not None and self.threshold < 0:
+            raise InputError(f"threshold must be >= 0, got {self.threshold}")
         if self.stall_rounds < 1:
             raise InputError(f"stall_rounds must be >= 1, got {self.stall_rounds}")
 
@@ -123,7 +125,7 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
     stall = 0
     prev_disagreements: int | None = None
 
-    width = fan_out.width(km.values.size)
+    width = fan_out_width(km.values.size)
     while True:
         init = init_assignments(km, d, label_map)
 

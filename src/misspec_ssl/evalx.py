@@ -10,7 +10,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
-from .core import Dataset, InputError, SolverOptions, derive_seed, fan_out, one_blas_thread
+from .core import (
+    Dataset, InputError, SolverOptions, derive_seed, fan_out, fan_out_width, one_blas_thread
+)
 from .datagen import GenSpec, generate, sample_eval_set
 from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from .misspec import LabelMap
@@ -253,7 +255,7 @@ def learning_curve(
         )
 
     with one_blas_thread():
-        results = fan_out(run, cells, min(workers, fan_out.width()))
+        results = fan_out(run, cells, min(workers, fan_out_width()))
 
     raw = {m: np.empty((len(grid), n_seeds)) for m in canon}
     for (gi, si), res in zip(cells, results):

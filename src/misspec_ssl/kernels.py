@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, derive_seed, fan_out
+from .core import Dataset, InputError, derive_seed, fan_out, fan_out_width
 
 KERNEL_KINDS = ("linear", "rbf", "generalized_rbf")
 DISTANCES = ("euclidean", "manhattan", "chi_square")
@@ -192,7 +192,7 @@ def _fill_pairwise(
             np.multiply(block, -spec.gamma, out=block)
             np.exp(block, out=block)
 
-    fan_out(fill, _row_blocks(x.shape[0], y.shape[0], upper), fan_out.width(out.size))
+    fan_out(fill, _row_blocks(x.shape[0], y.shape[0], upper), fan_out_width(out.size))
 
 
 def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
@@ -214,11 +214,7 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
     # The strict upper triangle, row by row, then its exact median: the
     # upper middle value by one partition and, for an even count, the
     # lower middle value as the max below it, averaged as np.median does.
-    pairs = np.empty(m * (m - 1) // 2)
-    at = 0
-    for i in range(m - 1):
-        pairs[at : at + m - 1 - i] = d[i, i + 1 :]
-        at += m - 1 - i
+    pairs = d[~np.tri(m, dtype=bool)]
     med = 0.0
     if pairs.size:
         half = pairs.size // 2
@@ -283,7 +279,7 @@ def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
         np.copyto(tile, tile.T, where=below[: r1 - r0, : r1 - r0])
         values[r1:, r0:r1] = values[r0:r1, r1:].T
 
-    fan_out(mirror, range(0, n, BLOCK_ROWS), fan_out.width(values.size))
+    fan_out(mirror, range(0, n, BLOCK_ROWS), fan_out_width(values.size))
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)
     return KernelMatrix(values=values, spec=spec)

@@ -9,7 +9,13 @@ from misspec_ssl.askkm import (
     AskkmOptions,
     fit_askkm,
 )
-from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, InputError, SolverOptions, derive_seed, fan_out
+from misspec_ssl.core import (
+    FAN_OUT_MIN_ENTRIES,
+    InputError,
+    SolverOptions,
+    derive_seed,
+    fan_out_width,
+)
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
@@ -157,7 +163,7 @@ class TestFitPairOnTwoThreads:
     def test_one_and_two_threads_equal(self, spec, fan_out_threads):
         d, _ = misspecified(derive_seed(5, "pair"), n_unlabeled=1440)
         km = gram_matrix(d, spec)
-        assert fan_out.width(km.values.size) == 2 and km.n ** 2 >= FAN_OUT_MIN_ENTRIES
+        assert fan_out_width(km.values.size) == 2 and km.n ** 2 >= FAN_OUT_MIN_ENTRIES
         fits = {}
         for threads in (1, 2):
             fan_out_threads(threads)

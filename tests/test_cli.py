@@ -235,6 +235,14 @@ class TestFit:
         assert run(args + ["--method", "original_sem"]) == 0
         assert run(args + ["--method", "askkm"]) == 3
 
+    def test_negative_threshold_exits_3_before_reading_data(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        args = ["fit", "--data", tmp_path / "absent.csv", "--method", "askkm",
+                "--threshold", -1, "--out-model", out]
+        assert run(args) == 3
+        assert capsys.readouterr().err == "error: threshold must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 CURVE_ARGS = [
     "curve", "--kind", "misspecified", "--subclusters", 2, "--class-sep", 5.0,

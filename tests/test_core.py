@@ -19,6 +19,7 @@ from misspec_ssl.core import (
     SolverOptions,
     derive_seed,
     fan_out,
+    fan_out_width,
 )
 
 
@@ -215,6 +216,11 @@ def submissions(monkeypatch):
     return seen
 
 
+def pool_threads():
+    """The names of the live threads of core.fan_out's pools."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("misspec-ssl")]
+
+
 class TestFanOut:
     def test_results_in_job_order(self, fan_out_threads):
         fan_out_threads(2)
@@ -223,27 +229,27 @@ class TestFanOut:
 
     def test_width_floor_and_cap(self, fan_out_threads, monkeypatch):
         fan_out_threads(2)
-        assert fan_out.width() == 2
-        assert fan_out.width(FAN_OUT_MIN_ENTRIES) == 2
-        assert fan_out.width(FAN_OUT_MIN_ENTRIES - 1) == 1
+        assert fan_out_width() == 2
+        assert fan_out_width(FAN_OUT_MIN_ENTRIES) == 2
+        assert fan_out_width(FAN_OUT_MIN_ENTRIES - 1) == 1
         fan_out_threads(1)
-        assert fan_out.width(FAN_OUT_MIN_ENTRIES) == 1
+        assert fan_out_width(FAN_OUT_MIN_ENTRIES) == 1
         fan_out_threads(0)
-        assert fan_out.width() == 1
+        assert fan_out_width() == 1
         fan_out_threads(8)
-        assert fan_out.width() == 2
+        assert fan_out_width() == 2
         monkeypatch.delenv(ENV_THREADS)
-        assert fan_out.width() == 2
+        assert fan_out_width() == 2
 
     def test_cap_that_is_no_integer_rejected(self, monkeypatch):
         monkeypatch.setenv(ENV_THREADS, "two")
         with pytest.raises(InputError, match="MISSPEC_SSL_THREADS must be an integer, got 'two'"):
-            fan_out.width()
+            fan_out_width()
 
     def test_one_thread_runs_inline(self, fan_out_threads, submissions):
         fan_out_threads(1)
         here = threading.get_ident()
-        assert fan_out(lambda j: threading.get_ident(), range(3), fan_out.width()) == [here] * 3
+        assert fan_out(lambda j: threading.get_ident(), range(3), fan_out_width()) == [here] * 3
         assert submissions == []
 
     def test_calls_from_a_pool_thread_run_inline(self, fan_out_threads, submissions):
@@ -252,7 +258,7 @@ class TestFanOut:
         def job(j):
             me = threading.get_ident()
             inner = fan_out(lambda i: threading.get_ident(), range(4), 2)
-            return me, fan_out.width(), inner == [me] * 4
+            return me, fan_out_width(), inner == [me] * 4
 
         got = []
         caller = threading.Thread(target=lambda: got.append(fan_out(job, range(4), 2)),
@@ -264,13 +270,47 @@ class TestFanOut:
         assert {width for _, width, _ in results} == {1}
         assert all(inline for _, _, inline in results)
         assert caller.ident not in {me for me, _, _ in results}
-        # The outer call's two lanes, and nothing from the nested calls.
-        assert submissions == [caller.name] * 2
+        # One submission per job of the outer call, and nothing from the
+        # nested calls.
+        assert submissions == [caller.name] * 4
+
+    def test_no_pool_thread_outlives_a_call(self, fan_out_threads):
+        fan_out_threads(2)
+        assert fan_out(lambda j: j, range(4), 2) == [0, 1, 2, 3]
+        assert pool_threads() == []
+
+        def job(j):
+            if j == 1:
+                raise InputError("job 1 failed")
+            return j
+
+        with pytest.raises(InputError, match="job 1 failed"):
+            fan_out(job, range(4), 2)
+        assert pool_threads() == []
+
+    def test_never_more_threads_than_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        running, most, threads = 0, 0, set()
+        counting = threading.Lock()
+
+        def job(j):
+            nonlocal running, most
+            with counting:
+                running += 1
+                most = max(most, running)
+                threads.add(threading.get_ident())
+            time.sleep(0.001)
+            with counting:
+                running -= 1
+            return j
+
+        assert fan_out(job, range(64), 64) == list(range(64))
+        assert 1 <= most <= 2 and len(threads) <= 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_pools_of_one_and_two_threads_never_deadlock(self, monkeypatch, cpus):
         monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-        pool = core.FanOut()
+        pool = core.fan_out
 
         def job(j):
             return sum(pool(lambda i: i + j, range(4), 2))
@@ -287,10 +327,10 @@ class TestFanOut:
         assert got == [want] * 3
 
     def test_every_job_runs_once_under_contention(self, monkeypatch):
-        # More lanes than cores, three callers at once, and a thread switch
+        # More threads than cores, three callers at once, and a thread switch
         # every microsecond: a job taken twice or never shows in the counts.
         monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
-        pool = core.FanOut()
+        pool = core.fan_out
         runs = [0] * 3000
         counting = threading.Lock()
 
@@ -318,9 +358,10 @@ class TestFanOut:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_a_pool_of_its_own(self, fan_out_threads):
         fan_out_threads(2)
-        assert fan_out(lambda j: j, range(4), 2) == [0, 1, 2, 3]  # the parent's pool exists
+        assert fan_out(lambda j: j, range(4), 2) == [0, 1, 2, 3]
+        assert pool_threads() == []
         pid = os.fork()
-        if pid == 0:  # the child: its copy of the pool has no threads
+        if pid == 0:  # the child makes a pool of its own
             os._exit(0 if fan_out(lambda j: j + 1, range(4), 2) == [1, 2, 3, 4] else 1)
         deadline = time.monotonic() + 60
         while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:

@@ -163,7 +163,7 @@ class TestLearningCurve:
             return real_submit(executor, fn, *args, **kwargs)
 
         def cell(*args):
-            widths.append((threading.get_ident(), core.fan_out.width()))
+            widths.append((threading.get_ident(), core.fan_out_width()))
             return real_cell(*args)
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
@@ -172,7 +172,7 @@ class TestLearningCurve:
         here = threading.get_ident()
         assert len(widths) == 4 and {w for _, w in widths} == {1}
         assert here not in {t for t, _ in widths}
-        assert submitted == [here, here]  # the two lanes of the cells, nothing nested
+        assert submitted == [here] * 4  # one per cell, nothing nested
         assert pooled.to_json_dict() == serial.to_json_dict()
 
     def test_binary_scenario_uses_ap(self):
