@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file or directory, or a directory as a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -237,7 +237,7 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise InputError(f"tol must be >= 0, got {self.tol}")
         if self.unlabeled_weight_mode not in WEIGHT_MODES:
             raise InputError(

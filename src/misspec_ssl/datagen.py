@@ -232,27 +232,30 @@ def load_csv(path: str | Path) -> tuple[Dataset, list[str]]:
     class names in id order.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise InputError(f"{path}: header row required (empty file or blank first line)")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise InputError(f"{path}: header row required (empty file or blank first line)")
 
-        features: list[list[float]] = []
-        row_labels: list[int] = []
-        # the unlabeled mark, then the class names in id order
-        name_to_id: dict[str, int] = {UNLABELED_MARKER: UNLABELED}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            *values, raw = row
-            try:
-                features.append([float(v) for v in values])
-            except ValueError as exc:
-                raise InputError(f"{path}:{line_no}: bad feature value ({exc})") from None
-            row_labels.append(name_to_id.setdefault(raw, len(name_to_id) - 1))
+            features: list[list[float]] = []
+            row_labels: list[int] = []
+            # the unlabeled mark, then the class names in id order
+            name_to_id: dict[str, int] = {UNLABELED_MARKER: UNLABELED}
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                *values, raw = row
+                try:
+                    features.append([float(v) for v in values])
+                except ValueError as exc:
+                    raise InputError(f"{path}:{line_no}: bad feature value ({exc})") from None
+                row_labels.append(name_to_id.setdefault(raw, len(name_to_id) - 1))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     names = list(name_to_id)[1:]
     dataset = Dataset(

@@ -243,8 +243,8 @@ def learning_curve(
     grid = [int(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError(f"grid must be strictly increasing, got {grid}")
-    if n_seeds < 1 or eval_size < 1:
-        raise InputError("n_seeds and eval_size must be >= 1")
+    if min(n_seeds, eval_size, workers) < 1:
+        raise InputError("n_seeds, eval_size and workers must be >= 1")
 
     cells = [(gi, si) for gi in range(len(grid)) for si in range(n_seeds)]
 

@@ -23,7 +23,6 @@ DISTANCES = ("euclidean", "manhattan", "chi_square")
 CHI_SQUARE_EPS = 1e-12
 MEDIAN_SUBSAMPLE = 512
 BLOCK_ENTRIES = 2**17
-BLOCK_ROWS = 64
 # Below this many features a euclidean distance is a per-feature fold. From
 # here on ||x||^2 + ||y||^2 - 2 x.y is used: one matmul, which on one BLAS
 # thread is as fast or faster for Gram matrices of 3,000 to 6,000 rows.
@@ -60,8 +59,8 @@ class KernelSpec:
 class KernelMatrix:
     """Symmetric N x N Gram matrix tagged with the spec that produced it.
 
-    Symmetry is exact (values are computed once and mirrored); for rbf kinds
-    the diagonal is exactly 1.
+    Symmetry is exact (see gram_matrix); for rbf kinds the diagonal is
+    exactly 1.
     """
 
     values: np.ndarray
@@ -98,16 +97,12 @@ def _check_magnitude(*arrays: np.ndarray) -> None:
             )
 
 
-def _row_blocks(n_rows: int, n_cols: int, upper: bool) -> Iterator[tuple[int, int, int]]:
-    """(r0, r1, c0) of the row blocks of an n_rows x n_cols output: rows
-    r0:r1, columns c0: (c0 = r0 with ``upper``, else 0). Each block covers
-    about BLOCK_ENTRIES entries, and at least one row."""
-    r0 = 0
-    while r0 < n_rows:
-        c0 = r0 if upper else 0
-        r1 = min(n_rows, r0 + max(1, BLOCK_ENTRIES // max(1, n_cols - c0)))
-        yield r0, r1, c0
-        r0 = r1
+def _row_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
+    """(r0, r1) of the row blocks of an n_rows x n_cols output. Each block
+    covers about BLOCK_ENTRIES entries, and at least one row."""
+    step = max(1, BLOCK_ENTRIES // max(1, n_cols))
+    for r0 in range(0, n_rows, step):
+        yield r0, min(n_rows, r0 + step)
 
 
 def _fold_distance(
@@ -137,9 +132,7 @@ def _fold_distance(
             block += term
 
 
-def _fill_pairwise(
-    out: np.ndarray, x: np.ndarray, y: np.ndarray, spec: KernelSpec, upper: bool
-) -> None:
+def _fill_pairwise(out: np.ndarray, x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> None:
     """Write pairwise values of kernel ``spec`` between rows of x and rows of
     y into ``out`` in place: the dot product for linear, else
     exp(-gamma * distance), with the squared euclidean distance for rbf. With
@@ -152,10 +145,8 @@ def _fill_pairwise(
     about BLOCK_ENTRIES entries, taken in order by whichever thread of
     core.fan_out is free, each thread with its own scratch, so temporaries
     stay O(BLOCK_ENTRIES) per thread however large ``out`` is, and every
-    entry is computed as on one thread. With ``upper`` (y is x) only entries
-    on and above the diagonal are written; the rest of ``out`` is scratch.
-    Features too large for the arithmetic are an InputError, raised before
-    any product.
+    entry is computed as on one thread. Features too large for the
+    arithmetic are an InputError, raised before any product.
     """
     squared = spec.kind == "rbf"
     distance = None if spec.kind == "linear" else "euclidean" if squared else spec.distance
@@ -172,19 +163,19 @@ def _fill_pairwise(
         if distance is None:
             return
         xx = np.sum(x * x, axis=1)
-        yy = xx if upper else np.sum(y * y, axis=1)
+        yy = np.sum(y * y, axis=1)
     scratch = threading.local()
 
-    def fill(rows: tuple[int, int, int]) -> None:
-        r0, r1, c0 = rows
-        block = out[r0:r1, c0:]
+    def fill(rows: tuple[int, int]) -> None:
+        r0, r1 = rows
+        block = out[r0:r1]
         if fold:
             if not hasattr(scratch, "buffer"):
                 scratch.buffer = np.empty(2 * max(BLOCK_ENTRIES, y.shape[0]))
-            _fold_distance(block, x[r0:r1], yt[:, c0:], distance, scratch.buffer)
+            _fold_distance(block, x[r0:r1], yt, distance, scratch.buffer)
         else:
             np.multiply(block, 2.0, out=block)
-            np.subtract(xx[r0:r1, None] + yy[None, c0:], block, out=block)
+            np.subtract(xx[r0:r1, None] + yy, block, out=block)
             np.maximum(block, 0.0, out=block)
         if distance == "euclidean" and not squared:
             np.sqrt(block, out=block)
@@ -192,7 +183,7 @@ def _fill_pairwise(
             np.multiply(block, -spec.gamma, out=block)
             np.exp(block, out=block)
 
-    fan_out(fill, _row_blocks(x.shape[0], y.shape[0], upper), fan_out_width(out.size))
+    fan_out(fill, _row_blocks(x.shape[0], y.shape[0]), fan_out_width(out.size))
 
 
 def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
@@ -210,7 +201,7 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
         x = x[rng.choice(n, size=MEDIAN_SUBSAMPLE, replace=False)]
     m = x.shape[0]
     d = np.empty((m, m))
-    _fill_pairwise(d, x, x, spec, upper=True)
+    _fill_pairwise(d, x, x, spec)
     # The strict upper triangle, row by row, then its exact median: the
     # upper middle value by one partition and, for an even count, the
     # lower middle value as the max below it, averaged as np.median does.
@@ -230,15 +221,24 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
 
 
 def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel values between rows of x (queries) and rows of y (training)."""
+    """Kernel values between rows of x (queries) and rows of y (training).
+    The one place a kernel matrix is allocated: a failure to allocate the
+    8*Q*N bytes of the result is an InputError, not a crash."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
         raise InputError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     if spec.is_rbf_kind and spec.gamma is None:
         raise InputError("gamma unresolved; call resolve_gamma first")
-    out = np.empty((x.shape[0], y.shape[0]))
-    _fill_pairwise(out, x, y, spec, upper=False)
+    q, n = x.shape[0], y.shape[0]
+    try:
+        out = np.empty((q, n))
+    except MemoryError:
+        raise InputError(
+            f"the kernel matrix of Q={q} by N={n} points needs {8 * q * n} bytes "
+            "(8*Q*N), which could not be allocated"
+        ) from None
+    _fill_pairwise(out, x, y, spec)
     return out
 
 
@@ -251,35 +251,14 @@ def kernel_diag(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def gram_matrix(d: Dataset, spec: KernelSpec) -> KernelMatrix:
-    """Precompute the full Gram matrix over all dataset points.
-
-    The matrix is built in one N x N buffer: the upper triangle is computed
-    once, in blocks of rows, and mirrored so symmetry holds bit-exactly, in
-    tiles of BLOCK_ROWS rows on the threads of core.fan_out; for rbf kinds
-    the diagonal is set to exactly 1. Beyond the 8*N^2 bytes of the result,
-    memory use is O(BLOCK_ENTRIES + N) per thread; a failed allocation of
-    the result is an InputError, not a crash.
-    """
+    """The Gram matrix over all dataset points: their cross matrix, with a
+    unit diagonal for rbf kinds."""
     spec = resolve_gamma(spec, d.features)
-    x = np.asarray(d.features, dtype=float)
-    n = x.shape[0]
-    try:
-        values = np.empty((n, n))
-    except MemoryError:
-        raise InputError(
-            f"the Gram matrix of N={n} points needs {8 * n * n} bytes (8*N^2), "
-            "which could not be allocated"
-        ) from None
-    _fill_pairwise(values, x, x, spec, upper=True)
-    below = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
-
-    def mirror(r0: int) -> None:
-        r1 = min(r0 + BLOCK_ROWS, n)
-        tile = values[r0:r1, r0:r1]
-        np.copyto(tile, tile.T, where=below[: r1 - r0, : r1 - r0])
-        values[r1:, r0:r1] = values[r0:r1, r1:].T
-
-    fan_out(mirror, range(0, n, BLOCK_ROWS), fan_out_width(values.size))
+    # Exactly symmetric as computed: a fold's (a - b)^2, |a - b| and a + b
+    # equal (b - a)^2, |b - a| and b + a. On the matmul route x and y are one
+    # array, whose x @ x.T numpy takes from BLAS syrk, which computes one
+    # triangle and copies it; and ||x_i||^2 + ||x_j||^2 is commutative.
+    values = cross_matrix(d.features, d.features, spec)
     if spec.is_rbf_kind:
         np.fill_diagonal(values, 1.0)
     return KernelMatrix(values=values, spec=spec)

@@ -123,10 +123,9 @@ def _cluster_stats(
     """Per-cluster weight totals W_k, member-sum columns M[:, k], and the
     second-order terms T_k = w' K w, from one full product over K.
 
-    ``kvalues`` must be exactly symmetric, as gram_matrix builds it (it
-    mirrors one triangle). M is then (wz' K)', which equals K wz in exact
-    arithmetic, not bit for bit, and on one BLAS thread takes about half the
-    time of K wz at N = 6,020."""
+    ``kvalues`` must be exactly symmetric, as gram_matrix builds it. M is
+    then (wz' K)', which equals K wz in exact arithmetic, not bit for bit,
+    and on one BLAS thread takes about half the time of K wz at N = 6,020."""
     wz = _weighted_indicator(cluster_of, weights, k)
     member_sum = (wz.T @ kvalues).T
     wsum = wz.sum(axis=0)
@@ -231,7 +230,7 @@ class _MemberSums:
             signed[at, self.cluster_of[moved]] = -w
         member_t = self.member_sum.T
         blocks, rows = 0, 0
-        for r0, r1, _ in _row_blocks(moved.size, n, upper=False):
+        for r0, r1 in _row_blocks(moved.size, n):
             member_t += signed[r0:r1].T @ self.km.values[moved[r0:r1]]
             blocks, rows = blocks + 1, max(rows, r1 - r0)
 

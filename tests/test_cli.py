@@ -13,7 +13,7 @@ import pytest
 from misspec_ssl import askkm, cli, core, kernels
 from misspec_ssl.cli import load_model_scores, main
 from misspec_ssl.core import ENV_THREADS, InputError, blas_thread_api
-from misspec_ssl.datagen import load_csv
+from misspec_ssl.datagen import load_csv, write_csv
 from misspec_ssl.kernels import cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.sskkm import ClusterModel, _cluster_stats, score_batch
 
@@ -65,6 +65,37 @@ class TestGen:
 def dataset_csv(tmp_path):
     run(gen_args(tmp_path, unlabeled=80, seed=5))
     return tmp_path / "data.csv"
+
+
+# Inputs that are a usage error (exit 2) or a data error (exit 3), run in a
+# directory holding data.csv, a directory "dir" and a Latin-1 CSV: (argv,
+# exit code, a fragment of the message). None writes an output file.
+BAD_INPUTS = {
+    "data_is_a_directory": (["fit", "--data", "dir", "--method", "original_sskkm"], 2,
+                            "Is a directory: 'dir'"),
+    "model_is_a_directory": (["eval", "--model", "dir", "--data", "data.csv"], 2,
+                             "Is a directory: 'dir'"),
+    "data_not_utf8": (["fit", "--data", "latin1.csv", "--method", "original_sskkm"], 3,
+                      "latin1.csv: not UTF-8 text"),
+    "tol_nan": (["fit", "--data", "data.csv", "--method", "original_sskkm", "--tol", "nan"], 3,
+                "tol must be >= 0, got nan"),
+    "workers_0": (["curve", "--workers", 0, "--grid", 0, "--seeds", 1, "--eval-size", 20,
+                   "--methods", "original_sem"], 3, "workers must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, case):
+    argv, code, message = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    Path("latin1.csv").write_bytes("f0,label\n1.0,caf\xe9\n".encode("latin-1"))
+    before = set(Path().iterdir())
+    outputs = {"fit": ["--out-model", "out.json"], "eval": ["--out", "out.json"],
+               "curve": ["--out-json", "out.json", "--out-csv", "out.csv"]}[argv[0]]
+    assert run([*argv, *outputs]) == code
+    assert message in capsys.readouterr().err
+    assert set(Path().iterdir()) == before
 
 
 class TestFit:
@@ -608,6 +639,25 @@ class TestKernelModelEval:
         err = capsys.readouterr().err
         assert f"N={n}" in err and str(8 * n * n) in err
 
+    def test_cross_matrix_allocation_failure_exits_3(self, tmp_path, data, monkeypatch, capsys):
+        # eval's (Q, N) cross matrix is allocated where the Gram is
+        model = self.fit(tmp_path, data, "askkm")
+        train = load_csv(data)[0]
+        q, n = train.n_labeled, train.n_points
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if shape == (q, n):
+                raise MemoryError
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "empty", empty)
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--model", model, "--data", data, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert f"Q={q}" in err and f"N={n}" in err and str(8 * q * n) in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_sets_defaults_and_flags_override(self, tmp_path):
@@ -1072,6 +1122,142 @@ def test_fit_and_eval_bytes_independent_of_fan_out_threads(tmp_path, monkeypatch
     here = threading.get_ident()
     assert seen["1"] == {here}
     assert len(seen[None] - {here}) >= 2
+
+
+# The kernel paths no set above covers, each fitted by original_sskkm and
+# askkm on N = 600 and N = 1,500 training rows and evaluated with --verbose
+# on one held-out file per dataset: (training data stem, fit flags).
+KERNEL_PATHS = {
+    "linear": ("d2", ["--kernel", "linear"]),
+    # from EUCLIDEAN_FOLD_BELOW features on, the euclidean distance is a matmul
+    "rbf_d7": ("d7", []),
+    "chi_square": ("d2_shifted", ["--kernel", "generalized_rbf", "--distance", "chi_square"]),
+    "rbf_c3": ("c3", []),
+}
+
+
+def write_kernel_path_data():
+    """The datasets of KERNEL_PATHS in the working directory: 2 classes at 2
+    and 7 features and 3 classes at 2, at N = 600 and 1,500 (1,510 for 3
+    classes), each with one held-out file of 1,400 rows (1,440 for 3 classes),
+    so the N = 1,500 evals' cross matrices are fanned out. d2_shifted is d2
+    with every feature shifted by one integer to be nonnegative."""
+    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5]
+    for stem, extra, per_class in (("d2", [], 700), ("d7", ["--dim", 7], 700),
+                                   ("c3", ["--classes", 3], 480)):
+        for n in (600, 1500):
+            assert run([*scenario, *extra, "--unlabeled", n - 20, "--seed", 61,
+                        "--out-data", f"{stem}_{n}.csv", "--out-truth", "truth.json"]) == 0
+        assert run([*scenario, *extra, "--unlabeled", 0, "--labeled-per-class", per_class,
+                    "--seed", 62, "--out-data", f"{stem}_heldout.csv",
+                    "--out-truth", "truth.json"]) == 0
+    files = {name: load_csv(f"d2_{name}.csv")[0] for name in ("600", "1500", "heldout")}
+    shift = -np.floor(min(d.features.min() for d in files.values()))
+    for name, d in files.items():
+        write_csv(replace(d, features=d.features + shift), f"d2_shifted_{name}.csv")
+
+
+# sha256 of the 32 files kernel_path_commands writes, at every thread count.
+# Recorded before the Gram became the cross matrix of the training rows.
+KERNEL_PATH_DIGESTS = {
+    "1500_chi_square_askkm.eval.json":
+        "d9c183994091a08524510a13a4cbcb80f588e081f18d0698aee75c120847fc0d",
+    "1500_chi_square_askkm.json":
+        "5eed0afc8f6886aecd21fed862da2696388b8fa048ae2519e3860800cd395740",
+    "1500_chi_square_original_sskkm.eval.json":
+        "d7876b5a92a4ec05a0e9a903d3c5677f1725cb5d3ca233794068b8a0f3ad861f",
+    "1500_chi_square_original_sskkm.json":
+        "40ba12dbbb80459a0019cc184980da30a9e90c97012a6613e4ac385876fefcc4",
+    "1500_linear_askkm.eval.json":
+        "44e6d8d76513466c6822d09f48fbcb664f0e6c5cd141231347e203f3ef788e4a",
+    "1500_linear_askkm.json":
+        "d2c754d54f818ca59364959ddc9ba9bb29bce7f6e14b4d5b02e6f3d71e8bc9f6",
+    "1500_linear_original_sskkm.eval.json":
+        "11979f9ea18a296784be2126407236b8962d777b6254eaecf871db8f75f371ee",
+    "1500_linear_original_sskkm.json":
+        "891d3a53a0bc35f8f6a22dcce597e2a889445fd8e44a74892a694ce0ea3fc0ec",
+    "1500_rbf_c3_askkm.eval.json":
+        "8007285a283ac52fbe8141a0ba7abd974454371fb81d59ea94444459f80ae6c9",
+    "1500_rbf_c3_askkm.json":
+        "8319f4730ccd511a5e193426f07988d84fdcdd8335e6a761f2b4b37f5bc6d281",
+    "1500_rbf_c3_original_sskkm.eval.json":
+        "7be27baad783f538e09c733619d828687c66b4259b808d0f0489b1247ac2c940",
+    "1500_rbf_c3_original_sskkm.json":
+        "fb85b608ceca0f01674e4edf257064718d92a4610424cc2825c005aa316aafd7",
+    "1500_rbf_d7_askkm.eval.json":
+        "1395eaa187983c427a7d9842e27750862490cac01ca7f35ab65161a21e963f6a",
+    "1500_rbf_d7_askkm.json":
+        "5d9100466bb98b783c7eaab08aa2cfe531d0cb470d048476519e5d1a99573660",
+    "1500_rbf_d7_original_sskkm.eval.json":
+        "7224851f03a57a34017e583a5e606281f7017fa216ee890e93dabfee5bd238b3",
+    "1500_rbf_d7_original_sskkm.json":
+        "8db90ef8118f467e0e917162f0312d4a57d65b7205a7ce021c2a979d0b696692",
+    "600_chi_square_askkm.eval.json":
+        "b0595f72da1c37b4a9b68a3c2487e69a3a9f7af0150c46f064895b85fd30180a",
+    "600_chi_square_askkm.json":
+        "c31b421d31e4c1902720fb04dc1f69f8bbf89aa279cfeb27fa44aaba6d185572",
+    "600_chi_square_original_sskkm.eval.json":
+        "64d3ded082dfec6a14c002759da72ff109e1d718fbaf06b8395c8005be22a2ba",
+    "600_chi_square_original_sskkm.json":
+        "ac17d587f9c8af41e48530ef3482b02e2078b5acd5f0ac17c56cbd91778738f7",
+    "600_linear_askkm.eval.json":
+        "595c8d3f5023281b29b687ae4fbfa673acfcf3a23f3780ae585e6f77035597ce",
+    "600_linear_askkm.json":
+        "077fe2514555043ce5fe57b0b2e016c866ef9bde366eb7d4c9333021343720e5",
+    "600_linear_original_sskkm.eval.json":
+        "b6b2fcc3d7763936b29aaf7d94835fd8fc2ee3f800705566ee49558251c6410a",
+    "600_linear_original_sskkm.json":
+        "276564945e0f8178fb61729babbf97dd8074aa345510ea1a5072edc6d7fe0628",
+    "600_rbf_c3_askkm.eval.json":
+        "467cb649ddf3887dbe2d63e76902a4974554b23eaf9477f377c1c09ffb8c7fd6",
+    "600_rbf_c3_askkm.json":
+        "9ac761e6393d2e0fa7d998d56fb58b6ac842242fc005540347d05d206cd94382",
+    "600_rbf_c3_original_sskkm.eval.json":
+        "798ca3b15a82d5cc94cc3892809f400d1090e44eba7bbe7ba0dc5399390ac4e8",
+    "600_rbf_c3_original_sskkm.json":
+        "2f6c06ee10f1739c216c81a9721db4a0f444ba7d92daaccbc188d8a342ba7ad3",
+    "600_rbf_d7_askkm.eval.json":
+        "66dc7d108ab0d029279de409d71d62bb4dc3bcdb25b4b6d9626416fa71c4a512",
+    "600_rbf_d7_askkm.json":
+        "453200766b79cd30d7218e84fff2db2df9ba094c75f4a92a0291fda3deeaf5ca",
+    "600_rbf_d7_original_sskkm.eval.json":
+        "6e313099db0e41eff30f8b73ba8083392ca5f78646272f24ec8ccb44ffdd1d00",
+    "600_rbf_d7_original_sskkm.json":
+        "81e37b8290949ce07d523712bf245203d337e7aa2d72a3c193450ec8b6f73aca",
+}
+
+
+def kernel_path_commands(data_dir):
+    commands = []
+    for n in (600, 1500):
+        for path, (stem, flags) in KERNEL_PATHS.items():
+            for method in ("original_sskkm", "askkm"):
+                name = f"{n}_{path}_{method}"
+                commands.append(["fit", "--data", f"{data_dir}/{stem}_{n}.csv",
+                                 "--method", method, *flags, "--out-model", f"{name}.json"])
+                commands.append(["eval", "--model", f"{name}.json",
+                                 "--data", f"{data_dir}/{stem}_heldout.csv", "--verbose",
+                                 "--out", f"{name}.eval.json"])
+    return commands
+
+
+def test_kernel_path_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_kernel_path_data()
+    assert 1400 * 1500 >= core.FAN_OUT_MIN_ENTRIES > 1440 * 600
+    for cap in ("1", None):
+        out = tmp_path / f"threads-{cap}"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        if cap is None:
+            monkeypatch.delenv(ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(ENV_THREADS, cap)
+        for argv in kernel_path_commands(".."):
+            assert run(argv) == 0, argv
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        assert digests == KERNEL_PATH_DIGESTS, cap
 
 
 def test_error_in_unbiased_half_exits_3_as_on_one_thread(

@@ -1,4 +1,5 @@
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from misspec_ssl import core
 from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, UNLABELED, Dataset, InputError, derive_seed
 from misspec_ssl.kernels import (
     BLOCK_ENTRIES,
-    BLOCK_ROWS,
     CHI_SQUARE_EPS,
     EUCLIDEAN_FOLD_BELOW,
     MEDIAN_SUBSAMPLE,
@@ -217,16 +217,23 @@ class TestGramMatrix:
         np.testing.assert_allclose(km.values, x @ x.T, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
-    @pytest.mark.parametrize("n", [20, 400, 1100])
+    @pytest.mark.parametrize("n", [20, 400, 1100, 1500])
     def test_symmetry_is_bit_exact(self, spec, n):
         # sskkm takes member sums as (w'K)', which needs K exactly symmetric;
-        # from n = 363 on the upper triangle spans more than one fold block
+        # from n = 363 on the Gram spans more than one fold block. 7 features
+        # take the matmul route, whose x @ x.T OpenBLAS may split by thread
+        # from about 1,000 rows up: so on one BLAS thread and on the default
+        # count, as a library caller gets it.
         assert 400 * 400 > BLOCK_ENTRIES > 362 * 362
-        x = np.random.default_rng(4).standard_normal((n, 4))
-        if spec.distance == "chi_square":
-            x = np.abs(x)
-        km = gram_matrix(dataset_from_features(x), spec)
-        assert np.array_equal(km.values, km.values.T)
+        assert 1500 * 1500 >= FAN_OUT_MIN_ENTRIES and EUCLIDEAN_FOLD_BELOW <= 7
+        for dim in (4, 7):
+            x = np.random.default_rng(4).standard_normal((n, dim))
+            if spec.distance == "chi_square":
+                x = np.abs(x)
+            for blas in (core.one_blas_thread, nullcontext):
+                with blas():
+                    km = gram_matrix(dataset_from_features(x), spec)
+                assert np.array_equal(km.values, km.values.T), (dim, blas)
 
     def test_rbf_diagonal_exactly_one(self):
         rng = np.random.default_rng(5)
@@ -235,7 +242,7 @@ class TestGramMatrix:
 
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
-    @pytest.mark.parametrize("n", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, 400])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 131, 400])
     @pytest.mark.parametrize("dim", GRAM_DIMS)
     def test_in_place_build_matches_whole_matrix_oracle(self, spec, n, dim):
         # n=1 cannot form a valid two-class dataset; cross_matrix covers it
@@ -261,7 +268,7 @@ def test_fold_is_np_sum_below_eight_features(distance, dim):
     else:
         want = np.sum(diff * diff / (x[:, None, :] + y[None, :, :] + CHI_SQUARE_EPS), axis=2)
     got = np.empty((30, 40))
-    _fill_pairwise(got, x, y, KernelSpec(kind="generalized_rbf", distance=distance), upper=False)
+    _fill_pairwise(got, x, y, KernelSpec(kind="generalized_rbf", distance=distance))
     assert np.array_equal(got, want)
 
 
@@ -399,13 +406,12 @@ class TestCrossAndDiag:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
     # the largest q takes more than one fold block of BLOCK_ENTRIES entries
-    @pytest.mark.parametrize("q", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3,
-                                   BLOCK_ENTRIES // (BLOCK_ROWS + 5) + 7])
+    @pytest.mark.parametrize("q", [1, 65, 131, BLOCK_ENTRIES // 69 + 7])
     @pytest.mark.parametrize("dim", [3, EUCLIDEAN_FOLD_BELOW, 8, 9])
     def test_cross_matches_whole_matrix_oracle(self, spec, q, dim):
         rng = np.random.default_rng(q)
         x = np.abs(rng.standard_normal((q, dim)))
-        y = np.abs(rng.standard_normal((BLOCK_ROWS + 5, dim)))
+        y = np.abs(rng.standard_normal((69, dim)))
         y[: min(q, 9)] = x[:9]
         spec = resolve_gamma(spec, y)
         assert np.array_equal(cross_matrix(x, y, spec), numpy_cross(x, y, spec))
@@ -418,7 +424,7 @@ class TestCrossAndDiag:
 
 class TestFanOutBitForBit:
     """The Gram and cross matrices are the same bits whether core.fan_out
-    runs their row blocks and mirror tiles inline or on two threads."""
+    runs their row blocks inline or on two threads."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.distance}")
     @pytest.mark.parametrize("dim", [3, EUCLIDEAN_FOLD_BELOW])
