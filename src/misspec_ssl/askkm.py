@@ -64,9 +64,16 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class AskkmModel:
+    """The original-objective fit at the final structure, the round history
+    and the termination reason. ``first_round`` holds the round-1 original
+    and unbiased fits, at the class structure: equal to fit_sskkm of each
+    weighting with the identity label map. It serves the callers that want
+    those fits too, and to_dict does not write it."""
+
     final_model: ClusterModel
     history: tuple[RoundRecord, ...]
     terminated_by: str
+    first_round: tuple[ClusterModel, ClusterModel]
 
     @property
     def label_map(self) -> LabelMap:
@@ -135,6 +142,8 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
 
         original, unbiased = fan_out(fit, ("original", "unbiased"), width)
 
+        if not history:
+            first_round = (original, unbiased)
         preds_original = score_batch(original, lab_rows, lab_diag)[0]
         preds_unbiased = score_batch(unbiased, lab_rows, lab_diag)[0]
         report = disagreement_criterion(preds_original, preds_unbiased, threshold)
@@ -164,4 +173,5 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
             terminated_by = TERMINATED_GROWTH_CAPPED
             break
 
-    return AskkmModel(final_model=original, history=tuple(history), terminated_by=terminated_by)
+    return AskkmModel(final_model=original, history=tuple(history),
+                      terminated_by=terminated_by, first_round=first_round)

@@ -277,15 +277,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that records the destination of every flag it declares."""
+    """An ArgumentParser that records every flag it declares by destination."""
 
     def __init__(self, *args, **kwargs) -> None:
-        self.dests: set[str] = set()
+        self.dests: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs) -> argparse.Action:
         action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
+        self.dests[action.dest] = action
         return action
 
     def set_command(self, func) -> None:
@@ -297,8 +297,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The CLI parser. ``defaults`` (the settings of a config file) become the
-    defaults of the same-named flags of every subcommand; a key that is no
-    flag of any subcommand is a usage error (exit 2)."""
+    defaults of the same-named flags of every subcommand, unconverted. A key
+    that is no flag of any subcommand, or a value whose string form the
+    flag's type rejects on the command line, is a usage error (exit 2); null
+    passes where the flag's default is None."""
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file (flags override)")
     parser = _Parser(
@@ -356,10 +358,21 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     if defaults:
         commands = (gen, fit, curve, ev)
-        unknown = sorted(set(defaults) - common.dests.union(*(p.dests for p in commands)))
+        unknown = sorted(set(defaults).difference(common.dests, *(p.dests for p in commands)))
         if unknown:
             parser.error(f"config keys that are no flag of any command: {', '.join(unknown)}")
         for p in commands:
+            for key, value in defaults.items():
+                action = p.dests.get(key)
+                if action is None or action.type is None:
+                    continue
+                if value is None and action.default is None:
+                    continue
+                try:
+                    action.type(str(value))
+                except ValueError:
+                    parser.error(f"config key {key}: {json.dumps(value)} is no valid "
+                                 f"{action.option_strings[0]} value")
             p.set_defaults(**defaults)
     return parser
 

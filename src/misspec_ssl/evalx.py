@@ -202,10 +202,20 @@ def _evaluate_cell(
         rows = cross_matrix(test_x, train.features, km.spec)
         diag = kernel_diag(test_x, km.spec)
 
+    # askkm goes first: its first round is the pair of sskkm fits, on the same
+    # Gram and init at the same weightings, max_iter and tol (no seed is read).
+    first_round: tuple[ClusterModel, ...] = ()
     out: dict[str, float] = {}
-    for method in methods:
-        seed = derive_seed(base_seed, "fit", seed_index, method)
-        model = fit_method(method, train, km, method_solver(method, replace(solver, seed=seed)))
+    for method in sorted(methods, key=lambda m: m != "askkm"):
+        family, mode = METHODS[method]
+        if family == "sskkm" and first_round:
+            model = first_round[mode == "unbiased"]
+        else:
+            seed = derive_seed(base_seed, "fit", seed_index, method)
+            opts = method_solver(method, replace(solver, seed=seed))
+            model = fit_method(method, train, km, opts)
+            if family == "askkm":
+                first_round = model.first_round
         preds, scores = predict(model, test_x, rows, diag)
         if binary:
             out[method] = average_precision(scores[:, 1], test_y == 1)
@@ -230,10 +240,13 @@ def learning_curve(
 
     Binary scenarios record average precision of the positive class, others
     accuracy. Fully reproducible from (scenario, grid, n_seeds, base_seed);
-    cells are independent, run on up to ``workers`` threads of core.fan_out
-    (which caps them), and every cell runs with BLAS held at one thread
-    (core.one_blas_thread), so neither the worker count nor the BLAS thread
-    count changes the result.
+    cells are independent. They run in order on the calling thread while the
+    largest cell's Gram holds fewer than core.FAN_OUT_MIN_ENTRIES entries,
+    as every matrix fill does; from there on up to ``workers`` threads of
+    core.fan_out (which caps them) share them. Every cell runs with BLAS held
+    at one thread (core.one_blas_thread), so neither the worker count nor the
+    BLAS thread count changes the result. A cell's original_sskkm and
+    unbiased_sskkm are its askkm's first-round fits when askkm is requested.
     """
     canon = tuple(_canonical_method(m) for m in methods)
     if not canon:
@@ -241,8 +254,8 @@ def learning_curve(
     if len(set(canon)) != len(canon):
         raise InputError("duplicate methods requested")
     grid = [int(g) for g in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InputError(f"grid must be strictly increasing, got {grid}")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError(f"grid must be nonempty and strictly increasing, got {grid}")
     if min(n_seeds, eval_size, workers) < 1:
         raise InputError("n_seeds, eval_size and workers must be >= 1")
 
@@ -254,8 +267,12 @@ def learning_curve(
             scenario, canon, grid[gi], si, eval_size, base_seed, kernel, solver
         )
 
+    # The Gram entries of the largest cell decide, as for any fill: below the
+    # floor, threads handing the GIL to each other cost more than they save.
+    n_labeled = scenario.n_labeled_per_class * scenario.n_classes
+    width = min(workers, fan_out_width((n_labeled + grid[-1]) ** 2))
     with one_blas_thread():
-        results = fan_out(run, cells, min(workers, fan_out_width()))
+        results = fan_out(run, cells, width)
 
     raw = {m: np.empty((len(grid), n_seeds)) for m in canon}
     for (gi, si), res in zip(cells, results):

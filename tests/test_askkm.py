@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 
@@ -17,7 +18,7 @@ from misspec_ssl.core import (
     fan_out_width,
 )
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
-from misspec_ssl.evalx import predict
+from misspec_ssl.evalx import fit_method, method_solver, predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import fit_sskkm, score_batch
@@ -203,6 +204,38 @@ class TestFitPairOnTwoThreads:
         assert len(threads) == 2 and threading.get_ident() not in threads
         monkeypatch.setattr(askkm, "fit_sskkm", real)
         assert fit_askkm(km, d, AskkmOptions()).rounds >= 1
+
+
+def assert_fields_equal(a, b, path="model"):
+    """Every field of two dataclass instances equal: arrays in dtype, shape
+    and bytes, nested dataclasses field by field, anything else by ==."""
+    assert type(a) is type(b), path
+    for f in dataclasses.fields(a):
+        x, y, where = getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}"
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), where
+        elif dataclasses.is_dataclass(x):
+            assert_fields_equal(x, y, where)
+        else:
+            assert x == y, where
+
+
+class TestFirstRoundIsTheSskkmFits:
+    @pytest.mark.parametrize("nu", [0, 30, 500])
+    @pytest.mark.parametrize("si", [0, 1])
+    def test_equal_to_fresh_fits_at_another_seed(self, nu, si):
+        d, _ = misspecified(derive_seed(18, "first-round", si), n_unlabeled=nu)
+        km = gram_matrix(d, KernelSpec())
+        model = fit_method("askkm", d, km, method_solver("askkm", SolverOptions(seed=si)))
+        for fitted, name in zip(model.first_round, ("original_sskkm", "unbiased_sskkm")):
+            fresh = fit_method(name, d, km, method_solver(name, SolverOptions(seed=si + 7)))
+            assert_fields_equal(fitted, fresh, name)
+        # a fit that ends in round 1 returns its first original fit itself
+        assert (model.final_model is model.first_round[0]) == (model.rounds == 1)
+        if nu == 0:
+            assert model.rounds == 1
+        if nu == 500:
+            assert model.rounds > 1
 
 
 class TestIncrementalMatchesFullProductOracle:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,6 +82,15 @@ BAD_INPUTS = {
                 "tol must be >= 0, got nan"),
     "workers_0": (["curve", "--workers", 0, "--grid", 0, "--seeds", 1, "--eval-size", 20,
                    "--methods", "original_sem"], 3, "workers must be >= 1"),
+    "config_max_iter_null": (["fit", "--data", "data.csv", "--method", "original_sskkm",
+                              "--config", "max_iter_null.json"], 2,
+                             "config key max_iter: null is no valid --max-iter value"),
+    "config_seeds_list": (["curve", "--config", "seeds_list.json", "--grid", 0,
+                           "--eval-size", 20, "--methods", "original_sem"], 2,
+                          "config key seeds: [1] is no valid --seeds value"),
+    "config_threshold_float": (["fit", "--data", "data.csv", "--method", "askkm",
+                                "--config", "threshold_float.json"], 2,
+                               "config key threshold: 1.5 is no valid --threshold value"),
 }
 
 
@@ -90,10 +100,17 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
     monkeypatch.chdir(tmp_path)
     Path("dir").mkdir()
     Path("latin1.csv").write_bytes("f0,label\n1.0,caf\xe9\n".encode("latin-1"))
+    for name, config in (("max_iter_null", {"max_iter": None}), ("seeds_list", {"seeds": [1]}),
+                         ("threshold_float", {"threshold": 1.5})):
+        Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     before = set(Path().iterdir())
     outputs = {"fit": ["--out-model", "out.json"], "eval": ["--out", "out.json"],
                "curve": ["--out-json", "out.json", "--out-csv", "out.csv"]}[argv[0]]
-    assert run([*argv, *outputs]) == code
+    try:
+        got = run([*argv, *outputs])
+    except SystemExit as exc:  # a usage error that argparse reports
+        got = exc.code
+    assert got == code
     assert message in capsys.readouterr().err
     assert set(Path().iterdir()) == before
 
@@ -318,6 +335,26 @@ class TestCurve:
         self.run_curve(b, extra=["--workers", 4])
         assert (a / "curve.json").read_bytes() == (b / "curve.json").read_bytes()
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
+    def test_benchmark_sized_curve_runs_on_the_calling_thread(self, tmp_path, monkeypatch,
+                                                              fan_out_threads):
+        # The benchmark's curve: 25 cells of at most N = 1,020 rows, whose
+        # Grams sit below FAN_OUT_MIN_ENTRIES, so two workers make no pool.
+        fan_out_threads(2)
+        submitted = []
+        real_submit = ThreadPoolExecutor.submit
+
+        def submit(executor, fn, *args, **kwargs):
+            submitted.append(fn)
+            return real_submit(executor, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        assert run(["curve", "--kind", "misspecified", "--class-sep", 5,
+                    "--methods", "original_sem,unbiased_sem,original_sskkm,askkm",
+                    "--grid", "0,50,100,500,1000", "--seeds", 5, "--eval-size", 500,
+                    "--workers", 2, "--seed", 3,
+                    "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv"]) == 0
+        assert submitted == []
 
     def test_thread_cap_that_is_no_integer_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(ENV_THREADS, "two")
@@ -687,6 +724,17 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"methods": "askkm", "out_model": "m"}), encoding="utf-8")
         assert run(gen_args(tmp_path) + ["--config", config]) == 0
+
+    def test_valid_config_values_are_echoed_as_given(self, tmp_path, dataset_csv):
+        # 1 passes --tol's float type, and null passes --gamma, whose default
+        # is None. The echo keeps each as written.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tol": 1, "gamma": None}), encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run(["fit", "--config", config, "--data", dataset_csv,
+                    "--method", "original_sem", "--out-model", out]) == 0
+        echo = json.loads(out.read_text())["config"]
+        assert (echo["tol"], echo["gamma"]) == (1, None)
 
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "config.json"
@@ -1258,6 +1306,71 @@ def test_kernel_path_outputs_match_pinned_digests(tmp_path, monkeypatch):
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(out.iterdir())}
         assert digests == KERNEL_PATH_DIGESTS, cap
+
+
+def curve_digest_commands():
+    """A `curve` of the benchmark's four methods and unbiased_sskkm at one and
+    at two workers, whose largest cells hold N = 520 rows, and `fit` and plain (non-verbose)
+    `eval` of one askkm model at N = 520, writing into the working directory."""
+    scenario = ["--kind", "misspecified", "--class-sep", 5]
+    commands = [
+        ["gen", *scenario, "--unlabeled", 500, "--seed", 71,
+         "--out-data", "data.csv", "--out-truth", "truth.json"],
+        ["gen", *scenario, "--unlabeled", 0, "--labeled-per-class", 100, "--seed", 72,
+         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+        ["fit", "--data", "data.csv", "--method", "askkm", "--out-model", "askkm.json"],
+        ["eval", "--model", "askkm.json", "--data", "heldout.csv", "--out", "askkm.eval.json"],
+    ]
+    methods = "original_sem,unbiased_sem,original_sskkm,unbiased_sskkm,askkm"
+    for workers in (1, 2):
+        commands.append(["curve", *scenario, "--grid", "0,50,500", "--seeds", 2,
+                         "--eval-size", 100, "--seed", 73, "--workers", workers,
+                         "--methods", methods,
+                         "--out-json", f"curve{workers}.json", "--out-csv", f"curve{workers}.csv"])
+    return commands
+
+
+# sha256 of the files curve_digest_commands writes, at every thread setting.
+# Recorded before curve cells ran on the calling thread below the fan-out
+# floor, and before askkm's first round stood in for the cell's sskkm fits.
+CURVE_DIGESTS = {
+    "askkm.eval.json":
+        "5afe58c2a46bcac61cbeec096ef66d03c3b50f0d25b9b69ecd84daa1ffb0ce39",
+    "askkm.json":
+        "8e08173c138360d9694c037d02d3d354bf067f22d18bd61e7140d48cfb2330f5",
+    "curve1.csv":
+        "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
+    "curve1.json":
+        "be10ceb5e8b81063e213d14e02da378760b4c90dbacb1ad8fffc9faa17f7dc6c",
+    "curve2.csv":
+        "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
+    "curve2.json":
+        "f6e64dc026ee85025138e6cb437770926dc78672a9098437ce3191deabf68bfa",
+    "data.csv":
+        "0dd99fe8a84b80acf106e26aeb681b31988d21f777b5452e0c5af4dd7c802193",
+    "heldout.csv":
+        "9b6eed9e59349cc2595f89d7f4ac9e9dca5a5ee4a56c643cca772ee7402d42c0",
+    "heldout.truth.json":
+        "982103c1f076a65b0038572a3f4e2e5ebb4647f16dccc1105ded6770cdf4d6b9",
+    "truth.json":
+        "c45d86ebd90ea8fd37fd4de25541e212cd4d5c3ac56072644646c7ea6ae7aaa9",
+}
+
+
+@pytest.mark.parametrize("threads, floor", [(1, None), (2, None), (2, 0)])
+def test_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threads,
+                                            threads, floor):
+    # With the floor at 0 and two threads, the cells of --workers 2 run on a
+    # pool, and every Gram, cross matrix and askkm pair of --workers 1 fans out.
+    monkeypatch.chdir(tmp_path)
+    fan_out_threads(threads)
+    if floor is not None:
+        monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", floor)
+    for argv in curve_digest_commands():
+        assert run(argv) == 0, argv
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == CURVE_DIGESTS
 
 
 def test_error_in_unbiased_half_exits_3_as_on_one_thread(

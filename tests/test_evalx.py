@@ -175,6 +175,45 @@ class TestLearningCurve:
         assert submitted == [here] * 4  # one per cell, nothing nested
         assert pooled.to_json_dict() == serial.to_json_dict()
 
+    def test_cells_on_two_pool_threads_equal_one_worker(self, fan_out_threads, monkeypatch):
+        monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
+        fan_out_threads(2)
+        methods = ["original_sem", "original_sskkm", "unbiased_sskkm", "askkm"]
+        serial = self.run_small(methods, workers=1)
+        # Each cell waits for a cell on another thread, so the pool's two
+        # threads must both run cells.
+        meet, threads = threading.Barrier(2, timeout=10), set()
+        real_cell = evalx._evaluate_cell
+
+        def cell(*args):
+            threads.add(threading.get_ident())
+            meet.wait()
+            return real_cell(*args)
+
+        monkeypatch.setattr(evalx, "_evaluate_cell", cell)
+        pooled = self.run_small(methods, workers=2)
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert json.dumps(pooled.to_json_dict()) == json.dumps(serial.to_json_dict())
+        assert pooled.csv_rows() == serial.csv_rows()
+
+    @pytest.mark.parametrize("top, width", [(1438, 1), (1439, 2)])
+    def test_cells_fan_out_from_the_largest_cells_gram(self, fan_out_threads, monkeypatch,
+                                                       top, width):
+        # 10 labeled rows: the cell at N_u = 1,439 holds the first Gram of
+        # FAN_OUT_MIN_ENTRIES entries or more (1,449² ≥ 2²¹ > 1,448²).
+        assert (10 + 1439) ** 2 >= core.FAN_OUT_MIN_ENTRIES > (10 + 1438) ** 2
+        fan_out_threads(2)
+        widths = []
+
+        def spy(fn, jobs, w):
+            widths.append(w)
+            raise InputError("stop before the cells")
+
+        monkeypatch.setattr(evalx, "fan_out", spy)
+        with pytest.raises(InputError, match="stop before the cells"):
+            self.run_small(["original_sem"], grid=(0, top), workers=4)
+        assert widths == [width]
+
     def test_binary_scenario_uses_ap(self):
         curve = self.run_small(["supervised"], grid=(0,))
         assert curve.metric_name == "average_precision"
@@ -191,6 +230,8 @@ class TestLearningCurve:
             self.run_small(["nope"])
         with pytest.raises(InputError):
             self.run_small(["supervised"], grid=(10, 10))
+        with pytest.raises(InputError, match="nonempty"):
+            self.run_small(["supervised"], grid=())
         with pytest.raises(InputError):
             self.run_small(["supervised", "supervised_sem"])  # alias duplicates
         with pytest.raises(InputError, match="no methods"):
