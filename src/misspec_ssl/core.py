@@ -1,6 +1,7 @@
 """Shared domain types: datasets of labeled and unlabeled rows, solver options,
 seed derivation, a pin of the BLAS thread count, and a fan-out of independent
-jobs over a thread pool that lives for one call.
+jobs over a thread pool, or over forked worker processes, that lives for one
+call.
 
 The data types here check their invariants once, on construction, and are
 immutable afterwards, so they are safe to share across workers.
@@ -147,6 +148,56 @@ def fan_out(fn: Callable[[Job], Result], jobs: Iterable[Job], width: int) -> lis
     with ThreadPoolExecutor(width, "misspec-ssl", initializer=_mark_pool_thread) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
     return [future.result() for future in futures]
+
+
+def fan_out_processes(fn: Callable[[Job], Result], jobs: Iterable[Job],
+                      width: int) -> list[Result]:
+    """fan_out's contract on forked worker processes: [fn(job) for job in
+    jobs], in job order, on up to ``width`` workers and no more than
+    fan_out_width() allows, so MISSPEC_SSL_THREADS caps them too; inline
+    with one worker, one job, on a pool thread, in a worker, or where the
+    platform cannot fork. Every job runs to its end before the first error
+    in job order is raised, and every worker is joined before this returns.
+
+    ``fn`` and ``jobs`` reach the workers through the fork, so only job
+    indices, results and errors are pickled. Each worker is marked as a pool
+    thread and holds BLAS at one thread, so nothing fans out inside it. Fork
+    only where no other thread runs: outside a fan_out call, whose threads
+    are all joined when it returns."""
+    jobs = list(jobs)
+    width = min(width, len(jobs), fan_out_width())
+    if width <= 1:
+        return [fn(job) for job in jobs]
+    # Imported here: at the package's import they would cost ~20 ms.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(width, context, initializer=_start_worker,
+                             initargs=(fn, jobs)) as pool:
+        futures = [pool.submit(_run_worker_job, i) for i in range(len(jobs))]
+    return [future.result() for future in futures]
+
+
+_worker_jobs: tuple[Callable, list] | None = None  # (fn, jobs), in a worker
+
+
+def _start_worker(fn: Callable, jobs: list) -> None:
+    global _worker_jobs
+    _mark_pool_thread()
+    # Set only a count that is not 1 already: after a fork, OpenBLAS starts a
+    # thread on any set, and it took each worker's cells from ~10 to ~25 ms.
+    api = blas_thread_api()
+    if api is not None and api[1]() != 1:
+        api[0](1)
+    _worker_jobs = fn, jobs
+
+
+def _run_worker_job(index: int) -> object:
+    fn, jobs = _worker_jobs
+    return fn(jobs[index])
 
 
 UNLABELED = -1  # the row label of an unlabeled row

@@ -256,6 +256,8 @@ def load_csv(path: str | Path) -> tuple[Dataset, list[str]]:
                 row_labels.append(name_to_id.setdefault(raw, len(name_to_id) - 1))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not features:
+        raise InputError(f"{path}: no data rows after the header")
 
     names = list(name_to_id)[1:]
     dataset = Dataset(

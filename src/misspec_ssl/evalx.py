@@ -11,7 +11,7 @@ import numpy as np
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
 from .core import (
-    Dataset, InputError, SolverOptions, derive_seed, fan_out, fan_out_width, one_blas_thread
+    Dataset, InputError, SolverOptions, derive_seed, fan_out_processes, one_blas_thread
 )
 from .datagen import GenSpec, generate, sample_eval_set
 from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
@@ -20,6 +20,15 @@ from .semgmm import GmmModel, bayes_classify_batch, fit_sem
 from .sskkm import ClusterModel, fit_sskkm, score_batch
 
 RECALL_POINTS = 11
+# Curve cells run inline unless the cells other than the largest one hold
+# this many training rows in all: the largest cell bounds the time of any
+# split, so only the others' work can pay for a process pool's start (about
+# 20 ms for two forked workers). In alternating runs of 30 curves on a
+# 2-vCPU VM, inline won or tied in 18 of the 19 below 500 such rows (grid
+# 0,50 at 2 seeds: 41 against 47 ms), and forked workers won or tied in 10 of
+# the 11 from 500 up (0,50,100 at 5 seeds: 178 against 130 ms). A held-out
+# row costs about 1/30 of a training row, so those do not count.
+CELL_FORK_MIN_ROWS = 500
 
 
 class Method(NamedTuple):
@@ -241,12 +250,13 @@ def learning_curve(
     Binary scenarios record average precision of the positive class, others
     accuracy. Fully reproducible from (scenario, grid, n_seeds, base_seed);
     cells are independent. They run in order on the calling thread while the
-    largest cell's Gram holds fewer than core.FAN_OUT_MIN_ENTRIES entries,
-    as every matrix fill does; from there on up to ``workers`` threads of
-    core.fan_out (which caps them) share them. Every cell runs with BLAS held
-    at one thread (core.one_blas_thread), so neither the worker count nor the
-    BLAS thread count changes the result. A cell's original_sskkm and
-    unbiased_sskkm are its askkm's first-round fits when askkm is requested.
+    cells other than the largest hold fewer than CELL_FORK_MIN_ROWS training
+    rows in all; from there on up to ``workers`` forked worker processes of
+    core.fan_out_processes (which caps them) share them, and each cell runs
+    there on one thread. Every cell runs with BLAS held at one thread
+    (core.one_blas_thread), so neither the worker count nor the BLAS thread
+    count changes the result. A cell's original_sskkm and unbiased_sskkm are
+    its askkm's first-round fits when askkm is requested.
     """
     canon = tuple(_canonical_method(m) for m in methods)
     if not canon:
@@ -267,12 +277,11 @@ def learning_curve(
             scenario, canon, grid[gi], si, eval_size, base_seed, kernel, solver
         )
 
-    # The Gram entries of the largest cell decide, as for any fill: below the
-    # floor, threads handing the GIL to each other cost more than they save.
     n_labeled = scenario.n_labeled_per_class * scenario.n_classes
-    width = min(workers, fan_out_width((n_labeled + grid[-1]) ** 2))
+    rows = n_seeds * sum(n_labeled + nu for nu in grid) - (n_labeled + grid[-1])
+    width = workers if rows >= CELL_FORK_MIN_ROWS else 1
     with one_blas_thread():
-        results = fan_out(run, cells, width)
+        results = fan_out_processes(run, cells, width)
 
     raw = {m: np.empty((len(grid), n_seeds)) for m in canon}
     for (gi, si), res in zip(cells, results):

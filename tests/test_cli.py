@@ -4,14 +4,14 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from misspec_ssl import askkm, cli, core, kernels
+from misspec_ssl import askkm, cli, core, evalx, kernels
 from misspec_ssl.cli import load_model_scores, main
 from misspec_ssl.core import ENV_THREADS, InputError, blas_thread_api
 from misspec_ssl.datagen import load_csv, write_csv
@@ -69,8 +69,9 @@ def dataset_csv(tmp_path):
 
 
 # Inputs that are a usage error (exit 2) or a data error (exit 3), run in a
-# directory holding data.csv, a directory "dir" and a Latin-1 CSV: (argv,
-# exit code, a fragment of the message). None writes an output file.
+# directory holding data.csv, a directory "dir", a Latin-1 CSV and a CSV of
+# a header alone: (argv, exit code, a fragment of the message). None writes
+# an output file.
 BAD_INPUTS = {
     "data_is_a_directory": (["fit", "--data", "dir", "--method", "original_sskkm"], 2,
                             "Is a directory: 'dir'"),
@@ -78,6 +79,8 @@ BAD_INPUTS = {
                              "Is a directory: 'dir'"),
     "data_not_utf8": (["fit", "--data", "latin1.csv", "--method", "original_sskkm"], 3,
                       "latin1.csv: not UTF-8 text"),
+    "data_without_rows": (["fit", "--data", "header_only.csv", "--method", "original_sskkm"], 3,
+                          "header_only.csv: no data rows after the header"),
     "tol_nan": (["fit", "--data", "data.csv", "--method", "original_sskkm", "--tol", "nan"], 3,
                 "tol must be >= 0, got nan"),
     "workers_0": (["curve", "--workers", 0, "--grid", 0, "--seeds", 1, "--eval-size", 20,
@@ -100,6 +103,7 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
     monkeypatch.chdir(tmp_path)
     Path("dir").mkdir()
     Path("latin1.csv").write_bytes("f0,label\n1.0,caf\xe9\n".encode("latin-1"))
+    Path("header_only.csv").write_text("f0,f1,label\n", encoding="utf-8")
     for name, config in (("max_iter_null", {"max_iter": None}), ("seeds_list", {"seeds": [1]}),
                          ("threshold_float", {"threshold": 1.5})):
         Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
@@ -336,25 +340,66 @@ class TestCurve:
         assert (a / "curve.json").read_bytes() == (b / "curve.json").read_bytes()
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
-    def test_benchmark_sized_curve_runs_on_the_calling_thread(self, tmp_path, monkeypatch,
-                                                              fan_out_threads):
-        # The benchmark's curve: 25 cells of at most N = 1,020 rows, whose
-        # Grams sit below FAN_OUT_MIN_ENTRIES, so two workers make no pool.
+    @pytest.mark.parametrize("workers, cap, forked", [(2, None, True), (1, None, False),
+                                                       (2, "1", False)])
+    def test_benchmark_sized_curve_forks_two_workers(self, tmp_path, monkeypatch, fan_out_threads,
+                                                     cell_log, workers, cap, forked):
+        # The benchmark's curve: 25 cells of at most N = 1,020 rows, above
+        # the process floor; --workers and MISSPEC_SSL_THREADS cap the workers.
         fan_out_threads(2)
-        submitted = []
-        real_submit = ThreadPoolExecutor.submit
-
-        def submit(executor, fn, *args, **kwargs):
-            submitted.append(fn)
-            return real_submit(executor, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        if cap is None:
+            monkeypatch.delenv(ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(ENV_THREADS, cap)
         assert run(["curve", "--kind", "misspecified", "--class-sep", 5,
                     "--methods", "original_sem,unbiased_sem,original_sskkm,askkm",
                     "--grid", "0,50,100,500,1000", "--seeds", 5, "--eval-size", 500,
-                    "--workers", 2, "--seed", 3,
+                    "--workers", workers, "--seed", 3,
                     "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv"]) == 0
-        assert submitted == []
+        cells = cell_log()
+        pids = {pid for pid, _ in cells}
+        assert len(cells) == 25
+        if forked:
+            assert len(pids) == 2 and os.getpid() not in pids
+            assert {width for _, width in cells} == {1}
+        else:
+            assert pids == {os.getpid()}
+
+    def test_curve_below_the_process_floor_runs_inline(self, tmp_path, fan_out_threads,
+                                                       cell_log):
+        # The benchmark's own test curve: 2 cells of at most N = 40 rows.
+        fan_out_threads(2)
+        assert run(["curve", "--kind", "misspecified", "--class-sep", 5,
+                    "--methods", "original_sem,unbiased_sem,original_sskkm,askkm",
+                    "--grid", "0,20", "--seeds", 1, "--eval-size", 40, "--workers", 2,
+                    "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv"]) == 0
+        assert cell_log() == [(os.getpid(), 2)] * 2
+
+    def test_error_in_a_worker_cell_exits_3_as_inline(self, tmp_path, monkeypatch,
+                                                       fan_out_threads, cell_log, capsys):
+        # Cells N_u = 20 and 40 fail, 20 after 40: the first error in cell
+        # order is reported, as when the cells run in order.
+        monkeypatch.setattr(evalx, "CELL_FORK_MIN_ROWS", 0)
+        fan_out_threads(2)
+        real = evalx.generate
+
+        def generate(spec):
+            if spec.n_unlabeled == 20:
+                time.sleep(0.3)
+            if spec.n_unlabeled:
+                raise InputError(f"no data at N_u={spec.n_unlabeled}")
+            return real(spec)
+
+        monkeypatch.setattr(evalx, "generate", generate)
+        errors = []
+        for workers in (1, 2):
+            assert self.run_curve(tmp_path, extra=["--grid", "0,20,40", "--seeds", 1,
+                                                   "--workers", workers]) == 3
+            errors.append(capsys.readouterr().err)
+            pids = {pid for pid, _ in cell_log()}
+            assert (os.getpid() in pids) == (workers == 1) and len(pids) == workers
+        assert errors == ["error: no data at N_u=20\n"] * 2
+        assert not (tmp_path / "curve.json").exists()
 
     def test_thread_cap_that_is_no_integer_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(ENV_THREADS, "two")
@@ -1358,19 +1403,77 @@ CURVE_DIGESTS = {
 
 
 @pytest.mark.parametrize("threads, floor", [(1, None), (2, None), (2, 0)])
-def test_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threads,
+def test_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threads, cell_log,
                                             threads, floor):
-    # With the floor at 0 and two threads, the cells of --workers 2 run on a
-    # pool, and every Gram, cross matrix and askkm pair of --workers 1 fans out.
+    # With two threads the cells of --workers 2 run in two worker processes;
+    # with the fan-out floor at 0 as well, every Gram, cross matrix and askkm
+    # pair of --workers 1 fans out, and none inside a worker.
     monkeypatch.chdir(tmp_path)
     fan_out_threads(threads)
     if floor is not None:
         monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", floor)
     for argv in curve_digest_commands():
         assert run(argv) == 0, argv
+        pids = {pid for pid, _ in cell_log()}
+        if argv[0] == "curve" and argv[argv.index("--workers") + 1] == 2 and threads == 2:
+            assert len(pids) == 2 and os.getpid() not in pids
+        else:
+            assert pids <= {os.getpid()}
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
     assert digests == CURVE_DIGESTS
+
+
+def above_floor_curve_commands():
+    """A `curve` of the benchmark's four methods and unbiased_sskkm at one and
+    at two workers, whose largest cells hold N = 1,450 rows, above the 2²¹
+    Gram entries of the fan-out floor (1,449 rows), and whose cells are
+    above the process floor of learning_curve; it writes into the working
+    directory."""
+    methods = "original_sem,unbiased_sem,original_sskkm,unbiased_sskkm,askkm"
+    return [["curve", "--kind", "misspecified", "--class-sep", 5, "--grid", "0,100,1430",
+             "--seeds", 2, "--eval-size", 100, "--seed", 91, "--workers", workers,
+             "--methods", methods,
+             "--out-json", f"curve{workers}.json", "--out-csv", f"curve{workers}.csv"]
+            for workers in (1, 2)]
+
+
+# sha256 of the files above_floor_curve_commands writes, with the default
+# floors, at every thread cap. Recorded while cells above the fan-out floor
+# still ran on threads, before they ran in worker processes.
+ABOVE_FLOOR_CURVE_DIGESTS = {
+    "curve1.csv":
+        "76e8e3308a2694c8acecb525a399cc83e8bae60115fb2601760a2ac441330f4d",
+    "curve1.json":
+        "c47d60197fc29a1dd307a6896cff8b3814bc4598287f25326c9d37999620a2ad",
+    "curve2.csv":
+        "76e8e3308a2694c8acecb525a399cc83e8bae60115fb2601760a2ac441330f4d",
+    "curve2.json":
+        "dd4f25fc16d960838c967e979a3ac5e100d1751290e765f27751068209e51ea2",
+}
+
+
+@pytest.mark.parametrize("cap", ["1", None])
+def test_above_floor_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threads,
+                                                        cell_log, cap):
+    # Without the cap, the cells of --workers 2 run in two worker processes,
+    # and the Gram of a cell of 1,450 rows at --workers 1 fans out.
+    monkeypatch.chdir(tmp_path)
+    fan_out_threads(2)
+    if cap is None:
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+    else:
+        monkeypatch.setenv(ENV_THREADS, cap)
+    for argv in above_floor_curve_commands():
+        assert run(argv) == 0, argv
+        pids = {pid for pid, _ in cell_log()}
+        if argv[argv.index("--workers") + 1] == 2 and cap is None:
+            assert len(pids) == 2 and os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == ABOVE_FLOOR_CURVE_DIGESTS
 
 
 def test_error_in_unbiased_half_exits_3_as_on_one_thread(

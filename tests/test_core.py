@@ -1,8 +1,10 @@
 import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from misspec_ssl.core import (
     Dataset,
     InputError,
     SolverOptions,
+    blas_thread_api,
     derive_seed,
     fan_out,
+    fan_out_processes,
     fan_out_width,
 )
 
@@ -390,3 +394,99 @@ class TestFanOut:
         assert sorted(ended) == [0, 3, 4]
         # The pool serves the next call.
         assert fan_out(lambda j: -j, range(3), 2) == [0, -1, -2]
+
+
+def worker_view(j):
+    """What job j sees where it runs: its process, its fan-out width, and
+    the BLAS thread count (None without the OpenBLAS symbols)."""
+    api = blas_thread_api()
+    return os.getpid(), fan_out_width(), api and api[1](), j
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestFanOutProcesses:
+    def test_results_in_job_order_from_two_workers(self, fan_out_threads):
+        fan_out_threads(2)
+        offset = 10  # a closure: fn reaches the workers through the fork, unpickled
+
+        def job(j):
+            time.sleep(0.02)  # long enough that neither worker takes every job
+            return worker_view(j), j + offset
+
+        got = fan_out_processes(job, range(8), 2)
+        assert [r for _, r in got] == [j + 10 for j in range(8)]
+        pids = {view[0] for view, _ in got}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert fan_out_processes(abs, [], 2) == []
+
+    def test_workers_run_on_one_thread(self, fan_out_threads):
+        fan_out_threads(2)
+        views = fan_out_processes(worker_view, range(4), 2)
+        assert {width for _, width, _, _ in views} == {1}
+        assert {blas for _, _, blas, _ in views} <= {1, None}
+
+    @pytest.mark.parametrize("cap, width, jobs", [("1", 2, 4), ("2", 1, 4), ("2", 2, 1)])
+    def test_one_worker_or_one_job_runs_inline(self, fan_out_threads, cap, width, jobs):
+        fan_out_threads(int(cap))
+        views = fan_out_processes(worker_view, range(jobs), width)
+        assert {pid for pid, _, _, _ in views} == {os.getpid()}
+
+    def test_calls_from_a_pool_thread_or_a_worker_run_inline(self, fan_out_threads):
+        fan_out_threads(2)
+
+        def nested(j):
+            inner = fan_out_processes(worker_view, range(3), 2)
+            return os.getpid(), {pid for pid, _, _, _ in inner}
+
+        for outer in (fan_out, fan_out_processes):
+            for pid, inner in outer(nested, range(2), 2):
+                assert inner == {pid}
+
+    def test_without_fork_runs_inline(self, fan_out_threads, monkeypatch):
+        import multiprocessing
+
+        fan_out_threads(2)
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        views = fan_out_processes(worker_view, range(4), 2)
+        assert {pid for pid, _, _, _ in views} == {os.getpid()}
+
+    def test_first_error_in_job_order_raised_after_every_job(self, fan_out_threads, tmp_path):
+        import multiprocessing
+
+        fan_out_threads(2)
+        ended = tmp_path / "ended"
+        ended.touch()
+
+        def job(j):
+            if j == 1:
+                time.sleep(0.1)
+                raise InputError("job 1 failed")
+            if j == 2:
+                raise InputError("job 2 failed")
+            time.sleep(0.05)
+            with open(ended, "a", encoding="utf-8") as fh:
+                fh.write(f"{j}\n")
+            return j
+
+        with pytest.raises(InputError, match="job 1 failed"):
+            fan_out_processes(job, range(5), 2)
+        assert sorted(map(int, ended.read_text().split())) == [0, 3, 4]
+        assert multiprocessing.active_children() == []
+        assert fan_out_processes(lambda j: -j, range(3), 2) == [0, -1, -2]
+        assert multiprocessing.active_children() == []
+
+
+def test_package_import_loads_no_process_machinery():
+    code = ("import sys, misspec_ssl.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    src = str(Path(core.__file__).resolve().parents[1])
+    paths = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=paths)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import json
-import threading
+import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -149,67 +150,58 @@ class TestLearningCurve:
             np.testing.assert_array_equal(a.raw[m], c.raw[m])
         assert a.to_json_dict() == c.to_json_dict()
 
-    def test_calls_inside_a_worker_run_inline(self, fan_out_threads, monkeypatch):
-        # With no floor, every Gram, cross matrix and askkm pair of a cell
-        # would fan out, unless it runs on a pool thread.
+    def test_code_in_a_worker_cell_runs_on_one_thread(self, fan_out_threads, monkeypatch,
+                                                      cell_log):
+        # With no floors, every cell would fork and every Gram, cross matrix
+        # and askkm pair of a cell would fan out, unless it runs in a worker.
         monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
+        monkeypatch.setattr(evalx, "CELL_FORK_MIN_ROWS", 0)
         fan_out_threads(2)
         serial = self.run_small(["original_sskkm", "askkm"], workers=1)
-        submitted, widths = [], []
-        real_submit, real_cell = ThreadPoolExecutor.submit, evalx._evaluate_cell
+        assert cell_log() == [(os.getpid(), 2)] * 4
 
-        def submit(executor, fn, *args, **kwargs):
-            submitted.append(threading.get_ident())
-            return real_submit(executor, fn, *args, **kwargs)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool inside a worker")
 
-        def cell(*args):
-            widths.append((threading.get_ident(), core.fan_out_width()))
-            return real_cell(*args)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
-        monkeypatch.setattr(evalx, "_evaluate_cell", cell)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", no_pool)
         pooled = self.run_small(["original_sskkm", "askkm"], workers=2)
-        here = threading.get_ident()
-        assert len(widths) == 4 and {w for _, w in widths} == {1}
-        assert here not in {t for t, _ in widths}
-        assert submitted == [here] * 4  # one per cell, nothing nested
+        cells = cell_log()
+        assert len(cells) == 4 and {width for _, width in cells} == {1}
+        assert os.getpid() not in {pid for pid, _ in cells}
         assert pooled.to_json_dict() == serial.to_json_dict()
 
-    def test_cells_on_two_pool_threads_equal_one_worker(self, fan_out_threads, monkeypatch):
-        monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", 0)
+    def test_cells_in_two_worker_processes_equal_one_worker(self, fan_out_threads, monkeypatch,
+                                                            cell_log):
+        monkeypatch.setattr(evalx, "CELL_FORK_MIN_ROWS", 0)
         fan_out_threads(2)
         methods = ["original_sem", "original_sskkm", "unbiased_sskkm", "askkm"]
-        serial = self.run_small(methods, workers=1)
-        # Each cell waits for a cell on another thread, so the pool's two
-        # threads must both run cells.
-        meet, threads = threading.Barrier(2, timeout=10), set()
-        real_cell = evalx._evaluate_cell
+        serial = self.run_small(methods, grid=(0, 30, 60), workers=1)
+        assert {pid for pid, _ in cell_log()} == {os.getpid()}
+        real = evalx.generate
 
-        def cell(*args):
-            threads.add(threading.get_ident())
-            meet.wait()
-            return real_cell(*args)
+        def slow_generate(spec):  # long enough that neither worker takes every cell
+            time.sleep(0.02)
+            return real(spec)
 
-        monkeypatch.setattr(evalx, "_evaluate_cell", cell)
-        pooled = self.run_small(methods, workers=2)
-        assert len(threads) == 2 and threading.get_ident() not in threads
+        monkeypatch.setattr(evalx, "generate", slow_generate)
+        pooled = self.run_small(methods, grid=(0, 30, 60), workers=2)
+        pids = {pid for pid, _ in cell_log()}
+        assert len(pids) == 2 and os.getpid() not in pids
         assert json.dumps(pooled.to_json_dict()) == json.dumps(serial.to_json_dict())
         assert pooled.csv_rows() == serial.csv_rows()
 
-    @pytest.mark.parametrize("top, width", [(1438, 1), (1439, 2)])
-    def test_cells_fan_out_from_the_largest_cells_gram(self, fan_out_threads, monkeypatch,
-                                                       top, width):
-        # 10 labeled rows: the cell at N_u = 1,439 holds the first Gram of
-        # FAN_OUT_MIN_ENTRIES entries or more (1,449² ≥ 2²¹ > 1,448²).
-        assert (10 + 1439) ** 2 >= core.FAN_OUT_MIN_ENTRIES > (10 + 1438) ** 2
-        fan_out_threads(2)
+    @pytest.mark.parametrize("top, width", [(469, 1), (470, 4)])
+    def test_cells_fork_from_the_rows_beyond_the_largest_cell(self, monkeypatch, top, width):
+        # 10 labeled rows, 2 seeds, grid (0, top): the cells other than the
+        # largest one hold 10 + 10 + (10 + top) = 30 + top training rows.
+        assert 30 + 470 == evalx.CELL_FORK_MIN_ROWS
         widths = []
 
         def spy(fn, jobs, w):
             widths.append(w)
             raise InputError("stop before the cells")
 
-        monkeypatch.setattr(evalx, "fan_out", spy)
+        monkeypatch.setattr(evalx, "fan_out_processes", spy)
         with pytest.raises(InputError, match="stop before the cells"):
             self.run_small(["original_sem"], grid=(0, top), workers=4)
         assert widths == [width]
