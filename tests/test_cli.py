@@ -1476,6 +1476,42 @@ def test_above_floor_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, f
     assert digests == ABOVE_FLOOR_CURVE_DIGESTS
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# sha256 of the files `curve --config scripts/degradation_curve.json --seeds 1`
+# writes at one and at two workers. Its cells other than the largest hold 950
+# training rows, above the process floor of learning_curve, so the second run
+# forks. Recorded before models serialized, loaded and scored themselves.
+DEGRADATION_CURVE_DIGESTS = {
+    "curve1.csv":
+        "09ecc8f9dd63515918c4447c26d3a6ecdbbfc37b3f0e7378832cb708ca2c25d4",
+    "curve1.json":
+        "d522d78cbb9a52a4cefea1128db5a01e09123f2421ca010456731ce62f2275a9",
+    "curve2.csv":
+        "09ecc8f9dd63515918c4447c26d3a6ecdbbfc37b3f0e7378832cb708ca2c25d4",
+    "curve2.json":
+        "24e51635e071255c01f92c79e01876b2aa85d9bd5bb2a563b3fad001121e0518",
+}
+
+
+def test_degradation_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threads,
+                                                        cell_log):
+    monkeypatch.chdir(tmp_path)
+    fan_out_threads(2)
+    for workers in (1, 2):
+        assert run(["curve", "--config", SCRIPTS / "degradation_curve.json", "--seeds", 1,
+                    "--workers", workers, "--out-json", f"curve{workers}.json",
+                    "--out-csv", f"curve{workers}.csv"]) == 0
+        pids = {pid for pid, _ in cell_log()}
+        if workers == 2:
+            assert len(pids) == 2 and os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == DEGRADATION_CURVE_DIGESTS
+
+
 def test_error_in_unbiased_half_exits_3_as_on_one_thread(
     tmp_path, dataset_csv, fan_out_threads, monkeypatch, capsys
 ):
