@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .core import Dataset, InputError, SolverOptions, fan_out, fan_out_width
 from .kernels import KernelMatrix
 from .misspec import (
@@ -91,11 +89,10 @@ class AskkmModel:
     def unlabeled_weight(self) -> float:
         return self.final_model.unlabeled_weight
 
-    def to_dict(self, train_features: np.ndarray) -> dict:
-        """JSON form; the final model carries the training features."""
+    def to_dict(self) -> dict:
         return {
             "family": "askkm",
-            "final_model": self.final_model.to_dict(train_features),
+            "final_model": self.final_model.to_dict(),
             "label_map": self.label_map.to_dict(),
             "rounds": self.rounds,
             "terminated_by": self.terminated_by,

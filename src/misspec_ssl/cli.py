@@ -24,17 +24,17 @@ from .core import InputError, SolverOptions, one_blas_thread
 from .datagen import GenSpec, generate, load_csv, write_csv
 from .evalx import (
     METHODS,
+    UnknownModelFamily,
     average_precision,
     fit_method,
     interpolated_precision_points,
     learning_curve,
+    load_model,
     mean_ap,
     method_solver,
     predict,
 )
-from .kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
-from .semgmm import GmmModel
-from .sskkm import ClusterModel
+from .kernels import KernelSpec, gram_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,41 +58,23 @@ def _echo(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in args.echo_keys}
 
 
-def _load_model(path: str | Path) -> tuple[GmmModel | ClusterModel, np.ndarray | None]:
-    """A fitted model from its JSON file, with the training features of a
-    kernel model (None for a mixture)."""
+def load_model_scores(path: str | Path, x: np.ndarray) -> np.ndarray:
+    """Load a fitted model JSON and score query points: scores (Q, C)."""
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise InputError(f"model file {path} is not JSON: {exc}") from None
     if not isinstance(d, dict):
         raise InputError(f"model file {path} holds a JSON {type(d).__name__}, not an object")
-    family = d.get("family")
     try:
-        if family == "sem":
-            return GmmModel.from_dict(d), None
-        if family == "sskkm":
-            return ClusterModel.from_dict(d)
-        if family == "askkm":
-            return ClusterModel.from_dict(d["final_model"])
+        model = load_model(d)
+    except UnknownModelFamily as exc:
+        raise InputError(f"{exc} in {path}") from None
     except KeyError as exc:
         raise InputError(f"model file {path} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"model file {path} is malformed: {exc}") from None
-    raise InputError(f"unrecognized model family {family!r} in {path}")
-
-
-def load_model_scores(path: str | Path, x: np.ndarray) -> np.ndarray:
-    """Load a fitted model JSON and score query points: scores (Q, C)."""
-    model, train = _load_model(path)
-    dim = model.dim if train is None else train.shape[1]
-    if x.shape[1] != dim:
-        raise InputError(f"model dimension {dim} != data dimension {x.shape[1]}")
-    rows = diag = None
-    if train is not None:
-        rows = cross_matrix(x, train, model.kernel_spec)
-        diag = kernel_diag(x, model.kernel_spec)
-    return predict(model, x, rows, diag)[1]
+    return predict(model, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +150,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
     model = fit_method(args.method, dataset, km, solver, args.components, askkm)
-    payload = model.to_dict() if family == "sem" else model.to_dict(dataset.features)
     if out_criterion:
-        _dump_json(
-            {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion
-        )
-
+        _dump_json({"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion)
     weight = model.unlabeled_weight
-    payload["config"] = echo
-    payload["resolved_unlabeled_weight"] = weight
-    _dump_json(payload, out_model)
+    _dump_json({**model.to_dict(), "config": echo, "resolved_unlabeled_weight": weight}, out_model)
     print(f"fitted {args.method} (unlabeled weight {weight}) -> {out_model}")
     return EXIT_OK
 

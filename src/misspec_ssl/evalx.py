@@ -50,6 +50,26 @@ METHODS = {
     "supervised_sem": Method("sem", "supervised"),
 }
 
+# The model JSON loader of each family; askkm scores as its final model.
+LOADERS = {
+    "sem": GmmModel.from_dict,
+    "sskkm": ClusterModel.from_dict,
+    "askkm": lambda d: ClusterModel.from_dict(d["final_model"]),
+}
+
+
+class UnknownModelFamily(InputError):
+    """A model JSON whose family LOADERS does not hold."""
+
+
+def load_model(d: dict) -> GmmModel | ClusterModel:
+    """The scoring model of ``d``, a fitted model's to_dict() JSON. A missing
+    key is a KeyError, a malformed value a TypeError or ValueError."""
+    family = d.get("family")
+    if not isinstance(family, str) or family not in LOADERS:
+        raise UnknownModelFamily(f"unrecognized model family {family!r}")
+    return LOADERS[family](d)
+
 
 def method_solver(name: str, base: SolverOptions, weight: float | None = None) -> SolverOptions:
     """``base`` with the unlabeled weighting of method ``name``, or with the
@@ -84,22 +104,26 @@ def fit_method(
     return fit_askkm(km, train, replace(askkm, solver=solver))
 
 
-def predict(
-    model: GmmModel | ClusterModel | AskkmModel,
-    x: np.ndarray,
-    rows: np.ndarray | None,
-    diag: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: GmmModel | ClusterModel | AskkmModel, x: np.ndarray,
+            rows: np.ndarray | None = None,
+            diag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Labels (Q,) and per-class scores (Q, C) of Q query points, each model
     scored once. A mixture reads their features ``x``; a kernel model reads
     their kernel ``rows`` against its training points and their
-    self-similarities ``diag``. Non-finite features are an InputError."""
+    self-similarities ``diag``, built from ``x`` when ``rows`` is None. Query
+    points of another dimension than the model's, or non-finite, are an
+    InputError."""
+    if isinstance(model, AskkmModel):
+        model = model.final_model
+    if x.shape[1] != model.dim:
+        raise InputError(f"model dimension {model.dim} != data dimension {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise InputError("query points contain non-finite values")
     if isinstance(model, GmmModel):
         return bayes_classify_batch(model, x)
-    if isinstance(model, AskkmModel):
-        model = model.final_model
+    if rows is None:
+        rows = cross_matrix(x, model.train_features, model.kernel_spec)
+        diag = kernel_diag(x, model.kernel_spec)
     return score_batch(model, rows, diag)
 
 

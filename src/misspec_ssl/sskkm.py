@@ -27,8 +27,9 @@ class ClusterModel:
     """A fitted kernel k-means model plus the cached per-cluster statistics
     needed to classify new points from their kernel rows alone.
 
-    The label map is the cluster structure: cluster k is fine label k, and
-    ``cluster_of`` holds the cluster id of every training point."""
+    The label map is the cluster structure: cluster k is fine label k.
+    ``cluster_of`` holds the cluster id of every training point, and
+    ``train_features`` (a reference, not a copy) their features."""
 
     cluster_of: np.ndarray
     label_map: LabelMap
@@ -40,14 +41,18 @@ class ClusterModel:
     point_weights: np.ndarray
     cluster_wsum: np.ndarray
     cluster_inner: np.ndarray
+    train_features: np.ndarray
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
 
     @property
     def n_clusters(self) -> int:
         return self.label_map.n_fine
 
-    def to_dict(self, train_features: np.ndarray) -> dict:
-        """JSON form; scoring a query needs the training features as well."""
+    @property
+    def dim(self) -> int:
+        return int(self.train_features.shape[1])
+
+    def to_dict(self) -> dict:
         return {
             "family": "sskkm",
             "n_clusters": self.n_clusters,
@@ -61,16 +66,16 @@ class ClusterModel:
             "point_weights": self.point_weights.tolist(),
             "cluster_wsum": self.cluster_wsum.tolist(),
             "cluster_inner": self.cluster_inner.tolist(),
-            "training_features": np.asarray(train_features).tolist(),
+            "training_features": self.train_features.tolist(),
         }
 
     @staticmethod
-    def from_dict(d: dict) -> tuple["ClusterModel", np.ndarray]:
-        """Inverse of to_dict: (model, training features). The one check of
-        a model from outside: every array has its shape, every cluster id
-        lies in 0..K-1 for the label map's K, the features and statistics
-        are finite, the point weights lie in [0, 1], and every cluster weighs
-        at least its pinned carrier's 1, so no query distance divides by 0."""
+    def from_dict(d: dict) -> "ClusterModel":
+        """Inverse of to_dict. The one check of a model from outside: every
+        array has its shape, every cluster id lies in 0..K-1 for the label
+        map's K, the features and statistics are finite, the point weights
+        lie in [0, 1], and every cluster weighs at least its pinned
+        carrier's 1, so no query distance divides by 0."""
         missing = [k for k in ("cluster_wsum", "cluster_inner") if k not in d]
         if missing:
             raise InputError(f"model JSON lacks {' and '.join(missing)}; refit the model")
@@ -85,8 +90,9 @@ class ClusterModel:
             point_weights=np.asarray(d["point_weights"], dtype=float),
             cluster_wsum=np.asarray(d["cluster_wsum"], dtype=float),
             cluster_inner=np.asarray(d["cluster_inner"], dtype=float),
+            train_features=np.asarray(d["training_features"], dtype=float),
         )
-        train = np.asarray(d["training_features"], dtype=float)
+        train = model.train_features
         if train.ndim != 2:
             raise InputError(f"training_features {train.shape} must have shape (N, d)")
         n, k = train.shape[0], model.n_clusters
@@ -108,7 +114,7 @@ class ClusterModel:
             raise InputError("point_weights must lie in [0, 1]")
         if not np.all(np.isfinite(wsum) & (wsum >= 1)):
             raise InputError("cluster_wsum must be finite and >= 1")
-        return model, train
+        return model
 
 
 def _weighted_indicator(cluster_of: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -408,21 +414,9 @@ def fit_sskkm(
         point_weights=weights,
         cluster_wsum=sums.wsum,
         cluster_inner=sums.inner,
+        train_features=d.features,
         objective_trace=tuple(trace),
     )
-
-
-def _query_distances(model: ClusterModel, km_rows: np.ndarray, self_k: np.ndarray) -> np.ndarray:
-    """Squared distances (Q, K) of query points to every cluster centroid,
-    from the queries' kernel rows against the training points."""
-    km_rows = np.atleast_2d(np.asarray(km_rows, dtype=float))
-    n = model.point_weights.size
-    if km_rows.shape[1] != n:
-        raise InputError(f"kernel row length {km_rows.shape[1]} != training size {n}")
-    self_k = np.atleast_1d(np.asarray(self_k, dtype=float))
-    wz = _weighted_indicator(model.cluster_of, model.point_weights, model.n_clusters)
-    member_sum = km_rows @ wz
-    return _distances(self_k, member_sum, model.cluster_wsum, model.cluster_inner)
 
 
 def score_batch(
@@ -431,9 +425,16 @@ def score_batch(
     """Labels (Q,), the class of the nearest cluster (ties to the lowest
     cluster id) mapped through the model's cluster-to-class map, and
     per-class scores (Q, C), minus the squared distance to the nearest
-    cluster mapped to each class, from one computation of the query
-    distances."""
-    dist = _query_distances(model, km_rows, self_k)
+    cluster mapped to each class, from one computation of the distances of
+    the queries to every centroid, from their kernel rows against the
+    training points and their self-similarities."""
+    km_rows = np.atleast_2d(np.asarray(km_rows, dtype=float))
+    n = model.point_weights.size
+    if km_rows.shape[1] != n:
+        raise InputError(f"kernel row length {km_rows.shape[1]} != training size {n}")
+    self_k = np.atleast_1d(np.asarray(self_k, dtype=float))
+    wz = _weighted_indicator(model.cluster_of, model.point_weights, model.n_clusters)
+    dist = _distances(self_k, km_rows @ wz, model.cluster_wsum, model.cluster_inner)
     scores = np.full((dist.shape[0], model.label_map.n_classes), -np.inf)
     for c in range(model.label_map.n_classes):
         cols = np.flatnonzero(model.label_map.fine_to_class == c)

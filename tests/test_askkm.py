@@ -177,7 +177,7 @@ class TestFitPairOnTwoThreads:
         for name in ("point_weights", "cluster_wsum", "cluster_inner"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(a.cluster_of, b.cluster_of)
-        assert one.to_dict(d.features) == two.to_dict(d.features)
+        assert one.to_dict() == two.to_dict()
 
     def test_error_in_unbiased_half_raised_after_both_fits(self, fan_out_threads, monkeypatch):
         fan_out_threads(2)
@@ -257,4 +257,4 @@ class TestIncrementalMatchesFullProductOracle:
                 mp.setattr(askkm, "fit_sskkm", oracle_fit_sskkm)
                 mp.setattr(askkm, "init_assignments", oracle_init_assignments)
                 want = fit_askkm(km, d, opts)
-            assert got.to_dict(d.features) == want.to_dict(d.features), (make.__name__, si)
+            assert got.to_dict() == want.to_dict(), (make.__name__, si)

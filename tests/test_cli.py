@@ -419,6 +419,10 @@ MALFORMED = {
                                     if k not in ("weights", "final_model")}),
         "lacks the key",
     ),
+    "unknown_family": (
+        lambda text, d: json.dumps({**d, "family": ["sem"]}),
+        "unrecognized model family ['sem'] in",
+    ),
 }
 
 
@@ -529,12 +533,14 @@ class TestEval:
         for entry in payload["per_class"].values():
             assert len(entry["interpolated_precisions"]) == 11
 
-    def test_dimension_mismatch_exits_3(self, tmp_path):
-        model = self.fit_model(tmp_path)
+    @pytest.mark.parametrize("method", ["supervised_sem", "askkm"])
+    def test_dimension_mismatch_exits_3(self, tmp_path, method, capsys):
+        model = self.fit_model(tmp_path, method=method)
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,label\n1.0,0\n2.0,1\n", encoding="utf-8")
         assert run(["eval", "--model", model, "--data", bad,
                     "--out", tmp_path / "m.json"]) == 3
+        assert "model dimension 2 != data dimension 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keep, message", [
         ({"1"}, "n_classes must be >= 2"),
@@ -617,7 +623,7 @@ class TestEval:
             calls.append(q.shape)
             return cross_matrix(q, y, spec)
 
-        monkeypatch.setattr(cli, "cross_matrix", spy)
+        monkeypatch.setattr(evalx, "cross_matrix", spy)
         code = run(["eval", "--model", model, "--data", bad, "--out", tmp_path / "m.json"])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
@@ -645,8 +651,8 @@ def scores_from_recomputed_stats(model_path, x, train_gram):
     """Score queries after recomputing every cluster's W_k and w'Kw from a
     full training Gram ``train_gram(train, spec)``."""
     d = json.loads(model_path.read_text())
-    model, train = ClusterModel.from_dict(d.get("final_model", d))
-    spec = model.kernel_spec
+    model = ClusterModel.from_dict(d.get("final_model", d))
+    spec, train = model.kernel_spec, model.train_features
     wsum, _, inner = _cluster_stats(
         train_gram(train, spec), model.cluster_of, model.point_weights, model.n_clusters
     )
@@ -678,7 +684,7 @@ class TestKernelModelEval:
             calls.append(q.shape)
             return cross_matrix(q, y, spec)
 
-        monkeypatch.setattr(cli, "cross_matrix", query_rows_only)
+        monkeypatch.setattr(evalx, "cross_matrix", query_rows_only)
         scores = load_model_scores(model, x)
         assert calls == [x.shape] and scores.shape[1] == 2
         # the fit's own Gram gives the serialized statistics exactly

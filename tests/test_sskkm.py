@@ -418,14 +418,14 @@ def oracle_fit_sskkm(km, d, label_map, opts, init=None):
         cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
         objective=objective, kernel_spec=km.spec, iterations_run=iterations,
         converged=converged, point_weights=weights, cluster_wsum=wsum,
-        cluster_inner=inner, objective_trace=tuple(trace),
+        cluster_inner=inner, train_features=d.features, objective_trace=tuple(trace),
     )
 
 
-def assert_same_fit(got, want, features):
+def assert_same_fit(got, want):
     """Equal decisions and stored statistics, bit for bit; the intermediate
     trace entries are updated values, equal up to their last bits."""
-    assert got.to_dict(features) == want.to_dict(features)
+    assert got.to_dict() == want.to_dict()
     np.testing.assert_array_equal(got.cluster_wsum, want.cluster_wsum)
     np.testing.assert_array_equal(got.cluster_inner, want.cluster_inner)
     assert len(got.objective_trace) == len(want.objective_trace)
@@ -498,7 +498,7 @@ class TestIncrementalMatchesFullProductOracle:
             for opts in options:
                 for start in (None, init):
                     assert_same_fit(fit_sskkm(km, d, lm, opts, init=start),
-                                    oracle_fit_sskkm(km, d, lm, opts, init=start), d.features)
+                                    oracle_fit_sskkm(km, d, lm, opts, init=start))
 
     @pytest.mark.parametrize("mode", ["original", "unbiased"])
     def test_acceptance_seeds(self, mode):
@@ -513,8 +513,7 @@ class TestIncrementalMatchesFullProductOracle:
             opts = SolverOptions(seed=si, unlabeled_weight_mode=mode)
             np.testing.assert_array_equal(init_assignments(km, d, lm),
                                           oracle_init_assignments(km, d, lm))
-            assert_same_fit(fit_sskkm(km, d, lm, opts), oracle_fit_sskkm(km, d, lm, opts),
-                            d.features)
+            assert_same_fit(fit_sskkm(km, d, lm, opts), oracle_fit_sskkm(km, d, lm, opts))
 
 
 def midway_instance(n_far=0):
@@ -555,8 +554,7 @@ class TestExactDecisions:
         force_incremental(monkeypatch, km.n, 1)
         calls = spy_cluster_stats(monkeypatch)
         model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
-        assert_same_fit(model, oracle_fit_sskkm(km, d, lm, SolverOptions(), init=init),
-                        d.features)
+        assert_same_fit(model, oracle_fit_sskkm(km, d, lm, SolverOptions(), init=init))
         assert model.cluster_of[2] == 0
         # the start, the tie at the second iteration, and the end
         assert [c.tolist() for c in calls] == [[0, 1, 1, 1, 1], [0, 1, 1, 1, 0],
@@ -579,7 +577,7 @@ class TestExactDecisions:
         assert (want.iterations_run == 2) == stop
         after_one = oracle_fit_sskkm(km, d, lm, SolverOptions(max_iter=1)).cluster_of
         calls = spy_cluster_stats(monkeypatch)
-        assert_same_fit(fit_sskkm(km, d, lm, opts), want, d.features)
+        assert_same_fit(fit_sskkm(km, d, lm, opts), want)
         assert np.array_equal(calls[1], after_one)  # the earlier objective, exactly
 
 
