@@ -13,6 +13,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import signal
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -163,29 +164,45 @@ def fan_out_processes(fn: Callable[[Job], Result], jobs: Iterable[Job],
     indices, results and errors are pickled. Each worker is marked as a pool
     thread and holds BLAS at one thread, so nothing fans out inside it. Fork
     only where no other thread runs: outside a fan_out call, whose threads
-    are all joined when it returns."""
+    are all joined when it returns.
+
+    A worker that ends before its job does (killed for memory, say) is an
+    InputError in that job's place. Workers die with the process that
+    forked them, where the platform has prctl (Linux)."""
     jobs = list(jobs)
     width = min(width, len(jobs), fan_out_width())
     if width <= 1:
         return [fn(job) for job in jobs]
     # Imported here: at the package's import they would cost ~20 ms.
     import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(width, context, initializer=_start_worker,
-                             initargs=(fn, jobs)) as pool:
-        futures = [pool.submit(_run_worker_job, i) for i in range(len(jobs))]
-    return [future.result() for future in futures]
+    try:
+        with ProcessPoolExecutor(width, context, initializer=_start_worker,
+                                 initargs=(fn, jobs, os.getpid())) as pool:
+            futures = [pool.submit(_run_worker_job, i) for i in range(len(jobs))]
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        raise InputError("a worker process ended before its job finished "
+                         "(for example, killed for memory)") from None
 
 
 _worker_jobs: tuple[Callable, list] | None = None  # (fn, jobs), in a worker
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _start_worker(fn: Callable, jobs: list) -> None:
+def _start_worker(fn: Callable, jobs: list, parent: int) -> None:
     global _worker_jobs
+    # SIGKILL when the forking parent dies; a parent that died before the
+    # prctl is seen by the check after it.
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
     _mark_pool_thread()
     # Set only a count that is not 1 already: after a fork, OpenBLAS starts a
     # thread on any set, and it took each worker's cells from ~10 to ~25 ms.

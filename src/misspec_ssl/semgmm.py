@@ -320,14 +320,15 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
             f"squared deviations of {d.n_points} points overflow float64"
         )
 
-    w = opts.resolve_unlabeled_weight(d.n_labeled, d.n_unlabeled)
+    n_labeled = d.n_labeled  # a count over the rows on every read
+    w = opts.resolve_unlabeled_weight(n_labeled, d.n_points - n_labeled)
     floor = _variance_floor(d.features)
     model = _init_model(d, k, comp_map, floor, opts.seed)
     x, mask = _objective_rows(d, comp_map, w)
     diff = np.empty_like(x)
 
     log_r, norm = _masked_log_joint(model, x, mask)
-    objective = _objective(norm, d.n_labeled, w)
+    objective = _objective(norm, n_labeled, w)
     trace = [objective]
     for _ in range(opts.max_iter):
         # E-step: row-normalized responsibilities, in place of the
@@ -343,7 +344,7 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
         # M-step: weighted closed-form updates with variance flooring. A
         # labeled row weighs 1, so scaling the unlabeled block by w gives
         # every weighted responsibility.
-        wr[d.n_labeled:] *= w
+        wr[n_labeled:] *= w
         mass = _col_sum(wr)
         means = model.means.copy()
         variances = model.covariances.copy()
@@ -359,7 +360,7 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
         model = replace(model, weights=mass / mass.sum(), means=means, covariances=variances)
 
         log_r, norm = _masked_log_joint(model, x, mask)
-        new_objective = _objective(norm, d.n_labeled, w)
+        new_objective = _objective(norm, n_labeled, w)
         trace.append(new_objective)
         delta = new_objective - objective
         objective = new_objective

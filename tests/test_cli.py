@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -1516,6 +1517,86 @@ def test_degradation_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, f
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
     assert digests == DEGRADATION_CURVE_DIGESTS
+
+
+def test_killed_curve_worker_exits_3(tmp_path, monkeypatch, fan_out_threads, capfd):
+    # Cells other than the largest hold 540 training rows, so two workers
+    # fork; the cell at N_u = 500 sends its own worker SIGKILL, as the OOM
+    # killer would.
+    parent = os.getpid()
+
+    def cell(scenario, methods, nu, *rest):
+        if nu == 500 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return dict.fromkeys(methods, 0.5)
+
+    monkeypatch.setattr(evalx, "_evaluate_cell", cell)
+    fan_out_threads(2)
+    out = tmp_path / "curve.json"
+    assert run(["curve", "--grid", "0,500,1000", "--seeds", 1, "--workers", 2,
+                "--out-json", out, "--out-csv", tmp_path / "curve.csv"]) == 3
+    assert capfd.readouterr().err == ("error: a worker process ended before its job finished "
+                                      "(for example, killed for memory)\n")
+    assert not out.exists()
+
+
+def process_start(pid):
+    """The start time of process ``pid`` (/proc/<pid>/stat), or None once it
+    has ended: gone, or a zombie that no one has reaped."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except FileNotFoundError:
+        return None
+    return None if fields[0] == "Z" else fields[19]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs prctl and /proc")
+def test_curve_workers_die_with_a_killed_parent(tmp_path):
+    # A forking curve in a subprocess whose cells log their pid and then
+    # sleep: SIGTERM to the subprocess mid-curve must take its workers along.
+    log = tmp_path / "cells.log"
+    code = (
+        "import os, sys, time\n"
+        "from misspec_ssl import cli, core, evalx\n"
+        "core._usable_cpus = lambda: 2\n"
+        "def cell(*args):\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(60)\n"
+        "evalx._evaluate_cell = cell\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != ENV_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["curve", "--grid", "0,500,1000", "--seeds", "1", "--workers", "2",
+            "--out-json", str(tmp_path / "curve.json"), "--out-csv", str(tmp_path / "curve.csv")]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = {}  # pid -> start time, so that a reused pid is never signalled
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            pids = {int(p) for p in log.read_text().split()} if log.exists() else set()
+            workers = {pid: process_start(pid) for pid in pids}
+        assert len(workers) == 2 and None not in workers.values(), workers
+        proc.terminate()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            alive = [pid for pid, start in workers.items() if process_start(pid) == start]
+            if not alive:
+                break
+            time.sleep(0.02)
+        assert not alive, f"workers {alive} outlived their parent"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid, start in workers.items():
+            if start is not None and process_start(pid) == start:
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_error_in_unbiased_half_exits_3_as_on_one_thread(

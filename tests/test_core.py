@@ -479,6 +479,30 @@ class TestFanOutProcesses:
         assert fan_out_processes(lambda j: -j, range(3), 2) == [0, -1, -2]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("killer, failing, message", [
+        (2, 0, "job 0 failed"),
+        (0, 2, "a worker process ended before its job finished"),
+    ], ids=["error_first", "killed_first"])
+    def test_killed_worker_is_an_input_error_in_job_order(self, fan_out_threads, killer,
+                                                           failing, message):
+        import multiprocessing
+        import signal
+
+        fan_out_threads(2)
+
+        def job(j):
+            if j == killer:
+                time.sleep(0.2)  # the other job's error arrives first
+                os.kill(os.getpid(), signal.SIGKILL)
+            if j == failing:
+                raise InputError(f"job {j} failed")
+            return j
+
+        with pytest.raises(InputError, match=message):
+            fan_out_processes(job, range(4), 2)
+        assert multiprocessing.active_children() == []
+        assert fan_out_processes(lambda j: -j, range(3), 2) == [0, -1, -2]
+
 
 def test_package_import_loads_no_process_machinery():
     code = ("import sys, misspec_ssl.cli; "
