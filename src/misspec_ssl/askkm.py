@@ -74,10 +74,6 @@ class AskkmModel:
     first_round: tuple[ClusterModel, ClusterModel]
 
     @property
-    def label_map(self) -> LabelMap:
-        return self.final_model.label_map
-
-    @property
     def rounds(self) -> int:
         return len(self.history)
 
@@ -93,7 +89,7 @@ class AskkmModel:
         return {
             "family": "askkm",
             "final_model": self.final_model.to_dict(),
-            "label_map": self.label_map.to_dict(),
+            "label_map": self.final_model.label_map.to_dict(),
             "rounds": self.rounds,
             "terminated_by": self.terminated_by,
             "history": [

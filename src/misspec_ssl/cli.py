@@ -151,7 +151,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
     model = fit_method(args.method, dataset, km, solver, args.components, askkm)
     if out_criterion:
-        _dump_json({"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion)
+        _dump_json(
+            {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion
+        )
     weight = model.unlabeled_weight
     _dump_json({**model.to_dict(), "config": echo, "resolved_unlabeled_weight": weight}, out_model)
     print(f"fitted {args.method} (unlabeled weight {weight}) -> {out_model}")

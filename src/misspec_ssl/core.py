@@ -200,6 +200,7 @@ def _start_worker(fn: Callable, jobs: list, parent: int) -> None:
     # prctl is seen by the check after it.
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
         prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)

@@ -104,15 +104,19 @@ def fit_method(
     return fit_askkm(km, train, replace(askkm, solver=solver))
 
 
-def predict(model: GmmModel | ClusterModel | AskkmModel, x: np.ndarray,
-            rows: np.ndarray | None = None,
-            diag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def predict(
+    model: GmmModel | ClusterModel | AskkmModel,
+    x: np.ndarray,
+    rows: np.ndarray | None = None,
+    diag: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Labels (Q,) and per-class scores (Q, C) of Q query points, each model
     scored once. A mixture reads their features ``x``; a kernel model reads
     their kernel ``rows`` against its training points and their
-    self-similarities ``diag``, built from ``x`` when ``rows`` is None. Query
-    points of another dimension than the model's, or non-finite, are an
-    InputError."""
+    self-similarities ``diag``, built from ``x`` when ``rows`` is None. A
+    1-D ``x`` is one point. Query points of another dimension than the
+    model's, or non-finite, are an InputError."""
+    x = np.atleast_2d(x)
     if isinstance(model, AskkmModel):
         model = model.final_model
     if x.shape[1] != model.dim:

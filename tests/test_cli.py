@@ -534,14 +534,15 @@ class TestEval:
         for entry in payload["per_class"].values():
             assert len(entry["interpolated_precisions"]) == 11
 
-    @pytest.mark.parametrize("method", ["supervised_sem", "askkm"])
-    def test_dimension_mismatch_exits_3(self, tmp_path, method, capsys):
-        model = self.fit_model(tmp_path, method=method)
+    def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,label\n1.0,0\n2.0,1\n", encoding="utf-8")
-        assert run(["eval", "--model", model, "--data", bad,
-                    "--out", tmp_path / "m.json"]) == 3
-        assert "model dimension 2 != data dimension 1" in capsys.readouterr().err
+        for method in ("supervised_sem", "askkm"):
+            model = self.fit_model(tmp_path, method=method)
+            capsys.readouterr()
+            assert run(["eval", "--model", model, "--data", bad,
+                        "--out", tmp_path / "m.json"]) == 3
+            assert "model dimension 2 != data dimension 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keep, message", [
         ({"1"}, "n_classes must be >= 2"),

@@ -342,3 +342,7 @@ class TestSerializationRoundTrip:
         for labels, scores in (predict(fitted, test_x), predict(loaded, test_x)):
             assert np.array_equal(labels, want_labels)
             assert np.array_equal(scores, want_scores)
+        # one query point as a 1-D array
+        labels, scores = predict(loaded, test_x[0])
+        assert np.array_equal(labels, want_labels[:1])
+        np.testing.assert_allclose(scores, want_scores[:1], rtol=1e-12)
