@@ -1,7 +1,7 @@
 """Shared domain types: datasets of labeled and unlabeled rows, solver options,
-seed derivation, a pin of the BLAS thread count, and a fan-out of independent
-jobs over a thread pool, or over forked worker processes, that lives for one
-call.
+seed derivation, a pin of the BLAS thread count, the memory available, and a
+fan-out of independent jobs over a thread pool, or over forked worker
+processes, that lives for one call.
 
 The data types here check their invariants once, on construction, and are
 immutable afterwards, so they are safe to share across workers.
@@ -105,6 +105,23 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+MEMINFO = "/proc/meminfo"
+
+
+def available_memory() -> int | None:
+    """Bytes the kernel reports as available to new allocations without
+    swapping (``MemAvailable`` in MEMINFO), or None where that file or field
+    does not exist."""
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the file counts kB
+    except OSError:
+        pass
+    return None
 
 
 _pool_thread = threading.local()
@@ -238,9 +255,15 @@ class Dataset:
         every class occurs
     n_classes : declared number of classes C (>= 2)
     labeled_idx, labels, unlabeled_idx : the labeled rows (ascending), their
-        class ids and the unlabeled rows (ascending), read off row_labels on
-        each access: stored copies doubled a dataset's index memory, and the
-        sem_gap bench holds 256 datasets of N = 20,020 (peak RSS 162 -> 201 MB)
+        class ids and the unlabeled rows (ascending), as intp arrays read off
+        row_labels on each access
+
+    Memory: the sem_gap bench holds 256 datasets of N = 20,020. Stored copies
+    of the accessors' arrays doubled a dataset's index memory (peak RSS 162 ->
+    201 MB). ``row_labels`` is stored, once the checks have run on a
+    full-width copy, in the narrowest signed integer type that holds
+    UNLABELED and n_classes - 1 (int8 up to 128 classes), so a row takes
+    8·d + 1 bytes, not 8·d + 8 (peak RSS 161 -> 128 MB).
     """
 
     features: np.ndarray
@@ -255,6 +278,9 @@ class Dataset:
         problems = _dataset_violations(self)
         if problems:
             raise InputError("invalid dataset: " + "; ".join(problems))
+        narrow = self.row_labels.astype(np.min_scalar_type(-int(self.n_classes)))
+        narrow.flags.writeable = False
+        object.__setattr__(self, "row_labels", narrow)
 
     @property
     def n_points(self) -> int:
@@ -270,7 +296,7 @@ class Dataset:
 
     @property
     def labels(self) -> np.ndarray:
-        return self.row_labels[self.row_labels != UNLABELED]
+        return self.row_labels[self.row_labels != UNLABELED].astype(np.intp)
 
     @property
     def unlabeled_idx(self) -> np.ndarray:

@@ -11,7 +11,8 @@ import numpy as np
 
 from .askkm import AskkmModel, AskkmOptions, fit_askkm
 from .core import (
-    Dataset, InputError, SolverOptions, derive_seed, fan_out_processes, one_blas_thread
+    Dataset, InputError, SolverOptions, available_memory, derive_seed, fan_out_processes,
+    one_blas_thread,
 )
 from .datagen import GenSpec, generate, sample_eval_set
 from .kernels import KernelMatrix, KernelSpec, cross_matrix, gram_matrix, kernel_diag
@@ -281,7 +282,10 @@ def learning_curve(
     cells other than the largest hold fewer than CELL_FORK_MIN_ROWS training
     rows in all; from there on up to ``workers`` forked worker processes of
     core.fan_out_processes (which caps them) share them, and each cell runs
-    there on one thread. Every cell runs with BLAS held at one thread
+    there on one thread. Each worker builds its own cell's Gram, so the
+    workers are also capped at the number of the largest cell's Grams (8·N²
+    bytes each) that fit in core.available_memory(), where that is known.
+    Every cell runs with BLAS held at one thread
     (core.one_blas_thread), so neither the worker count nor the BLAS thread
     count changes the result. A cell's original_sskkm and unbiased_sskkm are
     its askkm's first-round fits when askkm is requested.
@@ -308,6 +312,9 @@ def learning_curve(
     n_labeled = scenario.n_labeled_per_class * scenario.n_classes
     rows = n_seeds * sum(n_labeled + nu for nu in grid) - (n_labeled + grid[-1])
     width = workers if rows >= CELL_FORK_MIN_ROWS else 1
+    available = available_memory() if width > 1 else None
+    if available is not None:
+        width = min(width, max(1, available // (8 * (n_labeled + grid[-1]) ** 2)))
     with one_blas_thread():
         results = fan_out_processes(run, cells, width)
 

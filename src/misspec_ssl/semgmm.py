@@ -404,8 +404,11 @@ def sample_joint(m: GmmModel, n: int, rng: np.random.Generator) -> tuple[np.ndar
     """Draw (x, y) pairs from the model: component by mixing weight, then the
     component's Gaussian; y is the component's class."""
     comps = rng.choice(m.n_components, size=n, p=m.weights / m.weights.sum())
-    noise = rng.standard_normal((n, m.dim)) * np.sqrt(m.covariances[comps])
-    return m.means[comps] + noise, m.comp_map[comps]
+    # One square root per component, not per sample; in place, bit for bit.
+    x = rng.standard_normal((n, m.dim))
+    x *= np.sqrt(m.covariances).take(comps, axis=0)
+    x += m.means.take(comps, axis=0)
+    return x, m.comp_map[comps]
 
 
 def kl_mc(m1: GmmModel, m2: GmmModel, n_samples: int, seed: int) -> KlEstimate:

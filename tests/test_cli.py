@@ -1484,6 +1484,23 @@ def test_above_floor_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, f
     assert digests == ABOVE_FLOOR_CURVE_DIGESTS
 
 
+def test_above_floor_curve_with_too_little_memory_for_two_grams_runs_inline(
+        tmp_path, monkeypatch, fan_out_threads, cell_log):
+    # The largest cell's Gram, 1,450 rows, takes 16.8 MB per worker: with
+    # less than two of them available, --workers 2 runs the cells inline
+    # and writes the same bytes.
+    monkeypatch.chdir(tmp_path)
+    fan_out_threads(2)
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    monkeypatch.setattr(evalx, "available_memory", lambda: 2 * 8 * 1450**2 - 1)
+    for argv in above_floor_curve_commands():
+        assert run(argv) == 0, argv
+        assert {pid for pid, _ in cell_log()} == {os.getpid()}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == ABOVE_FLOOR_CURVE_DIGESTS
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # sha256 of the files `curve --config scripts/degradation_curve.json --seeds 1`

@@ -167,6 +167,56 @@ class TestValidateDataset:
             assert_derived_arrays(d)
 
 
+class TestLabelStorage:
+    """row_labels is stored in np.min_scalar_type(-n_classes); every accessor
+    reads as it would off a full-width (intp) column."""
+
+    @pytest.mark.parametrize("n_classes, dtype", [
+        (2, np.int8), (127, np.int8), (128, np.int8), (129, np.int16), (300, np.int16),
+    ])
+    def test_narrowest_type_and_full_width_accessors(self, n_classes, dtype):
+        rng = np.random.default_rng(n_classes)
+        full = np.full(3 * n_classes, UNLABELED, dtype=np.intp)
+        full[rng.permutation(full.size)[:2 * n_classes]] = np.repeat(np.arange(n_classes), 2)
+        d = Dataset(features=rng.standard_normal((full.size, 2)), row_labels=full,
+                    n_classes=n_classes)
+        assert d.row_labels.dtype == np.min_scalar_type(-n_classes) == dtype
+        np.testing.assert_array_equal(d.row_labels, full)
+        for got, want in ((d.labels, full[full != UNLABELED]),
+                          (d.labeled_idx, np.flatnonzero(full != UNLABELED)),
+                          (d.unlabeled_idx, np.flatnonzero(full == UNLABELED))):
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+        assert type(d.n_labeled) is int and d.n_labeled == 2 * n_classes
+        with pytest.raises(ValueError, match="read-only"):
+            d.row_labels[0] = 0
+
+    def test_out_of_range_labels_reported_before_narrowing(self):
+        with pytest.raises(InputError) as exc:
+            make_dataset(row_labels=(0, 1, 300, UNLABELED))
+        assert str(exc.value) == "invalid dataset: row labels outside -1..1: [300]"
+        with pytest.raises(InputError) as exc:
+            make_dataset(row_labels=(0, 1, -2, UNLABELED))
+        assert str(exc.value) == "invalid dataset: row labels outside -1..1: [-2]"
+
+
+class TestAvailableMemory:
+    def test_reads_mem_available_in_bytes(self, monkeypatch, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:        8000000 kB\n"
+                           "MemFree:          100000 kB\n"
+                           "MemAvailable:    7000000 kB\n")
+        monkeypatch.setattr(core, "MEMINFO", str(meminfo))
+        assert core.available_memory() == 7000000 * 1024
+
+    def test_none_without_the_file_or_the_field(self, monkeypatch, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        monkeypatch.setattr(core, "MEMINFO", str(meminfo))
+        assert core.available_memory() is None
+        meminfo.write_text("MemTotal:        8000000 kB\nMemFree:          100000 kB\n")
+        assert core.available_memory() is None
+
+
 class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()

@@ -112,6 +112,19 @@ class TestGenerate:
         assert sorted(np.bincount(ya).tolist()) == [50, 51]
 
 
+@pytest.mark.parametrize("spec", [
+    GenSpec(kind="misspecified", subclusters_per_class=2, n_unlabeled=2000, seed=1),
+    GenSpec(n_classes=5, dim=3, n_unlabeled=333, seed=2),
+    GenSpec(n_classes=128, dim=1, n_labeled_per_class=1, n_unlabeled=50, seed=3),
+])
+def test_generated_dataset_takes_one_label_byte_per_row(spec):
+    # 8·d feature bytes and one label byte per row, up to 128 classes: a
+    # return to 8-byte labels would add 7 bytes to every row of every
+    # dataset the sem_gap benchmark holds.
+    d, _ = generate(spec)
+    assert d.features.nbytes + d.row_labels.nbytes == d.n_points * (8 * spec.dim + 1)
+
+
 class TestCsv:
     def write_lines(self, path, lines):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -144,6 +157,19 @@ class TestCsv:
         assert loaded.n_classes == d.n_classes
         # second round trip is byte-stable
         f2 = tmp_path / "rt2.csv"
+        write_csv(loaded, f2)
+        assert f.read_bytes() == f2.read_bytes()
+
+    def test_round_trip_of_int16_labels_is_byte_identical(self, tmp_path):
+        d, _ = generate(GenSpec(n_classes=200, dim=3, n_labeled_per_class=1, n_unlabeled=100,
+                                seed=5))
+        assert d.row_labels.dtype == np.int16
+        f, f2 = tmp_path / "rt.csv", tmp_path / "rt2.csv"
+        write_csv(d, f)
+        loaded, names = load_csv(f)
+        assert names == [str(c) for c in range(200)]
+        assert loaded.row_labels.dtype == np.int16
+        np.testing.assert_array_equal(loaded.row_labels, d.row_labels)
         write_csv(loaded, f2)
         assert f.read_bytes() == f2.read_bytes()
 

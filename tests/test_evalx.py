@@ -205,6 +205,33 @@ class TestLearningCurve:
             self.run_small(["original_sem"], grid=(0, top), workers=4)
         assert widths == [width]
 
+    @pytest.mark.parametrize("available, width", [
+        (None, 4), (10**12, 4), (3 * 8 * 480**2, 3), (2 * 8 * 480**2 - 1, 1), (1, 1),
+    ])
+    def test_workers_capped_by_the_largest_cells_gram_in_available_memory(
+            self, monkeypatch, available, width):
+        # 10 labeled rows, grid (0, 470): the largest cell holds 480 training
+        # rows, whose Gram takes 8·480² bytes in each worker.
+        widths, reads = [], []
+
+        def spy(fn, jobs, w):
+            widths.append(w)
+            raise InputError("stop before the cells")
+
+        monkeypatch.setattr(evalx, "available_memory", lambda: reads.append(1) or available)
+        monkeypatch.setattr(evalx, "fan_out_processes", spy)
+        with pytest.raises(InputError, match="stop before the cells"):
+            self.run_small(["original_sem"], grid=(0, 470), workers=4)
+        assert widths == [width] and len(reads) == 1
+
+    def test_memory_is_read_only_where_cells_could_fork(self, monkeypatch):
+        def no_read():
+            raise AssertionError("memory read for a curve that runs inline")
+
+        monkeypatch.setattr(evalx, "available_memory", no_read)
+        self.run_small(["original_sem"], grid=(0, 30), workers=2)  # below the process floor
+        self.run_small(["original_sem"], grid=(0, 470), workers=1)
+
     def test_binary_scenario_uses_ap(self):
         curve = self.run_small(["supervised"], grid=(0,))
         assert curve.metric_name == "average_precision"

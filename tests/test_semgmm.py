@@ -416,6 +416,26 @@ class TestKlMc:
         with pytest.raises(InputError):
             kl_mc(m, m, 0, seed=0)
 
+    @pytest.mark.parametrize("k", [2, 3, 8, 9])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+    def test_equals_per_sample_square_root_oracle(self, monkeypatch, k, dim):
+        def sample_joint_oracle(m, n, rng):
+            comps = rng.choice(m.n_components, size=n, p=m.weights / m.weights.sum())
+            noise = rng.standard_normal((n, m.dim)) * np.sqrt(m.covariances[comps])
+            return m.means[comps] + noise, m.comp_map[comps]
+
+        rng = np.random.default_rng(k * 10 + dim)
+        m1, m2 = random_model(rng, k, dim), random_model(rng, k, dim)
+        for n in (1, 7, 50_000):
+            fast = kl_mc(m1, m2, n, seed=n)
+            with monkeypatch.context() as patch:
+                patch.setattr(semgmm, "sample_joint", sample_joint_oracle)
+                slow = kl_mc(m1, m2, n, seed=n)
+            assert bits(fast) == bits(slow)
+            x, y = semgmm.sample_joint(m1, n, np.random.default_rng(n))
+            want_x, want_y = sample_joint_oracle(m1, n, np.random.default_rng(n))
+            assert bits(x) == bits(want_x) and bits(y) == bits(want_y)
+
 
 # Widths on both sides of numpy's switch from left-to-right to pairwise
 # summation at 8 columns.
