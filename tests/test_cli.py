@@ -795,298 +795,6 @@ class TestConfigFile:
         assert run(["gen", "--config", config]) == 2
 
 
-# One small end-to-end run of every command. Each (model file stem, method,
-# extra fit flags) is fitted on data.csv and evaluated with --verbose on
-# heldout.csv.
-PINNED_FITS = [
-    ("original_sskkm", "original_sskkm", []),
-    ("unbiased_sskkm", "unbiased_sskkm", []),
-    ("askkm", "askkm", ["--out-criterion", "askkm.criterion.json"]),
-    ("original_sem", "original_sem", []),
-    ("unbiased_sem", "unbiased_sem", []),
-    ("supervised", "supervised", []),
-    ("sem_components4", "original_sem", ["--components", 4]),
-    ("sem_weight03", "original_sem", ["--weight", 0.3]),
-]
-
-
-def pinned_run_digests():
-    """Run the pinned commands in an empty working directory, with relative
-    paths so that the echoed configurations do not depend on where it is;
-    sha256 of every file written."""
-    scenario = ["--kind", "misspecified", "--class-sep", 5.0, "--labeled-per-class"]
-    commands = [
-        ["gen", *scenario, 5, "--unlabeled", 60, "--seed", 41,
-         "--out-data", "data.csv", "--out-truth", "truth.json"],
-        ["gen", *scenario, 25, "--unlabeled", 0, "--seed", 42,
-         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
-    ]
-    for stem, method, extra in PINNED_FITS:
-        commands.append(["fit", "--data", "data.csv", "--method", method, *extra,
-                         "--out-model", f"{stem}.json"])
-        commands.append(["eval", "--model", f"{stem}.json", "--data", "heldout.csv",
-                         "--verbose", "--out", f"{stem}.eval.json"])
-    commands.append(["curve", *scenario, 5, "--grid", "0,40", "--seeds", 2,
-                     "--eval-size", 50, "--methods", "original_sem,unbiased_sem,original_sskkm",
-                     "--seed", 43, "--out-json", "curve.json", "--out-csv", "curve.csv"])
-    for argv in commands:
-        assert run(argv) == 0, argv
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
-
-
-# sha256 of every file pinned_run_digests writes. They pin the CLI's
-# outputs byte for byte on one numpy build; a change that alters an output
-# must say why, and then record the new digest here.
-PINNED_DIGESTS = {
-    "askkm.criterion.json":
-        "f3b44230deaa1e9010e17a4ee90fe2e873abc44411fa289c9300e91f24788dca",
-    "askkm.eval.json":
-        "c64e51a26a0550cb124290773653942270b93cb93becbad4946cb2aec9d3c895",
-    "askkm.json":
-        "7751812be5388cc90591476e209cb900519d3c7f5b9d5920023ebffdb7b1604d",
-    "curve.csv":
-        "f9269f3f7d1ebc14046f4ec02acd0343cf2cce6cbfa262c7dd63df1063448598",
-    "curve.json":
-        "28124fe1b0f8479cd85efb39a39728ea713484f418a12ff41794eb0d4e09f300",
-    "data.csv":
-        "45dd7b2387237f7ceccaf973c0c00405141b2a3f3aa31aca8fa4b8bdd90d46e0",
-    "heldout.csv":
-        "32ab454a4be57f652aeefecdb0fdb6991ce3095f80c98e7deb71115a172f8f87",
-    "heldout.truth.json":
-        "896c924ff8809af5b78b71f218c599243b43ae512d3ec299e20b19988f94dffa",
-    "original_sem.eval.json":
-        "92339952fe6ff8b3f56d058eec147b43c768af7eedf9e3bbbdf490602791bd05",
-    "original_sem.json":
-        "9e0410b052425437b5f5065c00508ccc5d5aff6bcbe54704a80ef962c1352f5c",
-    "original_sskkm.eval.json":
-        "7f539397464481364ee46532d45123402505b60544c9527cd1d07e66cff26c11",
-    "original_sskkm.json":
-        "d8c18607048885a155ec9b32a9591853d039bcb94adaf6d62bc9910987894172",
-    "sem_components4.eval.json":
-        "d664da0114e3b95a4006f7968d9366a9e1b8fd59e478dcaac1ed204c4c377607",
-    "sem_components4.json":
-        "ed15636703a1045db1de3eb8f8fe182f0dfac19c6421b256b03944fc98607ce1",
-    "sem_weight03.eval.json":
-        "6fe233614a2b7672808d99ae2d97b5e3a864eae42ca03fcee5b7cd00be7c07ee",
-    "sem_weight03.json":
-        "0ceb03cf35c1f59fdf949670c484f7d4514f13b36bfe890ee817d760d1fe0538",
-    "supervised.eval.json":
-        "e8e64ea7a67855703bbb03dfbc8c76f9b4c5315cf59aebda6e6c694c96daf693",
-    "supervised.json":
-        "a786a3e3339298b6fc1358617c23b68caed0ed3423a038d3f1c1888d9ff64bd2",
-    "truth.json":
-        "423d3123ff4a107ce34a27f448de415115cdd08a84a82a87159ce2ac081e555b",
-    "unbiased_sem.eval.json":
-        "3f09ce594582eb6f3be8973709c11d4db90b05a69edbfe04c368222d66869a2e",
-    "unbiased_sem.json":
-        "5332bc2c5132bb558ce553e87e2d8e0d99b1d91793c55fa82261659a52ee7f18",
-    "unbiased_sskkm.eval.json":
-        "d965e5391a82105287ce8f016d86cd739d5107065eaa0ddc1e116bf6c21321af",
-    "unbiased_sskkm.json":
-        "be0c5ea6962390e5bb6af46464e3cee43c6d6cf3d8eef78fe0df4ad52bcfe918",
-}
-
-
-def test_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert pinned_run_digests() == PINNED_DIGESTS
-
-
-# sha256 of a 9-feature run whose sem fits use 9 and 3 components, recorded
-# before semgmm's row sums became column folds: numpy sums 8 or more columns
-# pairwise and fewer left to right, and these fits meet both orders, in the
-# feature sums (9) and in the component sums (9 and 3).
-PINNED_WIDE_DIGESTS = {
-    "data.csv":
-        "411d150ea820c88141b1189093ad6c67a682769b7a1ca8edb5fb736a82c01a0c",
-    "heldout.csv":
-        "53fd36c5c745b39381f40d0fefb44991e7087bcb2c5464a85637a4f576cd5e3e",
-    "heldout.truth.json":
-        "cf5732c60abbc245947567f4320af87a98c3d857a4f9f2955af17bf08fb61d24",
-    "sem_components3.eval.json":
-        "98acafa4e365837221edb59f4ea8f22b55addd2ce51a69b776803dadc474f51d",
-    "sem_components3.json":
-        "3c45e79219d674f561b2a0e2f74ad36c610cf482416dc42b7801870a7fa48353",
-    "sem_components9.eval.json":
-        "31b0796a4cce87b1f4ce400b96fcaff08fe863383c2c309b824b48960f5bdda0",
-    "sem_components9.json":
-        "9768a6e075363c240276f9d67f195072383c1d9d0e4dbe4e164cb6385e5f9e28",
-    "truth.json":
-        "2331a358a60117c74a63c93a97ae0c1237b7a34c4f7a3dcb91f3285605ee64b5",
-}
-
-
-def test_wide_sem_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    scenario = ["--kind", "misspecified", "--dim", 9, "--class-sep", 5.0, "--labeled-per-class"]
-    commands = [
-        ["gen", *scenario, 6, "--unlabeled", 80, "--seed", 44,
-         "--out-data", "data.csv", "--out-truth", "truth.json"],
-        ["gen", *scenario, 20, "--unlabeled", 0, "--seed", 45,
-         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
-    ]
-    for k in (9, 3):
-        commands.append(["fit", "--data", "data.csv", "--method", "original_sem",
-                         "--components", k, "--out-model", f"sem_components{k}.json"])
-        commands.append(["eval", "--model", f"sem_components{k}.json", "--data", "heldout.csv",
-                         "--verbose", "--out", f"sem_components{k}.eval.json"])
-    for argv in commands:
-        assert run(argv) == 0, argv
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
-    assert digests == PINNED_WIDE_DIGESTS
-
-
-# sha256 of every file test_shuffled_csv_outputs_match_pinned_digests writes:
-# a CSV whose labeled and unlabeled rows interleave and whose classes are
-# named out of sorted order ("b" appears first), so the dataset's labeled
-# rows, their class ids and the unlabeled rows come from one label column in
-# an order no generated file has.
-SHUFFLED_DIGESTS = {
-    "askkm.criterion.json":
-        "3b0f1a2a701e3827fc00fd5bb8f3df1db2ba205767a9464fcb11f12d7ebb3b68",
-    "askkm.eval.json":
-        "b463ef3e323b9c95d2e7e3c3d5e597e486677b983d38c238159ba00745c12541",
-    "askkm.json":
-        "c6acb6287223a94571fda1a49cd4092a5ea2a309a4fc94de7590b6a77cac2f8f",
-    "original_sem.eval.json":
-        "864e5a2181428b728cae6d97d383684b8413fd415436609dce5b1229cde671bf",
-    "original_sem.json":
-        "7e65fe1cfe07f3bc5ecdf15a6a66471a84b782833abdc3166989f680b5cf80f9",
-    "shuffled.csv":
-        "b8e6d7b0e30e534fccd36bcbfb6d847da3314840f7ced1888fab75ce5ac501f2",
-    "unbiased_sskkm.eval.json":
-        "d77b0a818b53795f43fa02074d5987da706cde38555d295da5c11297981783f9",
-    "unbiased_sskkm.json":
-        "c0abf66a4aeb05df1ee60111f088f29c8ff5b6d2910d6b06acd706c4b797ba52",
-}
-
-
-def test_shuffled_csv_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert run(["gen", "--kind", "misspecified", "--class-sep", 3.0, "--labeled-per-class", 6,
-                "--unlabeled", 60, "--seed", 46, "--out-data", "generated.csv",
-                "--out-truth", "truth.json"]) == 0
-    header, *rows = Path("generated.csv").read_text(encoding="utf-8").splitlines()
-    Path("generated.csv").unlink()
-    Path("truth.json").unlink()
-    names = {"0": "b", "1": "a", "?": "?"}
-    rows = [row.rsplit(",", 1) for row in rows]
-    lines = [f"{rows[i][0]},{names[rows[i][1]]}"
-             for i in np.random.default_rng(46).permutation(len(rows))]
-    labels = [line.rsplit(",", 1)[1] for line in lines]
-    assert labels[:5] == ["?", "?", "?", "?", "b"] and "a" in labels[5:12]
-    Path("shuffled.csv").write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-    for method, extra in (("original_sem", []), ("unbiased_sskkm", []),
-                          ("askkm", ["--out-criterion", "askkm.criterion.json"])):
-        assert run(["fit", "--data", "shuffled.csv", "--method", method, *extra,
-                    "--out-model", f"{method}.json"]) == 0
-        assert run(["eval", "--model", f"{method}.json", "--data", "shuffled.csv",
-                    "--verbose", "--out", f"{method}.eval.json"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
-    assert digests == SHUFFLED_DIGESTS
-
-
-# sha256 of every file test_bench_size_outputs_match_pinned_digests writes:
-# an askkm fit (with its criterion) and an original_sskkm fit at N = 6,020,
-# on the gen flags of the askkm_cli benchmark at a seed in none of its pools,
-# and the evals of both. At this size the fits update their member sums from
-# the moved rows of K between full products, in gathers of many blocks.
-BENCH_SIZE_DIGESTS = {
-    "askkm.criterion.json":
-        "6fc74f45c9245abf5c46483a77b64230f42f4f5427a78bef85bcab90c4c8d90d",
-    "askkm.eval.json":
-        "6835e6a922bb4a1b1235bee53e42c6ee3172adec28a29a636ffa4b44f9e8214d",
-    "askkm.json":
-        "18f57e6ee8baeffe77ef5db714e46eb13a11110a560d7c02097eea48291b866c",
-    "data.csv":
-        "891dfa20e52ed913af7b214f3df111f2bab1d72e7cda196045282bbb3d7abfbb",
-    "heldout.csv":
-        "4ee38a822cbcf83cefa58910a18311e303276065712c4e357a0927d2a606b0ca",
-    "heldout.truth.json":
-        "de9d0cf2f5fa9cb060f3a29a04756e5c6c99a6be479510779067891d8d8f2340",
-    "original_sskkm.eval.json":
-        "07404abb2ff52546d8c361103deff544828b2ffd81c8040b86ba29aaf834ede7",
-    "original_sskkm.json":
-        "3376aca41dd3a36b109710703071b0323d576954c40ab9f9c45c8ae52e800fbc",
-    "truth.json":
-        "5b2cfde8c7dc125ab86a8ecadc8ea813dc2bd96da67440b2c5d551e7104c2b18",
-}
-
-
-def test_bench_size_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5, "--subcluster-sep", 8]
-    commands = [
-        [*scenario, "--labeled-per-class", 10, "--unlabeled", 6000, "--seed", 31,
-         "--out-data", "data.csv", "--out-truth", "truth.json"],
-        [*scenario, "--labeled-per-class", 200, "--unlabeled", 0, "--seed", 32,
-         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
-    ]
-    for method, extra in (("askkm", ["--out-criterion", "askkm.criterion.json"]),
-                          ("original_sskkm", [])):
-        commands.append(["fit", "--data", "data.csv", "--method", method, *extra,
-                         "--out-model", f"{method}.json"])
-        commands.append(["eval", "--model", f"{method}.json", "--data", "heldout.csv",
-                         "--verbose", "--out", f"{method}.eval.json"])
-    for argv in commands:
-        assert run(argv) == 0, argv
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
-    assert digests == BENCH_SIZE_DIGESTS
-
-
-SEM_SIZE_DIGESTS = {
-    "data.csv":
-        "e6df343b20fc6f10156a8802a9094739c8fda472703401bfa566d0c4f2f54df2",
-    "heldout.csv":
-        "e34cdf65d37786fca06c74e960556b80850c8080fad8c4757cc7afc7031b2c2d",
-    "heldout.truth.json":
-        "0f778af54fb053f7dd6cd70ca8e4503f3dab49f29a568b0a18fc31c6493b1bd2",
-    "original_sem.eval.json":
-        "581028ac0c198cb06a84659f4e424aeab502fc72ee93d8bad5f070a93cb476cb",
-    "original_sem.json":
-        "7f7f770ae5a3e6162f9fb0fb3c1f2ba2cb384425594b429c1196c1d04d993d32",
-    "original_sem_k4.eval.json":
-        "173bb0c5f3776a80289b5cf4c84ac22d302b5e16f2a324dc92718814fd9dddf6",
-    "original_sem_k4.json":
-        "056ab25c3b8fb2f1efae31d4334d7789725addd3bdae2c9c6ccaa8c38a03a6b3",
-    "supervised.eval.json":
-        "c67dfb6099451577d439b83ffa79934fc799722d8bd7d507231ca9baad14d733",
-    "supervised.json":
-        "d59147d0abec2727b35e0043dc4c31982d19faf204d8fdd6d1f74c47f82da6c0",
-    "truth.json":
-        "fd56ec52c4a3cd6843d6f5f79758d185e81f4cd029427ffd07f682c5d54814da",
-    "unbiased_sem.eval.json":
-        "c16689ab9077eb2f885bae09e1b9c63951cf02ede7dc0f06793cdff1e17dbf9a",
-    "unbiased_sem.json":
-        "303d08d1cfb29c8b6e235fd87c6371d36a0c2a18330adde93b1877da89a83bfa",
-}
-
-
-def test_sem_size_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    # The semgmm fits at the bench's N_u = 20,000: 91, 12, 36 and 1 EM
-    # iterations for original, unbiased, original at K = 4 and supervised.
-    monkeypatch.chdir(tmp_path)
-    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5, "--subcluster-sep", 8]
-    commands = [
-        [*scenario, "--labeled-per-class", 10, "--unlabeled", 20000, "--seed", 41,
-         "--out-data", "data.csv", "--out-truth", "truth.json"],
-        [*scenario, "--labeled-per-class", 200, "--unlabeled", 0, "--seed", 42,
-         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
-    ]
-    for name, method, extra in (("original_sem", "original_sem", []),
-                                ("unbiased_sem", "unbiased_sem", []),
-                                ("original_sem_k4", "original_sem", ["--components", 4]),
-                                ("supervised", "supervised", [])):
-        commands.append(["fit", "--data", "data.csv", "--method", method, *extra,
-                         "--out-model", f"{name}.json"])
-        commands.append(["eval", "--model", f"{name}.json", "--data", "heldout.csv",
-                         "--verbose", "--out", f"{name}.eval.json"])
-    for argv in commands:
-        assert run(argv) == 0, argv
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
-    assert digests == SEM_SIZE_DIGESTS
-
-
 # Checks that OpenBLAS starts with the OPENBLAS_NUM_THREADS threads asked
 # for, then runs the commands of argv[1] (a JSON list of argument lists)
 # through cli.main in one process, in its working directory.
@@ -1145,40 +853,448 @@ def test_fit_and_eval_bytes_independent_of_blas_threads(tmp_path):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
-def fit_and_eval_commands(data, heldout):
-    """fit + eval of every kernel method, and of askkm on the manhattan
-    distance, writing into the working directory."""
-    fits = {m: ["--method", m] for m in ("original_sskkm", "unbiased_sskkm", "askkm")}
-    fits["askkm_manhattan"] = ["--method", "askkm", "--kernel", "generalized_rbf",
-                               "--distance", "manhattan"]
+# The byte-identity gate. Each digest set is a list of commands run through
+# cli.main from relative paths, in a new directory, so that the echoed
+# configurations do not depend on where it is; DIGESTS pins the sha256 of
+# every file the commands of each set write, on one numpy build. A change
+# that alters an output must say why, and then record the new digests: a
+# failing set prints its new entries in the table's own layout.
+
+
+def run_digest_set(name, commands, monkeypatch, caps=(None,), check=None):
+    """Run ``commands`` once per MISSPEC_SSL_THREADS cap in ``caps`` (None:
+    unset), each time in a new directory under the working directory, and
+    assert that the files written there are those of DIGESTS' set ``name``,
+    byte for byte. A command is the argv of one cli.main call, or a function
+    that writes an input file; ``check(argv, cap)`` runs after each call."""
+    want = {artifact: digest for (s, artifact), digest in DIGESTS.items() if s == name}
+    home = Path.cwd()
+    for cap in caps:
+        out = home / f"threads-{cap}"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        if cap is None:
+            monkeypatch.delenv(ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(ENV_THREADS, cap)
+        for argv in commands:
+            if callable(argv):
+                argv()
+                continue
+            assert run(argv) == 0, argv
+            if check is not None:
+                check(argv, cap)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+        if got != want:
+            moved = "".join(f'    ("{name}", "{artifact}"):\n        "{digest}",\n'
+                            for artifact, digest in got.items() if want.get(artifact) != digest)
+            pytest.fail(f"digest set {name!r} at thread cap {cap}: new or moved entries\n"
+                        f"{moved}no longer written: {sorted(set(want) - set(got))}",
+                        pytrace=False)
+
+
+DIGESTS = {
+    # pinned_commands: one small end-to-end run of every command.
+    ("pinned", "askkm.criterion.json"):
+        "f3b44230deaa1e9010e17a4ee90fe2e873abc44411fa289c9300e91f24788dca",
+    ("pinned", "askkm.eval.json"):
+        "c64e51a26a0550cb124290773653942270b93cb93becbad4946cb2aec9d3c895",
+    ("pinned", "askkm.json"):
+        "7751812be5388cc90591476e209cb900519d3c7f5b9d5920023ebffdb7b1604d",
+    ("pinned", "curve.csv"):
+        "f9269f3f7d1ebc14046f4ec02acd0343cf2cce6cbfa262c7dd63df1063448598",
+    ("pinned", "curve.json"):
+        "28124fe1b0f8479cd85efb39a39728ea713484f418a12ff41794eb0d4e09f300",
+    ("pinned", "data.csv"):
+        "45dd7b2387237f7ceccaf973c0c00405141b2a3f3aa31aca8fa4b8bdd90d46e0",
+    ("pinned", "heldout.csv"):
+        "32ab454a4be57f652aeefecdb0fdb6991ce3095f80c98e7deb71115a172f8f87",
+    ("pinned", "heldout.truth.json"):
+        "896c924ff8809af5b78b71f218c599243b43ae512d3ec299e20b19988f94dffa",
+    ("pinned", "original_sem.eval.json"):
+        "92339952fe6ff8b3f56d058eec147b43c768af7eedf9e3bbbdf490602791bd05",
+    ("pinned", "original_sem.json"):
+        "9e0410b052425437b5f5065c00508ccc5d5aff6bcbe54704a80ef962c1352f5c",
+    ("pinned", "original_sskkm.eval.json"):
+        "7f539397464481364ee46532d45123402505b60544c9527cd1d07e66cff26c11",
+    ("pinned", "original_sskkm.json"):
+        "d8c18607048885a155ec9b32a9591853d039bcb94adaf6d62bc9910987894172",
+    ("pinned", "sem_components4.eval.json"):
+        "d664da0114e3b95a4006f7968d9366a9e1b8fd59e478dcaac1ed204c4c377607",
+    ("pinned", "sem_components4.json"):
+        "ed15636703a1045db1de3eb8f8fe182f0dfac19c6421b256b03944fc98607ce1",
+    ("pinned", "sem_weight03.eval.json"):
+        "6fe233614a2b7672808d99ae2d97b5e3a864eae42ca03fcee5b7cd00be7c07ee",
+    ("pinned", "sem_weight03.json"):
+        "0ceb03cf35c1f59fdf949670c484f7d4514f13b36bfe890ee817d760d1fe0538",
+    ("pinned", "supervised.eval.json"):
+        "e8e64ea7a67855703bbb03dfbc8c76f9b4c5315cf59aebda6e6c694c96daf693",
+    ("pinned", "supervised.json"):
+        "a786a3e3339298b6fc1358617c23b68caed0ed3423a038d3f1c1888d9ff64bd2",
+    ("pinned", "truth.json"):
+        "423d3123ff4a107ce34a27f448de415115cdd08a84a82a87159ce2ac081e555b",
+    ("pinned", "unbiased_sem.eval.json"):
+        "3f09ce594582eb6f3be8973709c11d4db90b05a69edbfe04c368222d66869a2e",
+    ("pinned", "unbiased_sem.json"):
+        "5332bc2c5132bb558ce553e87e2d8e0d99b1d91793c55fa82261659a52ee7f18",
+    ("pinned", "unbiased_sskkm.eval.json"):
+        "d965e5391a82105287ce8f016d86cd739d5107065eaa0ddc1e116bf6c21321af",
+    ("pinned", "unbiased_sskkm.json"):
+        "be0c5ea6962390e5bb6af46464e3cee43c6d6cf3d8eef78fe0df4ad52bcfe918",
+
+    # pinned_wide_commands: a 9-feature run whose sem fits use 9 and 3
+    # components, recorded before semgmm's row sums became column folds:
+    # numpy sums 8 or more columns pairwise and fewer left to right, and these
+    # fits meet both orders, in the feature sums (9) and in the component sums
+    # (9 and 3).
+    ("pinned_wide", "data.csv"):
+        "411d150ea820c88141b1189093ad6c67a682769b7a1ca8edb5fb736a82c01a0c",
+    ("pinned_wide", "heldout.csv"):
+        "53fd36c5c745b39381f40d0fefb44991e7087bcb2c5464a85637a4f576cd5e3e",
+    ("pinned_wide", "heldout.truth.json"):
+        "cf5732c60abbc245947567f4320af87a98c3d857a4f9f2955af17bf08fb61d24",
+    ("pinned_wide", "sem_components3.eval.json"):
+        "98acafa4e365837221edb59f4ea8f22b55addd2ce51a69b776803dadc474f51d",
+    ("pinned_wide", "sem_components3.json"):
+        "3c45e79219d674f561b2a0e2f74ad36c610cf482416dc42b7801870a7fa48353",
+    ("pinned_wide", "sem_components9.eval.json"):
+        "31b0796a4cce87b1f4ce400b96fcaff08fe863383c2c309b824b48960f5bdda0",
+    ("pinned_wide", "sem_components9.json"):
+        "9768a6e075363c240276f9d67f195072383c1d9d0e4dbe4e164cb6385e5f9e28",
+    ("pinned_wide", "truth.json"):
+        "2331a358a60117c74a63c93a97ae0c1237b7a34c4f7a3dcb91f3285605ee64b5",
+
+    # shuffled_commands: a CSV whose labeled and unlabeled rows interleave and
+    # whose classes are named out of sorted order ("b" appears first), so the
+    # dataset's labeled rows, their class ids and the unlabeled rows come from
+    # one label column in an order no generated file has.
+    ("shuffled", "askkm.criterion.json"):
+        "3b0f1a2a701e3827fc00fd5bb8f3df1db2ba205767a9464fcb11f12d7ebb3b68",
+    ("shuffled", "askkm.eval.json"):
+        "b463ef3e323b9c95d2e7e3c3d5e597e486677b983d38c238159ba00745c12541",
+    ("shuffled", "askkm.json"):
+        "c6acb6287223a94571fda1a49cd4092a5ea2a309a4fc94de7590b6a77cac2f8f",
+    ("shuffled", "original_sem.eval.json"):
+        "864e5a2181428b728cae6d97d383684b8413fd415436609dce5b1229cde671bf",
+    ("shuffled", "original_sem.json"):
+        "7e65fe1cfe07f3bc5ecdf15a6a66471a84b782833abdc3166989f680b5cf80f9",
+    ("shuffled", "shuffled.csv"):
+        "b8e6d7b0e30e534fccd36bcbfb6d847da3314840f7ced1888fab75ce5ac501f2",
+    ("shuffled", "unbiased_sskkm.eval.json"):
+        "d77b0a818b53795f43fa02074d5987da706cde38555d295da5c11297981783f9",
+    ("shuffled", "unbiased_sskkm.json"):
+        "c0abf66a4aeb05df1ee60111f088f29c8ff5b6d2910d6b06acd706c4b797ba52",
+
+    # bench_size_commands: an askkm fit (with its criterion) and an
+    # original_sskkm fit at N = 6,020, on the gen flags of the askkm_cli
+    # benchmark at a seed in none of its pools, and the evals of both. At this
+    # size the fits update their member sums from the moved rows of K between
+    # full products, in gathers of many blocks.
+    ("bench_size", "askkm.criterion.json"):
+        "6fc74f45c9245abf5c46483a77b64230f42f4f5427a78bef85bcab90c4c8d90d",
+    ("bench_size", "askkm.eval.json"):
+        "6835e6a922bb4a1b1235bee53e42c6ee3172adec28a29a636ffa4b44f9e8214d",
+    ("bench_size", "askkm.json"):
+        "18f57e6ee8baeffe77ef5db714e46eb13a11110a560d7c02097eea48291b866c",
+    ("bench_size", "data.csv"):
+        "891dfa20e52ed913af7b214f3df111f2bab1d72e7cda196045282bbb3d7abfbb",
+    ("bench_size", "heldout.csv"):
+        "4ee38a822cbcf83cefa58910a18311e303276065712c4e357a0927d2a606b0ca",
+    ("bench_size", "heldout.truth.json"):
+        "de9d0cf2f5fa9cb060f3a29a04756e5c6c99a6be479510779067891d8d8f2340",
+    ("bench_size", "original_sskkm.eval.json"):
+        "07404abb2ff52546d8c361103deff544828b2ffd81c8040b86ba29aaf834ede7",
+    ("bench_size", "original_sskkm.json"):
+        "3376aca41dd3a36b109710703071b0323d576954c40ab9f9c45c8ae52e800fbc",
+    ("bench_size", "truth.json"):
+        "5b2cfde8c7dc125ab86a8ecadc8ea813dc2bd96da67440b2c5d551e7104c2b18",
+
+    # sem_size_commands: the semgmm fits at the bench's N_u = 20,000: 91, 12,
+    # 36 and 1 EM iterations for original, unbiased, original at K = 4 and
+    # supervised.
+    ("sem_size", "data.csv"):
+        "e6df343b20fc6f10156a8802a9094739c8fda472703401bfa566d0c4f2f54df2",
+    ("sem_size", "heldout.csv"):
+        "e34cdf65d37786fca06c74e960556b80850c8080fad8c4757cc7afc7031b2c2d",
+    ("sem_size", "heldout.truth.json"):
+        "0f778af54fb053f7dd6cd70ca8e4503f3dab49f29a568b0a18fc31c6493b1bd2",
+    ("sem_size", "original_sem.eval.json"):
+        "581028ac0c198cb06a84659f4e424aeab502fc72ee93d8bad5f070a93cb476cb",
+    ("sem_size", "original_sem.json"):
+        "7f7f770ae5a3e6162f9fb0fb3c1f2ba2cb384425594b429c1196c1d04d993d32",
+    ("sem_size", "original_sem_k4.eval.json"):
+        "173bb0c5f3776a80289b5cf4c84ac22d302b5e16f2a324dc92718814fd9dddf6",
+    ("sem_size", "original_sem_k4.json"):
+        "056ab25c3b8fb2f1efae31d4334d7789725addd3bdae2c9c6ccaa8c38a03a6b3",
+    ("sem_size", "supervised.eval.json"):
+        "c67dfb6099451577d439b83ffa79934fc799722d8bd7d507231ca9baad14d733",
+    ("sem_size", "supervised.json"):
+        "d59147d0abec2727b35e0043dc4c31982d19faf204d8fdd6d1f74c47f82da6c0",
+    ("sem_size", "truth.json"):
+        "fd56ec52c4a3cd6843d6f5f79758d185e81f4cd029427ffd07f682c5d54814da",
+    ("sem_size", "unbiased_sem.eval.json"):
+        "c16689ab9077eb2f885bae09e1b9c63951cf02ede7dc0f06793cdff1e17dbf9a",
+    ("sem_size", "unbiased_sem.json"):
+        "303d08d1cfb29c8b6e235fd87c6371d36a0c2a18330adde93b1877da89a83bfa",
+
+    # fit_and_eval_commands at N = 1,500, at every thread count.
+    ("fan_out", "askkm.eval.json"):
+        "defcee363e2e60b458a5a58e99c76ebcd5b85592c1ff376bc243edf211dfbc5e",
+    ("fan_out", "askkm.json"):
+        "b495e665f2058817a7457282c2e82a7ac1858ccc69af17e19be9e1442133feca",
+    ("fan_out", "askkm_manhattan.eval.json"):
+        "a35246e59c1b6bb242de6be233a4c70385725847c605214ec60e2cb1e60078e5",
+    ("fan_out", "askkm_manhattan.json"):
+        "251e752870b5e57093b98fb61e0a1ab85bb2d9ccef0a6935c2c51130938d58ed",
+    ("fan_out", "original_sskkm.eval.json"):
+        "7350aeb9d4dd5a1e480f28ac12e84d9605601212d577ab719f45fa53aee2ad9a",
+    ("fan_out", "original_sskkm.json"):
+        "00cca6b0ca8837766f38462176a2ca22318e576bddba33778e88d5b2b85e8b9d",
+    ("fan_out", "unbiased_sskkm.eval.json"):
+        "49a7ded0d90538af510c6e6c4790f9caf4e2cd528c087507b33afea3fdf5a627",
+    ("fan_out", "unbiased_sskkm.json"):
+        "12d044eecb9fc8eac45c41929b001ea791d4633622e41fb0e2b714e85b3dc639",
+
+    # kernel_path_commands, at every thread count. Recorded before the Gram
+    # became the cross matrix of the training rows.
+    ("kernel_path", "1500_chi_square_askkm.eval.json"):
+        "d9c183994091a08524510a13a4cbcb80f588e081f18d0698aee75c120847fc0d",
+    ("kernel_path", "1500_chi_square_askkm.json"):
+        "5eed0afc8f6886aecd21fed862da2696388b8fa048ae2519e3860800cd395740",
+    ("kernel_path", "1500_chi_square_original_sskkm.eval.json"):
+        "d7876b5a92a4ec05a0e9a903d3c5677f1725cb5d3ca233794068b8a0f3ad861f",
+    ("kernel_path", "1500_chi_square_original_sskkm.json"):
+        "40ba12dbbb80459a0019cc184980da30a9e90c97012a6613e4ac385876fefcc4",
+    ("kernel_path", "1500_linear_askkm.eval.json"):
+        "44e6d8d76513466c6822d09f48fbcb664f0e6c5cd141231347e203f3ef788e4a",
+    ("kernel_path", "1500_linear_askkm.json"):
+        "d2c754d54f818ca59364959ddc9ba9bb29bce7f6e14b4d5b02e6f3d71e8bc9f6",
+    ("kernel_path", "1500_linear_original_sskkm.eval.json"):
+        "11979f9ea18a296784be2126407236b8962d777b6254eaecf871db8f75f371ee",
+    ("kernel_path", "1500_linear_original_sskkm.json"):
+        "891d3a53a0bc35f8f6a22dcce597e2a889445fd8e44a74892a694ce0ea3fc0ec",
+    ("kernel_path", "1500_rbf_c3_askkm.eval.json"):
+        "8007285a283ac52fbe8141a0ba7abd974454371fb81d59ea94444459f80ae6c9",
+    ("kernel_path", "1500_rbf_c3_askkm.json"):
+        "8319f4730ccd511a5e193426f07988d84fdcdd8335e6a761f2b4b37f5bc6d281",
+    ("kernel_path", "1500_rbf_c3_original_sskkm.eval.json"):
+        "7be27baad783f538e09c733619d828687c66b4259b808d0f0489b1247ac2c940",
+    ("kernel_path", "1500_rbf_c3_original_sskkm.json"):
+        "fb85b608ceca0f01674e4edf257064718d92a4610424cc2825c005aa316aafd7",
+    ("kernel_path", "1500_rbf_d7_askkm.eval.json"):
+        "1395eaa187983c427a7d9842e27750862490cac01ca7f35ab65161a21e963f6a",
+    ("kernel_path", "1500_rbf_d7_askkm.json"):
+        "5d9100466bb98b783c7eaab08aa2cfe531d0cb470d048476519e5d1a99573660",
+    ("kernel_path", "1500_rbf_d7_original_sskkm.eval.json"):
+        "7224851f03a57a34017e583a5e606281f7017fa216ee890e93dabfee5bd238b3",
+    ("kernel_path", "1500_rbf_d7_original_sskkm.json"):
+        "8db90ef8118f467e0e917162f0312d4a57d65b7205a7ce021c2a979d0b696692",
+    ("kernel_path", "600_chi_square_askkm.eval.json"):
+        "b0595f72da1c37b4a9b68a3c2487e69a3a9f7af0150c46f064895b85fd30180a",
+    ("kernel_path", "600_chi_square_askkm.json"):
+        "c31b421d31e4c1902720fb04dc1f69f8bbf89aa279cfeb27fa44aaba6d185572",
+    ("kernel_path", "600_chi_square_original_sskkm.eval.json"):
+        "64d3ded082dfec6a14c002759da72ff109e1d718fbaf06b8395c8005be22a2ba",
+    ("kernel_path", "600_chi_square_original_sskkm.json"):
+        "ac17d587f9c8af41e48530ef3482b02e2078b5acd5f0ac17c56cbd91778738f7",
+    ("kernel_path", "600_linear_askkm.eval.json"):
+        "595c8d3f5023281b29b687ae4fbfa673acfcf3a23f3780ae585e6f77035597ce",
+    ("kernel_path", "600_linear_askkm.json"):
+        "077fe2514555043ce5fe57b0b2e016c866ef9bde366eb7d4c9333021343720e5",
+    ("kernel_path", "600_linear_original_sskkm.eval.json"):
+        "b6b2fcc3d7763936b29aaf7d94835fd8fc2ee3f800705566ee49558251c6410a",
+    ("kernel_path", "600_linear_original_sskkm.json"):
+        "276564945e0f8178fb61729babbf97dd8074aa345510ea1a5072edc6d7fe0628",
+    ("kernel_path", "600_rbf_c3_askkm.eval.json"):
+        "467cb649ddf3887dbe2d63e76902a4974554b23eaf9477f377c1c09ffb8c7fd6",
+    ("kernel_path", "600_rbf_c3_askkm.json"):
+        "9ac761e6393d2e0fa7d998d56fb58b6ac842242fc005540347d05d206cd94382",
+    ("kernel_path", "600_rbf_c3_original_sskkm.eval.json"):
+        "798ca3b15a82d5cc94cc3892809f400d1090e44eba7bbe7ba0dc5399390ac4e8",
+    ("kernel_path", "600_rbf_c3_original_sskkm.json"):
+        "2f6c06ee10f1739c216c81a9721db4a0f444ba7d92daaccbc188d8a342ba7ad3",
+    ("kernel_path", "600_rbf_d7_askkm.eval.json"):
+        "66dc7d108ab0d029279de409d71d62bb4dc3bcdb25b4b6d9626416fa71c4a512",
+    ("kernel_path", "600_rbf_d7_askkm.json"):
+        "453200766b79cd30d7218e84fff2db2df9ba094c75f4a92a0291fda3deeaf5ca",
+    ("kernel_path", "600_rbf_d7_original_sskkm.eval.json"):
+        "6e313099db0e41eff30f8b73ba8083392ca5f78646272f24ec8ccb44ffdd1d00",
+    ("kernel_path", "600_rbf_d7_original_sskkm.json"):
+        "81e37b8290949ce07d523712bf245203d337e7aa2d72a3c193450ec8b6f73aca",
+
+    # curve_commands, at every thread setting. Recorded before curve cells ran
+    # on the calling thread below the fan-out floor, and before askkm's first
+    # round stood in for the cell's sskkm fits.
+    ("curve", "askkm.eval.json"):
+        "5afe58c2a46bcac61cbeec096ef66d03c3b50f0d25b9b69ecd84daa1ffb0ce39",
+    ("curve", "askkm.json"):
+        "8e08173c138360d9694c037d02d3d354bf067f22d18bd61e7140d48cfb2330f5",
+    ("curve", "curve1.csv"):
+        "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
+    ("curve", "curve1.json"):
+        "be10ceb5e8b81063e213d14e02da378760b4c90dbacb1ad8fffc9faa17f7dc6c",
+    ("curve", "curve2.csv"):
+        "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
+    ("curve", "curve2.json"):
+        "f6e64dc026ee85025138e6cb437770926dc78672a9098437ce3191deabf68bfa",
+    ("curve", "data.csv"):
+        "0dd99fe8a84b80acf106e26aeb681b31988d21f777b5452e0c5af4dd7c802193",
+    ("curve", "heldout.csv"):
+        "9b6eed9e59349cc2595f89d7f4ac9e9dca5a5ee4a56c643cca772ee7402d42c0",
+    ("curve", "heldout.truth.json"):
+        "982103c1f076a65b0038572a3f4e2e5ebb4647f16dccc1105ded6770cdf4d6b9",
+    ("curve", "truth.json"):
+        "c45d86ebd90ea8fd37fd4de25541e212cd4d5c3ac56072644646c7ea6ae7aaa9",
+
+    # above_floor_curve_commands, with the default floors, at every thread cap.
+    # Recorded while cells above the fan-out floor still ran on threads,
+    # before they ran in worker processes.
+    ("above_floor_curve", "curve1.csv"):
+        "76e8e3308a2694c8acecb525a399cc83e8bae60115fb2601760a2ac441330f4d",
+    ("above_floor_curve", "curve1.json"):
+        "c47d60197fc29a1dd307a6896cff8b3814bc4598287f25326c9d37999620a2ad",
+    ("above_floor_curve", "curve2.csv"):
+        "76e8e3308a2694c8acecb525a399cc83e8bae60115fb2601760a2ac441330f4d",
+    ("above_floor_curve", "curve2.json"):
+        "dd4f25fc16d960838c967e979a3ac5e100d1751290e765f27751068209e51ea2",
+
+    # degradation_curve_commands. Recorded before models serialized, loaded
+    # and scored themselves.
+    ("degradation_curve", "curve1.csv"):
+        "09ecc8f9dd63515918c4447c26d3a6ecdbbfc37b3f0e7378832cb708ca2c25d4",
+    ("degradation_curve", "curve1.json"):
+        "d522d78cbb9a52a4cefea1128db5a01e09123f2421ca010456731ce62f2275a9",
+    ("degradation_curve", "curve2.csv"):
+        "09ecc8f9dd63515918c4447c26d3a6ecdbbfc37b3f0e7378832cb708ca2c25d4",
+    ("degradation_curve", "curve2.json"):
+        "24e51635e071255c01f92c79e01876b2aa85d9bd5bb2a563b3fad001121e0518",
+}
+
+
+def gen_commands(flags, train, heldout):
+    """gen of data.csv and truth.json with ``flags`` and ``train``, and of
+    heldout.csv and heldout.truth.json with ``flags`` and ``heldout``."""
+    return [["gen", *flags, *train, "--out-data", "data.csv", "--out-truth", "truth.json"],
+            ["gen", *flags, *heldout, "--out-data", "heldout.csv",
+             "--out-truth", "heldout.truth.json"]]
+
+
+def fit_eval_commands(fits, data="data.csv", heldout="heldout.csv"):
+    """For each (model file stem, fit flags) of ``fits``, a fit on ``data``
+    and an eval --verbose on ``heldout``."""
     commands = []
-    for name, method in fits.items():
-        commands.append(["fit", "--data", data, *method, "--out-model", f"{name}.json"])
-        commands.append(["eval", "--model", f"{name}.json", "--data", heldout, "--verbose",
-                         "--out", f"{name}.eval.json"])
+    for stem, flags in fits:
+        commands.append(["fit", "--data", data, *flags, "--out-model", f"{stem}.json"])
+        commands.append(["eval", "--model", f"{stem}.json", "--data", heldout, "--verbose",
+                         "--out", f"{stem}.eval.json"])
     return commands
 
 
-# sha256 of the eight files fit_and_eval_commands writes at N = 1,500, from
-# relative paths, at every thread count.
-FAN_OUT_DIGESTS = {
-    "askkm.eval.json":
-        "defcee363e2e60b458a5a58e99c76ebcd5b85592c1ff376bc243edf211dfbc5e",
-    "askkm.json":
-        "b495e665f2058817a7457282c2e82a7ac1858ccc69af17e19be9e1442133feca",
-    "askkm_manhattan.eval.json":
-        "a35246e59c1b6bb242de6be233a4c70385725847c605214ec60e2cb1e60078e5",
-    "askkm_manhattan.json":
-        "251e752870b5e57093b98fb61e0a1ab85bb2d9ccef0a6935c2c51130938d58ed",
-    "original_sskkm.eval.json":
-        "7350aeb9d4dd5a1e480f28ac12e84d9605601212d577ab719f45fa53aee2ad9a",
-    "original_sskkm.json":
-        "00cca6b0ca8837766f38462176a2ca22318e576bddba33778e88d5b2b85e8b9d",
-    "unbiased_sskkm.eval.json":
-        "49a7ded0d90538af510c6e6c4790f9caf4e2cd528c087507b33afea3fdf5a627",
-    "unbiased_sskkm.json":
-        "12d044eecb9fc8eac45c41929b001ea791d4633622e41fb0e2b714e85b3dc639",
-}
+MISSPECIFIED = ["--kind", "misspecified", "--class-sep", 5]
+BENCH_SCENARIO = [*MISSPECIFIED, "--subcluster-sep", 8]
+
+
+def pinned_commands():
+    return [
+        *gen_commands(MISSPECIFIED, ["--labeled-per-class", 5, "--unlabeled", 60, "--seed", 41],
+                      ["--labeled-per-class", 25, "--unlabeled", 0, "--seed", 42]),
+        *fit_eval_commands([
+            ("original_sskkm", ["--method", "original_sskkm"]),
+            ("unbiased_sskkm", ["--method", "unbiased_sskkm"]),
+            ("askkm", ["--method", "askkm", "--out-criterion", "askkm.criterion.json"]),
+            ("original_sem", ["--method", "original_sem"]),
+            ("unbiased_sem", ["--method", "unbiased_sem"]),
+            ("supervised", ["--method", "supervised"]),
+            ("sem_components4", ["--method", "original_sem", "--components", 4]),
+            ("sem_weight03", ["--method", "original_sem", "--weight", 0.3]),
+        ]),
+        ["curve", *MISSPECIFIED, "--labeled-per-class", 5, "--grid", "0,40", "--seeds", 2,
+         "--eval-size", 50, "--methods", "original_sem,unbiased_sem,original_sskkm",
+         "--seed", 43, "--out-json", "curve.json", "--out-csv", "curve.csv"],
+    ]
+
+
+def pinned_wide_commands():
+    return [
+        *gen_commands([*MISSPECIFIED, "--dim", 9],
+                      ["--labeled-per-class", 6, "--unlabeled", 80, "--seed", 44],
+                      ["--labeled-per-class", 20, "--unlabeled", 0, "--seed", 45]),
+        *fit_eval_commands((f"sem_components{k}", ["--method", "original_sem", "--components", k])
+                           for k in (9, 3)),
+    ]
+
+
+def write_shuffled_csv():
+    """shuffled.csv: a generated dataset with its rows permuted and its
+    classes 0 and 1 renamed b and a."""
+    assert run(["gen", "--kind", "misspecified", "--class-sep", 3.0, "--labeled-per-class", 6,
+                "--unlabeled", 60, "--seed", 46, "--out-data", "generated.csv",
+                "--out-truth", "truth.json"]) == 0
+    header, *rows = Path("generated.csv").read_text(encoding="utf-8").splitlines()
+    Path("generated.csv").unlink()
+    Path("truth.json").unlink()
+    names = {"0": "b", "1": "a", "?": "?"}
+    rows = [row.rsplit(",", 1) for row in rows]
+    lines = [f"{rows[i][0]},{names[rows[i][1]]}"
+             for i in np.random.default_rng(46).permutation(len(rows))]
+    labels = [line.rsplit(",", 1)[1] for line in lines]
+    assert labels[:5] == ["?", "?", "?", "?", "b"] and "a" in labels[5:12]
+    Path("shuffled.csv").write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+
+def shuffled_commands():
+    fits = [("original_sem", []), ("unbiased_sskkm", []),
+            ("askkm", ["--out-criterion", "askkm.criterion.json"])]
+    return [write_shuffled_csv,
+            *fit_eval_commands([(m, ["--method", m, *extra]) for m, extra in fits],
+                               "shuffled.csv", "shuffled.csv")]
+
+
+def bench_size_commands():
+    return [
+        *gen_commands(BENCH_SCENARIO, ["--labeled-per-class", 10, "--unlabeled", 6000,
+                                       "--seed", 31],
+                      ["--labeled-per-class", 200, "--unlabeled", 0, "--seed", 32]),
+        *fit_eval_commands([
+            ("askkm", ["--method", "askkm", "--out-criterion", "askkm.criterion.json"]),
+            ("original_sskkm", ["--method", "original_sskkm"]),
+        ]),
+    ]
+
+
+def sem_size_commands():
+    return [
+        *gen_commands(BENCH_SCENARIO, ["--labeled-per-class", 10, "--unlabeled", 20000,
+                                       "--seed", 41],
+                      ["--labeled-per-class", 200, "--unlabeled", 0, "--seed", 42]),
+        *fit_eval_commands([
+            ("original_sem", ["--method", "original_sem"]),
+            ("unbiased_sem", ["--method", "unbiased_sem"]),
+            ("original_sem_k4", ["--method", "original_sem", "--components", 4]),
+            ("supervised", ["--method", "supervised"]),
+        ]),
+    ]
+
+
+# The digest sets run once, with the thread cap unset.
+SINGLE_RUN_SETS = {"pinned": pinned_commands, "pinned_wide": pinned_wide_commands,
+                   "shuffled": shuffled_commands, "bench_size": bench_size_commands,
+                   "sem_size": sem_size_commands}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_RUN_SETS))
+def test_outputs_match_pinned_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    run_digest_set(name, SINGLE_RUN_SETS[name](), monkeypatch)
+
+
+def fan_out_commands():
+    """fit + eval of every kernel method, and of askkm on the manhattan
+    distance, on ../data.csv and ../heldout.csv."""
+    fits = [(m, ["--method", m]) for m in ("original_sskkm", "unbiased_sskkm", "askkm")]
+    fits.append(("askkm_manhattan", ["--method", "askkm", "--kernel", "generalized_rbf",
+                                     "--distance", "manhattan"]))
+    return fit_eval_commands(fits, "../data.csv", "../heldout.csv")
 
 
 @pytest.mark.skipif(core._usable_cpus() < 2, reason="needs 2 CPUs for a second pool thread")
@@ -1186,11 +1302,9 @@ def test_fit_and_eval_bytes_independent_of_fan_out_threads(tmp_path, monkeypatch
     # N = 1,500 training rows and 1,500 eval rows: the Gram, the askkm fit
     # pairs and the eval cross matrix all sit above FAN_OUT_MIN_ENTRIES.
     monkeypatch.chdir(tmp_path)
-    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5]
-    assert run([*scenario, "--unlabeled", 1480, "--seed", 21,
-                "--out-data", "data.csv", "--out-truth", "truth.json"]) == 0
-    assert run([*scenario, "--unlabeled", 0, "--labeled-per-class", 750, "--seed", 22,
-                "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"]) == 0
+    for argv in gen_commands(MISSPECIFIED, ["--unlabeled", 1480, "--seed", 21],
+                             ["--unlabeled", 0, "--labeled-per-class", 750, "--seed", 22]):
+        assert run(argv) == 0
     assert 1500 * 1500 >= core.FAN_OUT_MIN_ENTRIES
 
     threads = set()
@@ -1205,21 +1319,13 @@ def test_fit_and_eval_bytes_independent_of_fan_out_threads(tmp_path, monkeypatch
     monkeypatch.setattr(kernels, "_fold_distance", spy(fold))
     monkeypatch.setattr(askkm, "fit_sskkm", spy(fit_sskkm))
     seen = {}
-    for cap in ("1", None):
-        out = tmp_path / f"threads-{cap}"
-        out.mkdir()
-        monkeypatch.chdir(out)
-        if cap is None:
-            monkeypatch.delenv(ENV_THREADS, raising=False)
-        else:
-            monkeypatch.setenv(ENV_THREADS, cap)
+
+    def take_threads(argv, cap):
+        seen.setdefault(cap, set()).update(threads)
         threads.clear()
-        for argv in fit_and_eval_commands("../data.csv", "../heldout.csv"):
-            assert run(argv) == 0, argv
-        seen[cap] = set(threads)
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in sorted(out.iterdir())}
-        assert digests == FAN_OUT_DIGESTS, cap
+
+    run_digest_set("fan_out", fan_out_commands(), monkeypatch, caps=("1", None),
+                   check=take_threads)
     here = threading.get_ident()
     assert seen["1"] == {here}
     assert len(seen[None] - {here}) >= 2
@@ -1243,102 +1349,29 @@ def write_kernel_path_data():
     classes), each with one held-out file of 1,400 rows (1,440 for 3 classes),
     so the N = 1,500 evals' cross matrices are fanned out. d2_shifted is d2
     with every feature shifted by one integer to be nonnegative."""
-    scenario = ["gen", "--kind", "misspecified", "--class-sep", 5]
     for stem, extra, per_class in (("d2", [], 700), ("d7", ["--dim", 7], 700),
                                    ("c3", ["--classes", 3], 480)):
         for n in (600, 1500):
-            assert run([*scenario, *extra, "--unlabeled", n - 20, "--seed", 61,
+            assert run(["gen", *MISSPECIFIED, *extra, "--unlabeled", n - 20, "--seed", 61,
                         "--out-data", f"{stem}_{n}.csv", "--out-truth", "truth.json"]) == 0
-        assert run([*scenario, *extra, "--unlabeled", 0, "--labeled-per-class", per_class,
-                    "--seed", 62, "--out-data", f"{stem}_heldout.csv",
-                    "--out-truth", "truth.json"]) == 0
+        assert run(["gen", *MISSPECIFIED, *extra, "--unlabeled", 0,
+                    "--labeled-per-class", per_class, "--seed", 62,
+                    "--out-data", f"{stem}_heldout.csv", "--out-truth", "truth.json"]) == 0
     files = {name: load_csv(f"d2_{name}.csv")[0] for name in ("600", "1500", "heldout")}
     shift = -np.floor(min(d.features.min() for d in files.values()))
     for name, d in files.items():
         write_csv(replace(d, features=d.features + shift), f"d2_shifted_{name}.csv")
 
 
-# sha256 of the 32 files kernel_path_commands writes, at every thread count.
-# Recorded before the Gram became the cross matrix of the training rows.
-KERNEL_PATH_DIGESTS = {
-    "1500_chi_square_askkm.eval.json":
-        "d9c183994091a08524510a13a4cbcb80f588e081f18d0698aee75c120847fc0d",
-    "1500_chi_square_askkm.json":
-        "5eed0afc8f6886aecd21fed862da2696388b8fa048ae2519e3860800cd395740",
-    "1500_chi_square_original_sskkm.eval.json":
-        "d7876b5a92a4ec05a0e9a903d3c5677f1725cb5d3ca233794068b8a0f3ad861f",
-    "1500_chi_square_original_sskkm.json":
-        "40ba12dbbb80459a0019cc184980da30a9e90c97012a6613e4ac385876fefcc4",
-    "1500_linear_askkm.eval.json":
-        "44e6d8d76513466c6822d09f48fbcb664f0e6c5cd141231347e203f3ef788e4a",
-    "1500_linear_askkm.json":
-        "d2c754d54f818ca59364959ddc9ba9bb29bce7f6e14b4d5b02e6f3d71e8bc9f6",
-    "1500_linear_original_sskkm.eval.json":
-        "11979f9ea18a296784be2126407236b8962d777b6254eaecf871db8f75f371ee",
-    "1500_linear_original_sskkm.json":
-        "891d3a53a0bc35f8f6a22dcce597e2a889445fd8e44a74892a694ce0ea3fc0ec",
-    "1500_rbf_c3_askkm.eval.json":
-        "8007285a283ac52fbe8141a0ba7abd974454371fb81d59ea94444459f80ae6c9",
-    "1500_rbf_c3_askkm.json":
-        "8319f4730ccd511a5e193426f07988d84fdcdd8335e6a761f2b4b37f5bc6d281",
-    "1500_rbf_c3_original_sskkm.eval.json":
-        "7be27baad783f538e09c733619d828687c66b4259b808d0f0489b1247ac2c940",
-    "1500_rbf_c3_original_sskkm.json":
-        "fb85b608ceca0f01674e4edf257064718d92a4610424cc2825c005aa316aafd7",
-    "1500_rbf_d7_askkm.eval.json":
-        "1395eaa187983c427a7d9842e27750862490cac01ca7f35ab65161a21e963f6a",
-    "1500_rbf_d7_askkm.json":
-        "5d9100466bb98b783c7eaab08aa2cfe531d0cb470d048476519e5d1a99573660",
-    "1500_rbf_d7_original_sskkm.eval.json":
-        "7224851f03a57a34017e583a5e606281f7017fa216ee890e93dabfee5bd238b3",
-    "1500_rbf_d7_original_sskkm.json":
-        "8db90ef8118f467e0e917162f0312d4a57d65b7205a7ce021c2a979d0b696692",
-    "600_chi_square_askkm.eval.json":
-        "b0595f72da1c37b4a9b68a3c2487e69a3a9f7af0150c46f064895b85fd30180a",
-    "600_chi_square_askkm.json":
-        "c31b421d31e4c1902720fb04dc1f69f8bbf89aa279cfeb27fa44aaba6d185572",
-    "600_chi_square_original_sskkm.eval.json":
-        "64d3ded082dfec6a14c002759da72ff109e1d718fbaf06b8395c8005be22a2ba",
-    "600_chi_square_original_sskkm.json":
-        "ac17d587f9c8af41e48530ef3482b02e2078b5acd5f0ac17c56cbd91778738f7",
-    "600_linear_askkm.eval.json":
-        "595c8d3f5023281b29b687ae4fbfa673acfcf3a23f3780ae585e6f77035597ce",
-    "600_linear_askkm.json":
-        "077fe2514555043ce5fe57b0b2e016c866ef9bde366eb7d4c9333021343720e5",
-    "600_linear_original_sskkm.eval.json":
-        "b6b2fcc3d7763936b29aaf7d94835fd8fc2ee3f800705566ee49558251c6410a",
-    "600_linear_original_sskkm.json":
-        "276564945e0f8178fb61729babbf97dd8074aa345510ea1a5072edc6d7fe0628",
-    "600_rbf_c3_askkm.eval.json":
-        "467cb649ddf3887dbe2d63e76902a4974554b23eaf9477f377c1c09ffb8c7fd6",
-    "600_rbf_c3_askkm.json":
-        "9ac761e6393d2e0fa7d998d56fb58b6ac842242fc005540347d05d206cd94382",
-    "600_rbf_c3_original_sskkm.eval.json":
-        "798ca3b15a82d5cc94cc3892809f400d1090e44eba7bbe7ba0dc5399390ac4e8",
-    "600_rbf_c3_original_sskkm.json":
-        "2f6c06ee10f1739c216c81a9721db4a0f444ba7d92daaccbc188d8a342ba7ad3",
-    "600_rbf_d7_askkm.eval.json":
-        "66dc7d108ab0d029279de409d71d62bb4dc3bcdb25b4b6d9626416fa71c4a512",
-    "600_rbf_d7_askkm.json":
-        "453200766b79cd30d7218e84fff2db2df9ba094c75f4a92a0291fda3deeaf5ca",
-    "600_rbf_d7_original_sskkm.eval.json":
-        "6e313099db0e41eff30f8b73ba8083392ca5f78646272f24ec8ccb44ffdd1d00",
-    "600_rbf_d7_original_sskkm.json":
-        "81e37b8290949ce07d523712bf245203d337e7aa2d72a3c193450ec8b6f73aca",
-}
-
-
-def kernel_path_commands(data_dir):
+def kernel_path_commands():
+    """The fits and evals of KERNEL_PATHS on the data in the parent directory."""
     commands = []
     for n in (600, 1500):
         for path, (stem, flags) in KERNEL_PATHS.items():
-            for method in ("original_sskkm", "askkm"):
-                name = f"{n}_{path}_{method}"
-                commands.append(["fit", "--data", f"{data_dir}/{stem}_{n}.csv",
-                                 "--method", method, *flags, "--out-model", f"{name}.json"])
-                commands.append(["eval", "--model", f"{name}.json",
-                                 "--data", f"{data_dir}/{stem}_heldout.csv", "--verbose",
-                                 "--out", f"{name}.eval.json"])
+            commands += fit_eval_commands(
+                [(f"{n}_{path}_{method}", ["--method", method, *flags])
+                 for method in ("original_sskkm", "askkm")],
+                f"../{stem}_{n}.csv", f"../{stem}_heldout.csv")
     return commands
 
 
@@ -1346,68 +1379,41 @@ def test_kernel_path_outputs_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_kernel_path_data()
     assert 1400 * 1500 >= core.FAN_OUT_MIN_ENTRIES > 1440 * 600
-    for cap in ("1", None):
-        out = tmp_path / f"threads-{cap}"
-        out.mkdir()
-        monkeypatch.chdir(out)
-        if cap is None:
-            monkeypatch.delenv(ENV_THREADS, raising=False)
-        else:
-            monkeypatch.setenv(ENV_THREADS, cap)
-        for argv in kernel_path_commands(".."):
-            assert run(argv) == 0, argv
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in sorted(out.iterdir())}
-        assert digests == KERNEL_PATH_DIGESTS, cap
+    run_digest_set("kernel_path", kernel_path_commands(), monkeypatch, caps=("1", None))
 
 
-def curve_digest_commands():
+CURVE_METHODS = "original_sem,unbiased_sem,original_sskkm,unbiased_sskkm,askkm"
+
+
+def curve_commands():
     """A `curve` of the benchmark's four methods and unbiased_sskkm at one and
-    at two workers, whose largest cells hold N = 520 rows, and `fit` and plain (non-verbose)
-    `eval` of one askkm model at N = 520, writing into the working directory."""
-    scenario = ["--kind", "misspecified", "--class-sep", 5]
-    commands = [
-        ["gen", *scenario, "--unlabeled", 500, "--seed", 71,
-         "--out-data", "data.csv", "--out-truth", "truth.json"],
-        ["gen", *scenario, "--unlabeled", 0, "--labeled-per-class", 100, "--seed", 72,
-         "--out-data", "heldout.csv", "--out-truth", "heldout.truth.json"],
+    at two workers, whose largest cells hold N = 520 rows, and `fit` and plain
+    (non-verbose) `eval` of one askkm model at N = 520."""
+    return [
+        *gen_commands(MISSPECIFIED, ["--unlabeled", 500, "--seed", 71],
+                      ["--unlabeled", 0, "--labeled-per-class", 100, "--seed", 72]),
         ["fit", "--data", "data.csv", "--method", "askkm", "--out-model", "askkm.json"],
         ["eval", "--model", "askkm.json", "--data", "heldout.csv", "--out", "askkm.eval.json"],
+        *(["curve", *MISSPECIFIED, "--grid", "0,50,500", "--seeds", 2, "--eval-size", 100,
+           "--seed", 73, "--workers", workers, "--methods", CURVE_METHODS,
+           "--out-json", f"curve{workers}.json", "--out-csv", f"curve{workers}.csv"]
+          for workers in (1, 2)),
     ]
-    methods = "original_sem,unbiased_sem,original_sskkm,unbiased_sskkm,askkm"
-    for workers in (1, 2):
-        commands.append(["curve", *scenario, "--grid", "0,50,500", "--seeds", 2,
-                         "--eval-size", 100, "--seed", 73, "--workers", workers,
-                         "--methods", methods,
-                         "--out-json", f"curve{workers}.json", "--out-csv", f"curve{workers}.csv"])
-    return commands
 
 
-# sha256 of the files curve_digest_commands writes, at every thread setting.
-# Recorded before curve cells ran on the calling thread below the fan-out
-# floor, and before askkm's first round stood in for the cell's sskkm fits.
-CURVE_DIGESTS = {
-    "askkm.eval.json":
-        "5afe58c2a46bcac61cbeec096ef66d03c3b50f0d25b9b69ecd84daa1ffb0ce39",
-    "askkm.json":
-        "8e08173c138360d9694c037d02d3d354bf067f22d18bd61e7140d48cfb2330f5",
-    "curve1.csv":
-        "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
-    "curve1.json":
-        "be10ceb5e8b81063e213d14e02da378760b4c90dbacb1ad8fffc9faa17f7dc6c",
-    "curve2.csv":
-        "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
-    "curve2.json":
-        "f6e64dc026ee85025138e6cb437770926dc78672a9098437ce3191deabf68bfa",
-    "data.csv":
-        "0dd99fe8a84b80acf106e26aeb681b31988d21f777b5452e0c5af4dd7c802193",
-    "heldout.csv":
-        "9b6eed9e59349cc2595f89d7f4ac9e9dca5a5ee4a56c643cca772ee7402d42c0",
-    "heldout.truth.json":
-        "982103c1f076a65b0038572a3f4e2e5ebb4647f16dccc1105ded6770cdf4d6b9",
-    "truth.json":
-        "c45d86ebd90ea8fd37fd4de25541e212cd4d5c3ac56072644646c7ea6ae7aaa9",
-}
+def cells_ran_in(cell_log, forked):
+    """A check for run_digest_set: the cells of a curve at --workers 2 ran in
+    two worker processes at the thread caps in ``forked``, and every other
+    curve's cells in this process."""
+    def check(argv, cap):
+        pids = {pid for pid, _ in cell_log()}
+        if argv[0] != "curve":
+            assert not pids
+        elif argv[argv.index("--workers") + 1] == 2 and cap in forked:
+            assert len(pids) == 2 and os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
+    return check
 
 
 @pytest.mark.parametrize("threads, floor", [(1, None), (2, None), (2, 0)])
@@ -1417,48 +1423,21 @@ def test_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threa
     # with the fan-out floor at 0 as well, every Gram, cross matrix and askkm
     # pair of --workers 1 fans out, and none inside a worker.
     monkeypatch.chdir(tmp_path)
-    fan_out_threads(threads)
     if floor is not None:
         monkeypatch.setattr(core, "FAN_OUT_MIN_ENTRIES", floor)
-    for argv in curve_digest_commands():
-        assert run(argv) == 0, argv
-        pids = {pid for pid, _ in cell_log()}
-        if argv[0] == "curve" and argv[argv.index("--workers") + 1] == 2 and threads == 2:
-            assert len(pids) == 2 and os.getpid() not in pids
-        else:
-            assert pids <= {os.getpid()}
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
-    assert digests == CURVE_DIGESTS
+    run_digest_set("curve", curve_commands(), monkeypatch, caps=(str(threads),),
+                   check=cells_ran_in(cell_log, {"2"}))
 
 
 def above_floor_curve_commands():
     """A `curve` of the benchmark's four methods and unbiased_sskkm at one and
     at two workers, whose largest cells hold N = 1,450 rows, above the 2²¹
     Gram entries of the fan-out floor (1,449 rows), and whose cells are
-    above the process floor of learning_curve; it writes into the working
-    directory."""
-    methods = "original_sem,unbiased_sem,original_sskkm,unbiased_sskkm,askkm"
-    return [["curve", "--kind", "misspecified", "--class-sep", 5, "--grid", "0,100,1430",
-             "--seeds", 2, "--eval-size", 100, "--seed", 91, "--workers", workers,
-             "--methods", methods,
+    above the process floor of learning_curve."""
+    return [["curve", *MISSPECIFIED, "--grid", "0,100,1430", "--seeds", 2, "--eval-size", 100,
+             "--seed", 91, "--workers", workers, "--methods", CURVE_METHODS,
              "--out-json", f"curve{workers}.json", "--out-csv", f"curve{workers}.csv"]
             for workers in (1, 2)]
-
-
-# sha256 of the files above_floor_curve_commands writes, with the default
-# floors, at every thread cap. Recorded while cells above the fan-out floor
-# still ran on threads, before they ran in worker processes.
-ABOVE_FLOOR_CURVE_DIGESTS = {
-    "curve1.csv":
-        "76e8e3308a2694c8acecb525a399cc83e8bae60115fb2601760a2ac441330f4d",
-    "curve1.json":
-        "c47d60197fc29a1dd307a6896cff8b3814bc4598287f25326c9d37999620a2ad",
-    "curve2.csv":
-        "76e8e3308a2694c8acecb525a399cc83e8bae60115fb2601760a2ac441330f4d",
-    "curve2.json":
-        "dd4f25fc16d960838c967e979a3ac5e100d1751290e765f27751068209e51ea2",
-}
 
 
 @pytest.mark.parametrize("cap", ["1", None])
@@ -1467,21 +1446,8 @@ def test_above_floor_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, f
     # Without the cap, the cells of --workers 2 run in two worker processes,
     # and the Gram of a cell of 1,450 rows at --workers 1 fans out.
     monkeypatch.chdir(tmp_path)
-    fan_out_threads(2)
-    if cap is None:
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-    else:
-        monkeypatch.setenv(ENV_THREADS, cap)
-    for argv in above_floor_curve_commands():
-        assert run(argv) == 0, argv
-        pids = {pid for pid, _ in cell_log()}
-        if argv[argv.index("--workers") + 1] == 2 and cap is None:
-            assert len(pids) == 2 and os.getpid() not in pids
-        else:
-            assert pids == {os.getpid()}
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
-    assert digests == ABOVE_FLOOR_CURVE_DIGESTS
+    run_digest_set("above_floor_curve", above_floor_curve_commands(), monkeypatch,
+                   caps=(cap,), check=cells_ran_in(cell_log, {None}))
 
 
 def test_above_floor_curve_with_too_little_memory_for_two_grams_runs_inline(
@@ -1490,51 +1456,26 @@ def test_above_floor_curve_with_too_little_memory_for_two_grams_runs_inline(
     # less than two of them available, --workers 2 runs the cells inline
     # and writes the same bytes.
     monkeypatch.chdir(tmp_path)
-    fan_out_threads(2)
-    monkeypatch.delenv(ENV_THREADS, raising=False)
     monkeypatch.setattr(evalx, "available_memory", lambda: 2 * 8 * 1450**2 - 1)
-    for argv in above_floor_curve_commands():
-        assert run(argv) == 0, argv
-        assert {pid for pid, _ in cell_log()} == {os.getpid()}
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
-    assert digests == ABOVE_FLOOR_CURVE_DIGESTS
+    run_digest_set("above_floor_curve", above_floor_curve_commands(), monkeypatch,
+                   check=cells_ran_in(cell_log, set()))
 
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-# sha256 of the files `curve --config scripts/degradation_curve.json --seeds 1`
-# writes at one and at two workers. Its cells other than the largest hold 950
-# training rows, above the process floor of learning_curve, so the second run
-# forks. Recorded before models serialized, loaded and scored themselves.
-DEGRADATION_CURVE_DIGESTS = {
-    "curve1.csv":
-        "09ecc8f9dd63515918c4447c26d3a6ecdbbfc37b3f0e7378832cb708ca2c25d4",
-    "curve1.json":
-        "d522d78cbb9a52a4cefea1128db5a01e09123f2421ca010456731ce62f2275a9",
-    "curve2.csv":
-        "09ecc8f9dd63515918c4447c26d3a6ecdbbfc37b3f0e7378832cb708ca2c25d4",
-    "curve2.json":
-        "24e51635e071255c01f92c79e01876b2aa85d9bd5bb2a563b3fad001121e0518",
-}
+def degradation_curve_commands():
+    """`curve --config scripts/degradation_curve.json --seeds 1` at one and at
+    two workers. Its cells other than the largest hold 950 training rows,
+    above the process floor of learning_curve, so the second run forks."""
+    config = Path(__file__).resolve().parent.parent / "scripts" / "degradation_curve.json"
+    return [["curve", "--config", config, "--seeds", 1, "--workers", workers,
+             "--out-json", f"curve{workers}.json", "--out-csv", f"curve{workers}.csv"]
+            for workers in (1, 2)]
 
 
 def test_degradation_curve_outputs_match_pinned_digests(tmp_path, monkeypatch, fan_out_threads,
                                                         cell_log):
     monkeypatch.chdir(tmp_path)
-    fan_out_threads(2)
-    for workers in (1, 2):
-        assert run(["curve", "--config", SCRIPTS / "degradation_curve.json", "--seeds", 1,
-                    "--workers", workers, "--out-json", f"curve{workers}.json",
-                    "--out-csv", f"curve{workers}.csv"]) == 0
-        pids = {pid for pid, _ in cell_log()}
-        if workers == 2:
-            assert len(pids) == 2 and os.getpid() not in pids
-        else:
-            assert pids == {os.getpid()}
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
-    assert digests == DEGRADATION_CURVE_DIGESTS
+    run_digest_set("degradation_curve", degradation_curve_commands(), monkeypatch, caps=("2",),
+                   check=cells_ran_in(cell_log, {"2"}))
 
 
 def test_killed_curve_worker_exits_3(tmp_path, monkeypatch, fan_out_threads, capfd):
