@@ -89,8 +89,6 @@ class AskkmModel:
         return {
             "family": "askkm",
             "final_model": self.final_model.to_dict(),
-            "label_map": self.final_model.label_map.to_dict(),
-            "rounds": self.rounds,
             "terminated_by": self.terminated_by,
             "history": [
                 {

@@ -58,8 +58,8 @@ def _echo(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in args.echo_keys}
 
 
-def load_model_scores(path: str | Path, x: np.ndarray) -> np.ndarray:
-    """Load a fitted model JSON and score query points: scores (Q, C)."""
+def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Load a fitted model JSON and score query points: scores (Q, C) and the C class names."""
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -68,13 +68,18 @@ def load_model_scores(path: str | Path, x: np.ndarray) -> np.ndarray:
         raise InputError(f"model file {path} holds a JSON {type(d).__name__}, not an object")
     try:
         model = load_model(d)
+        classes = d["classes"]
     except UnknownModelFamily as exc:
         raise InputError(f"{exc} in {path}") from None
     except KeyError as exc:
-        raise InputError(f"model file {path} lacks the key {exc}") from None
+        raise InputError(f"model file {path} lacks the key {exc}; refit the model") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"model file {path} is malformed: {exc}") from None
-    return predict(model, x)[1]
+    scores = predict(model, x)[1]
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == len(classes) == scores.shape[1]):
+        raise InputError(f"model file {path}: classes must list {scores.shape[1]} distinct names")
+    return scores, classes
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +150,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         askkm = AskkmOptions(
             threshold=args.threshold, k_max=args.k_max, stall_rounds=args.stall_rounds
         )
-    dataset, _ = load_csv(args.data)
+    dataset, classes = load_csv(args.data)
     echo = _echo(args)
 
     km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
@@ -154,9 +159,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         _dump_json(
             {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion
         )
-    weight = model.unlabeled_weight
-    _dump_json({**model.to_dict(), "config": echo, "resolved_unlabeled_weight": weight}, out_model)
-    print(f"fitted {args.method} (unlabeled weight {weight}) -> {out_model}")
+    _dump_json({**model.to_dict(), "classes": classes, "config": echo}, out_model)
+    print(f"fitted {args.method} (unlabeled weight {model.unlabeled_weight}) -> {out_model}")
     return EXIT_OK
 
 
@@ -199,28 +203,29 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset, names = load_csv(args.data)
     x = dataset.features[dataset.labeled_idx]
     y = dataset.labels
-    scores = load_model_scores(args.model, x)
+    scores, classes = load_model_scores(args.model, x)
+    unseen = [name for name in names if name not in classes]
+    if unseen:
+        raise InputError(f"{args.data} holds labels the model never saw: {', '.join(unseen)}")
     per_class = {}
-    aps = []
-    for c in range(scores.shape[1]):
-        relevance = y == c
-        if not relevance.any():
+    for c, name in enumerate(classes):  # a model class the file lacks has no AP
+        if name not in names:
             continue
+        relevance = y == names.index(name)
         entry: dict = {"average_precision": average_precision(scores[:, c], relevance)}
         if args.verbose:
             entry["interpolated_precisions"] = interpolated_precision_points(
                 scores[:, c], relevance
             )
-        per_class[names[c]] = entry
-        aps.append(entry["average_precision"])
+        per_class[name] = entry
     payload = {
         "config": _echo(args),
         "per_class": per_class,
-        "mAP": mean_ap(aps),
+        "mAP": mean_ap([entry["average_precision"] for entry in per_class.values()]),
         "n_eval_points": int(x.shape[0]),
     }
     _dump_json(payload, out)
-    print(f"mAP = {payload['mAP']:.4f} over {len(aps)} classes -> {out}")
+    print(f"mAP = {payload['mAP']:.4f} over {len(per_class)} classes -> {out}")
     return EXIT_OK
 
 

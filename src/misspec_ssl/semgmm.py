@@ -64,11 +64,9 @@ class GmmModel:
     def to_dict(self) -> dict:
         return {
             "family": "sem",
-            "n_components": self.n_components,
             "n_classes": self.n_classes,
             "weights": self.weights.tolist(),
             "means": self.means.tolist(),
-            "covariance_type": "diag",
             "covariances": self.covariances.tolist(),
             "comp_map": self.comp_map.tolist(),
             "unlabeled_weight": self.unlabeled_weight,
@@ -82,8 +80,6 @@ class GmmModel:
         variances finite and > 0 and not so small, nor the means so large,
         that no query can be scored, and the component map names classes
         0..C-1."""
-        if d["covariance_type"] != "diag":
-            raise InputError(f"covariance_type must be 'diag', got {d['covariance_type']!r}")
         m = GmmModel(
             weights=d["weights"],
             means=d["means"],

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import UNLABELED, Dataset, InputError, SolverOptions
+from .core import Dataset, InputError, SolverOptions
 from .kernels import BLOCK_ENTRIES, KernelMatrix, KernelSpec, _row_blocks
 from .misspec import LabelMap
 
@@ -28,8 +28,9 @@ class ClusterModel:
     needed to classify new points from their kernel rows alone.
 
     The label map is the cluster structure: cluster k is fine label k.
-    ``cluster_of`` holds the cluster id of every training point, and
-    ``train_features`` (a reference, not a copy) their features."""
+    ``cluster_of`` holds the cluster id of every training point,
+    ``train_features`` (a reference, not a copy) their features, and
+    ``labeled_rows`` the rows of the label map's ``fine_of_point``, ascending."""
 
     cluster_of: np.ndarray
     label_map: LabelMap
@@ -38,7 +39,7 @@ class ClusterModel:
     kernel_spec: KernelSpec
     iterations_run: int
     converged: bool
-    point_weights: np.ndarray
+    labeled_rows: np.ndarray
     cluster_wsum: np.ndarray
     cluster_inner: np.ndarray
     train_features: np.ndarray
@@ -52,10 +53,14 @@ class ClusterModel:
     def dim(self) -> int:
         return int(self.train_features.shape[1])
 
+    @property
+    def point_weights(self) -> np.ndarray:
+        """The fit's point weights: 1 at the labeled rows, the unlabeled weight elsewhere."""
+        return _point_weights(self.labeled_rows, self.cluster_of.size, self.unlabeled_weight)
+
     def to_dict(self) -> dict:
         return {
             "family": "sskkm",
-            "n_clusters": self.n_clusters,
             "assignments": self.cluster_of.tolist(),
             "label_map": self.label_map.to_dict(),
             "unlabeled_weight": self.unlabeled_weight,
@@ -63,58 +68,49 @@ class ClusterModel:
             "kernel": asdict(self.kernel_spec),
             "iterations_run": self.iterations_run,
             "converged": self.converged,
-            "point_weights": self.point_weights.tolist(),
-            "cluster_wsum": self.cluster_wsum.tolist(),
+            "labeled_rows": self.labeled_rows.tolist(),
             "cluster_inner": self.cluster_inner.tolist(),
             "training_features": self.train_features.tolist(),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ClusterModel":
-        """Inverse of to_dict. The one check of a model from outside: every
-        array has its shape, every cluster id lies in 0..K-1 for the label
-        map's K, the features and statistics are finite, the point weights
-        lie in [0, 1], and every cluster weighs at least its pinned
-        carrier's 1, so no query distance divides by 0."""
-        missing = [k for k in ("cluster_wsum", "cluster_inner") if k not in d]
-        if missing:
-            raise InputError(f"model JSON lacks {' and '.join(missing)}; refit the model")
-        model = ClusterModel(
-            cluster_of=np.asarray(d["assignments"], dtype=int),
-            label_map=LabelMap(**d["label_map"]),
-            unlabeled_weight=d["unlabeled_weight"],
-            objective=d["objective"],
-            kernel_spec=KernelSpec(**d["kernel"]),
-            iterations_run=d["iterations_run"],
-            converged=d["converged"],
-            point_weights=np.asarray(d["point_weights"], dtype=float),
-            cluster_wsum=np.asarray(d["cluster_wsum"], dtype=float),
-            cluster_inner=np.asarray(d["cluster_inner"], dtype=float),
-            train_features=np.asarray(d["training_features"], dtype=float),
-        )
-        train = model.train_features
+        """Inverse of to_dict, with W_k rebuilt as the fit takes it. The one
+        check of a model from outside: every array has its shape, every
+        cluster id lies in 0..K-1 for the label map's K, the features and
+        cluster_inner are finite, the unlabeled weight lies in [0, 1], and
+        labeled_rows lists one row per labeled point, strictly increasing,
+        each assigned its fine label: so every W_k is at least 1."""
+        label_map = LabelMap(**d["label_map"])
+        cluster_of = np.asarray(d["assignments"], dtype=int)
+        labeled_rows = np.asarray(d["labeled_rows"], dtype=int)
+        inner = np.asarray(d["cluster_inner"], dtype=float)
+        train = np.asarray(d["training_features"], dtype=float)
+        weight = float(d["unlabeled_weight"])
         if train.ndim != 2:
             raise InputError(f"training_features {train.shape} must have shape (N, d)")
-        n, k = train.shape[0], model.n_clusters
-        if d["n_clusters"] != k:
-            raise InputError(f"n_clusters {d['n_clusters']} != the label map's {k} fine labels")
-        cluster_of, weights, wsum = model.cluster_of, model.point_weights, model.cluster_wsum
-        if cluster_of.shape != (n,) or weights.shape != (n,):
-            raise InputError(f"assignments and point_weights must have one entry per "
-                             f"training row ({n})")
-        if wsum.shape != (k,) or model.cluster_inner.shape != (k,):
-            raise InputError(f"cluster_wsum and cluster_inner must have length n_clusters ({k})")
+        n, k = train.shape[0], label_map.n_fine
+        if cluster_of.shape != (n,) or inner.shape != (k,):
+            raise InputError(f"assignments and cluster_inner must have one entry per training "
+                             f"row ({n}) and per cluster ({k})")
         if np.any((cluster_of < 0) | (cluster_of >= k)):
             raise InputError(f"assignments outside the cluster ids 0..{k - 1}")
-        if not np.all(np.isfinite(train)):
-            raise InputError("training_features must be finite")
-        if not np.all(np.isfinite(model.cluster_inner)):
-            raise InputError("cluster_inner must be finite")
-        if not np.all((weights >= 0) & (weights <= 1)):
-            raise InputError("point_weights must lie in [0, 1]")
-        if not np.all(np.isfinite(wsum) & (wsum >= 1)):
-            raise InputError("cluster_wsum must be finite and >= 1")
-        return model
+        if not (np.all(np.isfinite(train)) and np.all(np.isfinite(inner))):
+            raise InputError("training_features and cluster_inner must be finite")
+        if not 0.0 <= weight <= 1.0:
+            raise InputError(f"unlabeled_weight must be finite and in [0, 1], got {weight}")
+        if (np.any(np.diff(labeled_rows) <= 0) or np.any((labeled_rows < 0) | (labeled_rows >= n))
+                or not np.array_equal(cluster_of[labeled_rows], label_map.fine_of_point)):
+            raise InputError(f"labeled_rows must list one training row 0..{n - 1} per labeled "
+                             "point, strictly increasing, each assigned its fine label")
+        weights = _point_weights(labeled_rows, n, weight)
+        return ClusterModel(
+            cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
+            objective=d["objective"], kernel_spec=KernelSpec(**d["kernel"]),
+            iterations_run=d["iterations_run"], converged=d["converged"],
+            labeled_rows=labeled_rows, cluster_inner=inner, train_features=train,
+            cluster_wsum=_weighted_indicator(cluster_of, weights, k).sum(axis=0),
+        )
 
 
 def _weighted_indicator(cluster_of: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -291,9 +287,10 @@ def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap) -> np.nd
     leaves some point's nearest cluster in doubt, the argmin is taken on a
     full product instead.
     """
+    labeled = d.labeled_idx
     pinned = np.zeros(d.n_points, dtype=int)
-    pinned[d.labeled_idx] = label_map.fine_of_point
-    sums = _MemberSums(km, _point_weights(d, 0.0), label_map.n_fine, None)
+    pinned[labeled] = label_map.fine_of_point
+    sums = _MemberSums(km, _point_weights(labeled, d.n_points, 0.0), label_map.n_fine, None)
     sums.move(pinned)
     free = d.unlabeled_idx
     dist = sums.distances()[free]
@@ -305,8 +302,10 @@ def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap) -> np.nd
     return cluster_of
 
 
-def _point_weights(d: Dataset, unlabeled_weight: float) -> np.ndarray:
-    return np.where(d.row_labels == UNLABELED, unlabeled_weight, 1.0)
+def _point_weights(labeled_rows: np.ndarray, n: int, unlabeled_weight: float) -> np.ndarray:
+    weights = np.full(n, unlabeled_weight, dtype=float)
+    weights[labeled_rows] = 1.0
+    return weights
 
 
 def fit_sskkm(
@@ -353,7 +352,7 @@ def fit_sskkm(
     if not np.array_equal(cluster_of[d.labeled_idx], label_map.fine_of_point):
         raise InputError("init assignments do not pin labeled points to their fine labels")
 
-    weights = _point_weights(d, weight)
+    weights = _point_weights(d.labeled_idx, d.n_points, weight)
     free = d.unlabeled_idx
 
     sums = _MemberSums(km, weights, k, cluster_of)
@@ -411,7 +410,7 @@ def fit_sskkm(
         kernel_spec=km.spec,
         iterations_run=iterations,
         converged=converged,
-        point_weights=weights,
+        labeled_rows=d.labeled_idx,
         cluster_wsum=sums.wsum,
         cluster_inner=sums.inner,
         train_features=d.features,
@@ -429,7 +428,7 @@ def score_batch(
     the queries to every centroid, from their kernel rows against the
     training points and their self-similarities."""
     km_rows = np.atleast_2d(np.asarray(km_rows, dtype=float))
-    n = model.point_weights.size
+    n = model.cluster_of.size
     if km_rows.shape[1] != n:
         raise InputError(f"kernel row length {km_rows.shape[1]} != training size {n}")
     self_k = np.atleast_1d(np.asarray(self_k, dtype=float))

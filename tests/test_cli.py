@@ -128,7 +128,7 @@ class TestFit:
         assert code == 0
         assert "0.1111" in capsys.readouterr().out  # 10 / (10 + 80)
         payload = json.loads(out.read_text())
-        assert payload["resolved_unlabeled_weight"] == pytest.approx(10 / 90)
+        assert payload["unlabeled_weight"] == pytest.approx(10 / 90)
         assert payload["family"] == "sem"
 
     def test_no_unlabeled_modes_identical_files(self, tmp_path):
@@ -140,7 +140,6 @@ class TestFit:
                  "--out-model", out])
             payload = json.loads(out.read_text())
             del payload["config"]  # differs by the method name only
-            del payload["resolved_unlabeled_weight"]
             files[method] = payload
         assert files["original_sem"] == files["unbiased_sem"]
 
@@ -152,8 +151,8 @@ class TestFit:
         assert code == 0
         model = json.loads(out.read_text())
         assert model["family"] == "askkm"
-        assert model["rounds"] == len(model["history"])
         report = json.loads(crit.read_text())["criterion"]
+        assert report == model["history"][-1]["criterion"]
         assert report["disagreements"] <= report["n_labeled"]
 
     def test_out_criterion_into_missing_directory_exits_2_before_loading(
@@ -187,7 +186,7 @@ class TestFit:
         out = tmp_path / "w.json"
         run(["fit", "--data", dataset_csv, "--method", "original_sem",
              "--weight", 0.25, "--out-model", out])
-        assert json.loads(out.read_text())["resolved_unlabeled_weight"] == 0.25
+        assert json.loads(out.read_text())["unlabeled_weight"] == 0.25
 
     def test_accepts_the_curve_alias(self, tmp_path, dataset_csv):
         payloads = []
@@ -199,7 +198,7 @@ class TestFit:
             assert payload.pop("config")["method"] == method
             payloads.append(payload)
         assert payloads[0] == payloads[1]
-        assert payloads[0]["resolved_unlabeled_weight"] == 0.0
+        assert payloads[0]["unlabeled_weight"] == 0.0
 
     @pytest.mark.parametrize("method, flag", [
         ("askkm", ["--weight", 0.5]),
@@ -433,6 +432,14 @@ def nan_at(values):
     return [nan_at(first) if isinstance(first, list) else float("nan"), *values[1:]]
 
 
+def repeat_a_labeled_row(m):
+    """``m`` with one of its labeled_rows listed twice, in place of the next
+    row of the same fine label, so that every row keeps its fine label."""
+    rows, fine = m["labeled_rows"], m["label_map"]["fine_of_point"]
+    j = next(j for j in range(1, len(rows)) if fine[j] == fine[j - 1])
+    return {**m, "labeled_rows": [*rows[:j], rows[j - 1], *rows[j + 1:]]}
+
+
 # Edits that leave a model file readable but inconsistent: (method, edit of
 # the model's dict, or of its final_model for askkm, part of the message).
 INCONSISTENT = {
@@ -448,8 +455,10 @@ INCONSISTENT = {
     "comp_map_out_of_range": (
         "original_sem", lambda m: {**m, "comp_map": [7, *m["comp_map"][1:]]}, "comp_map"
     ),
-    "full_covariance": (
-        "unbiased_sem", lambda m: {**m, "covariance_type": "full"}, "covariance_type"
+    "full_covariances": (
+        "unbiased_sem",
+        lambda m: {**m, "covariances": [np.diag(v).tolist() for v in m["covariances"]]},
+        "covariances (2, 2, 2) must have shape (2, 2)",
     ),
     "truncated_assignments": (
         "original_sskkm", lambda m: {**m, "assignments": m["assignments"][:-1]}, "assignments"
@@ -459,13 +468,12 @@ INCONSISTENT = {
         lambda m: {**m, "label_map": {**m["label_map"], "fine_to_class": [0, 7]}},
         "fine_to_class",
     ),
-    "short_cluster_wsum": (
-        "askkm", lambda m: {**m, "cluster_wsum": m["cluster_wsum"][:1]}, "cluster_wsum"
+    "labeled_row_out_of_range": (
+        "askkm", lambda m: {**m, "labeled_rows": [*m["labeled_rows"][:-1], len(m["assignments"])]},
+        "labeled_rows must list",
     ),
     "nan_mean": ("original_sem", lambda m: {**m, "means": nan_at(m["means"])}, "means"),
-    "n_clusters_not_the_label_maps": (
-        "original_sskkm", lambda m: {**m, "n_clusters": 3}, "n_clusters 3"
-    ),
+    "labeled_row_repeated": ("original_sskkm", repeat_a_labeled_row, "labeled_rows must list"),
     "assignment_out_of_range": (
         "askkm", lambda m: {**m, "assignments": [9, *m["assignments"][1:]]}, "assignments"
     ),
@@ -478,17 +486,29 @@ INCONSISTENT = {
         "original_sskkm", lambda m: {**m, "cluster_inner": nan_at(m["cluster_inner"])},
         "cluster_inner",
     ),
-    "zero_cluster_wsum": (
-        "original_sskkm", lambda m: {**m, "cluster_wsum": [0.0, *m["cluster_wsum"][1:]]},
-        "cluster_wsum",
+    "labeled_row_off_its_fine_label": (
+        "unbiased_sskkm",
+        lambda m: {**m, "assignments": [1 - c if i == m["labeled_rows"][0] else c
+                                        for i, c in enumerate(m["assignments"])]},
+        "each assigned its fine label",
     ),
-    "nan_point_weight": (
-        "original_sskkm", lambda m: {**m, "point_weights": nan_at(m["point_weights"])},
-        "point_weights",
+    "nan_unlabeled_weight": (
+        "original_sskkm", lambda m: {**m, "unlabeled_weight": float("nan")},
+        "unlabeled_weight must be finite and in [0, 1], got nan",
     ),
-    "point_weight_above_one": (
-        "unbiased_sskkm", lambda m: {**m, "point_weights": [2.0, *m["point_weights"][1:]]},
-        "point_weights",
+    "unlabeled_weight_above_one": (
+        "askkm", lambda m: {**m, "unlabeled_weight": 1.5}, "unlabeled_weight must be finite",
+    ),
+    "class_names_repeated": (
+        "original_sem", lambda m: {**m, "classes": ["0", "0"]},
+        "classes must list 2 distinct names",
+    ),
+    "class_names_not_strings": (
+        "original_sem", lambda m: {**m, "classes": [0, 1]}, "classes must list 2 distinct",
+    ),
+    "class_names_one_too_many": (
+        "supervised_sem", lambda m: {**m, "classes": ["0", "1", "2"]},
+        "classes must list 2 distinct",
     ),
     # every query overflows: the model, not the query, is at fault
     "tiny_variance": (
@@ -549,8 +569,7 @@ class TestEval:
         ({"?"}, "no labeled points"),
     ], ids=["one_class", "unlabeled_only"])
     def test_data_without_two_classes_exits_3(self, tmp_path, keep, message, capsys):
-        # class ids follow first appearance, so a class-1-only file would be
-        # scored against the model's class-0 column
+        # a dataset needs two classes, even where the model has both
         model = self.fit_model(tmp_path)
         header, *rows = (tmp_path / "data.csv").read_text().splitlines()
         data = tmp_path / "part.csv"
@@ -560,6 +579,47 @@ class TestEval:
         assert run(["eval", "--model", model, "--data", data, "--out", out]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["supervised_sem", "askkm"])
+    def test_rows_in_reverse_order_give_the_same_metrics(self, tmp_path, method):
+        # load_csv numbers the classes in first-appearance order, which the
+        # reversal flips; eval matches them to the model's classes by name
+        model = self.fit_model(tmp_path, method=method)
+        header, *rows = (tmp_path / "data.csv").read_text().splitlines()
+        flipped = tmp_path / "reversed.csv"
+        flipped.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        assert load_csv(tmp_path / "data.csv")[1] == ["0", "1"]
+        assert load_csv(flipped)[1] == ["1", "0"]
+        metrics = []
+        for data in (tmp_path / "data.csv", flipped):
+            out = tmp_path / "metrics.json"
+            assert run(["eval", "--model", model, "--data", data, "--verbose", "--out", out]) == 0
+            payload = json.loads(out.read_text())
+            metrics.append((payload["per_class"], payload["mAP"]))
+        assert metrics[0] == metrics[1]
+        assert metrics[0][1] > 0.9
+
+    def test_label_the_model_never_saw_exits_3(self, tmp_path, capsys):
+        model = self.fit_model(tmp_path)
+        three = tmp_path / "three"
+        three.mkdir()
+        assert run(gen_args(three, unlabeled=0, seed=23, classes=3)) == 0
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--model", model, "--data", three / "data.csv", "--out", out]) == 3
+        assert "holds labels the model never saw: 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["original_sem", "askkm"])
+    def test_model_without_classes_exits_3(self, tmp_path, method, capsys):
+        model = self.fit_model(tmp_path, method=method)
+        d = json.loads(model.read_text())
+        del d["classes"]
+        model.write_text(json.dumps(d))
+        code = run(["eval", "--model", model, "--data", tmp_path / "data.csv",
+                    "--out", tmp_path / "m.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "lacks the key 'classes'" in err and "refit" in err
 
     @pytest.mark.parametrize("method", ["original_sem", "original_sskkm"])
     def test_query_features_too_large_exit_3(self, tmp_path, method, capsys):
@@ -687,8 +747,8 @@ class TestKernelModelEval:
             return cross_matrix(q, y, spec)
 
         monkeypatch.setattr(evalx, "cross_matrix", query_rows_only)
-        scores = load_model_scores(model, x)
-        assert calls == [x.shape] and scores.shape[1] == 2
+        scores, classes = load_model_scores(model, x)
+        assert calls == [x.shape] and scores.shape[1] == 2 and classes == ["0", "1"]
         # the fit's own Gram gives the serialized statistics exactly
         fit_gram = scores_from_recomputed_stats(
             model, x, lambda train, spec: gram_matrix(train_set, spec).values
@@ -703,7 +763,7 @@ class TestKernelModelEval:
         assert np.array_equal(scores, rebuilt)
 
     @pytest.mark.parametrize("method", ["original_sskkm", "askkm"])
-    @pytest.mark.parametrize("key", ["cluster_wsum", "cluster_inner"])
+    @pytest.mark.parametrize("key", ["labeled_rows", "cluster_inner"])
     def test_model_without_cluster_stats_exits_3(self, tmp_path, data, method, key, capsys):
         model = self.fit(tmp_path, data, method)
         payload = json.loads(model.read_text())
@@ -711,7 +771,8 @@ class TestKernelModelEval:
         model.write_text(json.dumps(payload))
         code = run(["eval", "--model", model, "--data", data, "--out", tmp_path / "m.json"])
         assert code == 3
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"lacks the key '{key}'" in err and "refit" in err
 
     def test_gram_allocation_failure_exits_3(self, tmp_path, data, monkeypatch, capsys):
         n = load_csv(data)[0].n_points
@@ -858,7 +919,9 @@ def test_fit_and_eval_bytes_independent_of_blas_threads(tmp_path):
 # configurations do not depend on where it is; DIGESTS pins the sha256 of
 # every file the commands of each set write, on one numpy build. A change
 # that alters an output must say why, and then record the new digests: a
-# failing set prints its new entries in the table's own layout.
+# failing set prints its new entries in the table's own layout. Every model
+# file that `fit --out-model` writes was re-recorded when the files dropped
+# their restated keys and began to name their classes; no other entry moved.
 
 
 def run_digest_set(name, commands, monkeypatch, caps=(None,), check=None):
@@ -888,8 +951,9 @@ def run_digest_set(name, commands, monkeypatch, caps=(None,), check=None):
         if got != want:
             moved = "".join(f'    ("{name}", "{artifact}"):\n        "{digest}",\n'
                             for artifact, digest in got.items() if want.get(artifact) != digest)
+            gone = sorted(set(want) - set(got))
             pytest.fail(f"digest set {name!r} at thread cap {cap}: new or moved entries\n"
-                        f"{moved}no longer written: {sorted(set(want) - set(got))}",
+                        f"{moved}" + (f"no longer written: {gone}" if gone else ""),
                         pytrace=False)
 
 
@@ -900,7 +964,7 @@ DIGESTS = {
     ("pinned", "askkm.eval.json"):
         "c64e51a26a0550cb124290773653942270b93cb93becbad4946cb2aec9d3c895",
     ("pinned", "askkm.json"):
-        "7751812be5388cc90591476e209cb900519d3c7f5b9d5920023ebffdb7b1604d",
+        "25053d4efc928630e6a71f657e014dc749fa77c4f5f958003dd8cdb6c349a97f",
     ("pinned", "curve.csv"):
         "f9269f3f7d1ebc14046f4ec02acd0343cf2cce6cbfa262c7dd63df1063448598",
     ("pinned", "curve.json"):
@@ -914,33 +978,33 @@ DIGESTS = {
     ("pinned", "original_sem.eval.json"):
         "92339952fe6ff8b3f56d058eec147b43c768af7eedf9e3bbbdf490602791bd05",
     ("pinned", "original_sem.json"):
-        "9e0410b052425437b5f5065c00508ccc5d5aff6bcbe54704a80ef962c1352f5c",
+        "46510ecd4a7e1a0fcee540cc4a545b5195cdebb195388ca65f1834bc1611fa51",
     ("pinned", "original_sskkm.eval.json"):
         "7f539397464481364ee46532d45123402505b60544c9527cd1d07e66cff26c11",
     ("pinned", "original_sskkm.json"):
-        "d8c18607048885a155ec9b32a9591853d039bcb94adaf6d62bc9910987894172",
+        "9cb04c9e44081efe60d7d81adbc52083fbe8f0a1f5117b0905467cb840a3b86e",
     ("pinned", "sem_components4.eval.json"):
         "d664da0114e3b95a4006f7968d9366a9e1b8fd59e478dcaac1ed204c4c377607",
     ("pinned", "sem_components4.json"):
-        "ed15636703a1045db1de3eb8f8fe182f0dfac19c6421b256b03944fc98607ce1",
+        "c30512e3f33ed04a94c2d647afd883a630cce934f503a35aedff86472aae8936",
     ("pinned", "sem_weight03.eval.json"):
         "6fe233614a2b7672808d99ae2d97b5e3a864eae42ca03fcee5b7cd00be7c07ee",
     ("pinned", "sem_weight03.json"):
-        "0ceb03cf35c1f59fdf949670c484f7d4514f13b36bfe890ee817d760d1fe0538",
+        "469a7c43334b90b6d399eb03eb300dec19984e40c038066bbd56ecabba642192",
     ("pinned", "supervised.eval.json"):
         "e8e64ea7a67855703bbb03dfbc8c76f9b4c5315cf59aebda6e6c694c96daf693",
     ("pinned", "supervised.json"):
-        "a786a3e3339298b6fc1358617c23b68caed0ed3423a038d3f1c1888d9ff64bd2",
+        "8bdcca070005de36f10199cf1e231d5f8698786336af49865bd5ebb4543f609c",
     ("pinned", "truth.json"):
         "423d3123ff4a107ce34a27f448de415115cdd08a84a82a87159ce2ac081e555b",
     ("pinned", "unbiased_sem.eval.json"):
         "3f09ce594582eb6f3be8973709c11d4db90b05a69edbfe04c368222d66869a2e",
     ("pinned", "unbiased_sem.json"):
-        "5332bc2c5132bb558ce553e87e2d8e0d99b1d91793c55fa82261659a52ee7f18",
+        "2d344dd923453ed1a0c5b0a1e85b55785d7d3ab969fe87655ebb678cf6123932",
     ("pinned", "unbiased_sskkm.eval.json"):
         "d965e5391a82105287ce8f016d86cd739d5107065eaa0ddc1e116bf6c21321af",
     ("pinned", "unbiased_sskkm.json"):
-        "be0c5ea6962390e5bb6af46464e3cee43c6d6cf3d8eef78fe0df4ad52bcfe918",
+        "0a17dfa949b1db36544effba23ebdcbbea1f684f040951b338882d64ac3d3409",
 
     # pinned_wide_commands: a 9-feature run whose sem fits use 9 and 3
     # components, recorded before semgmm's row sums became column folds:
@@ -956,11 +1020,11 @@ DIGESTS = {
     ("pinned_wide", "sem_components3.eval.json"):
         "98acafa4e365837221edb59f4ea8f22b55addd2ce51a69b776803dadc474f51d",
     ("pinned_wide", "sem_components3.json"):
-        "3c45e79219d674f561b2a0e2f74ad36c610cf482416dc42b7801870a7fa48353",
+        "17bb4a9b163097fe2026a6e343d4138346ac014a5046d135efd7178ce59b97ee",
     ("pinned_wide", "sem_components9.eval.json"):
         "31b0796a4cce87b1f4ce400b96fcaff08fe863383c2c309b824b48960f5bdda0",
     ("pinned_wide", "sem_components9.json"):
-        "9768a6e075363c240276f9d67f195072383c1d9d0e4dbe4e164cb6385e5f9e28",
+        "4167fa2a205f366cbfe6801f7e05290f9582fab59903226b22eab0de444397d9",
     ("pinned_wide", "truth.json"):
         "2331a358a60117c74a63c93a97ae0c1237b7a34c4f7a3dcb91f3285605ee64b5",
 
@@ -973,17 +1037,17 @@ DIGESTS = {
     ("shuffled", "askkm.eval.json"):
         "b463ef3e323b9c95d2e7e3c3d5e597e486677b983d38c238159ba00745c12541",
     ("shuffled", "askkm.json"):
-        "c6acb6287223a94571fda1a49cd4092a5ea2a309a4fc94de7590b6a77cac2f8f",
+        "1008efc58ec3d87a8b55ac0a1d14d921183d3028e1031f50c9b295519f959a4f",
     ("shuffled", "original_sem.eval.json"):
         "864e5a2181428b728cae6d97d383684b8413fd415436609dce5b1229cde671bf",
     ("shuffled", "original_sem.json"):
-        "7e65fe1cfe07f3bc5ecdf15a6a66471a84b782833abdc3166989f680b5cf80f9",
+        "b5afa5197098755464aef7ac8c50908fa3d9cc11dc4ec8e16e9a5b9fb55ec5f5",
     ("shuffled", "shuffled.csv"):
         "b8e6d7b0e30e534fccd36bcbfb6d847da3314840f7ced1888fab75ce5ac501f2",
     ("shuffled", "unbiased_sskkm.eval.json"):
         "d77b0a818b53795f43fa02074d5987da706cde38555d295da5c11297981783f9",
     ("shuffled", "unbiased_sskkm.json"):
-        "c0abf66a4aeb05df1ee60111f088f29c8ff5b6d2910d6b06acd706c4b797ba52",
+        "5682c315e2d46ea03cf42f5a88e1391907405b30e91701e6f5ff72c05a4f4498",
 
     # bench_size_commands: an askkm fit (with its criterion) and an
     # original_sskkm fit at N = 6,020, on the gen flags of the askkm_cli
@@ -995,7 +1059,7 @@ DIGESTS = {
     ("bench_size", "askkm.eval.json"):
         "6835e6a922bb4a1b1235bee53e42c6ee3172adec28a29a636ffa4b44f9e8214d",
     ("bench_size", "askkm.json"):
-        "18f57e6ee8baeffe77ef5db714e46eb13a11110a560d7c02097eea48291b866c",
+        "6675ae4bcd61a5b91b6eeae7b1b3b52136d77dc1fd7b1305fd9aec1f27616a8e",
     ("bench_size", "data.csv"):
         "891dfa20e52ed913af7b214f3df111f2bab1d72e7cda196045282bbb3d7abfbb",
     ("bench_size", "heldout.csv"):
@@ -1005,7 +1069,7 @@ DIGESTS = {
     ("bench_size", "original_sskkm.eval.json"):
         "07404abb2ff52546d8c361103deff544828b2ffd81c8040b86ba29aaf834ede7",
     ("bench_size", "original_sskkm.json"):
-        "3376aca41dd3a36b109710703071b0323d576954c40ab9f9c45c8ae52e800fbc",
+        "5daf6e8b7325f00570891bf636fc18110ff945d61e5b816ddd51b629b83b4aff",
     ("bench_size", "truth.json"):
         "5b2cfde8c7dc125ab86a8ecadc8ea813dc2bd96da67440b2c5d551e7104c2b18",
 
@@ -1021,106 +1085,106 @@ DIGESTS = {
     ("sem_size", "original_sem.eval.json"):
         "581028ac0c198cb06a84659f4e424aeab502fc72ee93d8bad5f070a93cb476cb",
     ("sem_size", "original_sem.json"):
-        "7f7f770ae5a3e6162f9fb0fb3c1f2ba2cb384425594b429c1196c1d04d993d32",
+        "21714204961e0fffae3b19e319fccd3c1c27e1159ce1db13cdbb32b36ad55ebd",
     ("sem_size", "original_sem_k4.eval.json"):
         "173bb0c5f3776a80289b5cf4c84ac22d302b5e16f2a324dc92718814fd9dddf6",
     ("sem_size", "original_sem_k4.json"):
-        "056ab25c3b8fb2f1efae31d4334d7789725addd3bdae2c9c6ccaa8c38a03a6b3",
+        "e05018f40c9c04d83f3dd16333a4eaea07f58c358e9b429ecfea086486edc707",
     ("sem_size", "supervised.eval.json"):
         "c67dfb6099451577d439b83ffa79934fc799722d8bd7d507231ca9baad14d733",
     ("sem_size", "supervised.json"):
-        "d59147d0abec2727b35e0043dc4c31982d19faf204d8fdd6d1f74c47f82da6c0",
+        "e11e5333223dc0ef8161985f6c7b4f3ca690bda7902507f129c80f6b3252e4ec",
     ("sem_size", "truth.json"):
         "fd56ec52c4a3cd6843d6f5f79758d185e81f4cd029427ffd07f682c5d54814da",
     ("sem_size", "unbiased_sem.eval.json"):
         "c16689ab9077eb2f885bae09e1b9c63951cf02ede7dc0f06793cdff1e17dbf9a",
     ("sem_size", "unbiased_sem.json"):
-        "303d08d1cfb29c8b6e235fd87c6371d36a0c2a18330adde93b1877da89a83bfa",
+        "f0546bd4a5ebd83aba566693d85a1af60fda1097f0e7a55bee7ec079b23f15c1",
 
     # fit_and_eval_commands at N = 1,500, at every thread count.
     ("fan_out", "askkm.eval.json"):
         "defcee363e2e60b458a5a58e99c76ebcd5b85592c1ff376bc243edf211dfbc5e",
     ("fan_out", "askkm.json"):
-        "b495e665f2058817a7457282c2e82a7ac1858ccc69af17e19be9e1442133feca",
+        "472a1383e1d1622f60ec634c25a32a179c7cf4d5f5faf515a130e472bae2d991",
     ("fan_out", "askkm_manhattan.eval.json"):
         "a35246e59c1b6bb242de6be233a4c70385725847c605214ec60e2cb1e60078e5",
     ("fan_out", "askkm_manhattan.json"):
-        "251e752870b5e57093b98fb61e0a1ab85bb2d9ccef0a6935c2c51130938d58ed",
+        "6bb83228c7cf41b020c824ea228d23d37ee17c785c1ea9469db346f3e1e09117",
     ("fan_out", "original_sskkm.eval.json"):
         "7350aeb9d4dd5a1e480f28ac12e84d9605601212d577ab719f45fa53aee2ad9a",
     ("fan_out", "original_sskkm.json"):
-        "00cca6b0ca8837766f38462176a2ca22318e576bddba33778e88d5b2b85e8b9d",
+        "1617ed21d28b11eed030aee477ed6c2b70eeed81dbd9b762681c8dadf50d5f60",
     ("fan_out", "unbiased_sskkm.eval.json"):
         "49a7ded0d90538af510c6e6c4790f9caf4e2cd528c087507b33afea3fdf5a627",
     ("fan_out", "unbiased_sskkm.json"):
-        "12d044eecb9fc8eac45c41929b001ea791d4633622e41fb0e2b714e85b3dc639",
+        "26458f1d8f3bc668894b281ee16c46ed8dfa8fee0a9a94b49fc2a288517b349d",
 
     # kernel_path_commands, at every thread count. Recorded before the Gram
     # became the cross matrix of the training rows.
     ("kernel_path", "1500_chi_square_askkm.eval.json"):
         "d9c183994091a08524510a13a4cbcb80f588e081f18d0698aee75c120847fc0d",
     ("kernel_path", "1500_chi_square_askkm.json"):
-        "5eed0afc8f6886aecd21fed862da2696388b8fa048ae2519e3860800cd395740",
+        "59693e0cb33e7b5345806a9095a55233e8d08fe82f27b6d55bb1c58e1cfae357",
     ("kernel_path", "1500_chi_square_original_sskkm.eval.json"):
         "d7876b5a92a4ec05a0e9a903d3c5677f1725cb5d3ca233794068b8a0f3ad861f",
     ("kernel_path", "1500_chi_square_original_sskkm.json"):
-        "40ba12dbbb80459a0019cc184980da30a9e90c97012a6613e4ac385876fefcc4",
+        "349ac270dfa2183c1d1983e7a7ebe2813a6066c49e5f5f530deae0c340b3565a",
     ("kernel_path", "1500_linear_askkm.eval.json"):
         "44e6d8d76513466c6822d09f48fbcb664f0e6c5cd141231347e203f3ef788e4a",
     ("kernel_path", "1500_linear_askkm.json"):
-        "d2c754d54f818ca59364959ddc9ba9bb29bce7f6e14b4d5b02e6f3d71e8bc9f6",
+        "645f7171efbaa9e1b0c21d06904ae43b6df693dbe1d93119a9345ecfdb5192e1",
     ("kernel_path", "1500_linear_original_sskkm.eval.json"):
         "11979f9ea18a296784be2126407236b8962d777b6254eaecf871db8f75f371ee",
     ("kernel_path", "1500_linear_original_sskkm.json"):
-        "891d3a53a0bc35f8f6a22dcce597e2a889445fd8e44a74892a694ce0ea3fc0ec",
+        "ec22f2bc9f1762b18c29887504e7cd578c187c207c54d4b2edc893152cd8b8f8",
     ("kernel_path", "1500_rbf_c3_askkm.eval.json"):
         "8007285a283ac52fbe8141a0ba7abd974454371fb81d59ea94444459f80ae6c9",
     ("kernel_path", "1500_rbf_c3_askkm.json"):
-        "8319f4730ccd511a5e193426f07988d84fdcdd8335e6a761f2b4b37f5bc6d281",
+        "888939ca24c46fe69baf4faee6e68dda16618bdc707bcf715c17d3f1763e7f07",
     ("kernel_path", "1500_rbf_c3_original_sskkm.eval.json"):
         "7be27baad783f538e09c733619d828687c66b4259b808d0f0489b1247ac2c940",
     ("kernel_path", "1500_rbf_c3_original_sskkm.json"):
-        "fb85b608ceca0f01674e4edf257064718d92a4610424cc2825c005aa316aafd7",
+        "df5fca83445aeeb64b264ba672f421752699c2237f67e1cddbf03cbc96e81674",
     ("kernel_path", "1500_rbf_d7_askkm.eval.json"):
         "1395eaa187983c427a7d9842e27750862490cac01ca7f35ab65161a21e963f6a",
     ("kernel_path", "1500_rbf_d7_askkm.json"):
-        "5d9100466bb98b783c7eaab08aa2cfe531d0cb470d048476519e5d1a99573660",
+        "cdd29470d170284a8388be5db60950ece2259e925239d0e988cc2e7f5894ea18",
     ("kernel_path", "1500_rbf_d7_original_sskkm.eval.json"):
         "7224851f03a57a34017e583a5e606281f7017fa216ee890e93dabfee5bd238b3",
     ("kernel_path", "1500_rbf_d7_original_sskkm.json"):
-        "8db90ef8118f467e0e917162f0312d4a57d65b7205a7ce021c2a979d0b696692",
+        "ffe88411cbce77bcdf249a0002d21360ae3f2d346f849a4790e57612aa8b443f",
     ("kernel_path", "600_chi_square_askkm.eval.json"):
         "b0595f72da1c37b4a9b68a3c2487e69a3a9f7af0150c46f064895b85fd30180a",
     ("kernel_path", "600_chi_square_askkm.json"):
-        "c31b421d31e4c1902720fb04dc1f69f8bbf89aa279cfeb27fa44aaba6d185572",
+        "ca7f5c899ede75e15c9cdc517ef8310a9807e9aca316d40ff8e2a887d03d27f4",
     ("kernel_path", "600_chi_square_original_sskkm.eval.json"):
         "64d3ded082dfec6a14c002759da72ff109e1d718fbaf06b8395c8005be22a2ba",
     ("kernel_path", "600_chi_square_original_sskkm.json"):
-        "ac17d587f9c8af41e48530ef3482b02e2078b5acd5f0ac17c56cbd91778738f7",
+        "7ef66ddb75b7b730e3a4296550bac451a21f0d3e3cea28f2b5bd605a2ef33641",
     ("kernel_path", "600_linear_askkm.eval.json"):
         "595c8d3f5023281b29b687ae4fbfa673acfcf3a23f3780ae585e6f77035597ce",
     ("kernel_path", "600_linear_askkm.json"):
-        "077fe2514555043ce5fe57b0b2e016c866ef9bde366eb7d4c9333021343720e5",
+        "c07240627f5d2f1481efb2a02397edecdc62b0130fe5dbe3efc66273ea7b08ec",
     ("kernel_path", "600_linear_original_sskkm.eval.json"):
         "b6b2fcc3d7763936b29aaf7d94835fd8fc2ee3f800705566ee49558251c6410a",
     ("kernel_path", "600_linear_original_sskkm.json"):
-        "276564945e0f8178fb61729babbf97dd8074aa345510ea1a5072edc6d7fe0628",
+        "1bf8445b93ade86eaa33a1bac597182e508638f9c035944b171ed7938201c5d8",
     ("kernel_path", "600_rbf_c3_askkm.eval.json"):
         "467cb649ddf3887dbe2d63e76902a4974554b23eaf9477f377c1c09ffb8c7fd6",
     ("kernel_path", "600_rbf_c3_askkm.json"):
-        "9ac761e6393d2e0fa7d998d56fb58b6ac842242fc005540347d05d206cd94382",
+        "ba910416ac4a7614130a31451f838e8591db92114d67dae72398de6d4f457f13",
     ("kernel_path", "600_rbf_c3_original_sskkm.eval.json"):
         "798ca3b15a82d5cc94cc3892809f400d1090e44eba7bbe7ba0dc5399390ac4e8",
     ("kernel_path", "600_rbf_c3_original_sskkm.json"):
-        "2f6c06ee10f1739c216c81a9721db4a0f444ba7d92daaccbc188d8a342ba7ad3",
+        "35cdd77b3d46f91f6f42adf1db15c6c03644c7fe48e46681f3e5e410bcbc8785",
     ("kernel_path", "600_rbf_d7_askkm.eval.json"):
         "66dc7d108ab0d029279de409d71d62bb4dc3bcdb25b4b6d9626416fa71c4a512",
     ("kernel_path", "600_rbf_d7_askkm.json"):
-        "453200766b79cd30d7218e84fff2db2df9ba094c75f4a92a0291fda3deeaf5ca",
+        "b8c126e130bf0bc2102c2b53c91c7a28a13fa577857d70d123d515a8f80d24ce",
     ("kernel_path", "600_rbf_d7_original_sskkm.eval.json"):
         "6e313099db0e41eff30f8b73ba8083392ca5f78646272f24ec8ccb44ffdd1d00",
     ("kernel_path", "600_rbf_d7_original_sskkm.json"):
-        "81e37b8290949ce07d523712bf245203d337e7aa2d72a3c193450ec8b6f73aca",
+        "1580270912046ff5c9cd58077aca5197cc77fc4916c6dd003239a79d660ff145",
 
     # curve_commands, at every thread setting. Recorded before curve cells ran
     # on the calling thread below the fan-out floor, and before askkm's first
@@ -1128,7 +1192,7 @@ DIGESTS = {
     ("curve", "askkm.eval.json"):
         "5afe58c2a46bcac61cbeec096ef66d03c3b50f0d25b9b69ecd84daa1ffb0ce39",
     ("curve", "askkm.json"):
-        "8e08173c138360d9694c037d02d3d354bf067f22d18bd61e7140d48cfb2330f5",
+        "1caaca309df40a6238d8be3ebcac83f9eb947c4e4813c9825463cc05e346c9bc",
     ("curve", "curve1.csv"):
         "86fbdda062f2a9e79b16681556159ebf642b2f35a81d5ee5af2921a0af1378c6",
     ("curve", "curve1.json"):

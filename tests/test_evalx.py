@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misspec_ssl import core, evalx
-from misspec_ssl.core import InputError, SolverOptions, blas_thread_api, derive_seed
+from misspec_ssl.core import UNLABELED, InputError, SolverOptions, blas_thread_api, derive_seed
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
 from misspec_ssl.evalx import (
     METHODS,
@@ -25,6 +25,7 @@ from misspec_ssl.evalx import (
     predict,
 )
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
+from misspec_ssl.sskkm import ClusterModel
 
 
 def brute_force_ap(scores, relevance):
@@ -373,3 +374,22 @@ class TestSerializationRoundTrip:
         labels, scores = predict(loaded, test_x[0])
         assert np.array_equal(labels, want_labels[:1])
         np.testing.assert_allclose(scores, want_scores[:1], rtol=1e-12)
+
+    @pytest.mark.parametrize("method, weight", [("original_sskkm", None),
+                                                ("unbiased_sskkm", None),
+                                                ("original_sskkm", 0.3), ("askkm", None)])
+    def test_rebuilt_weights_and_cluster_totals_equal_the_fits(self, method, weight):
+        # A file stores neither array: from_dict rebuilds the point weights
+        # from labeled_rows and unlabeled_weight, and W_k from them.
+        train, _ = generate(replace(SCENARIO, n_unlabeled=60, seed=derive_seed(3, "roundtrip")))
+        km = gram_matrix(train, KernelSpec())
+        fitted = fit_method(method, train, km, method_solver(method, SolverOptions(), weight))
+        if method == "askkm":
+            assert fitted.rounds > 1 and fitted.n_clusters > train.n_classes
+            fitted = fitted.final_model
+        loaded = ClusterModel.from_dict(json_roundtrip(fitted.to_dict()))
+        fit_weights = np.where(train.row_labels == UNLABELED, fitted.unlabeled_weight, 1.0)
+        assert np.array_equal(fitted.point_weights, fit_weights)
+        assert np.array_equal(loaded.point_weights, fit_weights)
+        assert np.array_equal(loaded.cluster_wsum, fitted.cluster_wsum)
+        assert loaded.to_dict() == fitted.to_dict()

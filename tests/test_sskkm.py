@@ -417,7 +417,7 @@ def oracle_fit_sskkm(km, d, label_map, opts, init=None):
     return ClusterModel(
         cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
         objective=objective, kernel_spec=km.spec, iterations_run=iterations,
-        converged=converged, point_weights=weights, cluster_wsum=wsum,
+        converged=converged, labeled_rows=d.labeled_idx, cluster_wsum=wsum,
         cluster_inner=inner, train_features=d.features, objective_trace=tuple(trace),
     )
 
