@@ -24,7 +24,6 @@ from .core import InputError, SolverOptions, one_blas_thread
 from .datagen import GenSpec, generate, load_csv, write_csv
 from .evalx import (
     METHODS,
-    UnknownModelFamily,
     average_precision,
     fit_method,
     interpolated_precision_points,
@@ -69,8 +68,6 @@ def load_model_scores(path: str | Path, x: np.ndarray) -> tuple[np.ndarray, list
     try:
         model = load_model(d)
         classes = d["classes"]
-    except UnknownModelFamily as exc:
-        raise InputError(f"{exc} in {path}") from None
     except KeyError as exc:
         raise InputError(f"model file {path} lacks the key {exc}; refit the model") from None
     except (TypeError, ValueError) as exc:
@@ -365,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(config, dict):

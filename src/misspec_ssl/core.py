@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 import signal
 import threading
@@ -26,6 +27,33 @@ import numpy as np
 
 class InputError(ValueError):
     """Raised when an operation receives arguments violating its contract."""
+
+
+def read_array(d: dict, key: str, kind: type, shape: tuple = (),
+               within: tuple[float, float] | None = None) -> np.ndarray | int | float:
+    """``d[key]``, a JSON value, as an array of ``kind`` (int or float) and
+    ``shape`` (None: any length), or for shape () a Python number. InputError
+    naming the key unless every entry is an integer (int), or an integer or
+    finite float (float), in the closed interval ``within`` if given: so
+    booleans, strings, nulls, fractional ids and ragged lists are never cast."""
+    value = d[key]
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    leaves = [value]
+    for _ in range(a.ndim):  # numpy casts a boolean among numbers, so types are read
+        leaves = itertools.chain.from_iterable(leaves)
+    if (a.size and a.dtype.kind not in ("i" if kind is int else "if")) or bool in map(type, leaves):
+        raise InputError(f"{key} must hold {'integers' if kind is int else 'numbers'} only")
+    if a.ndim != len(shape) or any(s not in (None, n) for s, n in zip(shape, a.shape)):
+        raise InputError(f"{key} {a.shape} must have shape {shape}")
+    a = a.astype(kind, copy=False)
+    lo, hi = within or (-np.inf, np.inf)
+    if not np.all(np.isfinite(a) & (lo <= a) & (a <= hi)):
+        rule = "finite" if within is None else f"finite and in [{lo}, {hi}]"
+        raise InputError(f"{key} must be {rule}" + (f", got {a.item()}" if a.ndim == 0 else ""))
+    return a.item() if a.ndim == 0 else a
 
 
 ENV_THREADS = "MISSPEC_SSL_THREADS"

@@ -59,16 +59,12 @@ LOADERS = {
 }
 
 
-class UnknownModelFamily(InputError):
-    """A model JSON whose family LOADERS does not hold."""
-
-
 def load_model(d: dict) -> GmmModel | ClusterModel:
     """The scoring model of ``d``, a fitted model's to_dict() JSON. A missing
-    key is a KeyError, a malformed value a TypeError or ValueError."""
+    key is a KeyError, an unknown family or bad value an InputError or TypeError."""
     family = d.get("family")
     if not isinstance(family, str) or family not in LOADERS:
-        raise UnknownModelFamily(f"unrecognized model family {family!r}")
+        raise InputError(f"unrecognized model family {family!r}")
     return LOADERS[family](d)
 
 

@@ -180,7 +180,9 @@ def _fill_pairwise(out: np.ndarray, x: np.ndarray, y: np.ndarray, spec: KernelSp
         if distance == "euclidean" and not squared:
             np.sqrt(block, out=block)
         if spec.gamma is not None:
-            np.multiply(block, -spec.gamma, out=block)
+            # a product past -float64 max is -inf, whose exp is the 0 it stands for
+            with np.errstate(over="ignore"):
+                np.multiply(block, -spec.gamma, out=block)
             np.exp(block, out=block)
 
     fan_out(fill, _row_blocks(x.shape[0], y.shape[0]), fan_out_width(out.size))

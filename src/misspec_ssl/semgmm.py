@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, derive_seed
+from .core import Dataset, InputError, SolverOptions, derive_seed, read_array
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR_SCALE = 1e-6
@@ -75,40 +75,30 @@ class GmmModel:
 
     @staticmethod
     def from_dict(d: dict) -> "GmmModel":
-        """Inverse of to_dict; InputError unless the arrays have consistent
-        shapes, the weights are finite and >= 0, the means finite, the
-        variances finite and > 0 and not so small, nor the means so large,
-        that no query can be scored, and the component map names classes
-        0..C-1."""
+        """Inverse of to_dict; every number is read by read_array, with its
+        type and shape, and InputError unless the weights are >= 0 and not all
+        0, the variances > 0 and not so small, nor the means so large, that no
+        query can be scored, and the component map covers the classes 0..C-1."""
+        weights = read_array(d, "weights", float, (None,), within=(0, np.inf))
+        means = read_array(d, "means", float, (weights.size, None))
         m = GmmModel(
-            weights=d["weights"],
-            means=d["means"],
-            covariances=d["covariances"],
-            comp_map=d["comp_map"],
-            n_classes=d["n_classes"],
-            unlabeled_weight=d["unlabeled_weight"],
-            final_loglik=d["final_loglik"],
-        )
-        k = m.n_components
-        if m.weights.ndim != 1 or m.means.ndim != 2 or m.means.shape[0] != k:
-            raise InputError(
-                f"weights {m.weights.shape} and means {m.means.shape} must have shapes "
-                "(K,) and (K, d)"
-            )
-        if not np.all(np.isfinite(m.weights) & (m.weights >= 0)):
-            raise InputError("weights must be finite and >= 0")
-        if not np.all(np.isfinite(m.means)):
-            raise InputError("means must be finite")
-        if m.covariances.shape != m.means.shape:
-            raise InputError(f"covariances {m.covariances.shape} must have shape {m.means.shape}")
-        if not np.all(np.isfinite(m.covariances) & (m.covariances > 0)):
+            weights=weights, means=means,
+            covariances=read_array(d, "covariances", float, means.shape),
+            comp_map=read_array(d, "comp_map", int, (weights.size,)),
+            n_classes=read_array(d, "n_classes", int),
+            unlabeled_weight=read_array(d, "unlabeled_weight", float, within=(0, 1)),
+            final_loglik=read_array(d, "final_loglik", float))
+        if not np.any(m.weights):
+            raise InputError("weights must not all be 0")
+        if not np.all(m.covariances > 0):
             raise InputError("covariances must be finite and > 0")
         if _query_bound(m) <= 0:
             raise InputError(f"covariances (min {m.covariances.min():.3g}) and means "
                              f"(max |mean| {np.max(np.abs(m.means)):.3g}) leave no query "
                              "whose squared distances stay finite")
-        if m.comp_map.shape != (k,) or np.any((m.comp_map < 0) | (m.comp_map >= m.n_classes)):
-            raise InputError(f"comp_map must map {k} components to classes 0..{m.n_classes - 1}")
+        if set(m.comp_map.tolist()) != set(range(m.n_classes)):
+            raise InputError(f"comp_map must map the {m.n_components} components onto every class "
+                             f"0..{m.n_classes - 1}")
         return m
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions
+from .core import Dataset, InputError, SolverOptions, read_array
 from .kernels import BLOCK_ENTRIES, KernelMatrix, KernelSpec, _row_blocks
 from .misspec import LabelMap
 
@@ -76,40 +76,33 @@ class ClusterModel:
     @staticmethod
     def from_dict(d: dict) -> "ClusterModel":
         """Inverse of to_dict, with W_k rebuilt as the fit takes it. The one
-        check of a model from outside: every array has its shape, every
-        cluster id lies in 0..K-1 for the label map's K, the features and
-        cluster_inner are finite, the unlabeled weight lies in [0, 1], and
-        labeled_rows lists one row per labeled point, strictly increasing,
-        each assigned its fine label: so every W_k is at least 1."""
-        label_map = LabelMap(**d["label_map"])
-        cluster_of = np.asarray(d["assignments"], dtype=int)
-        labeled_rows = np.asarray(d["labeled_rows"], dtype=int)
-        inner = np.asarray(d["cluster_inner"], dtype=float)
-        train = np.asarray(d["training_features"], dtype=float)
-        weight = float(d["unlabeled_weight"])
-        if train.ndim != 2:
-            raise InputError(f"training_features {train.shape} must have shape (N, d)")
+        check of a model from outside: every number is read by read_array,
+        with its type and shape, every cluster id lies in 0..K-1 for the label
+        map's K, the unlabeled weight lies in [0, 1], and labeled_rows lists
+        one row per labeled point, strictly increasing, each assigned its fine
+        label: so every W_k is at least 1."""
+        lm, spec = d["label_map"], d["kernel"]
+        label_map = LabelMap(fine_to_class=read_array(lm, "fine_to_class", int, (None,)),
+                             fine_of_point=read_array(lm, "fine_of_point", int, (None,)),
+                             n_classes=read_array(lm, "n_classes", int))
+        train = read_array(d, "training_features", float, (None, None))
         n, k = train.shape[0], label_map.n_fine
-        if cluster_of.shape != (n,) or inner.shape != (k,):
-            raise InputError(f"assignments and cluster_inner must have one entry per training "
-                             f"row ({n}) and per cluster ({k})")
-        if np.any((cluster_of < 0) | (cluster_of >= k)):
-            raise InputError(f"assignments outside the cluster ids 0..{k - 1}")
-        if not (np.all(np.isfinite(train)) and np.all(np.isfinite(inner))):
-            raise InputError("training_features and cluster_inner must be finite")
-        if not 0.0 <= weight <= 1.0:
-            raise InputError(f"unlabeled_weight must be finite and in [0, 1], got {weight}")
+        cluster_of = read_array(d, "assignments", int, (n,), within=(0, k - 1))
+        labeled_rows = read_array(d, "labeled_rows", int, (None,))
+        weight = read_array(d, "unlabeled_weight", float, within=(0, 1))
         if (np.any(np.diff(labeled_rows) <= 0) or np.any((labeled_rows < 0) | (labeled_rows >= n))
                 or not np.array_equal(cluster_of[labeled_rows], label_map.fine_of_point)):
             raise InputError(f"labeled_rows must list one training row 0..{n - 1} per labeled "
                              "point, strictly increasing, each assigned its fine label")
-        weights = _point_weights(labeled_rows, n, weight)
+        gamma = None if spec["gamma"] is None else read_array(spec, "gamma", float)
+        wsum = _weighted_indicator(cluster_of, _point_weights(labeled_rows, n, weight), k).sum(0)
         return ClusterModel(
             cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
-            objective=d["objective"], kernel_spec=KernelSpec(**d["kernel"]),
-            iterations_run=d["iterations_run"], converged=d["converged"],
-            labeled_rows=labeled_rows, cluster_inner=inner, train_features=train,
-            cluster_wsum=_weighted_indicator(cluster_of, weights, k).sum(axis=0),
+            objective=read_array(d, "objective", float),
+            kernel_spec=KernelSpec(kind=spec["kind"], gamma=gamma, distance=spec["distance"]),
+            iterations_run=read_array(d, "iterations_run", int), converged=d["converged"],
+            labeled_rows=labeled_rows, cluster_inner=read_array(d, "cluster_inner", float, (k,)),
+            train_features=train, cluster_wsum=wsum,
         )
 
 
@@ -144,9 +137,6 @@ def _distances(
     return np.maximum(d, 0.0)
 
 
-# Above this share of the points moved, the member sums are recomputed by one
-# full product rather than updated from the moved rows of K.
-FULL_PRODUCT_MOVED_SHARE = 0.3
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Kernel entries below this are floored in the error bounds, so that
 # underflow, whose error is absolute rather than relative, stays inside them.
@@ -170,11 +160,10 @@ class _MemberSums:
     updates M += (D' K[moved])', where D holds the signed weights of the
     |moved| weighted points whose cluster changed. The rows of K of those
     points are its columns too, since K is exactly symmetric, and they are
-    gathered in blocks of at most kernels.BLOCK_ENTRIES entries. W_k and T_k
-    are then taken from the new clustering as _cluster_stats takes them. A
-    move is a full product when more than FULL_PRODUCT_MOVED_SHARE of the
-    points moved, or when K is no larger than one block: the update then
-    saves nothing.
+    gathered in blocks of at most kernels.BLOCK_ENTRIES entries, however
+    many points moved. W_k and T_k are then taken from the new clustering as
+    _cluster_stats takes them. A move is a full product when K is no larger
+    than one block: the update then saves nothing.
 
     An updated M differs from the full product in its last bits. ``err``
     (None when exact) bounds, per cluster, each entry's distance from the
@@ -221,9 +210,6 @@ class _MemberSums:
         if self.cluster_of is not None:
             weighted &= cluster_of != self.cluster_of
         moved = np.flatnonzero(weighted)
-        if moved.size > FULL_PRODUCT_MOVED_SHARE * n:
-            self.recompute(cluster_of)
-            return
         w = self.weights[moved]
         signed = np.zeros((moved.size, self.k))
         at = np.arange(moved.size)

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import signal
 import subprocess
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misspec_ssl import askkm, cli, core, evalx, kernels
 from misspec_ssl.cli import load_model_scores, main
@@ -421,7 +425,7 @@ MALFORMED = {
     ),
     "unknown_family": (
         lambda text, d: json.dumps({**d, "family": ["sem"]}),
-        "unrecognized model family ['sem'] in",
+        "unrecognized model family ['sem']",
     ),
 }
 
@@ -509,6 +513,42 @@ INCONSISTENT = {
     "class_names_one_too_many": (
         "supervised_sem", lambda m: {**m, "classes": ["0", "1", "2"]},
         "classes must list 2 distinct",
+    ),
+    # a value of the wrong type is rejected, never cast
+    "fractional_assignments": (
+        "original_sskkm", lambda m: {**m, "assignments": [c + 0.5 for c in m["assignments"]]},
+        "assignments must hold integers only",
+    ),
+    "fractional_labeled_rows": (
+        "askkm", lambda m: {**m, "labeled_rows": [r + 0.7 for r in m["labeled_rows"]]},
+        "labeled_rows must hold integers only",
+    ),
+    "fractional_fine_of_point": (
+        "unbiased_sskkm",
+        lambda m: {**m, "label_map": {**m["label_map"], "fine_of_point": [
+            f + 0.9 for f in m["label_map"]["fine_of_point"]]}},
+        "fine_of_point must hold integers only",
+    ),
+    "fractional_comp_map": (
+        "original_sem", lambda m: {**m, "comp_map": [0.6, 1.9]}, "comp_map must hold integers",
+    ),
+    "fractional_n_classes": (
+        "unbiased_sem", lambda m: {**m, "n_classes": 2.5}, "n_classes must hold integers only",
+    ),
+    "boolean_unlabeled_weight": (
+        "original_sskkm", lambda m: {**m, "unlabeled_weight": True},
+        "unlabeled_weight must hold numbers only",
+    ),
+    "boolean_gamma": (
+        "askkm", lambda m: {**m, "kernel": {**m["kernel"], "gamma": True}},
+        "gamma must hold numbers only",
+    ),
+    "comp_map_without_a_class": (
+        "original_sem", lambda m: {**m, "comp_map": [0, 0]},
+        "comp_map must map the 2 components onto every class 0..1",
+    ),
+    "weights_all_zero": (
+        "original_sem", lambda m: {**m, "weights": [0.0, 0.0]}, "weights must not all be 0",
     ),
     # every query overflows: the model, not the query, is at fault
     "tiny_variance": (
@@ -609,6 +649,21 @@ class TestEval:
         assert "holds labels the model never saw: 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_class_the_file_lacks_gets_no_ap(self, tmp_path):
+        assert run(gen_args(tmp_path, unlabeled=0, seed=23, classes=3)) == 0
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", tmp_path / "data.csv", "--method", "supervised_sem",
+                    "--out-model", model]) == 0
+        header, *rows = (tmp_path / "data.csv").read_text().splitlines()
+        two = tmp_path / "two.csv"
+        two.write_text("\n".join([header, *(r for r in rows if not r.endswith(",2"))]) + "\n")
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--model", model, "--data", two, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert sorted(payload["per_class"]) == ["0", "1"]
+        aps = [entry["average_precision"] for entry in payload["per_class"].values()]
+        assert payload["mAP"] == (aps[0] + aps[1]) / 2
+
     @pytest.mark.parametrize("method", ["original_sem", "askkm"])
     def test_model_without_classes_exits_3(self, tmp_path, method, capsys):
         model = self.fit_model(tmp_path, method=method)
@@ -707,6 +762,76 @@ class TestEval:
         assert code == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+
+def numeric_leaves(value, path=()):
+    """The paths of every int or float leaf of a JSON value."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for key, v in items for leaf in numeric_leaves(v, (*path, key))]
+    return [path] if type(value) in (int, float) else []
+
+
+# What a fuzzed leaf x becomes: None drops it.
+LEAF_EDITS = {
+    "plus_half": lambda x: x + 0.5, "true": lambda x: True, "null": lambda x: None,
+    "nan": lambda x: float("nan"), "string": lambda x: "1", "wrapped": lambda x: [x],
+    "huge": lambda x: 1e308, "dropped": None,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """An original_sem and an askkm model file, as JSON, with the paths of
+    the numeric leaves that the loader reads (askkm: those of its
+    final_model) by field, their path without list indices; and the labeled
+    features of their training data as queries."""
+    out = tmp_path_factory.mktemp("fuzz")
+    assert run(gen_args(out, unlabeled=20, seed=21)) == 0
+    models = {}
+    for method in ("original_sem", "askkm"):
+        path = out / f"{method}.json"
+        assert run(["fit", "--data", out / "data.csv", "--method", method,
+                    "--out-model", path]) == 0
+        d = json.loads(path.read_text())
+        read = {k: v for k, v in d.items() if k != "config"}
+        if method == "askkm":
+            read = {"final_model": d["final_model"]}
+        fields = {}
+        for leaf in numeric_leaves(read):
+            fields.setdefault(tuple(k for k in leaf if isinstance(k, str)), []).append(leaf)
+        models[method] = (path.read_text(), list(fields.values()))
+    dataset = load_csv(out / "data.csv")[0]
+    return out, models, dataset.features[dataset.labeled_idx]
+
+
+@given(method=st.sampled_from(["original_sem", "askkm"]), field=st.integers(0, 99),
+       entry=st.integers(0, 10**6), edit=st.sampled_from(sorted(LEAF_EDITS)))
+@settings(max_examples=500, deadline=None)
+def test_fuzzed_model_leaf_loads_or_raises_input_error(fuzz_models, method, field, entry,
+                                                       edit):
+    # one numeric leaf replaced or dropped: loading and scoring either
+    # succeed or raise InputError, and a fractional id, a boolean or a NaN
+    # is always rejected
+    out, models, x = fuzz_models
+    text, fields = models[method]
+    d = json.loads(text)
+    leaves = fields[field % len(fields)]
+    *parents, last = leaves[entry % len(leaves)]
+    parent = functools.reduce(operator.getitem, parents, d)
+    x_old = parent[last]
+    if LEAF_EDITS[edit] is None:
+        del parent[last]
+    else:
+        parent[last] = LEAF_EDITS[edit](x_old)
+    path = out / "fuzzed.json"
+    path.write_text(json.dumps(d))
+    must_fail = edit in ("true", "nan") or (edit == "plus_half" and type(x_old) is int)
+    try:
+        load_model_scores(path, x)
+    except InputError:
+        return
+    assert not must_fail, f"{edit} at {[*parents, last]} loaded"
 
 
 def scores_from_recomputed_stats(model_path, x, train_gram):
@@ -854,6 +979,19 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text("[1,2]", encoding="utf-8")
         assert run(["gen", "--config", config]) == 2
+
+    @pytest.mark.parametrize("write", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_text('{"seed": ', encoding="utf-8"),
+        lambda path: path.write_bytes(b'{"seed": 1}\xff'),
+    ], ids=["missing", "directory", "truncated_json", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, write, capsys):
+        config = tmp_path / "config.json"
+        write(config)
+        assert run(gen_args(tmp_path) + ["--config", config]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "data.csv").exists()
 
 
 # Checks that OpenBLAS starts with the OPENBLAS_NUM_THREADS threads asked

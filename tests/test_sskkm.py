@@ -434,11 +434,10 @@ def assert_same_fit(got, want):
 
 
 def force_incremental(mp, n, rows):
-    """Update member sums from the moved rows however small K is and however
-    many points moved, gathering ``rows`` rows of K (n columns) per block.
+    """Update member sums from the moved rows however small K is, gathering
+    ``rows`` rows of K (n columns) per block.
     Call it after the Gram is built: it shrinks the kernels' blocks too."""
     mp.setattr(sskkm, "BLOCK_ENTRIES", 0)
-    mp.setattr(sskkm, "FULL_PRODUCT_MOVED_SHARE", 1.0)
     mp.setattr(kernels, "BLOCK_ENTRIES", rows * n)
 
 
