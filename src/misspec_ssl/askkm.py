@@ -119,9 +119,7 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
     lab_diag = km.diag[d.labeled_idx]
 
     history: list[RoundRecord] = []
-    terminated_by = TERMINATED_CONVERGED
     stall = 0
-    prev_disagreements: int | None = None
 
     width = fan_out_width(km.values.size)
     while True:
@@ -150,16 +148,15 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
         if not report.misspecified:
             terminated_by = TERMINATED_CONVERGED
             break
-        if prev_disagreements is not None and report.disagreements >= prev_disagreements:
+        if len(history) > 1 and report.disagreements >= history[-2].report.disagreements:
             stall += 1
         else:
             stall = 0
-        prev_disagreements = report.disagreements
         if stall >= opts.stall_rounds:
             terminated_by = TERMINATED_NO_IMPROVEMENT
             break
         try:
-            label_map = modify_structure(label_map, report, d.labels, preds_unbiased, k_max=k_max)
+            label_map = modify_structure(label_map, report, d.labels, k_max=k_max)
         except StructureGrowthCapped:
             terminated_by = TERMINATED_GROWTH_CAPPED
             break

@@ -275,14 +275,21 @@ class _Parser(argparse.ArgumentParser):
         self.set_defaults(func=func, echo_keys=echo)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser. ``defaults`` (the settings of a config file) become the
-    defaults of the same-named flags of every subcommand, unconverted. A key
-    that is no flag of any subcommand, or a value whose string form the
-    flag's type rejects on the command line, is a usage error (exit 2); null
-    passes where the flag's default is None."""
+def _common_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file (flags override)")
+    return common
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. ``defaults`` (the settings of a config file) become the
+    defaults of the same-named flags of every subcommand, unconverted, and a
+    required flag with a value there is required no more. A key that is no
+    flag of any subcommand, or a value whose string form the flag's type
+    rejects on the command line, that is no string for a string flag or no
+    boolean for a switch, or that is none of its choices, is a usage error
+    (exit 2); null passes where the flag's default is None."""
+    common = _common_parser()
     parser = _Parser(
         prog="misspec-ssl",
         description="Semi-supervised generative learners with misspecification "
@@ -344,12 +351,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         for p in commands:
             for key, value in defaults.items():
                 action = p.dests.get(key)
-                if action is None or action.type is None:
+                if action is None or (value is None and action.default is None):
                     continue
-                if value is None and action.default is None:
-                    continue
+                action.required = False
                 try:
-                    action.type(str(value))
+                    if action.type is not None:
+                        action.type(str(value))
+                    elif not isinstance(value, str if action.nargs is None else bool):
+                        raise ValueError  # a string flag, or a switch (nargs 0)
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError
                 except ValueError:
                     parser.error(f"config key {key}: {json.dumps(value)} is no valid "
                                  f"{action.option_strings[0]} value")
@@ -358,17 +369,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.config:
+    config_path, config = _common_parser().parse_known_args(argv)[0].config, {}
+    if config_path:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(config, dict):
             print("config error: config file must hold a JSON object", file=sys.stderr)
             return EXIT_USAGE
-        args = build_parser({k.replace("-", "_"): v for k, v in config.items()}).parse_args(argv)
+    args = build_parser({k.replace("-", "_"): v for k, v in config.items()}).parse_args(argv)
 
     if getattr(args, "subclusters", None) is None and hasattr(args, "kind"):
         args.subclusters = 2 if args.kind == "misspecified" else 1

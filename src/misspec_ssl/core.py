@@ -56,6 +56,15 @@ def read_array(d: dict, key: str, kind: type, shape: tuple = (),
     return a.item() if a.ndim == 0 else a
 
 
+def integer_array(value: object, name: str) -> np.ndarray:
+    """A new int array of ``value``; InputError naming ``name`` unless its
+    dtype is integer, so fractional and boolean ids are never cast."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iu":
+        raise InputError(f"{name} must hold integers only, got dtype {a.dtype}")
+    return a.astype(int)
+
+
 ENV_THREADS = "MISSPEC_SSL_THREADS"
 # An output of fewer entries than this is computed on the calling thread:
 # below it a second thread costs more than it saves. In paired runs on a
@@ -279,7 +288,8 @@ class Dataset:
     Attributes
     ----------
     features : (N, d) finite float array, d >= 1
-    row_labels : (N,) class id (0..n_classes-1) of each row, or UNLABELED;
+    row_labels : (N,) class id (0..n_classes-1) of each row, or UNLABELED, of
+        an integer dtype (a float or boolean array is never truncated);
         every class occurs
     n_classes : declared number of classes C (>= 2)
     labeled_idx, labels, unlabeled_idx : the labeled rows (ascending), their
@@ -299,8 +309,8 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self) -> None:
-        for name, dtype in (("features", float), ("row_labels", int)):
-            own = np.array(getattr(self, name), dtype=dtype)
+        for name, own in (("features", np.array(self.features, dtype=float)),
+                          ("row_labels", integer_array(self.row_labels, "row_labels"))):
             own.flags.writeable = False
             object.__setattr__(self, name, own)
         problems = _dataset_violations(self)

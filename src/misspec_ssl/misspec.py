@@ -14,7 +14,7 @@ from math import ceil
 
 import numpy as np
 
-from .core import InputError
+from .core import InputError, integer_array
 
 
 class StructureGrowthCapped(RuntimeError):
@@ -38,8 +38,8 @@ class LabelMap:
     n_classes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fine_to_class", np.asarray(self.fine_to_class, dtype=int))
-        object.__setattr__(self, "fine_of_point", np.asarray(self.fine_of_point, dtype=int))
+        for name in ("fine_to_class", "fine_of_point"):
+            object.__setattr__(self, name, integer_array(getattr(self, name), name))
         k = self.n_fine
         if k < self.n_classes:
             raise InputError(f"label map has {k} fine labels for {self.n_classes} classes")
@@ -61,11 +61,7 @@ class LabelMap:
     @staticmethod
     def identity(labels: np.ndarray, n_classes: int) -> "LabelMap":
         """Initial map: one fine label per class, every point carrying its class."""
-        return LabelMap(
-            fine_to_class=np.arange(n_classes),
-            fine_of_point=np.asarray(labels, dtype=int).copy(),
-            n_classes=n_classes,
-        )
+        return LabelMap(np.arange(n_classes), labels, n_classes)
 
     def to_dict(self) -> dict:
         return {
@@ -128,85 +124,46 @@ def modify_structure(
     lm: LabelMap,
     report: CriterionReport,
     labels: np.ndarray,
-    preds_unbiased: np.ndarray,
     k_max: int | None = None,
 ) -> LabelMap:
     """Grow the label map: one new fine label per distinct disagreement pair.
 
-    Disagreeing labeled points are grouped by (true class y, unbiased
-    prediction y_hat); each distinct pair gets a new fine label carrying all
-    its points, mapped to y_hat.
-    Agreeing points keep their fine label where it still maps to their class,
-    and fall back to the base label of their class otherwise.
-
-    ``labels`` is the true class per labeled point, aligned with the
-    prediction lists the report was built from.
+    Each labeled point targets its unbiased prediction if it disagrees, and
+    its class ``labels[p]`` otherwise. While some class is no point's target,
+    its lowest-index disagreeing point stays on its class, so every class
+    keeps a carrier. The other disagreeing points are grouped by (class,
+    prediction); each distinct pair, in sorted order, gets a new fine label
+    carrying its points, mapped to the prediction. Every other point keeps
+    its fine label where it maps to its class, and takes its class's base
+    (first) label otherwise. Labels left without a carrier are dropped and
+    the rest renumbered in order. StructureGrowthCapped if the new labels
+    would exceed ``k_max`` or the map does not grow.
     """
     if not report.misspecified:
         raise InputError("modify_structure requires a misspecified report")
     labels = np.asarray(labels, dtype=int)
-    preds_unbiased = np.asarray(preds_unbiased, dtype=int)
-    if labels.size != report.n_labeled or preds_unbiased.size != report.n_labeled:
-        raise InputError("labels/predictions not aligned with the criterion report")
+    if labels.size != report.n_labeled:
+        raise InputError("labels not aligned with the criterion report")
+    target, moving = labels.copy(), np.zeros(labels.size, dtype=bool)
+    for p, _, pred in report.disagreeing_points:
+        target[p], moving[p] = pred, True
+    while (empty := np.flatnonzero(np.bincount(target, minlength=lm.n_classes) == 0)).size:
+        for c in empty:
+            p = np.flatnonzero(moving & (labels == c))[0]
+            target[p], moving[p] = c, False
 
-    disagreeing = [p for p, _, _ in report.disagreeing_points]
-    pair_points: dict[tuple[int, int], list[int]] = {}
-    for p in disagreeing:
-        pair = (int(labels[p]), int(preds_unbiased[p]))
-        pair_points.setdefault(pair, []).append(p)
-
-    # A regrouping may not strip a class of its last carrier: simulate the
-    # post-move carrier counts and keep the lowest-index disagreeing point of
-    # any endangered class on its base label instead.
-    post_carriers = np.zeros(lm.n_classes, dtype=int)
-    mover = {p: pair for pair, pts in pair_points.items() for p in pts}
-    for p in range(report.n_labeled):
-        post_carriers[mover[p][1] if p in mover else labels[p]] += 1
-    keep_home: set[int] = set()
-    for c in np.flatnonzero(post_carriers == 0).tolist():
-        stay = min(p for p in disagreeing if labels[p] == c)
-        keep_home.add(stay)
-        del mover[stay]
-
-    new_pairs = sorted({pair for pair in pair_points if set(pair_points[pair]) - keep_home})
-    if k_max is not None and lm.n_fine + len(new_pairs) > k_max:
-        raise StructureGrowthCapped(
-            f"growing from K={lm.n_fine} by {len(new_pairs)} would exceed K_max={k_max}"
-        )
-
-    fine_of_point = lm.fine_of_point.copy()
-    fine_to_class = list(lm.fine_to_class.tolist())
-
-    def base_of_class(c: int) -> int:
-        return int(np.flatnonzero(lm.fine_to_class == c)[0])
-
-    for pair in new_pairs:
-        new_label = len(fine_to_class)
-        fine_to_class.append(pair[1])
-        for p in pair_points[pair]:
-            if p in mover:
-                fine_of_point[p] = new_label
-
-    # Restore g(fine) == class for every point left outside the new groups.
-    for p in range(report.n_labeled):
-        if p in mover:
-            continue
-        if fine_to_class[fine_of_point[p]] != labels[p]:
-            fine_of_point[p] = base_of_class(int(labels[p]))
-
-    # Drop fine labels left without a carrier and renumber the survivors.
-    carriers = np.bincount(fine_of_point, minlength=len(fine_to_class))
-    keep = np.flatnonzero(carriers > 0)
-    renumber = -np.ones(len(fine_to_class), dtype=int)
-    renumber[keep] = np.arange(keep.size)
-
-    out = LabelMap(
-        fine_to_class=np.asarray([fine_to_class[int(k)] for k in keep], dtype=int),
-        fine_of_point=renumber[fine_of_point],
-        n_classes=lm.n_classes,
-    )
+    # the (class, prediction) pairs, coded class·C + prediction, in sorted order
+    pairs, group = np.unique(labels[moving] * lm.n_classes + target[moving], return_inverse=True)
+    if k_max is not None and lm.n_fine + pairs.size > k_max:
+        raise StructureGrowthCapped(f"growing from K={lm.n_fine} by {pairs.size} "
+                                    f"would exceed K_max={k_max}")
+    base = np.unique(lm.fine_to_class, return_index=True)[1]  # each class's first label
+    fine = np.where(lm.fine_to_class[lm.fine_of_point] == labels, lm.fine_of_point, base[labels])
+    fine[moving] = lm.n_fine + group
+    keep, fine_of_point = np.unique(fine, return_inverse=True)
+    fine_to_class = np.concatenate([lm.fine_to_class, pairs % lm.n_classes])[keep]
+    out = LabelMap(fine_to_class, fine_of_point, lm.n_classes)
     if out.n_fine <= lm.n_fine:
-        raise StructureGrowthCapped(
-            f"modification did not grow the structure (K stayed {lm.n_fine})"
-        )
+        raise StructureGrowthCapped("modification did not grow the structure "
+                                    f"(K stayed {lm.n_fine})")
     return out

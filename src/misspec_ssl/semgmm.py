@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, derive_seed, read_array
+from .core import Dataset, InputError, SolverOptions, derive_seed, integer_array, read_array
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR_SCALE = 1e-6
@@ -51,7 +51,7 @@ class GmmModel:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
         object.__setattr__(self, "covariances", np.asarray(self.covariances, dtype=float))
-        object.__setattr__(self, "comp_map", np.asarray(self.comp_map, dtype=int))
+        object.__setattr__(self, "comp_map", integer_array(self.comp_map, "comp_map"))
 
     @property
     def n_components(self) -> int:
@@ -289,7 +289,7 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
     non-decreasing per iteration; singular covariances are repaired by
     flooring, never fatal.
     """
-    comp_map = np.asarray(comp_map, dtype=int)
+    comp_map = integer_array(comp_map, "comp_map")
     if k < d.n_classes:
         raise InputError(f"K={k} must be >= number of classes {d.n_classes}")
     if comp_map.size != k:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, InputError, SolverOptions, read_array
+from .core import Dataset, InputError, SolverOptions, integer_array, read_array
 from .kernels import BLOCK_ENTRIES, KernelMatrix, KernelSpec, _row_blocks
 from .misspec import LabelMap
 
@@ -77,10 +77,10 @@ class ClusterModel:
     def from_dict(d: dict) -> "ClusterModel":
         """Inverse of to_dict, with W_k rebuilt as the fit takes it. The one
         check of a model from outside: every number is read by read_array,
-        with its type and shape, every cluster id lies in 0..K-1 for the label
-        map's K, the unlabeled weight lies in [0, 1], and labeled_rows lists
-        one row per labeled point, strictly increasing, each assigned its fine
-        label: so every W_k is at least 1."""
+        with its type and shape, converged is a JSON boolean, every cluster id
+        lies in 0..K-1 for the label map's K, the unlabeled weight lies in
+        [0, 1], and labeled_rows lists one row per labeled point, strictly
+        increasing, each assigned its fine label: so every W_k is at least 1."""
         lm, spec = d["label_map"], d["kernel"]
         label_map = LabelMap(fine_to_class=read_array(lm, "fine_to_class", int, (None,)),
                              fine_of_point=read_array(lm, "fine_of_point", int, (None,)),
@@ -94,13 +94,16 @@ class ClusterModel:
                 or not np.array_equal(cluster_of[labeled_rows], label_map.fine_of_point)):
             raise InputError(f"labeled_rows must list one training row 0..{n - 1} per labeled "
                              "point, strictly increasing, each assigned its fine label")
+        converged = d["converged"]
+        if not isinstance(converged, bool):
+            raise InputError(f"converged must be true or false, got {converged!r}")
         gamma = None if spec["gamma"] is None else read_array(spec, "gamma", float)
         wsum = _weighted_indicator(cluster_of, _point_weights(labeled_rows, n, weight), k).sum(0)
         return ClusterModel(
             cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
             objective=read_array(d, "objective", float),
             kernel_spec=KernelSpec(kind=spec["kind"], gamma=gamma, distance=spec["distance"]),
-            iterations_run=read_array(d, "iterations_run", int), converged=d["converged"],
+            iterations_run=read_array(d, "iterations_run", int), converged=converged,
             labeled_rows=labeled_rows, cluster_inner=read_array(d, "cluster_inner", float, (k,)),
             train_features=train, cluster_wsum=wsum,
         )
@@ -331,7 +334,7 @@ def fit_sskkm(
 
     if init is None:
         init = init_assignments(km, d, label_map)
-    cluster_of = np.array(init, dtype=int)
+    cluster_of = integer_array(init, "init")
     if cluster_of.shape != (d.n_points,) or np.any((cluster_of < 0) | (cluster_of >= k)):
         raise InputError(f"init must give every one of {d.n_points} points a cluster id "
                          f"in 0..{k - 1}")

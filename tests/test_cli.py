@@ -99,6 +99,20 @@ BAD_INPUTS = {
     "config_threshold_float": (["fit", "--data", "data.csv", "--method", "askkm",
                                 "--config", "threshold_float.json"], 2,
                                "config key threshold: 1.5 is no valid --threshold value"),
+    "config_method_not_a_choice": (["fit", "--data", "data.csv", "--config", "method_bogus.json"],
+                                   2, 'config key method: "bogus" is no valid --method value'),
+    "config_kernel_not_a_choice": (["fit", "--data", "data.csv", "--method", "original_sskkm",
+                                    "--config", "kernel_bogus.json"], 2,
+                                   'config key kernel: "bogus" is no valid --kernel value'),
+    "config_grid_list": (["curve", "--config", "grid_list.json", "--eval-size", 20,
+                          "--methods", "original_sem"], 2,
+                         "config key grid: [0, 50] is no valid --grid value"),
+    "config_methods_null": (["curve", "--config", "methods_null.json", "--grid", 0,
+                             "--eval-size", 20], 2,
+                            "config key methods: null is no valid --methods value"),
+    "config_verbose_string": (["eval", "--model", "model.json", "--data", "data.csv",
+                               "--config", "verbose_no.json"], 2,
+                              'config key verbose: "no" is no valid --verbose value'),
 }
 
 
@@ -110,7 +124,11 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
     Path("latin1.csv").write_bytes("f0,label\n1.0,caf\xe9\n".encode("latin-1"))
     Path("header_only.csv").write_text("f0,f1,label\n", encoding="utf-8")
     for name, config in (("max_iter_null", {"max_iter": None}), ("seeds_list", {"seeds": [1]}),
-                         ("threshold_float", {"threshold": 1.5})):
+                         ("threshold_float", {"threshold": 1.5}),
+                         ("method_bogus", {"method": "bogus"}),
+                         ("kernel_bogus", {"kernel": "bogus"}),
+                         ("grid_list", {"grid": [0, 50]}), ("methods_null", {"methods": None}),
+                         ("verbose_no", {"verbose": "no"})):
         Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     before = set(Path().iterdir())
     outputs = {"fit": ["--out-model", "out.json"], "eval": ["--out", "out.json"],
@@ -543,6 +561,13 @@ INCONSISTENT = {
         "askkm", lambda m: {**m, "kernel": {**m["kernel"], "gamma": True}},
         "gamma must hold numbers only",
     ),
+    "converged_string": (
+        "original_sskkm", lambda m: {**m, "converged": "no"},
+        "converged must be true or false, got 'no'",
+    ),
+    "converged_number": (
+        "askkm", lambda m: {**m, "converged": 7}, "converged must be true or false, got 7",
+    ),
     "comp_map_without_a_class": (
         "original_sem", lambda m: {**m, "comp_map": [0, 0]},
         "comp_map must map the 2 components onto every class 0..1",
@@ -974,6 +999,24 @@ class TestConfigFile:
                     "--method", "original_sem", "--out-model", out]) == 0
         echo = json.loads(out.read_text())["config"]
         assert (echo["tol"], echo["gamma"]) == (1, None)
+
+    def test_config_supplies_the_required_flags(self, tmp_path, dataset_csv, monkeypatch):
+        # Each run reads the c.json of its own directory, so both echo the
+        # same --config value: one file holds the required flags, one none.
+        data, method = str(dataset_csv), "original_sem"
+        outputs = []
+        for name, config, fit, ev in (
+            ("from_config", {"data": data, "method": method, "model": "m.json"}, [], []),
+            ("from_flags", {}, ["--data", data, "--method", method],
+             ["--model", "m.json", "--data", data]),
+        ):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("c.json").write_text(json.dumps(config), encoding="utf-8")
+            assert run(["fit", "--config", "c.json", *fit, "--out-model", "m.json"]) == 0
+            assert run(["eval", "--config", "c.json", *ev, "--out", "e.json"]) == 0
+            outputs.append([Path(f).read_bytes() for f in ("m.json", "e.json")])
+        assert outputs[0] == outputs[1]
 
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "config.json"

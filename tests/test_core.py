@@ -120,6 +120,13 @@ class TestValidateDataset:
             make_dataset(row_labels=(0, 1, -2, 2))
         assert str(exc.value) == "invalid dataset: row labels outside -1..1: [-2, 2]"
 
+    @pytest.mark.parametrize("row_labels", [[0.5, 1.7, -1, -1], [0.0, 1.0, -1.0, -1.0],
+                                            [False, True, True, False]],
+                             ids=["fractions", "whole_floats", "booleans"])
+    def test_row_labels_that_are_not_integers_are_rejected(self, row_labels):
+        with pytest.raises(InputError, match="row_labels must hold integers only"):
+            Dataset(features=np.arange(8.0).reshape(4, 2), row_labels=row_labels, n_classes=2)
+
     def test_no_labeled_points_rejected(self):
         with pytest.raises(InputError, match="no labeled points"):
             make_dataset(row_labels=(UNLABELED,) * 4)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from misspec_ssl.core import InputError
@@ -66,9 +66,117 @@ def identity_map(labels, n_classes=2):
     return LabelMap.identity(np.array(labels), n_classes)
 
 
+def oracle_modify_structure(lm, report, labels, preds_unbiased, k_max=None):
+    """modify_structure as it was before the carrier fixpoint: pair dicts and
+    a one-pass carrier count. It is the reference except where keeping a
+    point on its class empties another class: there it builds a LabelMap
+    that is not onto the classes (InputError), or caps on a count of pairs
+    that still includes the points the fixpoint keeps."""
+    if not report.misspecified:
+        raise InputError("modify_structure requires a misspecified report")
+    labels = np.asarray(labels, dtype=int)
+    preds_unbiased = np.asarray(preds_unbiased, dtype=int)
+    if labels.size != report.n_labeled or preds_unbiased.size != report.n_labeled:
+        raise InputError("labels/predictions not aligned with the criterion report")
+
+    disagreeing = [p for p, _, _ in report.disagreeing_points]
+    pair_points = {}
+    for p in disagreeing:
+        pair = (int(labels[p]), int(preds_unbiased[p]))
+        pair_points.setdefault(pair, []).append(p)
+
+    post_carriers = np.zeros(lm.n_classes, dtype=int)
+    mover = {p: pair for pair, pts in pair_points.items() for p in pts}
+    for p in range(report.n_labeled):
+        post_carriers[mover[p][1] if p in mover else labels[p]] += 1
+    keep_home = set()
+    for c in np.flatnonzero(post_carriers == 0).tolist():
+        stay = min(p for p in disagreeing if labels[p] == c)
+        keep_home.add(stay)
+        del mover[stay]
+
+    new_pairs = sorted({pair for pair in pair_points if set(pair_points[pair]) - keep_home})
+    if k_max is not None and lm.n_fine + len(new_pairs) > k_max:
+        raise StructureGrowthCapped(
+            f"growing from K={lm.n_fine} by {len(new_pairs)} would exceed K_max={k_max}"
+        )
+
+    fine_of_point = lm.fine_of_point.copy()
+    fine_to_class = list(lm.fine_to_class.tolist())
+
+    def base_of_class(c):
+        return int(np.flatnonzero(lm.fine_to_class == c)[0])
+
+    for pair in new_pairs:
+        new_label = len(fine_to_class)
+        fine_to_class.append(pair[1])
+        for p in pair_points[pair]:
+            if p in mover:
+                fine_of_point[p] = new_label
+
+    for p in range(report.n_labeled):
+        if p in mover:
+            continue
+        if fine_to_class[fine_of_point[p]] != labels[p]:
+            fine_of_point[p] = base_of_class(int(labels[p]))
+
+    carriers = np.bincount(fine_of_point, minlength=len(fine_to_class))
+    keep = np.flatnonzero(carriers > 0)
+    renumber = -np.ones(len(fine_to_class), dtype=int)
+    renumber[keep] = np.arange(keep.size)
+
+    out = LabelMap(
+        fine_to_class=np.asarray([fine_to_class[int(k)] for k in keep], dtype=int),
+        fine_of_point=renumber[fine_of_point],
+        n_classes=lm.n_classes,
+    )
+    if out.n_fine <= lm.n_fine:
+        raise StructureGrowthCapped(
+            f"modification did not grow the structure (K stayed {lm.n_fine})"
+        )
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's LabelMap, or the InputError or StructureGrowthCapped it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (InputError, StructureGrowthCapped) as exc:
+        return exc
+
+
+def random_report(rng, labels, n_classes):
+    """A report at threshold 0 whose unbiased predictions keep each point's
+    class with probability 1/2; the original predictions are its class or
+    random. Returns the report and the unbiased predictions."""
+    n = labels.size
+    preds_unb = np.where(rng.random(n) < 0.5, labels, rng.integers(0, n_classes, n))
+    preds_orig = np.where(rng.random(n) < 0.5, labels, rng.integers(0, n_classes, n))
+    return disagreement_criterion(preds_orig, preds_unb, 0), preds_unb
+
+
+def empties_another_class(report, labels, preds_unb, n_classes):
+    """Whether the oracle's one pass leaves a class that no point targets:
+    keeping a point on its class took another class's only carrier."""
+    target = labels.copy()
+    disagreeing = [p for p, _, _ in report.disagreeing_points]
+    target[disagreeing] = preds_unb[disagreeing]
+    for c in np.setdiff1d(np.arange(n_classes), target):
+        target[min(p for p in disagreeing if labels[p] == c)] = c
+    return np.setdiff1d(np.arange(n_classes), target).size > 0
+
+
 class TestLabelMapChecks:
     def test_identity_valid(self):
         assert identity_map([0, 1, 0, 1]).n_fine == 2
+
+    @pytest.mark.parametrize("field", ["fine_to_class", "fine_of_point"])
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [0.5, 1.7], [False, True]],
+                             ids=["whole_floats", "fractions", "booleans"])
+    def test_ids_that_are_not_integers_are_rejected(self, field, values):
+        arrays = {"fine_to_class": [0, 1], "fine_of_point": [0, 1], field: values}
+        with pytest.raises(InputError, match=f"{field} must hold integers only"):
+            LabelMap(**arrays, n_classes=2)
 
     def test_not_surjective(self):
         with pytest.raises(InputError, match="not surjective"):
@@ -84,7 +192,7 @@ class TestModifyStructure:
         labels = np.array([0, 1])
         report = disagreement_criterion(labels, labels, 0)
         with pytest.raises(InputError):
-            modify_structure(identity_map(labels), report, labels, labels)
+            modify_structure(identity_map(labels), report, labels)
 
     def test_single_pair_grows_by_one(self):
         labels = np.array([0, 0, 0, 1, 1])
@@ -94,7 +202,7 @@ class TestModifyStructure:
         preds_orig = np.array([0, 0, 0, 1, 1])
         report = disagreement_criterion(preds_orig, preds_unb, 1)
         assert report.disagreements == 2
-        lm = modify_structure(identity_map(labels), report, labels, preds_unb)
+        lm = modify_structure(identity_map(labels), report, labels)
         assert lm.n_fine == 3
         assert lm.fine_to_class[2] == 1  # new label maps to the unbiased prediction
         np.testing.assert_array_equal(lm.fine_of_point, [2, 2, 0, 1, 1])
@@ -106,7 +214,7 @@ class TestModifyStructure:
         # disagreeing points: 0 (0->1), 1 (1->0), 2 (0->1); pairs {(0,1),(1,0)}
         report = disagreement_criterion(preds_orig, preds_unb, 0)
         assert report.disagreements == 3
-        lm = modify_structure(identity_map(labels), report, labels, preds_unb)
+        lm = modify_structure(identity_map(labels), report, labels)
         assert lm.n_fine == 4
         assert sorted(lm.fine_to_class[2:].tolist()) == [0, 1]
 
@@ -117,7 +225,7 @@ class TestModifyStructure:
         labels = np.array([0, 0, 1, 1])
         preds_unb = np.array([1, 1, 0, 1])
         report = disagreement_criterion(labels, preds_unb, 0)
-        lm = modify_structure(identity_map(labels), report, labels, preds_unb)
+        lm = modify_structure(identity_map(labels), report, labels)
         np.testing.assert_array_equal(lm.fine_to_class, [1, 1, 0])
         np.testing.assert_array_equal(lm.fine_of_point, [1, 1, 2, 0])
 
@@ -130,7 +238,7 @@ class TestModifyStructure:
         report = disagreement_criterion(preds_orig, preds_unb, 0)
         if not report.misspecified:
             pytest.skip("no disagreements drawn")
-        lm = modify_structure(identity_map(labels, 3), report, labels, preds_unb)
+        lm = modify_structure(identity_map(labels, 3), report, labels)
         mapped = lm.fine_to_class[lm.fine_of_point]
         disagreeing = {p for p, _, _ in report.disagreeing_points}
         for p in range(30):
@@ -145,7 +253,7 @@ class TestModifyStructure:
         preds_orig = np.array([0, 0, 1, 1])
         report = disagreement_criterion(preds_orig, preds_unb, 0)
         with pytest.raises(StructureGrowthCapped):
-            modify_structure(identity_map(labels), report, labels, preds_unb, k_max=2)
+            modify_structure(identity_map(labels), report, labels, k_max=2)
 
     def test_strict_growth(self):
         rng = np.random.default_rng(1)
@@ -159,7 +267,7 @@ class TestModifyStructure:
                 continue
             lm0 = identity_map(labels)
             try:
-                lm1 = modify_structure(lm0, report, labels, preds_unb)
+                lm1 = modify_structure(lm0, report, labels)
             except StructureGrowthCapped:
                 continue
             assert lm1.n_fine > lm0.n_fine
@@ -170,6 +278,66 @@ class TestModifyStructure:
         preds_unb = np.array([1, 1, 1, 1])
         preds_orig = np.array([0, 0, 1, 1])
         report = disagreement_criterion(preds_orig, preds_unb, 0)
-        lm = modify_structure(identity_map(labels), report, labels, preds_unb)
+        lm = modify_structure(identity_map(labels), report, labels)
         assert set(lm.fine_to_class.tolist()) == {0, 1}  # still onto both classes
         assert 0 in lm.fine_to_class[lm.fine_of_point[labels == 0]]
+
+    def test_keeping_a_point_home_may_empty_another_class(self):
+        # class 0's only point moves to class 1 and class 1's only point to
+        # class 2. Kept on class 0, point 0 takes class 1's only carrier, so
+        # point 1 is kept on class 1 too: nothing is left to move.
+        labels = [0, 1, 2]
+        report = disagreement_criterion([0, 1, 2], [1, 2, 2], 0)
+        with pytest.raises(InputError, match="not surjective"):
+            oracle_modify_structure(identity_map(labels, 3), report, labels, [1, 2, 2])
+        with pytest.raises(StructureGrowthCapped, match="did not grow"):
+            modify_structure(identity_map(labels, 3), report, labels)
+
+    def test_second_kept_point_leaves_a_group_to_move(self):
+        # as above, with a second class-1 point moving to class 2: once
+        # points 0 and 1 are kept, point 2 alone forms the (1, 2) group
+        labels = [0, 1, 1, 2]
+        report = disagreement_criterion(labels, [1, 2, 2, 2], 0)
+        with pytest.raises(InputError, match="not surjective"):
+            oracle_modify_structure(identity_map(labels, 3), report, labels, [1, 2, 2, 2])
+        lm = modify_structure(identity_map(labels, 3), report, labels)
+        np.testing.assert_array_equal(lm.fine_to_class, [0, 1, 2, 2])
+        np.testing.assert_array_equal(lm.fine_of_point, [0, 1, 3, 2])
+
+    @given(st.integers(2, 4), st.integers(0, 2), st.sampled_from([None, 0, 1, 2]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle_where_it_holds(self, n_classes, growths, slack, seed):
+        # Label maps grown by 0-2 earlier modifications, K_max None or tight.
+        # Outside the defect cases, the oracle's map or cap is the answer.
+        rng = np.random.default_rng(seed)
+        extra = rng.integers(0, n_classes, rng.integers(0, 9))
+        labels = rng.permutation(np.concatenate([np.arange(n_classes), extra]))
+        lm = identity_map(labels, n_classes)
+        for _ in range(growths):
+            report, preds_unb = random_report(rng, labels, n_classes)
+            grown = outcome(oracle_modify_structure, lm, report, labels, preds_unb)
+            lm = grown if isinstance(grown, LabelMap) else lm
+        report, preds_unb = random_report(rng, labels, n_classes)
+        assume(report.misspecified)
+        k_max = None if slack is None else lm.n_fine + slack
+        expected = outcome(oracle_modify_structure, lm, report, labels, preds_unb, k_max)
+        got = outcome(modify_structure, lm, report, labels, k_max)
+        defect = empties_another_class(report, labels, preds_unb, n_classes)
+        assert defect or not isinstance(expected, InputError)
+        if defect:  # the oracle raises InputError, or caps on a miscount
+            assert isinstance(got, (LabelMap, StructureGrowthCapped))
+        elif isinstance(expected, StructureGrowthCapped):
+            assert type(got) is StructureGrowthCapped and str(got) == str(expected)
+        else:
+            assert isinstance(got, LabelMap)
+            for name in ("fine_to_class", "fine_of_point"):
+                want, have = getattr(expected, name), getattr(got, name)
+                np.testing.assert_array_equal(have, want)
+                assert have.dtype == want.dtype
+        if isinstance(got, LabelMap):
+            mapped = got.fine_to_class[got.fine_of_point]
+            disagreeing = [p for p, _, _ in report.disagreeing_points]
+            agreeing = np.setdiff1d(np.arange(labels.size), disagreeing)
+            np.testing.assert_array_equal(mapped[agreeing], labels[agreeing])
+            assert np.all((mapped == labels) | (mapped == preds_unb))

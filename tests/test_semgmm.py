@@ -199,6 +199,11 @@ def random_model(rng, k=3, dim=2, n_classes=2):
     )
 
 
+# Component maps that a cast would turn into [0, 1]
+NOT_INTEGER_IDS = [[0.0, 1.0], [0.4, 1.6], [False, True]]
+NOT_INTEGER_IDS_KINDS = ["whole_floats", "fractions", "booleans"]
+
+
 class TestFitSem:
     def test_supervised_means_equal_class_means(self):
         rng = np.random.default_rng(0)
@@ -237,6 +242,18 @@ class TestFitSem:
         d = all_labeled_dataset(np.zeros((4, 1)), [0, 1, 0, 1])
         with pytest.raises(InputError):
             fit_sem(d, 1, np.array([0]), SolverOptions())
+
+    @pytest.mark.parametrize("comp_map", NOT_INTEGER_IDS, ids=NOT_INTEGER_IDS_KINDS)
+    def test_comp_map_that_is_not_integer_rejected(self, comp_map):
+        d = all_labeled_dataset(np.arange(4.0).reshape(4, 1), [0, 1, 0, 1])
+        with pytest.raises(InputError, match="comp_map must hold integers only"):
+            fit_sem(d, 2, np.array(comp_map), SolverOptions())
+
+    @pytest.mark.parametrize("comp_map", NOT_INTEGER_IDS, ids=NOT_INTEGER_IDS_KINDS)
+    def test_model_comp_map_that_is_not_integer_rejected(self, comp_map):
+        with pytest.raises(InputError, match="comp_map must hold integers only"):
+            GmmModel(weights=[0.5, 0.5], means=[[0.0], [1.0]], covariances=[[1.0], [1.0]],
+                     comp_map=comp_map, n_classes=2)
 
     def test_comp_map_must_cover_classes(self):
         d = all_labeled_dataset(np.zeros((4, 1)), [0, 1, 0, 1])

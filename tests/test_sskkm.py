@@ -243,6 +243,9 @@ class TestFitSskkm:
                 fit_sskkm(km, d, lm, SolverOptions(), init=np.array(init))
         with pytest.raises(InputError, match="do not pin labeled points"):
             fit_sskkm(km, d, lm, SolverOptions(), init=np.array([1, 0, 0]))
+        for init in ([0.0, 1.0, 0.0], [0.2, 1.9, 0.5], [False, True, False]):
+            with pytest.raises(InputError, match="init must hold integers only"):
+                fit_sskkm(km, d, lm, SolverOptions(), init=np.array(init))
         init = np.array([0, 1, 0])
         model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
         assert model.n_clusters == 2
