@@ -126,7 +126,7 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
         init = init_assignments(km, d, label_map)
 
         def fit(mode: str) -> ClusterModel:
-            solver = replace(opts.solver, unlabeled_weight_mode=mode, custom_weight=None)
+            solver = replace(opts.solver, unlabeled_weight_mode=mode)
             return fit_sskkm(km, d, label_map, solver, init=init)
 
         original, unbiased = fan_out(fit, ("original", "unbiased"), width)

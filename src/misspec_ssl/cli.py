@@ -30,7 +30,6 @@ from .evalx import (
     learning_curve,
     load_model,
     mean_ap,
-    method_solver,
     predict,
 )
 from .kernels import KernelSpec, gram_matrix
@@ -140,8 +139,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for flag, value in askkm_only.items():
         if value is not None and family != "askkm":
             raise InputError(f"{flag} applies to askkm only, not to {args.method}")
-    base = SolverOptions(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
-    solver = method_solver(args.method, base, args.weight)
+    solver = SolverOptions(max_iter=args.max_iter, tol=args.tol, seed=args.seed)
     askkm = AskkmOptions()
     if family == "askkm":
         askkm = AskkmOptions(
@@ -151,7 +149,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     echo = _echo(args)
 
     km = None if family == "sem" else gram_matrix(dataset, _kernel_from_args(args))
-    model = fit_method(args.method, dataset, km, solver, args.components, askkm)
+    model = fit_method(args.method, dataset, km, solver, args.components, askkm, args.weight)
     if out_criterion:
         _dump_json(
             {"config": echo, "criterion": model.history[-1].report.to_dict()}, out_criterion
@@ -313,7 +311,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     fit.add_argument("--components", type=int, default=None,
                      help="mixture components for sem methods (default: one per class)")
     fit.add_argument("--weight", type=float, default=None,
-                     help="custom unlabeled weight in [0,1] (overrides the method's mode; "
+                     help="unlabeled weight in [0,1] (overrides the method's weighting; "
                      "not for askkm)")
     fit.add_argument("--threshold", type=int, default=None)
     fit.add_argument("--k-max", type=int, default=None)

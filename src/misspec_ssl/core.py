@@ -176,15 +176,17 @@ def fan_out_width(entries: int | None = None) -> int:
     """Threads a fan-out from the calling thread may use: 1 on a pool
     thread or for an output of fewer than FAN_OUT_MIN_ENTRIES ``entries``
     (None: no floor), else the usable CPUs, capped by the integer in
-    MISSPEC_SSL_THREADS when it is set (InputError when it is not an
-    integer)."""
+    MISSPEC_SSL_THREADS when it is set (InputError unless that is an
+    integer of at least 1)."""
     cap = os.environ.get(ENV_THREADS)
     threads = _usable_cpus()
     if cap is not None:
         try:
-            threads = max(1, min(threads, int(cap)))
+            threads = min(threads, int(cap))
         except ValueError:
             raise InputError(f"{ENV_THREADS} must be an integer, got {cap!r}") from None
+        if threads < 1:
+            raise InputError(f"{ENV_THREADS} must be at least 1, got {cap!r}")
     if _on_pool_thread() or (entries is not None and entries < FAN_OUT_MIN_ENTRIES):
         return 1
     return threads
@@ -349,44 +351,38 @@ class Dataset:
         return self.n_points - self.n_labeled
 
 
-WEIGHT_MODES = ("original", "unbiased", "custom")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by the kernel k-means and mixture-EM solvers.
 
-    ``unlabeled_weight_mode`` selects how the unlabeled objective term is
-    weighted: "original" uses 1, "unbiased" uses N_l/(N_l+N_u), and "custom"
-    uses ``custom_weight`` (a supervised fit is custom weight 0).
+    ``unlabeled_weight_mode`` is the weight of the unlabeled objective term:
+    "original" uses 1, "unbiased" uses N_l/(N_l+N_u), and a number in [0, 1]
+    is the weight itself (0 is the supervised fit, and any other the EM-λ
+    weighting). evalx.fit_method sets it to each method's weighting.
     """
 
     max_iter: int = 300
     tol: float = 1e-7
     seed: int = 0
-    unlabeled_weight_mode: str = "original"
-    custom_weight: float | None = None
+    unlabeled_weight_mode: str | float = "original"
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol >= 0:
             raise InputError(f"tol must be >= 0, got {self.tol}")
-        if self.unlabeled_weight_mode not in WEIGHT_MODES:
-            raise InputError(
-                f"unlabeled_weight_mode must be one of {WEIGHT_MODES}, "
-                f"got {self.unlabeled_weight_mode!r}"
-            )
-        if self.unlabeled_weight_mode == "custom":
-            if self.custom_weight is None or not 0.0 <= self.custom_weight <= 1.0:
-                raise InputError(f"custom weight must be in [0, 1], got {self.custom_weight}")
+        mode = self.unlabeled_weight_mode
+        weight = isinstance(mode, (int, float)) and not isinstance(mode, bool)
+        if mode not in ("original", "unbiased") and not (weight and 0 <= mode <= 1):
+            raise InputError('unlabeled_weight_mode must be "original", "unbiased" or a '
+                             f"weight in [0, 1], got {mode!r}")
 
     def resolve_unlabeled_weight(self, n_labeled: int, n_unlabeled: int) -> float:
         if self.unlabeled_weight_mode == "original":
             return 1.0
         if self.unlabeled_weight_mode == "unbiased":
             return n_labeled / (n_labeled + n_unlabeled)
-        return float(self.custom_weight)
+        return float(self.unlabeled_weight_mode)
 
 
 def _dataset_violations(d: Dataset) -> list[str]:

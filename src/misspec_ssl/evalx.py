@@ -33,10 +33,10 @@ CELL_FORK_MIN_ROWS = 500
 
 
 class Method(NamedTuple):
-    """A fitting method: a model family and the weighting of its unlabeled term."""
+    """A fitting method: a model family and a SolverOptions.unlabeled_weight_mode."""
 
     family: str  # "sem", "sskkm" or "askkm"
-    mode: str  # "original", "unbiased" or "supervised" (custom weight 0)
+    mode: str | float  # "original", "unbiased" or the weight (0: supervised)
 
 
 # The methods of `fit` and `curve`. A name whose Method repeats an earlier
@@ -47,8 +47,8 @@ METHODS = {
     "askkm": Method("askkm", "original"),
     "original_sem": Method("sem", "original"),
     "unbiased_sem": Method("sem", "unbiased"),
-    "supervised": Method("sem", "supervised"),
-    "supervised_sem": Method("sem", "supervised"),
+    "supervised": Method("sem", 0.0),
+    "supervised_sem": Method("sem", 0.0),
 }
 
 # The model JSON loader of each family; askkm scores as its final model.
@@ -68,17 +68,6 @@ def load_model(d: dict) -> GmmModel | ClusterModel:
     return LOADERS[family](d)
 
 
-def method_solver(name: str, base: SolverOptions, weight: float | None = None) -> SolverOptions:
-    """``base`` with the unlabeled weighting of method ``name``, or with the
-    custom ``weight`` in its place."""
-    mode = METHODS[name].mode
-    if weight is None and mode == "supervised":
-        weight = 0.0
-    if weight is not None:
-        return replace(base, unlabeled_weight_mode="custom", custom_weight=weight)
-    return replace(base, unlabeled_weight_mode=mode, custom_weight=None)
-
-
 def fit_method(
     name: str,
     train: Dataset,
@@ -86,12 +75,15 @@ def fit_method(
     solver: SolverOptions,
     components: int | None = None,
     askkm: AskkmOptions = AskkmOptions(),
+    weight: float | None = None,
 ) -> GmmModel | ClusterModel | AskkmModel:
-    """Fit method ``name`` with ``solver`` (see method_solver). ``km`` is the
-    training Gram of the kernel families; ``components`` is the mixture size
-    of the sem family (default: one per class); ``askkm`` holds the outer-loop
-    knobs of askkm, whose solver options ``solver`` replaces."""
-    family = METHODS[name].family
+    """Fit method ``name`` with ``solver`` at the method's unlabeled weighting,
+    or at ``weight`` in its place. ``km`` is the training Gram of the kernel
+    families; ``components`` is the mixture size of the sem family (default:
+    one per class); ``askkm`` holds the outer-loop knobs of askkm, whose
+    solver options ``solver`` replaces."""
+    family, mode = METHODS[name]
+    solver = replace(solver, unlabeled_weight_mode=mode if weight is None else weight)
     if family == "sem":
         k = components if components is not None else train.n_classes
         return fit_sem(train, k, np.arange(k) % train.n_classes, solver)
@@ -140,7 +132,9 @@ def interpolated_precision_points(scores: np.ndarray, relevance: np.ndarray) -> 
     ranking prefixes reaching recall >= r.
     """
     scores = np.asarray(scores, dtype=float)
-    relevance = np.asarray(relevance).astype(int)
+    relevance = np.asarray(relevance)
+    if relevance.dtype.kind not in "biu" or not np.isin(relevance, (0, 1)).all():
+        raise InputError("relevance must hold booleans or integers 0 and 1 only")
     if scores.ndim != 1 or scores.shape != relevance.shape or scores.size < 1:
         raise InputError("scores and relevance must be equal-length nonempty vectors")
     if not relevance.any():
@@ -246,8 +240,7 @@ def _evaluate_cell(
             model = first_round[mode == "unbiased"]
         else:
             seed = derive_seed(base_seed, "fit", seed_index, method)
-            opts = method_solver(method, replace(solver, seed=seed))
-            model = fit_method(method, train, km, opts)
+            model = fit_method(method, train, km, replace(solver, seed=seed))
             if family == "askkm":
                 first_round = model.first_round
         preds, scores = predict(model, test_x, rows, diag)

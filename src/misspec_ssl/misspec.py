@@ -95,8 +95,8 @@ def disagreement_criterion(
     threshold: int,
 ) -> CriterionReport:
     """Count labeled points where the two prediction lists differ."""
-    po = np.asarray(preds_original, dtype=int)
-    pu = np.asarray(preds_unbiased, dtype=int)
+    po = integer_array(preds_original, "preds_original")
+    pu = integer_array(preds_unbiased, "preds_unbiased")
     if po.shape != pu.shape:
         raise InputError(f"prediction lists differ in length: {po.size} vs {pu.size}")
     if threshold < 0:
@@ -141,7 +141,7 @@ def modify_structure(
     """
     if not report.misspecified:
         raise InputError("modify_structure requires a misspecified report")
-    labels = np.asarray(labels, dtype=int)
+    labels = integer_array(labels, "labels")
     if labels.size != report.n_labeled:
         raise InputError("labels not aligned with the criterion report")
     target, moving = labels.copy(), np.zeros(labels.size, dtype=bool)

@@ -231,7 +231,7 @@ def _objective(norm: np.ndarray, n_labeled: int, w: float) -> float:
 
 def joint_log_density(m: GmmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log f(x_i, y_i | theta): logsumexp over the components of class y_i."""
-    y = np.atleast_1d(np.asarray(y, dtype=int))
+    y = np.atleast_1d(integer_array(y, "y"))
     return _masked_log_joint(m, x, m.comp_map[None, :] == y[:, None])[1]
 
 

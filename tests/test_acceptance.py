@@ -47,10 +47,7 @@ def report(criterion, ok, detail):
 
 
 def sem_fit(train, mode, seed):
-    if mode == "supervised":
-        opts = SolverOptions(seed=seed, unlabeled_weight_mode="custom", custom_weight=0.0)
-    else:
-        opts = SolverOptions(seed=seed, unlabeled_weight_mode=mode)
+    opts = SolverOptions(seed=seed, unlabeled_weight_mode=0.0 if mode == "supervised" else mode)
     return fit_sem(train, train.n_classes, np.arange(train.n_classes), opts)
 
 
@@ -176,11 +173,10 @@ class TestCriterion4SolverOracles:
         rng = np.random.default_rng(derive_seed(BASE_SEED, "em-mono"))
         for trial in range(100):
             d = random_ssl_dataset(rng)
-            mode = ("original", "unbiased", "custom")[trial % 3]
-            w = float(rng.uniform(0, 1)) if mode == "custom" else None
+            mode = ("original", "unbiased", None)[trial % 3] or float(rng.uniform(0, 1))
             model = fit_sem(
                 d, d.n_classes, np.arange(d.n_classes),
-                SolverOptions(seed=trial, unlabeled_weight_mode=mode, custom_weight=w),
+                SolverOptions(seed=trial, unlabeled_weight_mode=mode),
             )
             trace = np.array(model.objective_trace)
             slack = 1e-8 * (1.0 + np.abs(trace[:-1]))

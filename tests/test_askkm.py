@@ -18,7 +18,7 @@ from misspec_ssl.core import (
     fan_out_width,
 )
 from misspec_ssl.datagen import GenSpec, generate, sample_eval_set
-from misspec_ssl.evalx import fit_method, method_solver, predict
+from misspec_ssl.evalx import fit_method, predict
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import fit_sskkm, score_batch
@@ -84,6 +84,16 @@ class TestFitAskkm:
         assert model.rounds == 1
         assert model.terminated_by in ("converged", "growth_capped")
         assert model.n_clusters == 2
+
+    @pytest.mark.parametrize("gram_unlabeled, k_max, message", [
+        (1, None, "kernel matrix covers 21 points, dataset has 20"),
+        (0, 1, "k_max=1 below the class count 2"),
+    ])
+    def test_bad_inputs_rejected(self, gram_unlabeled, k_max, message):
+        d, _ = well_specified(derive_seed(5, "bad"), n_unlabeled=0)
+        km = gram_matrix(well_specified(derive_seed(5, "bad"), gram_unlabeled)[0], KernelSpec())
+        with pytest.raises(InputError, match=message):
+            fit_askkm(km, d, AskkmOptions(k_max=k_max))
 
     def test_history_k_strictly_increasing_and_bounded(self):
         for si in range(4):
@@ -226,9 +236,9 @@ class TestFirstRoundIsTheSskkmFits:
     def test_equal_to_fresh_fits_at_another_seed(self, nu, si):
         d, _ = misspecified(derive_seed(18, "first-round", si), n_unlabeled=nu)
         km = gram_matrix(d, KernelSpec())
-        model = fit_method("askkm", d, km, method_solver("askkm", SolverOptions(seed=si)))
+        model = fit_method("askkm", d, km, SolverOptions(seed=si))
         for fitted, name in zip(model.first_round, ("original_sskkm", "unbiased_sskkm")):
-            fresh = fit_method(name, d, km, method_solver(name, SolverOptions(seed=si + 7)))
+            fresh = fit_method(name, d, km, SolverOptions(seed=si + 7))
             assert_fields_equal(fitted, fresh, name)
         # a fit that ends in round 1 returns its first original fit itself
         assert (model.final_model is model.first_round[0]) == (model.rounds == 1)

@@ -88,6 +88,10 @@ BAD_INPUTS = {
                           "header_only.csv: no data rows after the header"),
     "tol_nan": (["fit", "--data", "data.csv", "--method", "original_sskkm", "--tol", "nan"], 3,
                 "tol must be >= 0, got nan"),
+    "weight_above_one": (["fit", "--data", "data.csv", "--method", "original_sem",
+                          "--weight", "1.5"], 3, "in [0, 1], got 1.5"),
+    "weight_nan": (["fit", "--data", "data.csv", "--method", "original_sskkm",
+                    "--weight", "nan"], 3, "in [0, 1], got nan"),
     "workers_0": (["curve", "--workers", 0, "--grid", 0, "--seeds", 1, "--eval-size", 20,
                    "--methods", "original_sem"], 3, "workers must be >= 1"),
     "config_max_iter_null": (["fit", "--data", "data.csv", "--method", "original_sskkm",
@@ -140,6 +144,24 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
     assert got == code
     assert message in capsys.readouterr().err
     assert set(Path().iterdir()) == before
+
+
+def test_exit_codes_reach_the_process(tmp_path):
+    # cli.py's sys.exit(main()) hands main's return value to the process.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != ENV_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, cap, code in [
+        (["gen", "--unlabeled", "10"], None, 0),
+        (["fit", "--data", "missing.csv", "--method", "original_sem"], None, 2),
+        (["fit", "--data", "dataset.csv", "--method", "original_sskkm"], "0", 3),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "misspec_ssl.cli", *argv], cwd=tmp_path,
+                              env=env if cap is None else {**env, ENV_THREADS: cap},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+    assert "MISSPEC_SSL_THREADS must be at least 1, got '0'" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv", "truth.json"]
 
 
 class TestFit:
@@ -204,7 +226,7 @@ class TestFit:
                  "--out-model", tmp_path / "m.json"])
         assert exc.value.code == 2
 
-    def test_custom_weight_flag(self, tmp_path, dataset_csv):
+    def test_weight_flag(self, tmp_path, dataset_csv):
         out = tmp_path / "w.json"
         run(["fit", "--data", dataset_csv, "--method", "original_sem",
              "--weight", 0.25, "--out-model", out])
@@ -423,10 +445,12 @@ class TestCurve:
         assert errors == ["error: no data at N_u=20\n"] * 2
         assert not (tmp_path / "curve.json").exists()
 
-    def test_thread_cap_that_is_no_integer_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_THREADS, "two")
+    @pytest.mark.parametrize("cap, rule", [("two", "an integer"), ("0", "at least 1"),
+                                           ("-3", "at least 1")])
+    def test_thread_cap_that_is_no_integer_exits_3(self, tmp_path, monkeypatch, capsys, cap, rule):
+        monkeypatch.setenv(ENV_THREADS, cap)
         assert self.run_curve(tmp_path, extra=["--workers", 2]) == 3
-        assert "MISSPEC_SSL_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+        assert f"MISSPEC_SSL_THREADS must be {rule}, got '{cap}'" in capsys.readouterr().err
         assert not (tmp_path / "curve.json").exists()
 
 

@@ -106,6 +106,11 @@ class TestValidateDataset:
         with pytest.raises(ValueError, match="read-only"):
             d.row_labels[2] = 0
 
+    def test_features_that_are_no_matrix_rejected(self):
+        with pytest.raises(InputError) as exc:
+            make_dataset(features=np.zeros(4))
+        assert str(exc.value) == "invalid dataset: features must be a 2-D matrix, got ndim=1"
+
     def test_one_label_per_row(self):
         with pytest.raises(InputError) as exc:
             make_dataset(features=np.zeros((5, 2)))
@@ -235,19 +240,18 @@ class TestSolverOptions:
             SolverOptions(max_iter=0)
         with pytest.raises(InputError):
             SolverOptions(tol=-1.0)
-        with pytest.raises(InputError):
-            SolverOptions(unlabeled_weight_mode="bogus")
-        with pytest.raises(InputError):
-            SolverOptions(unlabeled_weight_mode="custom", custom_weight=1.5)
-        with pytest.raises(InputError):
-            SolverOptions(unlabeled_weight_mode="custom")
 
-    def test_resolved_weights(self):
-        assert SolverOptions().resolve_unlabeled_weight(20, 80) == 1.0
-        unbiased = SolverOptions(unlabeled_weight_mode="unbiased")
-        assert unbiased.resolve_unlabeled_weight(20, 80) == 0.2
-        custom = SolverOptions(unlabeled_weight_mode="custom", custom_weight=0.3)
-        assert custom.resolve_unlabeled_weight(20, 80) == 0.3
+    @pytest.mark.parametrize("mode", [True, float("nan"), 1.5, -0.1, "custom", "supervised",
+                                      "bogus", None])
+    def test_weightings_other_than_the_two_modes_or_a_weight_rejected(self, mode):
+        with pytest.raises(InputError, match=r"weight in \[0, 1\], got "):
+            SolverOptions(unlabeled_weight_mode=mode)
+
+    @pytest.mark.parametrize("mode, want", [("original", 1.0), ("unbiased", 0.2), (0.3, 0.3),
+                                            (0, 0.0), (1, 1.0)])
+    def test_resolved_weights(self, mode, want):
+        weight = SolverOptions(unlabeled_weight_mode=mode).resolve_unlabeled_weight(20, 80)
+        assert type(weight) is float and weight == want
 
 
 class TestDeriveSeed:
@@ -295,16 +299,16 @@ class TestFanOut:
         assert fan_out_width(FAN_OUT_MIN_ENTRIES - 1) == 1
         fan_out_threads(1)
         assert fan_out_width(FAN_OUT_MIN_ENTRIES) == 1
-        fan_out_threads(0)
-        assert fan_out_width() == 1
         fan_out_threads(8)
         assert fan_out_width() == 2
         monkeypatch.delenv(ENV_THREADS)
         assert fan_out_width() == 2
 
-    def test_cap_that_is_no_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "two")
-        with pytest.raises(InputError, match="MISSPEC_SSL_THREADS must be an integer, got 'two'"):
+    @pytest.mark.parametrize("cap, rule", [("two", "an integer"), ("0", "at least 1"),
+                                           ("-3", "at least 1")])
+    def test_cap_that_is_no_integer_rejected(self, monkeypatch, cap, rule):
+        monkeypatch.setenv(ENV_THREADS, cap)
+        with pytest.raises(InputError, match=f"MISSPEC_SSL_THREADS must be {rule}, got '{cap}'"):
             fan_out_width()
 
     def test_one_thread_runs_inline(self, fan_out_threads, submissions):

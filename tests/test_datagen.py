@@ -27,6 +27,17 @@ class TestGenSpec:
         with pytest.raises(InputError):
             GenSpec(class_separation=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "bogus", "kind must be one of"),
+        ("n_classes", 1, "n_classes must be >= 2, got 1"),
+        ("n_labeled_per_class", 0, "need at least one labeled point per class"),
+        ("n_unlabeled", -1, "n_unlabeled must be >= 0"),
+        ("dim", 0, "dim must be >= 1"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            GenSpec(**{field: value})
+
 
 class TestGenerate:
     def test_deterministic(self):
@@ -110,6 +121,8 @@ class TestGenerate:
         xb, yb = sample_eval_set(spec, 101, seed=3)
         assert np.array_equal(xa, xb)
         assert sorted(np.bincount(ya).tolist()) == [50, 51]
+        with pytest.raises(InputError, match="eval size must be >= 1, got 0"):
+            sample_eval_set(spec, 0, seed=3)
 
 
 @pytest.mark.parametrize("spec", [

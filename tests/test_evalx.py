@@ -21,7 +21,6 @@ from misspec_ssl.evalx import (
     learning_curve,
     load_model,
     mean_ap,
-    method_solver,
     predict,
 )
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
@@ -68,6 +67,23 @@ class TestAveragePrecision:
     def test_no_relevant_items_is_an_error(self):
         with pytest.raises(UndefinedMetricError):
             average_precision([1.0, 2.0], [0, 0])
+
+    @pytest.mark.parametrize("scores, relevance, message", [
+        ([0.9, 0.5, 0.1], [0.7, 1, 0], "relevance must hold booleans or integers 0 and 1"),
+        ([0.9, 0.5, 0.1], [0.0, 1.0, 0.0], "relevance must hold booleans or integers 0 and 1"),
+        ([0.9, 0.5, 0.1], [0, 2, 1], "relevance must hold booleans or integers 0 and 1"),
+        ([0.9, 0.5], [0, 1, 0], "scores and relevance must be equal-length nonempty"),
+        ([[0.9, 0.5]], [[0, 1]], "scores and relevance must be equal-length nonempty"),
+    ], ids=["fractions", "whole_floats", "two", "lengths", "matrix"])
+    def test_malformed_input_rejected(self, scores, relevance, message):
+        with pytest.raises(InputError, match=message):
+            average_precision(scores, relevance)
+
+    def test_boolean_and_integer_relevance_agree(self):
+        scores = [0.9, 0.5, 0.1, 0.3]
+        assert average_precision(scores, [False, True, False, True]) == (
+            average_precision(scores, np.array([0, 1, 0, 1], dtype=np.uint8))
+        )
 
     def test_ties_break_by_original_order(self):
         # identical scores: first item ranked first
@@ -274,7 +290,7 @@ class TestLearningCurve:
         diag = kernel_diag(test_x, km.spec)
         name = curve.methods[0]
         seed = derive_seed(base_seed, "fit", 0, name)
-        model = fit_method(method, train, km, method_solver(method, SolverOptions(seed=seed)))
+        model = fit_method(method, train, km, SolverOptions(seed=seed))
         _, scores = predict(model, test_x, rows, diag)
         assert curve.raw[name][0, 0] == average_precision(scores[:, 1], test_y == 1)
 
@@ -331,16 +347,19 @@ class TestBlasThreadPin:
 
 
 class TestMethodTable:
-    def test_solver_weights(self):
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_fitted_weights(self, name):
+        # fit_method applies the method's weighting over any solver's, or
+        # the weight given in its place
+        want = {"original_sskkm": 1.0, "unbiased_sskkm": 10 / 40, "askkm": 1.0,
+                "original_sem": 1.0, "unbiased_sem": 10 / 40, "supervised": 0.0,
+                "supervised_sem": 0.0}[name]
         train, _ = generate(replace(SCENARIO, n_unlabeled=30, seed=1))
-        want = {"original": 1.0, "unbiased": 10 / 40, "supervised": 0.0}
-        for name, method in METHODS.items():
-            opts = method_solver(name, SolverOptions())
-            assert opts.resolve_unlabeled_weight(train.n_labeled, train.n_unlabeled) == (
-                want[method.mode]
-            )
-            custom = method_solver(name, SolverOptions(), weight=0.25)
-            assert custom.resolve_unlabeled_weight(train.n_labeled, train.n_unlabeled) == 0.25
+        km = gram_matrix(train, KernelSpec())
+        solver = SolverOptions(unlabeled_weight_mode=0.5)
+        assert fit_method(name, train, km, solver).unlabeled_weight == want
+        if name != "askkm":
+            assert fit_method(name, train, km, solver, weight=0.25).unlabeled_weight == 0.25
 
 
 def json_roundtrip(d):
@@ -364,7 +383,7 @@ class TestSerializationRoundTrip:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_scores_equal(self, data, method):
         train, test_x, km, rows, diag = data
-        fitted = fit_method(method, train, km, method_solver(method, SolverOptions()))
+        fitted = fit_method(method, train, km, SolverOptions())
         loaded = load_model(json_roundtrip(fitted.to_dict()))
         want_labels, want_scores = predict(fitted, test_x, rows, diag)
         for labels, scores in (predict(fitted, test_x), predict(loaded, test_x)):
@@ -383,7 +402,7 @@ class TestSerializationRoundTrip:
         # from labeled_rows and unlabeled_weight, and W_k from them.
         train, _ = generate(replace(SCENARIO, n_unlabeled=60, seed=derive_seed(3, "roundtrip")))
         km = gram_matrix(train, KernelSpec())
-        fitted = fit_method(method, train, km, method_solver(method, SolverOptions(), weight))
+        fitted = fit_method(method, train, km, SolverOptions(), weight=weight)
         if method == "askkm":
             assert fitted.rounds > 1 and fitted.n_clusters > train.n_classes
             fitted = fitted.final_model

@@ -166,6 +166,8 @@ class TestKernelEval:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             kernel_eval(np.ones(2), np.ones(3), KernelSpec(kind="linear"))
+        with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
+            cross_matrix(np.ones((1, 2)), np.ones((4, 3)), KernelSpec(kind="linear"))
 
     def test_chi_square_rejects_negative(self):
         spec = KernelSpec(kind="generalized_rbf", gamma=1.0, distance="chi_square")

@@ -34,6 +34,16 @@ class TestCriterion:
         with pytest.raises(InputError):
             disagreement_criterion(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 0)
 
+    @pytest.mark.parametrize("original, unbiased, threshold, message", [
+        ([0, 1], [0, 1], -1, "threshold must be >= 0, got -1"),
+        ([0.5, 1.7], [0, 1], 0, "preds_original must hold integers only"),
+        ([0, 1], [0.0, 1.0], 0, "preds_unbiased must hold integers only"),
+        ([0, 1], [False, True], 0, "preds_unbiased must hold integers only"),
+    ], ids=["negative_threshold", "fractions", "whole_floats", "booleans"])
+    def test_bad_input_rejected(self, original, unbiased, threshold, message):
+        with pytest.raises(InputError, match=message):
+            disagreement_criterion(original, unbiased, threshold)
+
     @given(
         st.lists(st.integers(0, 3), min_size=1, max_size=60),
         st.integers(0, 2**32 - 1),
@@ -186,6 +196,15 @@ class TestLabelMapChecks:
         with pytest.raises(InputError, match="without a labeled carrier"):
             LabelMap(fine_to_class=[0, 1, 1], fine_of_point=[0, 1], n_classes=2)
 
+    @pytest.mark.parametrize("fine_to_class, fine_of_point, message", [
+        ([0], [0, 0], "label map has 1 fine labels for 2 classes"),
+        ([0, 1], [0, 2], r"fine_of_point outside 0\.\.K-1"),
+        ([0, 1], [-1, 1], r"fine_of_point outside 0\.\.K-1"),
+    ])
+    def test_fine_labels_out_of_range_rejected(self, fine_to_class, fine_of_point, message):
+        with pytest.raises(InputError, match=message):
+            LabelMap(fine_to_class=fine_to_class, fine_of_point=fine_of_point, n_classes=2)
+
 
 class TestModifyStructure:
     def test_requires_misspecified_report(self):
@@ -193,6 +212,16 @@ class TestModifyStructure:
         report = disagreement_criterion(labels, labels, 0)
         with pytest.raises(InputError):
             modify_structure(identity_map(labels), report, labels)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0.2, 1.9, 1.4], "labels must hold integers only"),
+        ([False, True, True], "labels must hold integers only"),
+        ([0, 1], "labels not aligned with the criterion report"),
+    ], ids=["fractions", "booleans", "short"])
+    def test_bad_labels_rejected(self, labels, message):
+        report = disagreement_criterion([0, 1, 1], [1, 1, 0], 0)
+        with pytest.raises(InputError, match=message):
+            modify_structure(identity_map([0, 1, 1]), report, labels)
 
     def test_single_pair_grows_by_one(self):
         labels = np.array([0, 0, 0, 1, 1])

@@ -210,7 +210,7 @@ class TestFitSem:
         x = rng.standard_normal((40, 2))
         labels = np.repeat([0, 1], 20)
         d = all_labeled_dataset(x, labels)
-        opts = SolverOptions(unlabeled_weight_mode="custom", custom_weight=0.0)
+        opts = SolverOptions(unlabeled_weight_mode=0.0)
         model = fit_sem(d, 2, np.arange(2), opts)
         np.testing.assert_allclose(model.means[0], x[:20].mean(axis=0), rtol=1e-9)
         np.testing.assert_allclose(model.means[1], x[20:].mean(axis=0), rtol=1e-9)
@@ -260,6 +260,11 @@ class TestFitSem:
         with pytest.raises(InputError):
             fit_sem(d, 2, np.array([0, 0]), SolverOptions())
 
+    def test_comp_map_of_another_size_rejected(self):
+        d = all_labeled_dataset(np.zeros((4, 1)), [0, 1, 0, 1])
+        with pytest.raises(InputError, match="comp_map covers 2 components, expected 3"):
+            fit_sem(d, 3, np.array([0, 1]), SolverOptions())
+
     def test_mixing_weights_remain_probability_vector(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
@@ -276,10 +281,9 @@ class TestFitSem:
             n = 40
             x = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3)
             d = leading_labeled_dataset(x, [0, 1] * 4)
-            mode = ("original", "unbiased", "custom")[trial % 3]
-            w = 0.37 if mode == "custom" else None
-            model = fit_sem(d, 2, np.arange(2), SolverOptions(
-                seed=trial, unlabeled_weight_mode=mode, custom_weight=w))
+            mode = ("original", "unbiased", 0.37)[trial % 3]
+            opts = SolverOptions(seed=trial, unlabeled_weight_mode=mode)
+            model = fit_sem(d, 2, np.arange(2), opts)
             trace = np.array(model.objective_trace)
             slack = 1e-8 * (1.0 + np.abs(trace[:-1]))
             assert np.all(np.diff(trace) >= -slack)
@@ -300,6 +304,12 @@ class TestLoglik:
         got = float(joint_log_density(m, d.features[:1], [0])[0])
         assert got == pytest.approx(np.log(0.25) - LOG_2PI, rel=1e-12)
 
+    @pytest.mark.parametrize("y", [[0.9, 1.2], [0.0, 1.0], [False, True]],
+                             ids=["fractions", "whole_floats", "booleans"])
+    def test_classes_that_are_not_integers_rejected(self, y):
+        with pytest.raises(InputError, match="y must hold integers only"):
+            joint_log_density(two_gaussian_model(), np.zeros((2, 1)), y)
+
     def test_trace_matches_post_hoc_evaluation(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 2))
@@ -314,8 +324,8 @@ class TestLoglik:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((60, 2)) * 2
         d = leading_labeled_dataset(x, [0, 1] * 5)
-        for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.4)):
-            opts = SolverOptions(seed=2, unlabeled_weight_mode=mode, custom_weight=w)
+        for mode in ("original", "unbiased", 0.0, 0.4):
+            opts = SolverOptions(seed=2, unlabeled_weight_mode=mode)
             trace = fit_sem(d, 3, np.array([0, 1, 1]), opts).objective_trace
             assert len(trace) > 9
             for j in (1, 2, 3, 5, 8, len(trace) - 1):
@@ -433,6 +443,12 @@ class TestKlMc:
         with pytest.raises(InputError):
             kl_mc(m, m, 0, seed=0)
 
+    @pytest.mark.parametrize("dim, n_classes", [(2, 2), (1, 3)])
+    def test_models_of_another_dimension_or_class_set_rejected(self, dim, n_classes):
+        other = random_model(np.random.default_rng(0), dim=dim, n_classes=n_classes)
+        with pytest.raises(InputError, match="models must share dimension and class set"):
+            kl_mc(two_gaussian_model(), other, 10, seed=0)
+
     @pytest.mark.parametrize("k", [2, 3, 8, 9])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
     def test_equals_per_sample_square_root_oracle(self, monkeypatch, k, dim):
@@ -528,8 +544,8 @@ class TestColumnFoldsEqualOracle:
         d, _ = generate(spec)
         comp_map = np.arange(k) % 2
         iterations = []
-        for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.3)):
-            opts = SolverOptions(seed=k, unlabeled_weight_mode=mode, custom_weight=w)
+        for mode in ("original", "unbiased", 0.0, 0.3):
+            opts = SolverOptions(seed=k, unlabeled_weight_mode=mode)
             fast, slow = with_oracle(lambda: fit_sem(d, k, comp_map, opts))
             assert bits(fast) == bits(slow) == bits(fit_sem_oracle(d, k, comp_map, opts))
             iterations.append(len(fast.objective_trace) - 1)
@@ -593,8 +609,8 @@ class TestFitSemEqualsWholeLoopOracle:
                        n_labeled_per_class=5, n_unlabeled=200, seed=derive_seed(14, "dead"))
         d, _ = generate(spec)
         comp_map = np.array([0, 1, 1])
-        for mode, w in (("original", None), ("unbiased", None), ("custom", 0.0), ("custom", 0.3)):
-            opts = SolverOptions(seed=3, unlabeled_weight_mode=mode, custom_weight=w)
+        for mode in ("original", "unbiased", 0.0, 0.3):
+            opts = SolverOptions(seed=3, unlabeled_weight_mode=mode)
             fast = fit_sem(d, 3, comp_map, opts)
             assert bits(fast) == bits(fit_sem_oracle(d, 3, comp_map, opts))
             assert len(fast.objective_trace) > 2

@@ -185,13 +185,12 @@ class TestFitSskkm:
         assert a.objective == b.objective
         assert a.unlabeled_weight == b.unlabeled_weight == 1.0
 
-    def test_custom_weight_one_reproduces_original(self):
+    def test_weight_one_reproduces_original(self):
         d = seeded_instance(15, n=40)
         km = gram_matrix(d, KernelSpec(kind="rbf", gamma=0.2))
         lm = LabelMap.identity(d.labels, 2)
         orig = fit_sskkm(km, d, lm, SolverOptions(unlabeled_weight_mode="original"))
-        cust = fit_sskkm(km, d, lm,
-                         SolverOptions(unlabeled_weight_mode="custom", custom_weight=1.0))
+        cust = fit_sskkm(km, d, lm, SolverOptions(unlabeled_weight_mode=1.0))
         assert np.array_equal(orig.cluster_of, cust.cluster_of)
         assert orig.objective == cust.objective
         assert orig.objective_trace == cust.objective_trace
@@ -231,6 +230,12 @@ class TestFitSskkm:
         b = fit_sskkm(km, d, lm, SolverOptions(seed=5))
         assert np.array_equal(a.cluster_of, b.cluster_of)
         assert a.objective == b.objective
+
+    def test_kernel_matrix_of_another_dataset_rejected(self):
+        km = gram_matrix(seeded_instance(0, n=10), LINEAR)
+        d = seeded_instance(0, n=12)
+        with pytest.raises(InputError, match="kernel matrix covers 10 points, dataset has 12"):
+            fit_sskkm(km, d, LabelMap.identity(d.labels, 2), SolverOptions())
 
     def test_init_checked_against_label_map(self):
         # one cluster id of the label map's K per point, with the labeled
@@ -491,8 +496,7 @@ class TestIncrementalMatchesFullProductOracle:
         init = rng.integers(0, lm.n_fine, d.n_points)
         init[d.labeled_idx] = lm.fine_of_point
         options = [SolverOptions(unlabeled_weight_mode=mode) for mode in ("original", "unbiased")]
-        options += [SolverOptions(unlabeled_weight_mode="custom", custom_weight=w, tol=0.0)
-                    for w in (0.0, 0.7)]
+        options += [SolverOptions(unlabeled_weight_mode=w, tol=0.0) for w in (0.0, 0.7)]
         with pytest.MonkeyPatch.context() as mp:
             force_incremental(mp, km.n, int(rng.integers(1, 4)))
             np.testing.assert_array_equal(init_assignments(km, d, lm),
