@@ -180,9 +180,10 @@ def generate(spec: GenSpec) -> tuple[Dataset, GroundTruth]:
         comps = np.flatnonzero(comp_class == c)
         pattern = _subcluster_pattern(m, c)
         lab_sub = comps[np.arange(spec.n_labeled_per_class) % m]
-        lab_x = means[lab_sub] + rng_lab.standard_normal((spec.n_labeled_per_class, spec.dim))
+        lab_x = means.take(lab_sub, axis=0) + rng_lab.standard_normal(
+            (spec.n_labeled_per_class, spec.dim))
         unl_sub = comps[pattern[np.arange(unl_counts[c]) % pattern.size]]
-        unl_x = means[unl_sub] + rng_unl.standard_normal((unl_counts[c], spec.dim))
+        unl_x = means.take(unl_sub, axis=0) + rng_unl.standard_normal((unl_counts[c], spec.dim))
 
         rows.extend([lab_x, unl_x])
         row_labels.extend([np.full(spec.n_labeled_per_class, c),
@@ -218,7 +219,7 @@ def sample_eval_set(spec: GenSpec, n: int, seed: int) -> tuple[np.ndarray, np.nd
         comps = np.flatnonzero(comp_class == c)
         pattern = _subcluster_pattern(spec.subclusters_per_class, c)
         sub = comps[pattern[np.arange(counts[c]) % pattern.size]]
-        xs.append(means[sub] + rng.standard_normal((counts[c], spec.dim)))
+        xs.append(means.take(sub, axis=0) + rng.standard_normal((counts[c], spec.dim)))
         ys.append(np.full(counts[c], c, dtype=int))
     return np.concatenate(xs, axis=0), np.concatenate(ys)
 

@@ -68,6 +68,18 @@ def load_model(d: dict) -> GmmModel | ClusterModel:
     return LOADERS[family](d)
 
 
+def _check_weight(name: str, weight: float | None, label: str = "weight") -> None:
+    """InputError unless ``weight`` may take the place of method ``name``'s
+    unlabeled weighting: None, or a weight in [0, 1] for any method but
+    askkm, which fits both weightings itself. ``label`` names the weight in
+    the message."""
+    if weight is None:
+        return
+    if METHODS[name].family == "askkm":
+        raise InputError(f"{label} does not apply to askkm, which fits both weightings itself")
+    SolverOptions(unlabeled_weight_mode=weight)
+
+
 def fit_method(
     name: str,
     train: Dataset,
@@ -81,7 +93,9 @@ def fit_method(
     or at ``weight`` in its place. ``km`` is the training Gram of the kernel
     families; ``components`` is the mixture size of the sem family (default:
     one per class); ``askkm`` holds the outer-loop knobs of askkm, whose
-    solver options ``solver`` replaces."""
+    solver options ``solver`` replaces. A ``weight`` for askkm is an
+    InputError."""
+    _check_weight(name, weight)
     family, mode = METHODS[name]
     solver = replace(solver, unlabeled_weight_mode=mode if weight is None else weight)
     if family == "sem":

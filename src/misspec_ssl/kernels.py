@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, derive_seed, fan_out, fan_out_width
+from .core import Dataset, InputError, available_memory, derive_seed, fan_out, fan_out_width
 
 KERNEL_KINDS = ("linear", "rbf", "generalized_rbf")
 DISTANCES = ("euclidean", "manhattan", "chi_square")
@@ -224,8 +224,11 @@ def resolve_gamma(spec: KernelSpec, features: np.ndarray) -> KernelSpec:
 
 def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel values between rows of x (queries) and rows of y (training).
-    The one place a kernel matrix is allocated: a failure to allocate the
-    8*Q*N bytes of the result is an InputError, not a crash."""
+    The one place a kernel matrix is allocated. The 8*Q*N bytes of the
+    result are an InputError, not a crash, where they exceed
+    core.available_memory() or cannot be allocated: under heuristic
+    overcommit an allocation below the total memory is granted untouched,
+    and filling it would end in the out-of-memory killer."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
@@ -233,13 +236,15 @@ def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.is_rbf_kind and spec.gamma is None:
         raise InputError("gamma unresolved; call resolve_gamma first")
     q, n = x.shape[0], y.shape[0]
+    need = 8 * q * n
+    message = f"the kernel matrix of Q={q} by N={n} points needs {need} bytes (8*Q*N)"
+    available = available_memory()
+    if available is not None and need > available:
+        raise InputError(f"{message}, more than the {available} bytes of memory available")
     try:
         out = np.empty((q, n))
     except MemoryError:
-        raise InputError(
-            f"the kernel matrix of Q={q} by N={n} points needs {8 * q * n} bytes "
-            "(8*Q*N), which could not be allocated"
-        ) from None
+        raise InputError(f"{message}, which could not be allocated") from None
     _fill_pairwise(out, x, y, spec)
     return out
 

@@ -9,9 +9,11 @@ over all components. The unlabeled weight w realizes the original (w=1),
 unbiased (w=N_l/(N_l+N_u)) and supervised (w=0) objectives in one code path.
 Every density comes from one helper, the per-component log-joint: masked to
 a row's allowed components, its log-normalizers are both the E-step's and
-the objective's. Also provides Bayes plug-in classification and a
-Monte-Carlo estimator of the KL divergence between two fitted joints (no
-closed form exists for mixture-mixture KL).
+the objective's. A joint density f(x, y) scores each row against the
+components of its class y only. Also provides Bayes plug-in classification
+and a Monte-Carlo estimator of the KL divergence between two fitted joints
+(no closed form exists for mixture-mixture KL), which scores its samples in
+blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ SURPLUS_JITTER_SCALE = 0.1
 # numpy's np.sum adds fewer values than this strictly left to right, and
 # this many or more pairwise.
 PAIRWISE_SUM_MIN = 8
+# kl_mc scores its samples this many at a time.
+KL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,11 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     """np.sum(a, axis=1) of a 2-D array, bit for bit. Below PAIRWISE_SUM_MIN
     columns numpy adds a row strictly left to right from 0.0; this fold does
     the same one whole column at a time, without numpy's per-row reduction
-    overhead."""
+    overhead. Its first step, 0.0 + a[:, 0], also makes its output."""
     if a.shape[1] >= PAIRWISE_SUM_MIN:
         return np.sum(a, axis=1)
-    out = np.zeros(a.shape[0])
-    for j in range(a.shape[1]):
+    out = np.add(a[:, 0], 0.0)
+    for j in range(1, a.shape[1]):
         out += a[:, j]
     return out
 
@@ -162,23 +166,31 @@ def _by_row(
     return out
 
 
-def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and
-    components, shape (N, K). The scaled squared distance is _row_sum of
-    (x - mu)**2 / var over the features; below PAIRWISE_SUM_MIN features
-    that is the same left-to-right fold done one feature column at a time
-    in place, with no (N, d) temporaries."""
+def _component_log_joint(
+    m: GmmModel, x: np.ndarray, comps: np.ndarray | None = None
+) -> np.ndarray:
+    """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and the
+    components ``comps`` (default: all), shape (N, len(comps)). The scaled
+    squared distance is _row_sum of (x - mu)**2 / var over the features;
+    below PAIRWISE_SUM_MIN features that is the same left-to-right fold done
+    one feature column at a time in place, with no (N, d) temporaries. The
+    fold starts each row at its first feature's term, not at 0.0: a term is
+    >= +0 or NaN, and 0.0 + t == t for every such t."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
+    comps = range(m.n_components) if comps is None else comps
     with np.errstate(divide="ignore"):
         log_w = np.log(m.weights)
-    out = np.empty((n, m.n_components))
-    for k in range(m.n_components):
+    out = np.empty((n, len(comps)))
+    t = np.empty(n)
+    for col, k in enumerate(comps):
         var, mu = m.covariances[k], m.means[k]
         if d < PAIRWISE_SUM_MIN:
-            row = np.zeros(n)
-            for j in range(d):
-                t = x[:, j] - mu[j]
+            row = np.subtract(x[:, 0], mu[0])
+            row *= row
+            row /= var[0]
+            for j in range(1, d):
+                np.subtract(x[:, j], mu[j], out=t)
                 t *= t
                 t /= var[j]
                 row += t
@@ -188,7 +200,7 @@ def _component_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
         row += d * LOG_2PI + np.sum(np.log(var))
         row *= -0.5
         row += log_w[k]
-        out[:, k] = row
+        out[:, col] = row
     return out
 
 
@@ -196,10 +208,13 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     """Row log-sum-exp of a 2-D array, shifted by the finite row max; -inf
     for a row that is all -inf."""
     amax = _row_max(a)
-    amax[~np.isfinite(amax)] = 0.0
+    np.copyto(amax, 0.0, where=~np.isfinite(amax))
     shifted = _by_row(np.subtract, a, amax)
+    total = _row_sum(np.exp(shifted, out=shifted))
     with np.errstate(divide="ignore"):
-        return np.log(_row_sum(np.exp(shifted, out=shifted))) + amax
+        np.log(total, out=total)
+    total += amax
+    return total
 
 
 def _masked_log_joint(
@@ -218,10 +233,10 @@ def _objective_rows(d: Dataset, comp_map: np.ndarray, w: float) -> tuple[np.ndar
     rows come first, each restricted by the mask to the components of its
     class; the unlabeled rows, over all components and past the mask, follow
     when w != 0."""
-    x = d.features[d.labeled_idx]
+    rows = d.labeled_idx
     if d.n_unlabeled and w != 0.0:
-        x = np.concatenate([x, d.features[d.unlabeled_idx]])
-    return x, comp_map[None, :] == d.labels[:, None]
+        rows = np.concatenate([rows, d.unlabeled_idx])
+    return d.features.take(rows, axis=0), comp_map[None, :] == d.labels[:, None]
 
 
 def _objective(norm: np.ndarray, n_labeled: int, w: float) -> float:
@@ -230,9 +245,27 @@ def _objective(norm: np.ndarray, n_labeled: int, w: float) -> float:
 
 
 def joint_log_density(m: GmmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """log f(x_i, y_i | theta): logsumexp over the components of class y_i."""
+    """log f(x_i, y_i | theta): logsumexp over the components of class y_i,
+    -inf for a class without a component. ``x`` holds one row per class in
+    ``y``.
+
+    The rows of each class are gathered and scored against that class's
+    components only, each placed at its component's column of a row K wide
+    that holds -inf at the others. That row is the fully scored row masked
+    to its class, so its logsumexp is the same bit for bit; the other
+    classes' components are never computed."""
     y = np.atleast_1d(integer_array(y, "y"))
-    return _masked_log_joint(m, x, m.comp_map[None, :] == y[:, None])[1]
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] != y.size:
+        raise InputError(f"x holds {x.shape[0]} rows but y {y.size} classes")
+    out = np.full(y.size, -np.inf)  # for a y that is no class
+    for c in range(m.n_classes):
+        comps = np.flatnonzero(m.comp_map == c)
+        rows = np.flatnonzero(y == c)
+        log_r = np.full((rows.size, m.n_components), -np.inf)
+        log_r[:, comps] = _component_log_joint(m, x.take(rows, axis=0), comps)
+        out[rows] = _logsumexp(log_r)
+    return out
 
 
 def class_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -246,8 +279,28 @@ def class_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _col_var(a: np.ndarray) -> np.ndarray:
+    """np.var(a, axis=0) of a 2-D array of N >= 1 rows, bit for bit. On a
+    C-ordered array of two or more columns np.var adds each column top to
+    bottom, as _col_sum does, for both its mean and its sum of squared
+    deviations; this takes the same steps one column at a time, with no
+    (N, d) temporaries. A lone column, or the columns of an array in any
+    other memory order, numpy may sum pairwise, so those keep np.var."""
+    n, dim = a.shape
+    if dim == 1 or not a.flags.c_contiguous:
+        return np.var(a, axis=0)
+    mean = _col_sum(a) / n
+    out = np.empty(dim)
+    t = np.empty(n)
+    for j in range(dim):
+        np.subtract(a[:, j], mean[j], out=t)
+        t *= t
+        out[j] = (0.0 + np.cumsum(t, out=t)[-1]) / n
+    return out
+
+
 def _variance_floor(features: np.ndarray) -> float:
-    mean_var = float(np.mean(np.var(features, axis=0)))
+    mean_var = float(np.mean(_col_var(features)))
     return max(VARIANCE_FLOOR_SCALE * mean_var, 1e-12)
 
 
@@ -330,7 +383,8 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
         # M-step: weighted closed-form updates with variance flooring. A
         # labeled row weighs 1, so scaling the unlabeled block by w gives
         # every weighted responsibility.
-        wr[n_labeled:] *= w
+        if w != 1.0:  # x * 1.0 == x
+            wr[n_labeled:] *= w
         mass = _col_sum(wr)
         means = model.means.copy()
         variances = model.covariances.copy()
@@ -402,7 +456,10 @@ def kl_mc(m1: GmmModel, m2: GmmModel, n_samples: int, seed: int) -> KlEstimate:
 
     Samples from m1 and averages log f1 - log f2; the reported value is
     clamped at 0 from below, the raw mean is kept alongside. Deterministic
-    given the seed.
+    given the seed. All samples are drawn at once, so the draws do not
+    depend on the block size, and scored KL_BLOCK at a time: beyond the
+    samples, their classes and terms (8 * (d + 2) bytes a sample), the
+    working memory is that of one block.
     """
     if n_samples < 1:
         raise InputError(f"n_samples must be >= 1, got {n_samples}")
@@ -410,7 +467,13 @@ def kl_mc(m1: GmmModel, m2: GmmModel, n_samples: int, seed: int) -> KlEstimate:
         raise InputError("models must share dimension and class set")
     rng = np.random.default_rng(seed)
     x, y = sample_joint(m1, n_samples, rng)
-    terms = joint_log_density(m1, x, y) - joint_log_density(m2, x, y)
+    # A term depends on its own sample alone, so the blocks give the terms
+    # of one whole-array pass bit for bit.
+    terms = np.empty(n_samples)
+    for b0 in range(0, n_samples, KL_BLOCK):
+        b = slice(b0, b0 + KL_BLOCK)
+        np.subtract(joint_log_density(m1, x[b], y[b]), joint_log_density(m2, x[b], y[b]),
+                    out=terms[b])
     raw = float(np.mean(terms))
     std_error = float(np.std(terms, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return KlEstimate(

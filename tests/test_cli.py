@@ -92,6 +92,8 @@ BAD_INPUTS = {
                           "--weight", "1.5"], 3, "in [0, 1], got 1.5"),
     "weight_nan": (["fit", "--data", "data.csv", "--method", "original_sskkm",
                     "--weight", "nan"], 3, "in [0, 1], got nan"),
+    "weight_before_missing_data": (["fit", "--data", "missing.csv", "--method", "original_sem",
+                                    "--weight", "1.5"], 3, "in [0, 1], got 1.5"),
     "workers_0": (["curve", "--workers", 0, "--grid", 0, "--seeds", 1, "--eval-size", 20,
                    "--methods", "original_sem"], 3, "workers must be >= 1"),
     "config_max_iter_null": (["fit", "--data", "data.csv", "--method", "original_sskkm",
@@ -154,6 +156,7 @@ def test_exit_codes_reach_the_process(tmp_path):
     for argv, cap, code in [
         (["gen", "--unlabeled", "10"], None, 0),
         (["fit", "--data", "missing.csv", "--method", "original_sem"], None, 2),
+        (["fit", "--data", "missing.csv", "--method", "original_sem", "--weight", "1.5"], None, 3),
         (["fit", "--data", "dataset.csv", "--method", "original_sskkm"], "0", 3),
     ]:
         proc = subprocess.run([sys.executable, "-m", "misspec_ssl.cli", *argv], cwd=tmp_path,
@@ -231,6 +234,19 @@ class TestFit:
         run(["fit", "--data", dataset_csv, "--method", "original_sem",
              "--weight", 0.25, "--out-model", out])
         assert json.loads(out.read_text())["unlabeled_weight"] == 0.25
+
+    @pytest.mark.parametrize("method, weight", [("original_sem", 1.5), ("original_sskkm", 1.5),
+                                                ("unbiased_sskkm", -0.5), ("askkm", 0.5)])
+    def test_weight_checked_before_the_data_is_read(
+        self, tmp_path, dataset_csv, monkeypatch, method, weight
+    ):
+        calls = []
+        for name in ("load_csv", "gram_matrix"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        out = tmp_path / "m.json"
+        assert run(["fit", "--data", dataset_csv, "--method", method, "--weight", weight,
+                    "--out-model", out]) == 3
+        assert calls == [] and not out.exists()
 
     def test_accepts_the_curve_alias(self, tmp_path, dataset_csv):
         payloads = []
@@ -981,6 +997,36 @@ class TestKernelModelEval:
         assert run(["eval", "--model", model, "--data", data, "--out", out]) == 3
         err = capsys.readouterr().err
         assert f"Q={q}" in err and f"N={n}" in err and str(8 * q * n) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_matrix_beyond_available_memory_exits_3_before_allocating(
+        self, tmp_path, data, monkeypatch, capsys, command
+    ):
+        # under heuristic overcommit np.empty grants such a matrix and its
+        # fill is killed; the reader is patched, so no large matrix is
+        # needed
+        model = self.fit(tmp_path, data, "askkm")
+        train = load_csv(data)[0]
+        q = train.n_points if command == "fit" else train.n_labeled
+        n = train.n_points
+        need = 8 * q * n
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            assert shape != (q, n), "allocated the matrix"
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "empty", empty)
+        monkeypatch.setattr(kernels, "available_memory", lambda: need - 1)
+        out = tmp_path / "out.json"
+        argv = {"fit": ["fit", "--data", data, "--method", "askkm", "--gamma", 0.5,
+                        "--out-model", out],
+                "eval": ["eval", "--model", model, "--data", data, "--out", out]}[command]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert f"Q={q} by N={n} points needs {need} bytes (8*Q*N), more than the " \
+               f"{need - 1} bytes of memory available" in err
         assert not out.exists()
 
 

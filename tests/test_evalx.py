@@ -361,6 +361,20 @@ class TestMethodTable:
         if name != "askkm":
             assert fit_method(name, train, km, solver, weight=0.25).unlabeled_weight == 0.25
 
+    @pytest.mark.parametrize("weight", [0.0, 0.25, 1.0, 1.5])
+    def test_a_weight_for_askkm_is_rejected(self, weight):
+        # askkm fits both weightings itself, so no weight can replace them
+        train, _ = generate(replace(SCENARIO, n_unlabeled=30, seed=1))
+        km = gram_matrix(train, KernelSpec())
+        with pytest.raises(InputError, match="weight does not apply to askkm"):
+            fit_method("askkm", train, km, SolverOptions(), weight=weight)
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, float("nan"), True])
+    def test_a_weight_outside_zero_one_is_rejected(self, weight):
+        train, _ = generate(replace(SCENARIO, n_unlabeled=30, seed=1))
+        with pytest.raises(InputError, match=r"a weight in \[0, 1\], got"):
+            fit_method("original_sem", train, None, SolverOptions(), weight=weight)
+
 
 def json_roundtrip(d):
     return json.loads(json.dumps(d))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from misspec_ssl import core
+from misspec_ssl import core, kernels
 from misspec_ssl.core import FAN_OUT_MIN_ENTRIES, UNLABELED, Dataset, InputError, derive_seed
 from misspec_ssl.kernels import (
     BLOCK_ENTRIES,
@@ -422,6 +422,27 @@ class TestCrossAndDiag:
         x = np.array([[1.0, 2.0], [0.0, 3.0]])
         np.testing.assert_array_equal(kernel_diag(x, KernelSpec(kind="linear")), [5.0, 9.0])
         np.testing.assert_array_equal(kernel_diag(x, KernelSpec(kind="rbf", gamma=1.0)), [1.0, 1.0])
+
+
+class TestMemoryCheck:
+    """cross_matrix compares 8*Q*N with core.available_memory() before it
+    allocates; the reader is patched."""
+
+    def test_a_matrix_within_memory_or_of_unknown_memory_is_built(self, monkeypatch):
+        x = np.ones((10, 2))
+        for available in (800, None):
+            monkeypatch.setattr(kernels, "available_memory", lambda: available)
+            assert np.array_equal(cross_matrix(x, x, KernelSpec(kind="linear")),
+                                  np.full((10, 10), 2.0))
+
+    @pytest.mark.parametrize("q", [10, 12])
+    def test_a_matrix_beyond_memory_is_an_input_error(self, monkeypatch, q):
+        reads = []
+        monkeypatch.setattr(kernels, "available_memory",
+                            lambda: reads.append(1) or 8 * q * 10 - 1)
+        with pytest.raises(InputError, match=rf"Q={q} by N=10 points needs {8 * q * 10} bytes"):
+            cross_matrix(np.zeros((q, 2)), np.zeros((10, 2)), KernelSpec(kind="linear"))
+        assert reads == [1]
 
 
 class TestFanOutBitForBit:

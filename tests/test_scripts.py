@@ -35,16 +35,37 @@ def test_degradation_config_matches_learning_curve(tmp_path):
     assert json.loads(out.read_text())["series"] == want.to_json_dict()["series"]
 
 
-def test_gap_experiment_runs():
+def run_gap_experiment(*flags):
     paths = [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_gap_experiment.py"),
-         "--seeds", "1", "--grid", "50", "--mc-samples", "500"],
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_gap_experiment.py"), "--seeds", "1",
+         "--mc-samples", "500", *flags],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def gap_tables(stdout):
+    """The two tables of the gap experiment's output, fixed labeled budget
+    first: each as its header's columns and its rows by N_u."""
+    lines = stdout.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("N_u")]
+    tables = []
+    for i, j in zip(starts, starts[1:] + [len(lines) + 1]):
+        rows = [line.split() for line in lines[i + 1:j - 1]]
+        tables.append((lines[i].split(), {int(row[0]): row[1:] for row in rows}))
+    return tables
+
+
+def test_gap_experiment_runs():
+    # the fixed budget is 10 labeled per class; the grown one N_u / 2.5,
+    # split over the two classes
+    proc = run_gap_experiment("--grid", "50,100")
     assert proc.returncode == 0, proc.stderr
-    header = next(line for line in proc.stdout.splitlines() if line.startswith("N_u"))
-    assert header.split() == ["N_u", "well_specified", "misspecified"]
-    row = next(line for line in proc.stdout.splitlines() if line.startswith("50 "))
-    assert len(row.split()) == 3
+    (fixed_header, fixed), (grown_header, grown) = gap_tables(proc.stdout)
+    assert fixed_header == grown_header == ["N_u", "N_l", "well_specified", "misspecified"]
+    assert [(nu, row[0]) for nu, row in fixed.items()] == [(50, "20"), (100, "20")]
+    assert [(nu, row[0]) for nu, row in grown.items()] == [(50, "20"), (100, "40")]
+    assert fixed[50] == grown[50]
+    assert all(len(row) == 3 and float(row[1]) >= 0 and float(row[2]) >= 0
+               for table in (fixed, grown) for row in table.values())

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -61,6 +64,15 @@ def logsumexp_oracle(a, axis=-1):
     amax = np.where(np.isfinite(amax), amax, 0.0)
     out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
     return out
+
+
+def joint_log_density_oracle(m, x, y):
+    """joint_log_density as it was before per-class scoring: every row
+    scored against every component, masked to -inf outside its class."""
+    y = np.atleast_1d(y)
+    mask = m.comp_map[None, :] == y[:, None]
+    with np.errstate(divide="ignore"):  # log(0) of a row that is all -inf
+        return logsumexp_oracle(np.where(mask, component_log_joint_oracle(m, x), -np.inf))
 
 
 def bayes_classify_batch_oracle(m, x):
@@ -151,13 +163,16 @@ def bits(value):
 @pytest.fixture()
 def with_oracle(monkeypatch):
     """Calls a function once on semgmm's column folds and once with the
-    oracle's numpy row reductions patched in; returns both results."""
+    oracle's numpy row reductions, masked joint densities and a kl_mc in one
+    block patched in; returns both results."""
     def both(fn):
         fast = fn()
         with monkeypatch.context() as patch:
             patch.setattr(semgmm, "_component_log_joint", component_log_joint_oracle)
             patch.setattr(semgmm, "_logsumexp", logsumexp_oracle)
             patch.setattr(semgmm, "bayes_classify_batch", bayes_classify_batch_oracle)
+            patch.setattr(semgmm, "joint_log_density", joint_log_density_oracle)
+            patch.setattr(semgmm, "KL_BLOCK", sys.maxsize)
             # the oracle warns on log(0) of a row whose allowed components
             # are all -inf, where semgmm does not
             with np.errstate(divide="ignore"):
@@ -438,6 +453,19 @@ class TestKlMc:
             assert est.raw_mean >= -3 * est.std_error
             assert est.value >= 0.0
 
+    def test_working_memory_is_a_block_of_samples(self):
+        # at 200,000 samples, whole-array scoring traced 18.7 MiB; what is
+        # left is the samples, their classes and terms, about 6 MiB
+        rng = np.random.default_rng(10)
+        m1, m2 = random_model(rng, k=2), random_model(rng, k=2)
+        tracemalloc.start()
+        try:
+            kl_mc(m1, m2, 200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
     def test_sample_count_checked(self):
         m = two_gaussian_model()
         with pytest.raises(InputError):
@@ -452,6 +480,8 @@ class TestKlMc:
     @pytest.mark.parametrize("k", [2, 3, 8, 9])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
     def test_equals_per_sample_square_root_oracle(self, monkeypatch, k, dim):
+        # the oracle draws with one square root per sample and scores every
+        # sample at once against every component, masked to its class
         def sample_joint_oracle(m, n, rng):
             comps = rng.choice(m.n_components, size=n, p=m.weights / m.weights.sum())
             noise = rng.standard_normal((n, m.dim)) * np.sqrt(m.covariances[comps])
@@ -459,10 +489,13 @@ class TestKlMc:
 
         rng = np.random.default_rng(k * 10 + dim)
         m1, m2 = random_model(rng, k, dim), random_model(rng, k, dim)
-        for n in (1, 7, 50_000):
+        block = semgmm.KL_BLOCK
+        for n in (1, 7, block - 1, block, block + 1, 2 * block + 1, 50_000):
             fast = kl_mc(m1, m2, n, seed=n)
             with monkeypatch.context() as patch:
                 patch.setattr(semgmm, "sample_joint", sample_joint_oracle)
+                patch.setattr(semgmm, "joint_log_density", joint_log_density_oracle)
+                patch.setattr(semgmm, "KL_BLOCK", sys.maxsize)
                 slow = kl_mc(m1, m2, n, seed=n)
             assert bits(fast) == bits(slow)
             x, y = semgmm.sample_joint(m1, n, np.random.default_rng(n))
@@ -526,6 +559,44 @@ class TestColumnFoldsEqualOracle:
         if width == 1:
             assert bits(semgmm._col_sum(a)) != bits(np.sum(a, axis=0))
 
+    @pytest.mark.parametrize("n", [1, 2, 40, 8193, 20020])
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
+    def test_col_var_equals_numpy_var(self, n, width):
+        rng = np.random.default_rng(n + width)
+        for scale in (1e-8, 1.0, 1e8):
+            a = rng.standard_normal((n, width)) * scale * 10.0 ** rng.integers(-3, 4, size=width)
+            a += 10 * scale * rng.standard_normal(width)
+            # a Fortran-ordered copy, as a Dataset keeps features given so,
+            # and a strided view: numpy may sum their columns pairwise
+            for b in (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+                assert bits(semgmm._col_var(b)) == bits(np.var(b, axis=0))
+                assert semgmm._variance_floor(b) == max(
+                    semgmm.VARIANCE_FLOOR_SCALE * float(np.mean(np.var(b, axis=0))), 1e-12)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_joint_log_density_equals_masked_oracle(self, n_classes, k):
+        # rows of every class, of no class (-1 and n_classes) and none of
+        # the last class; classes with no component (K < n_classes), one and
+        # several; a dead component and a class whose components are all dead
+        rng = np.random.default_rng(10 * k + n_classes)
+        comp_map = np.arange(k) % n_classes
+        w = rng.uniform(0.2, 1.0, size=k)
+        m = GmmModel(weights=w / w.sum(), means=rng.standard_normal((k, 3)) * 3,
+                     covariances=rng.uniform(0.5, 2.0, size=(k, 3)), comp_map=comp_map,
+                     n_classes=n_classes)
+        x = rng.standard_normal((300, 3)) * 4
+        y = rng.integers(-1, n_classes + 1, size=300)
+        for dead in ([], [0], np.flatnonzero(comp_map == 1).tolist()):
+            weights = m.weights.copy()
+            weights[dead] = 0.0
+            dm = replace(m, weights=weights)
+            for ys in (y, np.minimum(y, n_classes - 2), y[:1]):
+                got = joint_log_density(dm, x[: ys.size], ys)
+                assert bits(got) == bits(joint_log_density_oracle(dm, x[: ys.size], ys))
+        with pytest.raises(InputError, match="x holds 300 rows but y 299 classes"):
+            joint_log_density(m, x, y[:-1])
+
     @pytest.mark.parametrize("width", range(1, 18))
     def test_row_max_equals_numpy_row_max(self, width):
         rng = np.random.default_rng(width)
@@ -554,8 +625,11 @@ class TestColumnFoldsEqualOracle:
     @pytest.mark.parametrize("dim", WIDTHS)
     @pytest.mark.parametrize("k", WIDTHS)
     def test_scoring_and_kl(self, with_oracle, dim, k):
-        # with K = 1, class 1 has no component; zeroing the weights of class
-        # 1's components makes every row of class 1 all -inf
+        # with K = 1, class 1 has no component, with K = 2 each class has
+        # one, and from K = 3 on class 0 has several; zeroing the weights of
+        # class 1's components makes every row of class 1 all -inf, and
+        # zeroing component 2 leaves class 0 a dead component beside live
+        # ones. kl_mc runs at sample counts around its block size.
         rng = np.random.default_rng(100 * dim + k)
         comp_map = np.arange(k) % 2
         models = []
@@ -564,14 +638,17 @@ class TestColumnFoldsEqualOracle:
             models.append(GmmModel(weights=w / w.sum(), means=rng.standard_normal((k, dim)) * 3,
                                    covariances=rng.uniform(0.5, 2.0, size=(k, dim)),
                                    comp_map=comp_map, n_classes=2))
-        dead = replace(models[0], weights=np.where(comp_map == 1, 0.0, models[0].weights))
+        dead = [replace(models[0], weights=np.where(zero, 0.0, models[0].weights))
+                for zero in (comp_map == 1, np.arange(k) == 2)]
         queries = rng.standard_normal((200, dim)) * 4
         classes = np.arange(200) % 2
-        for m in (models[0], dead):
+        block = semgmm.KL_BLOCK
+        for m in (models[0], *dead[: 1 + (k >= 3)]):
             fast, slow = with_oracle(lambda: (
                 semgmm.bayes_classify_batch(m, queries),
-                joint_log_density(m, queries, classes),
-                kl_mc(m, models[1], 500, seed=k),
+                semgmm.joint_log_density(m, queries, classes),
+                tuple(kl_mc(m, models[1], n, seed=k)
+                      for n in (1, block - 1, block, block + 1, 2 * block + 1)),
             ))
             assert bits(fast) == bits(slow)
 
