@@ -115,13 +115,13 @@ def fit_askkm(km: KernelMatrix, d: Dataset, opts: AskkmOptions) -> AskkmModel:
         raise InputError(f"k_max={k_max} below the class count {d.n_classes}")
 
     label_map = LabelMap.identity(d.labels, d.n_classes)
-    lab_rows = km.values[d.labeled_idx]
+    lab_rows = km.rows(d.labeled_idx)
     lab_diag = km.diag[d.labeled_idx]
 
     history: list[RoundRecord] = []
     stall = 0
 
-    width = fan_out_width(km.values.size)
+    width = fan_out_width(km.n ** 2)
     while True:
         init = init_assignments(km, d, label_map)
 

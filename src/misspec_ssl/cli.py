@@ -24,8 +24,8 @@ from .core import InputError, SolverOptions, one_blas_thread
 from .datagen import GenSpec, generate, load_csv, write_csv
 from .evalx import (
     METHODS,
-    _check_weight,
     average_precision,
+    check_weight,
     fit_method,
     interpolated_precision_points,
     learning_curve,
@@ -131,7 +131,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out_model = _check_output_path(args.out_model)
     out_criterion = _check_output_path(args.out_criterion) if args.out_criterion else None
     family = METHODS[args.method].family
-    _check_weight(args.method, args.weight, "--weight")
+    check_weight(args.method, args.weight, "--weight")
     if args.components is not None and family != "sem":
         raise InputError(f"--components applies to sem methods only, not to {args.method}")
     askkm_only = {"--threshold": args.threshold, "--k-max": args.k_max,

@@ -45,8 +45,9 @@ class GenSpec:
             raise InputError(f"kind must be one of {GEN_KINDS}, got {self.kind!r}")
         if self.n_classes < 2:
             raise InputError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.class_separation <= 0 or self.subcluster_separation <= 0:
-            raise InputError("separations must be positive")
+        for name in ("class_separation", "subcluster_separation"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.kind == "misspecified" and self.subclusters_per_class < 2:
             raise InputError("misspecified scenarios need >= 2 subclusters per class")
         if self.kind == "well_specified" and self.subclusters_per_class != 1:

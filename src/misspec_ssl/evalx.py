@@ -68,7 +68,7 @@ def load_model(d: dict) -> GmmModel | ClusterModel:
     return LOADERS[family](d)
 
 
-def _check_weight(name: str, weight: float | None, label: str = "weight") -> None:
+def check_weight(name: str, weight: float | None, label: str = "weight") -> None:
     """InputError unless ``weight`` may take the place of method ``name``'s
     unlabeled weighting: None, or a weight in [0, 1] for any method but
     askkm, which fits both weightings itself. ``label`` names the weight in
@@ -95,7 +95,7 @@ def fit_method(
     one per class); ``askkm`` holds the outer-loop knobs of askkm, whose
     solver options ``solver`` replaces. A ``weight`` for askkm is an
     InputError."""
-    _check_weight(name, weight)
+    check_weight(name, weight)
     family, mode = METHODS[name]
     solver = replace(solver, unlabeled_weight_mode=mode if weight is None else weight)
     if family == "sem":

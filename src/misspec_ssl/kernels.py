@@ -60,8 +60,7 @@ class KernelMatrix:
     """Symmetric N x N Gram matrix tagged with the spec that produced it.
 
     Symmetry is exact (see gram_matrix); for rbf kinds the diagonal is
-    exactly 1.
-    """
+    exactly 1. Other modules read K through its methods, not ``values``."""
 
     values: np.ndarray
     spec: KernelSpec
@@ -73,6 +72,22 @@ class KernelMatrix:
     @property
     def diag(self) -> np.ndarray:
         return np.diagonal(self.values)
+
+    def sweep(self, wz: np.ndarray) -> np.ndarray:
+        """K wz for an N x k ``wz``, as (wz' K)'. K is exactly symmetric, so this
+        equals K wz in exact arithmetic, not bit for bit; on one BLAS thread it
+        takes about half the time of K wz at N = 6,020."""
+        return (wz.T @ self.values).T
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows ``idx`` of K, a copy; they are its columns too."""
+        return self.values[idx]
+
+    def row_blocks(self, idx: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(r0, r1, rows(idx[r0:r1])) over ``idx``, in blocks of at most
+        BLOCK_ENTRIES entries and at least one row."""
+        for r0, r1 in _row_blocks(idx.size, self.n):
+            yield r0, r1, self.rows(idx[r0:r1])
 
 
 def _check_chi_square_inputs(*arrays: np.ndarray) -> None:

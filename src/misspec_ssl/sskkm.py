@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .core import Dataset, InputError, SolverOptions, integer_array, read_array
-from .kernels import BLOCK_ENTRIES, KernelMatrix, KernelSpec, _row_blocks
+from .kernels import KernelMatrix, KernelSpec
 from .misspec import LabelMap
 
 
@@ -40,7 +41,6 @@ class ClusterModel:
     iterations_run: int
     converged: bool
     labeled_rows: np.ndarray
-    cluster_wsum: np.ndarray
     cluster_inner: np.ndarray
     train_features: np.ndarray
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
@@ -75,12 +75,12 @@ class ClusterModel:
 
     @staticmethod
     def from_dict(d: dict) -> "ClusterModel":
-        """Inverse of to_dict, with W_k rebuilt as the fit takes it. The one
-        check of a model from outside: every number is read by read_array,
-        with its type and shape, converged is a JSON boolean, every cluster id
-        lies in 0..K-1 for the label map's K, the unlabeled weight lies in
-        [0, 1], and labeled_rows lists one row per labeled point, strictly
-        increasing, each assigned its fine label: so every W_k is at least 1."""
+        """Inverse of to_dict. The one check of a model from outside: every
+        number is read by read_array, with its type and shape, converged is a
+        JSON boolean, every cluster id lies in 0..K-1 for the label map's K,
+        the unlabeled weight lies in [0, 1], and labeled_rows lists one row
+        per labeled point, strictly increasing, each assigned its fine label:
+        so every W_k that score_batch derives is at least 1."""
         lm, spec = d["label_map"], d["kernel"]
         label_map = LabelMap(fine_to_class=read_array(lm, "fine_to_class", int, (None,)),
                              fine_of_point=read_array(lm, "fine_of_point", int, (None,)),
@@ -98,14 +98,13 @@ class ClusterModel:
         if not isinstance(converged, bool):
             raise InputError(f"converged must be true or false, got {converged!r}")
         gamma = None if spec["gamma"] is None else read_array(spec, "gamma", float)
-        wsum = _weighted_indicator(cluster_of, _point_weights(labeled_rows, n, weight), k).sum(0)
         return ClusterModel(
             cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
             objective=read_array(d, "objective", float),
             kernel_spec=KernelSpec(kind=spec["kind"], gamma=gamma, distance=spec["distance"]),
             iterations_run=read_array(d, "iterations_run", int), converged=converged,
             labeled_rows=labeled_rows, cluster_inner=read_array(d, "cluster_inner", float, (k,)),
-            train_features=train, cluster_wsum=wsum,
+            train_features=train,
         )
 
 
@@ -113,22 +112,6 @@ def _weighted_indicator(cluster_of: np.ndarray, weights: np.ndarray, k: int) -> 
     wz = np.zeros((cluster_of.size, k))
     wz[np.arange(cluster_of.size), cluster_of] = weights
     return wz
-
-
-def _cluster_stats(
-    kvalues: np.ndarray, cluster_of: np.ndarray, weights: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cluster weight totals W_k, member-sum columns M[:, k], and the
-    second-order terms T_k = w' K w, from one full product over K.
-
-    ``kvalues`` must be exactly symmetric, as gram_matrix builds it. M is
-    then (wz' K)', which equals K wz in exact arithmetic, not bit for bit,
-    and on one BLAS thread takes about half the time of K wz at N = 6,020."""
-    wz = _weighted_indicator(cluster_of, weights, k)
-    member_sum = (wz.T @ kvalues).T
-    wsum = wz.sum(axis=0)
-    inner = np.einsum("ik,ik->k", wz, member_sum)
-    return wsum, member_sum, inner
 
 
 def _distances(
@@ -155,18 +138,19 @@ def _gamma(n: int) -> float:
 
 
 class _MemberSums:
-    """The statistics of one clustering of the Gram's points, kept current
-    by full products and by updates from the moved rows of K.
+    """The statistics of one clustering of the Gram's points: the member
+    sums M = K wz of the weighted indicator wz, made by a sweep of K or from
+    its gathered rows, and from wz and M in one step (_set_totals) the
+    weight totals W_k and the second-order terms T_k = w'M.
 
-    A full product (_cluster_stats) gives the statistics bit for bit as a
+    A full product (one sweep of K) gives the statistics bit for bit as a
     fresh computation does: they are *exact*. A move to a new clustering
     updates M += (D' K[moved])', where D holds the signed weights of the
     |moved| weighted points whose cluster changed. The rows of K of those
     points are its columns too, since K is exactly symmetric, and they are
     gathered in blocks of at most kernels.BLOCK_ENTRIES entries, however
-    many points moved. W_k and T_k are then taken from the new clustering as
-    _cluster_stats takes them. A move is a full product when K is no larger
-    than one block: the update then saves nothing.
+    many points moved. A move is a full product when K is no larger than
+    one block: the update then saves nothing.
 
     An updated M differs from the full product in its last bits. ``err``
     (None when exact) bounds, per cluster, each entry's distance from the
@@ -184,10 +168,8 @@ class _MemberSums:
         self.weights = weights
         self.k = k
         if cluster_of is None:  # the empty clustering: every member sum is exactly 0
-            self.cluster_of = None
             self.member_sum = np.zeros((k, km.n)).T
-            self.wsum = np.zeros(k)
-            self.inner = np.zeros(k)
+            self._set_totals(None, np.zeros((km.n, k)))
             self.err = None
             self.distance_err = self.objective_err = 0.0
         else:
@@ -195,18 +177,23 @@ class _MemberSums:
 
     def recompute(self, cluster_of: np.ndarray) -> None:
         """The statistics of ``cluster_of`` from one full product."""
-        self.wsum, self.member_sum, self.inner = _cluster_stats(
-            self.km.values, cluster_of, self.weights, self.k
-        )
-        self.cluster_of = cluster_of
+        wz = _weighted_indicator(cluster_of, self.weights, self.k)
+        self.member_sum = self.km.sweep(wz)
+        self._set_totals(cluster_of, wz)
         self.err = None
         self.distance_err = self.objective_err = 0.0
+
+    def _set_totals(self, cluster_of: np.ndarray | None, wz: np.ndarray) -> None:
+        """W_k and T_k of ``cluster_of``, of weighted indicator ``wz``, once M is made."""
+        self.wsum = wz.sum(axis=0)
+        self.inner = np.einsum("ik,ik->k", wz, self.member_sum)
+        self.cluster_of = cluster_of
 
     def move(self, cluster_of: np.ndarray) -> None:
         """The statistics of ``cluster_of`` (an array the caller no longer
         writes to)."""
         n = self.km.n
-        if n * n <= BLOCK_ENTRIES:
+        if n * n <= kernels.BLOCK_ENTRIES:
             self.recompute(cluster_of)
             return
         weighted = self.weights != 0
@@ -221,9 +208,10 @@ class _MemberSums:
             signed[at, self.cluster_of[moved]] = -w
         member_t = self.member_sum.T
         blocks, rows = 0, 0
-        for r0, r1 in _row_blocks(moved.size, n):
-            member_t += signed[r0:r1].T @ self.km.values[moved[r0:r1]]
+        for r0, r1, block in self.km.row_blocks(moved):
+            member_t += signed[r0:r1].T @ block
             blocks, rows = blocks + 1, max(rows, r1 - r0)
+            del block  # freed before the next block is gathered
 
         # A full product errs by gamma(N) W_k max|K|. Each block's product
         # errs by gamma(rows) sum |D| max|K|, and adding it to M rounds once,
@@ -233,10 +221,7 @@ class _MemberSums:
         err = gamma_n * self.wsum * kb if self.err is None else self.err
         shift = np.abs(signed).sum(axis=0)
         self.err = err + kb * (_gamma(rows) * shift + blocks * UNIT_ROUNDOFF * (self.wsum + shift))
-        wz = _weighted_indicator(cluster_of, self.weights, self.k)
-        self.wsum = wz.sum(axis=0)
-        self.inner = np.einsum("ik,ik->k", wz, self.member_sum)
-        self.cluster_of = cluster_of
+        self._set_totals(cluster_of, _weighted_indicator(cluster_of, self.weights, self.k))
         # M enters a distance through 2 M/W_k and, by way of T_k = w'M,
         # through T_k/W_k^2; T_k's sum of N terms and the distance's own four
         # operations round on both sides. Each of the objective's N terms is
@@ -323,9 +308,8 @@ def fit_sskkm(
     objectives' error bound of tol, are decided on exactly recomputed
     statistics. The intermediate ``objective_trace`` entries are the
     updated values, which may differ from a full product's in their last
-    bits; the last entry, ``objective``, ``cluster_wsum`` and
-    ``cluster_inner`` are exact. The final recomputation is not an
-    iteration.
+    bits; the last entry, ``objective`` and ``cluster_inner`` are exact.
+    The final recomputation is not an iteration.
     """
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
@@ -400,7 +384,6 @@ def fit_sskkm(
         iterations_run=iterations,
         converged=converged,
         labeled_rows=d.labeled_idx,
-        cluster_wsum=sums.wsum,
         cluster_inner=sums.inner,
         train_features=d.features,
         objective_trace=tuple(trace),
@@ -422,7 +405,7 @@ def score_batch(
         raise InputError(f"kernel row length {km_rows.shape[1]} != training size {n}")
     self_k = np.atleast_1d(np.asarray(self_k, dtype=float))
     wz = _weighted_indicator(model.cluster_of, model.point_weights, model.n_clusters)
-    dist = _distances(self_k, km_rows @ wz, model.cluster_wsum, model.cluster_inner)
+    dist = _distances(self_k, km_rows @ wz, wz.sum(axis=0), model.cluster_inner)
     scores = np.full((dist.shape[0], model.label_map.n_classes), -np.inf)
     for c in range(model.label_map.n_classes):
         cols = np.flatnonzero(model.label_map.fine_to_class == c)

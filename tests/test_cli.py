@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -21,7 +22,7 @@ from misspec_ssl.cli import load_model_scores, main
 from misspec_ssl.core import ENV_THREADS, InputError, blas_thread_api
 from misspec_ssl.datagen import load_csv, write_csv
 from misspec_ssl.kernels import cross_matrix, gram_matrix, kernel_diag
-from misspec_ssl.sskkm import ClusterModel, _cluster_stats, score_batch
+from misspec_ssl.sskkm import ClusterModel, score_batch
 
 
 def run(args):
@@ -94,6 +95,13 @@ BAD_INPUTS = {
                     "--weight", "nan"], 3, "in [0, 1], got nan"),
     "weight_before_missing_data": (["fit", "--data", "missing.csv", "--method", "original_sem",
                                     "--weight", "1.5"], 3, "in [0, 1], got 1.5"),
+    "class_sep_nan": (["gen", "--class-sep", "nan"], 3,
+                      "class_separation must be positive and finite, got nan"),
+    "subcluster_sep_inf": (["gen", "--kind", "misspecified", "--subcluster-sep", "inf"], 3,
+                           "subcluster_separation must be positive and finite, got inf"),
+    "curve_class_sep_inf": (["curve", "--class-sep", "inf", "--grid", 0, "--seeds", 1,
+                             "--eval-size", 20, "--methods", "original_sem"], 3,
+                            "class_separation must be positive and finite, got inf"),
     "workers_0": (["curve", "--workers", 0, "--grid", 0, "--seeds", 1, "--eval-size", 20,
                    "--methods", "original_sem"], 3, "workers must be >= 1"),
     "config_max_iter_null": (["fit", "--data", "data.csv", "--method", "original_sskkm",
@@ -137,7 +145,8 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
                          ("verbose_no", {"verbose": "no"})):
         Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     before = set(Path().iterdir())
-    outputs = {"fit": ["--out-model", "out.json"], "eval": ["--out", "out.json"],
+    outputs = {"gen": ["--out-data", "out.csv", "--out-truth", "out.json"],
+               "fit": ["--out-model", "out.json"], "eval": ["--out", "out.json"],
                "curve": ["--out-json", "out.json", "--out-csv", "out.csv"]}[argv[0]]
     try:
         got = run([*argv, *outputs])
@@ -146,6 +155,81 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
     assert got == code
     assert message in capsys.readouterr().err
     assert set(Path().iterdir()) == before
+
+
+def exit_code(argv):
+    """main's exit code, or the code of the usage error argparse exits with."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@st.composite
+def fuzzed_csv(draw):
+    """The bytes of a tiny dataset CSV: 1 to 3 feature columns, or none, of
+    which the second may repeat the first or hold one value, and 0 to 8 rows
+    of labels a, b or ?, so one class or none now and then. About one draw
+    in five brings each fault: no feature column; one cell nan, inf, huge,
+    subnormal or no number; one row a field short or long; and a file that
+    is empty, starts with a blank line or holds a byte that is no UTF-8."""
+
+    def rarely():
+        return draw(st.integers(0, 4)) == 1
+
+    dim, n = 0 if rarely() else draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    cells = draw(st.lists(st.lists(st.integers(-3, 3).map(str), min_size=dim, max_size=dim),
+                          min_size=n, max_size=n))
+    if n and dim > 1 and draw(st.booleans()):
+        duplicate = draw(st.booleans())
+        for row in cells:
+            row[1] = row[0] if duplicate else cells[0][1]
+    if n and dim and rarely():
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "", "1e300", "1e-320"]))
+    rows = [[*row, draw(st.sampled_from(["a", "b", "?"]))] for row in cells]
+    if rows and rarely():
+        row = rows[draw(st.integers(0, n - 1))]
+        row[:] = row[:-1] if draw(st.booleans()) else [*row, "0"]
+    lines = [",".join([*(f"f{j}" for j in range(dim)), "label"]), *map(",".join, rows)]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if rarely():
+        data = draw(st.sampled_from([b"", b"\n" + data, data + b"\xff"]))
+    return data
+
+
+@given(csv_bytes=fuzzed_csv(),
+       method=st.sampled_from(["original_sskkm", "unbiased_sskkm", "askkm", "original_sem",
+                               "supervised"]),
+       kernel=st.sampled_from([[], [], ["--kernel", "linear"],
+                               ["--kernel", "generalized_rbf", "--distance", "chi_square"]]),
+       k_max=st.sampled_from([[]] * 4 + [["--k-max", 1], ["--k-max", 3]]),
+       threads=st.sampled_from([None] * 6 + ["1", "2", "0", "-1", "two", ""]),
+       missing_dir=st.sampled_from([None] * 6 + ["fit", "eval"]))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_csv_and_flags_exit_0_2_or_3(csv_bytes, method, kernel, k_max, threads,
+                                            missing_dir):
+    # fit, then eval of the fitted model on the same file, in process: each
+    # ends in exit 0, 2 or 3, never a traceback, and one that fails writes
+    # nothing
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        data = tmp / "data.csv"
+        data.write_bytes(csv_bytes)
+        model, metrics = (tmp / ("missing" if missing_dir == step else ".") / name
+                          for step, name in (("fit", "model.json"), ("eval", "metrics.json")))
+        if threads is None:
+            mp.delenv(ENV_THREADS, raising=False)
+        else:
+            mp.setenv(ENV_THREADS, threads)
+        code = exit_code(["fit", "--data", data, "--method", method, *kernel, *k_max,
+                          "--out-model", model])
+        assert code in (0, 2, 3)
+        assert model.exists() == (code == 0)
+        if code == 0:
+            code = exit_code(["eval", "--model", model, "--data", data, "--out", metrics])
+            assert code in (0, 2, 3)
+            assert metrics.exists() == (code == 0)
 
 
 def test_exit_codes_reach_the_process(tmp_path):
@@ -900,15 +984,15 @@ def test_fuzzed_model_leaf_loads_or_raises_input_error(fuzz_models, method, fiel
 
 
 def scores_from_recomputed_stats(model_path, x, train_gram):
-    """Score queries after recomputing every cluster's W_k and w'Kw from a
-    full training Gram ``train_gram(train, spec)``."""
+    """Score queries after recomputing every cluster's w'Kw from a full
+    product (wz' K)' over the training Gram ``train_gram(train, spec)``."""
     d = json.loads(model_path.read_text())
     model = ClusterModel.from_dict(d.get("final_model", d))
     spec, train = model.kernel_spec, model.train_features
-    wsum, _, inner = _cluster_stats(
-        train_gram(train, spec), model.cluster_of, model.point_weights, model.n_clusters
-    )
-    model = replace(model, cluster_wsum=wsum, cluster_inner=inner)
+    wz = np.zeros((train.shape[0], model.n_clusters))
+    wz[np.arange(train.shape[0]), model.cluster_of] = model.point_weights
+    inner = np.einsum("ik,ik->k", wz, (wz.T @ train_gram(train, spec)).T)
+    model = replace(model, cluster_inner=inner)
     return score_batch(model, cross_matrix(x, train, spec), kernel_diag(x, spec))[1]
 
 

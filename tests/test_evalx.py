@@ -24,7 +24,7 @@ from misspec_ssl.evalx import (
     predict,
 )
 from misspec_ssl.kernels import KernelSpec, cross_matrix, gram_matrix, kernel_diag
-from misspec_ssl.sskkm import ClusterModel
+from misspec_ssl.sskkm import ClusterModel, score_batch
 
 
 def brute_force_ap(scores, relevance):
@@ -413,7 +413,7 @@ class TestSerializationRoundTrip:
                                                 ("original_sskkm", 0.3), ("askkm", None)])
     def test_rebuilt_weights_and_cluster_totals_equal_the_fits(self, method, weight):
         # A file stores neither array: from_dict rebuilds the point weights
-        # from labeled_rows and unlabeled_weight, and W_k from them.
+        # from labeled_rows and unlabeled_weight, and score_batch W_k from them.
         train, _ = generate(replace(SCENARIO, n_unlabeled=60, seed=derive_seed(3, "roundtrip")))
         km = gram_matrix(train, KernelSpec())
         fitted = fit_method(method, train, km, SolverOptions(), weight=weight)
@@ -424,5 +424,7 @@ class TestSerializationRoundTrip:
         fit_weights = np.where(train.row_labels == UNLABELED, fitted.unlabeled_weight, 1.0)
         assert np.array_equal(fitted.point_weights, fit_weights)
         assert np.array_equal(loaded.point_weights, fit_weights)
-        assert np.array_equal(loaded.cluster_wsum, fitted.cluster_wsum)
+        for got, want in zip(score_batch(loaded, km.values, km.diag),
+                             score_batch(fitted, km.values, km.diag)):
+            assert np.array_equal(got, want)
         assert loaded.to_dict() == fitted.to_dict()

@@ -12,7 +12,7 @@ from misspec_ssl.kernels import KernelMatrix, KernelSpec, gram_matrix
 from misspec_ssl.misspec import LabelMap
 from misspec_ssl.sskkm import (
     ClusterModel,
-    _cluster_stats,
+    _MemberSums,
     fit_sskkm,
     init_assignments,
     score_batch,
@@ -108,10 +108,12 @@ class TestClusterStats:
         # from the transposed product (w'K)' and land within a few ulps
         rng = np.random.default_rng(n + k)
         d = build_dataset(rng.standard_normal((n, 2)), [0, 1], [0, 1])
-        kv = gram_matrix(d, KernelSpec()).values
+        km = gram_matrix(d, KernelSpec())
+        kv = km.values
         cluster_of = rng.integers(0, k, size=n)
         weights = rng.choice([1.0, 0.25], size=n)
-        wsum, member_sum, inner = _cluster_stats(kv, cluster_of, weights, k)
+        sums = _MemberSums(km, weights, k, cluster_of)
+        wsum, member_sum, inner = sums.wsum, sums.member_sum, sums.inner
         for c in range(k):
             m = np.flatnonzero(cluster_of == c)
             assert wsum[c] == math.fsum(weights[m])
@@ -425,7 +427,7 @@ def oracle_fit_sskkm(km, d, label_map, opts, init=None):
     return ClusterModel(
         cluster_of=cluster_of, label_map=label_map, unlabeled_weight=weight,
         objective=objective, kernel_spec=km.spec, iterations_run=iterations,
-        converged=converged, labeled_rows=d.labeled_idx, cluster_wsum=wsum,
+        converged=converged, labeled_rows=d.labeled_idx,
         cluster_inner=inner, train_features=d.features, objective_trace=tuple(trace),
     )
 
@@ -434,7 +436,6 @@ def assert_same_fit(got, want):
     """Equal decisions and stored statistics, bit for bit; the intermediate
     trace entries are updated values, equal up to their last bits."""
     assert got.to_dict() == want.to_dict()
-    np.testing.assert_array_equal(got.cluster_wsum, want.cluster_wsum)
     np.testing.assert_array_equal(got.cluster_inner, want.cluster_inner)
     assert len(got.objective_trace) == len(want.objective_trace)
     assert got.objective_trace[-1] == want.objective_trace[-1] == want.objective
@@ -442,23 +443,22 @@ def assert_same_fit(got, want):
 
 
 def force_incremental(mp, n, rows):
-    """Update member sums from the moved rows however small K is, gathering
-    ``rows`` rows of K (n columns) per block.
+    """Gather ``rows`` rows of K (n columns) per block, so that member sums
+    are updated from the moved rows wherever K has more than ``rows`` rows.
     Call it after the Gram is built: it shrinks the kernels' blocks too."""
-    mp.setattr(sskkm, "BLOCK_ENTRIES", 0)
     mp.setattr(kernels, "BLOCK_ENTRIES", rows * n)
 
 
 def spy_cluster_stats(mp):
-    """Record the clustering of every full product _cluster_stats makes."""
+    """Record the clustering of every full product _MemberSums.recompute makes."""
     calls = []
-    real = sskkm._cluster_stats
+    real = sskkm._MemberSums.recompute
 
-    def spy(kvalues, cluster_of, weights, k):
+    def spy(self, cluster_of):
         calls.append(np.array(cluster_of))
-        return real(kvalues, cluster_of, weights, k)
+        return real(self, cluster_of)
 
-    mp.setattr(sskkm, "_cluster_stats", spy)
+    mp.setattr(sskkm._MemberSums, "recompute", spy)
     return calls
 
 
@@ -587,50 +587,46 @@ class TestExactDecisions:
         assert np.array_equal(calls[1], after_one)  # the earlier objective, exactly
 
 
-class GramReads(np.ndarray):
-    """A Gram matrix that records the entries of every gather of its rows
-    and counts the products that read all of it."""
+class UnreadableGram(KernelMatrix):
+    """A Gram whose values cannot be read: K is reached only through the
+    methods of the Gram it wraps. Records the entries of every gather of its
+    rows and the width of every sweep."""
 
-    gathers: list[int] = []
-    full_reads = 0
+    def __init__(self, km):
+        for name, value in (("spec", km.spec), ("km", km), ("gathers", []), ("sweeps", [])):
+            object.__setattr__(self, name, value)
 
-    def __getitem__(self, key):
-        out = super().__getitem__(key)
-        if isinstance(out, np.ndarray) and not np.may_share_memory(out, self):
-            GramReads.gathers.append(out.size)
+    @property
+    def values(self):
+        raise AssertionError("KernelMatrix.values read outside kernels")
+
+    n = property(lambda self: self.km.n)
+    diag = property(lambda self: self.km.diag)
+
+    def sweep(self, wz):
+        self.sweeps.append(wz.shape[1])
+        return self.km.sweep(wz)
+
+    def rows(self, idx):
+        out = self.km.rows(idx)
+        self.gathers.append(out.size)
         return out
 
-    def take(self, *args, **kwargs):
-        out = super().take(*args, **kwargs)
-        GramReads.gathers.append(out.size)
-        return out
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        n = self.shape[0] if self.ndim == 2 else 0
-        for a in inputs:
-            if isinstance(a, GramReads) and a.ndim == 2 and a.shape == (n, n):
-                GramReads.full_reads += 1
-        plain = [np.asarray(a).view(np.ndarray) if isinstance(a, GramReads) else a
-                 for a in inputs]
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
-def test_fit_reads_k_twice_and_gathers_in_blocks(monkeypatch):
+def test_fit_reads_k_twice_and_gathers_in_blocks():
     # a dataset of the benchmark's askkm_cli shape, N = 6,020, at a seed of
     # its own: the init reads the 20 labeled rows of K, and a fit whose
     # guards do not fire reads all of K only at its start and its end
     d = generate(GenSpec(kind="misspecified", subclusters_per_class=2, class_separation=5.0,
                          subcluster_separation=8.0, n_unlabeled=6000, seed=31))[0]
-    gram = gram_matrix(d, KernelSpec())
-    km = KernelMatrix(values=gram.values.view(GramReads), spec=gram.spec)
+    km = UnreadableGram(gram_matrix(d, KernelSpec()))
     lm = LabelMap.identity(d.labels, 2)
-    monkeypatch.setattr(GramReads, "gathers", [])
-    monkeypatch.setattr(GramReads, "full_reads", 0)
     init = init_assignments(km, d, lm)
-    assert GramReads.full_reads == 0
-    assert sum(GramReads.gathers) == d.n_labeled * d.n_points
+    assert km.sweeps == []
+    assert sum(km.gathers) == d.n_labeled * d.n_points
+    km.gathers.clear()
     model = fit_sskkm(km, d, lm, SolverOptions(), init=init)
     assert model.iterations_run > 2
-    assert GramReads.full_reads == 2
-    assert len(GramReads.gathers) > 1
-    assert max(GramReads.gathers) <= kernels.BLOCK_ENTRIES
+    assert len(km.sweeps) == 2
+    assert len(km.gathers) > 1
+    assert max(km.gathers) <= kernels.BLOCK_ENTRIES
