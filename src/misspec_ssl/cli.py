@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,64 @@ EXIT_INPUT = 3
 
 
 def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``obj`` as the text of ``json.dumps(obj, indent=2,
+    sort_keys=True)`` and a final newline: 2-space indent, sorted keys,
+    ASCII only, floats as their ``repr`` or NaN/Infinity/-Infinity."""
+    path.write_text(_json_text(obj, "") + "\n", encoding="utf-8")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(obj: object, indent: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts, lists,
+    tuples, str, int, float, bool and None, as nested at ``indent``. A list
+    of floats alone, or of ints alone, is joined in one call: only the
+    ``repr`` of a NaN or an infinity holds an "n". TypeError on any other
+    value or key."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            body = sep.join(map(float.__repr__, obj))
+            if "n" in body:
+                body = sep.join(map(_float_text, obj))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(obj[k], inner)}"
+                         for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _check_output_path(path: str) -> Path:

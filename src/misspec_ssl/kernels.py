@@ -244,8 +244,11 @@ def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     core.available_memory() or cannot be allocated: under heuristic
     overcommit an allocation below the total memory is granted untouched,
     and filling it would end in the out-of-memory killer."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # C-ordered, so no value depends on the caller's memory layout; one
+    # array for both stays one, whose x @ x.T is the symmetric syrk product.
+    same = x is y
+    x = np.ascontiguousarray(x, dtype=float)
+    y = x if same else np.ascontiguousarray(y, dtype=float)
     if x.shape[1] != y.shape[1]:
         raise InputError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     if spec.is_rbf_kind and spec.gamma is None:
@@ -266,7 +269,7 @@ def cross_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def kernel_diag(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """k(x, x) per row; exactly 1 for rbf kinds."""
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if spec.kind == "linear":
         return np.sum(x * x, axis=1)
     return np.ones(x.shape[0])

@@ -175,8 +175,9 @@ def _component_log_joint(
     below PAIRWISE_SUM_MIN features that is the same left-to-right fold done
     one feature column at a time in place, with no (N, d) temporaries. The
     fold starts each row at its first feature's term, not at 0.0: a term is
-    >= +0 or NaN, and 0.0 + t == t for every such t."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    >= +0 or NaN, and 0.0 + t == t for every such t. ``x`` is read C-ordered,
+    so no value depends on the caller's memory layout."""
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
     n, d = x.shape
     comps = range(m.n_components) if comps is None else comps
     with np.errstate(divide="ignore"):
@@ -442,12 +443,17 @@ def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def sample_joint(m: GmmModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw (x, y) pairs from the model: component by mixing weight, then the
-    component's Gaussian; y is the component's class."""
+    component's Gaussian; y is the component's class. Every component and
+    normal is drawn up front, so the draws do not depend on the block size;
+    the normals are scaled and shifted in place KL_BLOCK rows at a time, so
+    beyond x the working memory is that of one block."""
     comps = rng.choice(m.n_components, size=n, p=m.weights / m.weights.sum())
-    # One square root per component, not per sample; in place, bit for bit.
     x = rng.standard_normal((n, m.dim))
-    x *= np.sqrt(m.covariances).take(comps, axis=0)
-    x += m.means.take(comps, axis=0)
+    sd = np.sqrt(m.covariances)  # one square root per component, not per sample
+    for b0 in range(0, n, KL_BLOCK):
+        b = slice(b0, b0 + KL_BLOCK)
+        x[b] *= sd.take(comps[b], axis=0)
+        x[b] += m.means.take(comps[b], axis=0)
     return x, m.comp_map[comps]
 
 
@@ -459,7 +465,8 @@ def kl_mc(m1: GmmModel, m2: GmmModel, n_samples: int, seed: int) -> KlEstimate:
     given the seed. All samples are drawn at once, so the draws do not
     depend on the block size, and scored KL_BLOCK at a time: beyond the
     samples, their classes and terms (8 * (d + 2) bytes a sample), the
-    working memory is that of one block.
+    working memory is that of one block. The samples are freed before the
+    standard error's pass over the terms.
     """
     if n_samples < 1:
         raise InputError(f"n_samples must be >= 1, got {n_samples}")
@@ -474,6 +481,7 @@ def kl_mc(m1: GmmModel, m2: GmmModel, n_samples: int, seed: int) -> KlEstimate:
         b = slice(b0, b0 + KL_BLOCK)
         np.subtract(joint_log_density(m1, x[b], y[b]), joint_log_density(m2, x[b], y[b]),
                     out=terms[b])
+    del x, y  # np.std takes a temporary as large as the terms
     raw = float(np.mean(terms))
     std_error = float(np.std(terms, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return KlEstimate(

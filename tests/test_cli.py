@@ -251,6 +251,36 @@ def test_exit_codes_reach_the_process(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv", "truth.json"]
 
 
+# Every JSON artifact is the text of json.dumps(obj, indent=2, sort_keys=True),
+# kept here as the oracle of the writer that replaced it.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.floats().map(np.float64) | st.sampled_from([-0.0, np.inf, -np.inf])
+               | st.lists(st.floats(), max_size=6) | st.lists(st.integers(), max_size=6)
+               | st.lists(st.booleans() | st.integers(-1, 1), max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30)
+
+
+@given(obj=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_json_files_equal_json_dumps(tmp_path_factory, obj):
+    f = tmp_path_factory.getbasetemp() / "out.json"
+    cli._dump_json(obj, f)
+    assert f.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {"a": {(1, 2): 3}}, {"a": np.int64(3)},
+                                 {"a": [1.0, np.float32(2.0)]}, {"a": {1.5}}, {"a": b"x"}],
+                         ids=["int-key", "tuple-key", "numpy-int", "numpy-float32", "set",
+                              "bytes"])
+def test_json_writer_rejects_other_values(tmp_path, obj):
+    with pytest.raises(TypeError):
+        cli._dump_json(obj, tmp_path / "out.json")
+
+
 class TestFit:
     def test_unbiased_sem_echoes_weight(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "model.json"

@@ -486,6 +486,27 @@ class TestFanOutProcesses:
         assert {width for _, width, _, _ in views} == {1}
         assert {blas for _, _, blas, _ in views} <= {1, None}
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_a_job_sees_one_thread_from_an_unpinned_parent(self, fan_out_threads):
+        # A BLAS count set in a forked worker starts an OpenBLAS thread there,
+        # so the count must come pinned through the fork.
+        fan_out_threads(2)
+        api = blas_thread_api()
+        earlier = api and api[1]()
+
+        def job(j):
+            np.ones((64, 64)) @ np.ones((64, 64))
+            return len(os.listdir("/proc/self/task"))
+
+        try:
+            if api is not None:
+                api[0](2)
+            assert fan_out_processes(job, range(4), 2) == [1] * 4
+            assert api is None or api[1]() == 2
+        finally:
+            if api is not None:
+                api[0](earlier)
+
     @pytest.mark.parametrize("cap, width, jobs", [("1", 2, 4), ("2", 1, 4), ("2", 2, 1)])
     def test_one_worker_or_one_job_runs_inline(self, fan_out_threads, cap, width, jobs):
         fan_out_threads(int(cap))

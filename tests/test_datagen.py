@@ -1,8 +1,16 @@
+import csv
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from misspec_ssl.core import UNLABELED, InputError, SolverOptions, derive_seed
+from misspec_ssl import datagen
+from misspec_ssl.core import UNLABELED, Dataset, InputError, SolverOptions, derive_seed
 from misspec_ssl.datagen import (
     GenSpec,
     generate,
@@ -204,3 +212,166 @@ class TestCsv:
         f.write_text(text, encoding="utf-8")
         with pytest.raises(InputError, match="header row required"):
             load_csv(f)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        (["1,2,a", "3,x,b", "5,6,a", "7,b"], 3, "bad feature value"),
+        (["1,2,a", "3,b", "5,6,a", "7,x,b"], 3, "expected 3 fields, got 2"),
+        (["1,2,a", "3,4,b", "5,6,a", "7,b", "x,8,a"], 5, "expected 3 fields, got 2"),
+        (["1,2,a", "3,4,b", "5,6,a", "7,8,a", "x,b"], 6, "expected 3 fields, got 2"),
+    ], ids=["value-then-short", "short-then-value", "short-then-value-later",
+            "short-with-a-bad-value"])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, rows, line, message):
+        f = tmp_path / "bad.csv"
+        self.write_lines(f, ["f0,f1,label", *rows])
+        with pytest.raises(InputError, match=f":{line}: {message}"):
+            load_csv(f)
+
+    def test_oversized_field_is_an_input_error(self, tmp_path):
+        f = tmp_path / "big.csv"
+        self.write_lines(f, ["f0,label", "1,a", "2" * (csv.field_size_limit() + 1) + ",b"])
+        with pytest.raises(InputError, match=":3: unreadable row"):
+            load_csv(f)
+        self.write_lines(f, ["f0,label", "x,a", "2" * (csv.field_size_limit() + 1) + ",b"])
+        with pytest.raises(InputError, match=":2: bad feature value"):
+            load_csv(f)
+
+    @pytest.mark.parametrize("rows", [1000, 3001, 3002, datagen.CSV_BLOCK_ROWS])
+    def test_a_fault_before_undecodable_text_is_reported_first(self, tmp_path, rows):
+        # The text is decoded a chunk at a time, so rows read before the
+        # undecodable byte come first, as they did row by row, whichever
+        # block of rows holds them.
+        f = tmp_path / "bad.csv"
+        good = [f"{j},a" for j in range(3000)]
+        f.write_bytes("\n".join(["f0,label", *good, "x,a", *good]).encode() + b"\n\xff\n")
+        with pytest.raises(InputError, match=":3002: bad feature value"):
+            load_in_blocks(f, rows)
+        f.write_bytes("\n".join(["f0,label", *good, *good]).encode() + b"\n\xff\n")
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            load_in_blocks(f, rows)
+
+
+# The row-at-a-time writer and reader that write_csv and load_csv replaced,
+# kept as their oracles.
+
+
+def write_csv_oracle(d, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(d.dim)] + ["label"])
+        for row, c in zip(d.features.tolist(), d.row_labels.tolist()):
+            label = "?" if c == UNLABELED else str(c)
+            writer.writerow([repr(v) for v in row] + [label])
+
+
+def load_csv_oracle(path):
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise InputError(f"{path}: header row required (empty file or blank first line)")
+            features, row_labels, name_to_id = [], [], {"?": UNLABELED}
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+                *values, raw = row
+                try:
+                    features.append([float(v) for v in values])
+                except ValueError as exc:
+                    raise InputError(f"{path}:{line_no}: bad feature value ({exc})") from None
+                row_labels.append(name_to_id.setdefault(raw, len(name_to_id) - 1))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not features:
+        raise InputError(f"{path}: no data rows after the header")
+    names = list(name_to_id)[1:]
+    return Dataset(np.asarray(features, dtype=float), np.asarray(row_labels, dtype=int),
+                   len(names)), names
+
+
+def outcome(read, path):
+    """What ``read`` makes of a file: (features bytes, C-ordered, labels,
+    names), or the InputError's message."""
+    try:
+        d, names = read(path)
+    except InputError as exc:
+        return str(exc)
+    return d.features.tobytes(), d.features.flags.c_contiguous, d.row_labels.tolist(), names
+
+
+def load_in_blocks(path, rows):
+    """load_csv converting ``rows`` rows at a time."""
+    with mock.patch.object(datagen, "CSV_BLOCK_ROWS", rows):
+        return load_csv(path)
+
+
+BLOCKS = (1, 2, 3, datagen.CSV_BLOCK_ROWS)
+
+
+@st.composite
+def datasets(draw):
+    """Up to 14 classes (labels of two digits), 1 to 4 features of any
+    finite value, subnormal, huge or -0.0, every class labeled at least once."""
+    c, dim = draw(st.integers(2, 14)), draw(st.integers(1, 4))
+    labels = list(range(c)) + draw(st.lists(st.integers(UNLABELED, c - 1), max_size=12))
+    labels = draw(st.permutations(labels))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-7, 1e22, -0.0])
+    x = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                      min_size=len(labels), max_size=len(labels)))
+    return Dataset(np.array(x), np.array(labels), c)
+
+
+@given(d=datasets())
+@settings(max_examples=200, deadline=None)
+def test_write_and_load_equal_their_oracles(tmp_path_factory, d):
+    tmp = tmp_path_factory.mktemp("csv")
+    fast, slow = tmp / "fast.csv", tmp / "slow.csv"
+    write_csv(d, fast)
+    write_csv_oracle(d, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    got = outcome(load_csv_oracle, fast)
+    for rows in BLOCKS:
+        assert outcome(lambda path: load_in_blocks(path, rows), fast) == got
+    features, c_ordered, row_labels, names = got
+    assert features == d.features.tobytes() and c_ordered
+    assert [names[i] if i != UNLABELED else "?" for i in row_labels] == [
+        "?" if c == UNLABELED else str(c) for c in d.row_labels.tolist()]
+
+
+FIELDS = ["1", "-2.5", "-0.0", "1e308", "1e-320", "nan", "inf", "1_0", " 3", "x", "", "?",
+          "a", "b", '"4"', '"a,b"', '"c\nd"', '"5', "é"]
+
+
+@given(header=st.integers(0, 4), rows=st.lists(st.lists(st.sampled_from(FIELDS), max_size=4),
+                                                max_size=8),
+       ending=st.sampled_from(["\n", "\r\n"]), tail=st.sampled_from([b"", b"\xff"]))
+@settings(max_examples=500, deadline=None)
+def test_load_of_any_text_equals_its_oracle(tmp_path_factory, header, rows, ending, tail):
+    # quoted fields, blank and ragged rows, bad numbers, non-finite values,
+    # classes never labeled, and undecodable bytes, in any order
+    lines = [",".join([*(f"f{j}" for j in range(header - 1)), "label"]) if header else "",
+             *map(",".join, rows)]
+    f = tmp_path_factory.mktemp("csv") / "any.csv"
+    f.write_bytes(ending.join(lines).encode("utf-8") + tail)
+    want = outcome(load_csv_oracle, f)
+    for block in BLOCKS:
+        assert outcome(lambda path: load_in_blocks(path, block), f) == want
+
+
+def test_load_holds_a_block_of_text(tmp_path):
+    # Every row's floats as Python objects traced 204 bytes a row at
+    # N = 50,020 (d = 2), and every row's text would take more; a block of
+    # text at a time leaves the features and labels, about 78 bytes a row.
+    d, _ = generate(GenSpec(n_unlabeled=50_000, seed=1))
+    f = tmp_path / "d.csv"
+    write_csv(d, f)
+    tracemalloc.start()
+    try:
+        load_csv(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * d.n_points

@@ -428,3 +428,48 @@ class TestSerializationRoundTrip:
                              score_batch(fitted, km.values, km.diag)):
             assert np.array_equal(got, want)
         assert loaded.to_dict() == fitted.to_dict()
+
+
+class TestMemoryOrder:
+    """Fits and scores read features C-ordered: a Fortran-ordered copy of
+    the same values gives the same bits. Pairwise sums of a row and BLAS
+    products both depend on the layout they are handed: before the copies,
+    linear and rbf kernels and sem scores differed from d = 9."""
+
+    @pytest.mark.parametrize("dim", [2, 9, 20])
+    def test_fortran_inputs_give_the_same_bits(self, dim):
+        spec = replace(SCENARIO, dim=dim, n_unlabeled=1000, seed=derive_seed(dim, "order"))
+        train, _ = generate(spec)
+        fortran = core.Dataset(np.asfortranarray(train.features), train.row_labels,
+                               train.n_classes)
+        assert fortran.features.flags.c_contiguous
+        test_x, _ = sample_eval_set(spec, 40, derive_seed(dim, "order-eval"))
+        queries = np.asfortranarray(test_x)
+        # one array for both sides, of a size where BLAS gemm and syrk differ
+        one = train.features[:300].copy()
+        moved = []
+        for kernel in (KernelSpec(kind="linear"), KernelSpec()):
+            km = gram_matrix(train, kernel)
+            got = {"gram": gram_matrix(fortran, kernel).values,
+                   "cross, queries": cross_matrix(queries, train.features, km.spec),
+                   "cross, training rows": cross_matrix(test_x, np.asfortranarray(
+                       train.features), km.spec),
+                   "cross, one array": (lambda f: cross_matrix(f, f, km.spec))(
+                       np.asfortranarray(one)),
+                   "diag": kernel_diag(queries, km.spec)}
+            want = {"gram": km.values,
+                    "cross, queries": cross_matrix(test_x, train.features, km.spec),
+                    "cross, training rows": cross_matrix(test_x, train.features, km.spec),
+                    "cross, one array": cross_matrix(one, one, km.spec),
+                    "diag": kernel_diag(test_x, km.spec)}
+            moved += [f"{kernel.kind} {k}" for k in got if not np.array_equal(got[k], want[k])]
+        for method in ("original_sem", "unbiased_sem", "original_sskkm"):
+            fitted = fit_method(method, train, km, SolverOptions())
+            if method.endswith("sem"):
+                refit = fit_method(method, fortran, None, SolverOptions())
+                moved += [f"{method} {name}" for name in ("weights", "means", "covariances")
+                          if not np.array_equal(getattr(refit, name), getattr(fitted, name))]
+            moved += [f"{method} predict" for got, want in zip(predict(fitted, queries),
+                                                               predict(fitted, test_x))
+                      if not np.array_equal(got, want)]
+        assert moved == []

@@ -454,17 +454,21 @@ class TestKlMc:
             assert est.value >= 0.0
 
     def test_working_memory_is_a_block_of_samples(self):
-        # at 200,000 samples, whole-array scoring traced 18.7 MiB; what is
-        # left is the samples, their classes and terms, about 6 MiB
+        # At 200,000 samples whole-array scoring traced 18.7 MiB, and whole-
+        # array scaling of the draws, or a standard error taken beside the
+        # samples, 7.6 MiB. What is left is the samples, their classes and
+        # terms (8 * (d + 2) bytes a sample, 6.1 MiB), and the working
+        # memory of one block (0.6 MiB at d = 2, K = 2: 6.7 MiB traced).
+        n = 200_000
         rng = np.random.default_rng(10)
         m1, m2 = random_model(rng, k=2), random_model(rng, k=2)
         tracemalloc.start()
         try:
-            kl_mc(m1, m2, 200_000, seed=0)
+            kl_mc(m1, m2, n, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20
+        assert peak <= 8 * (m1.dim + 2) * n + 128 * semgmm.KL_BLOCK
 
     def test_sample_count_checked(self):
         m = two_gaussian_model()
