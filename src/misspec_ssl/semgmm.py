@@ -7,13 +7,14 @@ The objective is
 with f(x, y) summing the components mapped to class y and f(x) marginalizing
 over all components. The unlabeled weight w realizes the original (w=1),
 unbiased (w=N_l/(N_l+N_u)) and supervised (w=0) objectives in one code path.
-Every density comes from one helper, the per-component log-joint: masked to
-a row's allowed components, its log-normalizers are both the E-step's and
-the objective's. A joint density f(x, y) scores each row against the
-components of its class y only. Also provides Bayes plug-in classification
-and a Monte-Carlo estimator of the KL divergence between two fitted joints
-(no closed form exists for mixture-mixture KL), which scores its samples in
-blocks.
+Every density comes from one helper, the per-component log-joint, shape
+(K, N): one contiguous row of the N points per component. Masked to a
+point's allowed components, its log-normalizers over the K rows are both
+the E-step's and the objective's. A joint density f(x, y) scores each point
+against the components of its class y only. Also provides Bayes plug-in
+classification and a Monte-Carlo estimator of the KL divergence between two
+fitted joints (no closed form exists for mixture-mixture KL), which scores
+its samples in blocks.
 """
 
 from __future__ import annotations
@@ -118,29 +119,18 @@ class KlEstimate:
     raw_mean: float
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=1) of a 2-D array, bit for bit. Below PAIRWISE_SUM_MIN
-    columns numpy adds a row strictly left to right from 0.0; this fold does
-    the same one whole column at a time, without numpy's per-row reduction
-    overhead. Its first step, 0.0 + a[:, 0], also makes its output."""
-    if a.shape[1] >= PAIRWISE_SUM_MIN:
-        return np.sum(a, axis=1)
-    out = np.add(a[:, 0], 0.0)
-    for j in range(1, a.shape[1]):
-        out += a[:, j]
-    return out
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """np.max(a, axis=1) of a 2-D array. Below PAIRWISE_SUM_MIN columns it
-    folds np.maximum over the columns (a max is exact in any order); from
-    there up it calls np.max, as _row_sum calls np.sum, since a loop over
-    many strided columns loses to numpy's row reduction at wide K."""
-    if a.shape[1] >= PAIRWISE_SUM_MIN:
-        return np.max(a, axis=1)
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(out, a[:, j], out=out)
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a 2-D array, bit for bit np.sum(a.T, axis=1)
+    on its C-ordered transpose: numpy adds fewer than PAIRWISE_SUM_MIN
+    values strictly left to right from 0.0, as this fold of whole rows does,
+    and more pairwise, so from PAIRWISE_SUM_MIN rows up this calls np.sum on
+    a C-ordered copy of the transpose (np.sum(a, axis=0) would add whole
+    rows in order)."""
+    if len(a) >= PAIRWISE_SUM_MIN:
+        return np.sum(a.T.copy(), axis=1)
+    out = np.add(a[0], 0.0)
+    for row in a[1:]:
+        out += row
     return out
 
 
@@ -153,41 +143,31 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     return np.array([0.0 + np.cumsum(a[:, j])[-1] for j in range(a.shape[1])])
 
 
-def _by_row(
-    op: np.ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """op(a, v[:, None]) of a 2-D array and a vector of its rows, one whole
-    column at a time (each element is the same operation, so the result is
-    the broadcast's bit for bit), without the broadcast's inner loop over
-    the K columns of a row. ``out`` may be ``a``."""
-    out = np.empty_like(a) if out is None else out
-    for j in range(a.shape[1]):
-        op(a[:, j], v, out=out[:, j])
-    return out
-
-
 def _component_log_joint(
     m: GmmModel, x: np.ndarray, comps: np.ndarray | None = None
 ) -> np.ndarray:
-    """log pi_k + log N(x_i; mu_k, diag(var_k)) for all points and the
-    components ``comps`` (default: all), shape (N, len(comps)). The scaled
-    squared distance is _row_sum of (x - mu)**2 / var over the features;
-    below PAIRWISE_SUM_MIN features that is the same left-to-right fold done
-    one feature column at a time in place, with no (N, d) temporaries. The
-    fold starts each row at its first feature's term, not at 0.0: a term is
-    >= +0 or NaN, and 0.0 + t == t for every such t. ``x`` is read C-ordered,
-    so no value depends on the caller's memory layout."""
+    """log pi_k + log N(x_i; mu_k, diag(var_k)) for the components ``comps``
+    (default: all) and all points, shape (len(comps), N), each component's
+    row written in place. The scaled squared distance sums (x - mu)**2 / var
+    over the features as np.sum(..., axis=1) does; below PAIRWISE_SUM_MIN
+    features that is a left-to-right fold of one feature column at a time,
+    with no (N, d) temporaries. The fold starts at the first feature's term,
+    not at 0.0: a term is >= +0 or NaN, and 0.0 + t == t for every such t.
+    ``x`` is read C-ordered, so no value depends on the caller's memory
+    layout; a width other than the model's is an InputError."""
     x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
     n, d = x.shape
+    if d != m.dim:
+        raise InputError(f"x holds {d} features but the model {m.dim}")
     comps = range(m.n_components) if comps is None else comps
     with np.errstate(divide="ignore"):
         log_w = np.log(m.weights)
-    out = np.empty((n, len(comps)))
+    out = np.empty((len(comps), n))
     t = np.empty(n)
-    for col, k in enumerate(comps):
+    for row, k in zip(out, comps):
         var, mu = m.covariances[k], m.means[k]
         if d < PAIRWISE_SUM_MIN:
-            row = np.subtract(x[:, 0], mu[0])
+            np.subtract(x[:, 0], mu[0], out=row)
             row *= row
             row /= var[0]
             for j in range(1, d):
@@ -197,21 +177,20 @@ def _component_log_joint(
                 row += t
         else:
             diff = x - mu
-            row = _row_sum(diff * diff / var)
+            np.sum(diff * diff / var, axis=1, out=row)
         row += d * LOG_2PI + np.sum(np.log(var))
         row *= -0.5
         row += log_w[k]
-        out[:, col] = row
     return out
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """Row log-sum-exp of a 2-D array, shifted by the finite row max; -inf
-    for a row that is all -inf."""
-    amax = _row_max(a)
+    """Log-sum-exp over the rows of a 2-D array, one value per column,
+    shifted by the finite column max; -inf for a column that is all -inf."""
+    amax = a.max(axis=0)
     np.copyto(amax, 0.0, where=~np.isfinite(amax))
-    shifted = _by_row(np.subtract, a, amax)
-    total = _row_sum(np.exp(shifted, out=shifted))
+    shifted = a - amax
+    total = _sum_rows(np.exp(shifted, out=shifted))
     with np.errstate(divide="ignore"):
         np.log(total, out=total)
     total += amax
@@ -221,11 +200,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 def _masked_log_joint(
     m: GmmModel, x: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log-joints of the rows of ``x``, shape (N, K), and their
-    row log-normalizers (N,). ``mask`` covers the leading rows of ``x``: a
-    log-joint is -inf where it is False; rows past it are unmasked."""
+    """Component log-joints of the rows of ``x``, shape (K, N), and their
+    log-normalizers (N,). ``mask`` (one row per point) covers the leading
+    rows of ``x``: a log-joint is -inf where it is False; points past it are
+    unmasked."""
     log_r = _component_log_joint(m, x)
-    np.copyto(log_r[: len(mask)], -np.inf, where=~mask)
+    np.copyto(log_r[:, : len(mask)], -np.inf, where=~mask.T)
     return log_r, _logsumexp(log_r)
 
 
@@ -251,10 +231,10 @@ def joint_log_density(m: GmmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``y``.
 
     The rows of each class are gathered and scored against that class's
-    components only, each placed at its component's column of a row K wide
-    that holds -inf at the others. That row is the fully scored row masked
-    to its class, so its logsumexp is the same bit for bit; the other
-    classes' components are never computed."""
+    components only, each placed at its component's row of a (K, rows)
+    array that holds -inf at the other components. That is the full
+    scoring masked to the class, so its logsumexp is the same bit for bit;
+    the other classes' components are never computed."""
     y = np.atleast_1d(integer_array(y, "y"))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != y.size:
@@ -263,32 +243,33 @@ def joint_log_density(m: GmmModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for c in range(m.n_classes):
         comps = np.flatnonzero(m.comp_map == c)
         rows = np.flatnonzero(y == c)
-        log_r = np.full((rows.size, m.n_components), -np.inf)
-        log_r[:, comps] = _component_log_joint(m, x.take(rows, axis=0), comps)
+        log_r = np.full((m.n_components, rows.size), -np.inf)
+        log_r[comps] = _component_log_joint(m, x.take(rows, axis=0), comps)
         out[rows] = _logsumexp(log_r)
     return out
 
 
 def class_log_joint(m: GmmModel, x: np.ndarray) -> np.ndarray:
-    """log f(x_i, y | theta) for every class y, shape (N, C)."""
+    """log f(x_i, y | theta) for every class y, shape (N, C): the transposed
+    view of one contiguous row per class."""
     comp = _component_log_joint(m, x)
-    out = np.full((comp.shape[0], m.n_classes), -np.inf)
+    out = np.full((m.n_classes, comp.shape[1]), -np.inf)
     for c in range(m.n_classes):
-        cols = np.flatnonzero(m.comp_map == c)
-        if cols.size:
-            out[:, c] = _logsumexp(comp[:, cols])
-    return out
+        comps = np.flatnonzero(m.comp_map == c)
+        if comps.size:
+            out[c] = _logsumexp(comp[comps])
+    return out.T
 
 
 def _col_var(a: np.ndarray) -> np.ndarray:
-    """np.var(a, axis=0) of a 2-D array of N >= 1 rows, bit for bit. On a
-    C-ordered array of two or more columns np.var adds each column top to
-    bottom, as _col_sum does, for both its mean and its sum of squared
-    deviations; this takes the same steps one column at a time, with no
-    (N, d) temporaries. A lone column, or the columns of an array in any
-    other memory order, numpy may sum pairwise, so those keep np.var."""
+    """np.var(a, axis=0) of a C-ordered 2-D array of N >= 1 rows, bit for
+    bit. On such an array of two or more columns np.var adds each column
+    top to bottom, as _col_sum does, for both its mean and its sum of
+    squared deviations; this takes the same steps one column at a time,
+    with no (N, d) temporaries. A lone column numpy sums pairwise, so it
+    keeps np.var. The caller passes a Dataset's C-ordered features."""
     n, dim = a.shape
-    if dim == 1 or not a.flags.c_contiguous:
+    if dim == 1:
         return np.var(a, axis=0)
     mean = _col_sum(a) / n
     out = np.empty(dim)
@@ -366,17 +347,23 @@ def fit_sem(d: Dataset, k: int, comp_map: np.ndarray, opts: SolverOptions) -> Gm
     model = _init_model(d, k, comp_map, floor, opts.seed)
     x, mask = _objective_rows(d, comp_map, w)
     diff = np.empty_like(x)
+    # One strided column per component: the M-step's products of a strided
+    # column keep their bits, those of a contiguous row do not.
+    wr = np.empty((len(x), k))
 
     log_r, norm = _masked_log_joint(model, x, mask)
     objective = _objective(norm, n_labeled, w)
     trace = [objective]
     for _ in range(opts.max_iter):
-        # E-step: row-normalized responsibilities, in place of the
-        # log-joints. A row whose allowed components all collapsed falls
-        # back to uniform over them; only a labeled row can, since an
-        # unlabeled row allows every component and some component has weight.
+        # E-step: normalized responsibilities, one row per point. A row
+        # whose allowed components all collapsed falls back to uniform over
+        # them; only a labeled row can, since an unlabeled row allows every
+        # component and some component has weight. The log-joints are freed
+        # before the next are made.
         with np.errstate(invalid="ignore"):
-            wr = np.exp(_by_row(np.subtract, log_r, norm, out=log_r), out=log_r)
+            np.subtract(log_r, norm, out=wr.T)
+        del log_r
+        np.exp(wr, out=wr)
         bad = np.flatnonzero(~np.isfinite(norm))
         if bad.size:
             wr[bad] = mask[bad] / mask[bad].sum(axis=1, keepdims=True)
@@ -426,8 +413,9 @@ def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
     """Bayes plug-in labels (Q,) and class posteriors (Q, C) of query points,
     from one pass over the components. A label is the argmax over classes of
     the joint density f(x, y), ties to the lowest class id; the posteriors
-    are the normalized joint densities. Log-domain throughout. Features
-    beyond _query_bound are an InputError."""
+    are the normalized joint densities, the transposed view of one row per
+    class. Log-domain throughout. Features beyond _query_bound, or a width
+    other than the model's, are an InputError."""
     bound = _query_bound(m)
     peak = float(np.max(np.abs(x), initial=0.0))
     if peak > bound:
@@ -435,10 +423,11 @@ def bayes_classify_batch(m: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
             f"query feature magnitude {peak:.3g} exceeds {bound:.3g}, beyond which "
             "the model's squared distances overflow float64"
         )
-    logj = class_log_joint(m, x)
-    p = _by_row(np.subtract, logj, _row_max(logj))
+    logj = class_log_joint(m, x).T
+    p = logj - logj.max(axis=0)
     np.exp(p, out=p)
-    return np.argmax(logj, axis=1), _by_row(np.divide, p, _row_sum(p), out=p)
+    p /= _sum_rows(p)
+    return np.argmax(logj, axis=0), p.T
 
 
 def sample_joint(m: GmmModel, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

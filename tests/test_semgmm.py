@@ -77,7 +77,7 @@ def joint_log_density_oracle(m, x, y):
 
 def bayes_classify_batch_oracle(m, x):
     """bayes_classify_batch as it was before the column folds."""
-    logj = class_log_joint(m, x)
+    logj = np.ascontiguousarray(class_log_joint(m, x))  # C-ordered, as it was
     p = np.exp(logj - np.max(logj, axis=1, keepdims=True))
     return np.argmax(logj, axis=1), p / p.sum(axis=1, keepdims=True)
 
@@ -99,7 +99,8 @@ def fit_sem_oracle(d, k, comp_map, opts):
         return np.concatenate(x), np.concatenate(mask), np.concatenate(alpha)
 
     def masked_log_joint(m, x, mask):
-        log_r = np.where(mask, semgmm._component_log_joint(m, x), -np.inf)
+        # C-ordered as the mask is, whatever the layout of the transpose
+        log_r = np.where(mask, semgmm._component_log_joint(m, x).T, -np.inf)
         with np.errstate(divide="ignore"):  # log(0) of a row that is all -inf
             return log_r, logsumexp_oracle(log_r)
 
@@ -162,14 +163,16 @@ def bits(value):
 
 @pytest.fixture()
 def with_oracle(monkeypatch):
-    """Calls a function once on semgmm's column folds and once with the
+    """Calls a function once on semgmm's component rows and once with the
     oracle's numpy row reductions, masked joint densities and a kl_mc in one
-    block patched in; returns both results."""
+    block patched in; returns both results. The oracles keep their (N, K)
+    rows, C-ordered as they were, behind semgmm's (K, N) signatures."""
     def both(fn):
         fast = fn()
         with monkeypatch.context() as patch:
-            patch.setattr(semgmm, "_component_log_joint", component_log_joint_oracle)
-            patch.setattr(semgmm, "_logsumexp", logsumexp_oracle)
+            patch.setattr(semgmm, "_component_log_joint",
+                          lambda m, x: component_log_joint_oracle(m, x).T)
+            patch.setattr(semgmm, "_logsumexp", lambda a: logsumexp_oracle(a.T.copy()))
             patch.setattr(semgmm, "bayes_classify_batch", bayes_classify_batch_oracle)
             patch.setattr(semgmm, "joint_log_density", joint_log_density_oracle)
             patch.setattr(semgmm, "KL_BLOCK", sys.maxsize)
@@ -380,6 +383,18 @@ class TestBayesClassify:
         with pytest.raises(InputError, match="exceeds"):
             bayes_classify_batch(m, np.array([[0.0], [-1.001 * bound]]))
 
+    @pytest.mark.parametrize("width", [0, 1, 2, 4, 8, 9])
+    def test_query_of_another_width_rejected(self, width):
+        # every sem density scores through the per-component log-joint,
+        # which reads the model's 3 features, no fewer and no more
+        m = random_model(np.random.default_rng(width), dim=3)
+        x = np.ones((4, width))
+        for score in (lambda: bayes_classify_batch(m, x), lambda: class_log_joint(m, x),
+                      lambda: joint_log_density(m, x, [0, 1, 0, 1]),
+                      lambda: semgmm._masked_log_joint(m, x, np.ones((2, 3), dtype=bool))):
+            with pytest.raises(InputError, match=f"x holds {width} features but the model 3"):
+                score()
+
     def test_matches_direct_density_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -514,7 +529,10 @@ WIDTHS = (1, 2, 3, 7, 8, 9)
 
 class TestColumnFoldsEqualOracle:
     @pytest.mark.parametrize("width", range(1, 18))
-    def test_row_sum_equals_numpy_row_sum(self, width):
+    def test_sum_rows_equals_numpy_row_sum(self, width):
+        # the input is ``width`` rows of 40 values; its C-ordered transpose
+        # holds 40 rows of ``width`` values, which numpy sums left to right
+        # below 8 values and pairwise from there up
         rng = np.random.default_rng(width)
         a = rng.standard_normal((40, width)) * 10.0 ** rng.integers(-8, 9, size=(40, width))
         a[0] = 0.0
@@ -526,8 +544,11 @@ class TestColumnFoldsEqualOracle:
         a[5, ::2] = -np.inf
         a[6, width // 2] = np.nan
         a[7] = -np.inf
+        a = a.T.copy()
         with np.errstate(invalid="ignore"):
-            assert bits(semgmm._row_sum(a)) == bits(np.sum(a, axis=1))
+            assert bits(semgmm._sum_rows(a)) == bits(np.sum(a.T.copy(), axis=1))
+            if width >= semgmm.PAIRWISE_SUM_MIN:  # whole rows in order are not pairwise
+                assert bits(np.sum(a, axis=0)) != bits(np.sum(a.T.copy(), axis=1))
 
     @pytest.mark.parametrize("n", [40, 8191, 8193, 20020])
     @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
@@ -570,12 +591,9 @@ class TestColumnFoldsEqualOracle:
         for scale in (1e-8, 1.0, 1e8):
             a = rng.standard_normal((n, width)) * scale * 10.0 ** rng.integers(-3, 4, size=width)
             a += 10 * scale * rng.standard_normal(width)
-            # a Fortran-ordered copy, as a Dataset keeps features given so,
-            # and a strided view: numpy may sum their columns pairwise
-            for b in (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
-                assert bits(semgmm._col_var(b)) == bits(np.var(b, axis=0))
-                assert semgmm._variance_floor(b) == max(
-                    semgmm.VARIANCE_FLOOR_SCALE * float(np.mean(np.var(b, axis=0))), 1e-12)
+            assert bits(semgmm._col_var(a)) == bits(np.var(a, axis=0))
+            assert semgmm._variance_floor(a) == max(
+                semgmm.VARIANCE_FLOOR_SCALE * float(np.mean(np.var(a, axis=0))), 1e-12)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     @pytest.mark.parametrize("k", WIDTHS)
@@ -600,15 +618,6 @@ class TestColumnFoldsEqualOracle:
                 assert bits(got) == bits(joint_log_density_oracle(dm, x[: ys.size], ys))
         with pytest.raises(InputError, match="x holds 300 rows but y 299 classes"):
             joint_log_density(m, x, y[:-1])
-
-    @pytest.mark.parametrize("width", range(1, 18))
-    def test_row_max_equals_numpy_row_max(self, width):
-        rng = np.random.default_rng(width)
-        a = rng.standard_normal((40, width))
-        a[0] = -np.inf
-        a[1, -1] = np.inf
-        a[2, width // 2] = np.nan
-        assert np.array_equal(semgmm._row_max(a), np.max(a, axis=1), equal_nan=True)
 
     @pytest.mark.parametrize("dim", WIDTHS)
     @pytest.mark.parametrize("k", WIDTHS[1:])  # K >= C = 2
