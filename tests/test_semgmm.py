@@ -529,7 +529,7 @@ WIDTHS = (1, 2, 3, 7, 8, 9)
 
 class TestColumnFoldsEqualOracle:
     @pytest.mark.parametrize("width", range(1, 18))
-    def test_sum_rows_equals_numpy_row_sum(self, width):
+    def test_row_sum_equals_numpy_row_sum(self, width):
         # the input is ``width`` rows of 40 values; its C-ordered transpose
         # holds 40 rows of ``width`` values, which numpy sums left to right
         # below 8 values and pairwise from there up
@@ -618,6 +618,21 @@ class TestColumnFoldsEqualOracle:
                 assert bits(got) == bits(joint_log_density_oracle(dm, x[: ys.size], ys))
         with pytest.raises(InputError, match="x holds 300 rows but y 299 classes"):
             joint_log_density(m, x, y[:-1])
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_row_max_equals_numpy_row_max(self, width):
+        # _logsumexp shifts each point by its max over ``width`` component
+        # rows: numpy's row max of the (N, K) layout, -inf, inf and nan
+        # included, and the log-sum-exp after it is the oracle's bit for bit
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((40, width))
+        a[0] = -np.inf
+        a[1, -1] = np.inf
+        a[2, width // 2] = np.nan
+        rows = a.T.copy()
+        assert np.array_equal(rows.max(axis=0), np.max(a, axis=1), equal_nan=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert bits(semgmm._logsumexp(rows)) == bits(logsumexp_oracle(a))
 
     @pytest.mark.parametrize("dim", WIDTHS)
     @pytest.mark.parametrize("k", WIDTHS[1:])  # K >= C = 2
