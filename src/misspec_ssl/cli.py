@@ -6,7 +6,8 @@ so config echo + seed determine the outputs byte for byte. Every command runs
 with BLAS held at one thread (core.one_blas_thread), so no output depends on
 the BLAS thread count of the machine. Settings may also
 be supplied as a JSON config file (``--config``); explicit flags override it.
-Exit codes: 0 success, 2 usage/config error, 3 data/solver input error.
+Exit codes: 0 success, 2 usage/config error, 3 data/solver input error or
+a refused allocation.
 """
 
 from __future__ import annotations
@@ -449,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a missing file or directory, or a directory as a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a refused allocation, here or in a curve's worker
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -278,8 +278,10 @@ def load_csv(path: str | Path) -> tuple[Dataset, list[str]]:
     if not blocks:
         raise InputError(f"{path}: no data rows after the header")
     names = list(name_to_id)[1:]
+    features = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    del blocks  # freed before Dataset copies the features
     dataset = Dataset(
-        features=blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+        features=features,
         row_labels=np.asarray(row_labels, dtype=int),
         n_classes=len(names),
     )

@@ -138,10 +138,13 @@ def _gamma(n: int) -> float:
 
 
 class _MemberSums:
-    """The statistics of one clustering of the Gram's points: the member
-    sums M = K wz of the weighted indicator wz, made by a sweep of K or from
-    its gathered rows, and from wz and M in one step (_set_totals) the
-    weight totals W_k and the second-order terms T_k = w'M.
+    """The statistics of one clustering ``cluster_of`` of the Gram's points:
+    the member sums M = K wz of the weighted indicator wz, made by a sweep of
+    K or from its gathered rows, and from wz and M in one step (_set_totals)
+    the weight totals W_k, the second-order terms T_k = w'M, the distances
+    ``dist`` (N, K) and the weighted ``objective``. ``reassign`` takes the
+    nearest-cluster step on them. The empty clustering (None) holds zero
+    sums and totals and no distances: it is only a start to move from.
 
     A full product (one sweep of K) gives the statistics bit for bit as a
     fresh computation does: they are *exact*. A move to a new clustering
@@ -158,8 +161,8 @@ class _MemberSums:
     every |K_ij| by max |K_ii|: that is 1 for the rbf kinds, and for linear
     Cauchy-Schwarz holds up to a relative d*u of rounding, which doubling
     the bound covers. From ``err`` follow ``distance_err`` and
-    ``objective_err``, bounds on how far the computed distances and
-    objective lie from those a full product gives (0 when exact)."""
+    ``objective_err``, bounds on how far ``dist`` and ``objective`` lie
+    from those a full product gives (0 when exact)."""
 
     def __init__(
         self, km: KernelMatrix, weights: np.ndarray, k: int, cluster_of: np.ndarray | None
@@ -167,11 +170,10 @@ class _MemberSums:
         self.km = km
         self.weights = weights
         self.k = k
-        if cluster_of is None:  # the empty clustering: every member sum is exactly 0
+        if cluster_of is None:  # the empty clustering: every sum and total is exactly 0
             self.member_sum = np.zeros((k, km.n)).T
-            self._set_totals(None, np.zeros((km.n, k)))
-            self.err = None
-            self.distance_err = self.objective_err = 0.0
+            self.wsum, self.inner, self.cluster_of = np.zeros(k), np.zeros(k), None
+            self.err, self.distance_err, self.objective_err = None, 0.0, 0.0
         else:
             self.recompute(cluster_of)
 
@@ -180,14 +182,17 @@ class _MemberSums:
         wz = _weighted_indicator(cluster_of, self.weights, self.k)
         self.member_sum = self.km.sweep(wz)
         self._set_totals(cluster_of, wz)
-        self.err = None
-        self.distance_err = self.objective_err = 0.0
+        self.err, self.distance_err, self.objective_err = None, 0.0, 0.0
 
-    def _set_totals(self, cluster_of: np.ndarray | None, wz: np.ndarray) -> None:
-        """W_k and T_k of ``cluster_of``, of weighted indicator ``wz``, once M is made."""
+    def _set_totals(self, cluster_of: np.ndarray, wz: np.ndarray) -> None:
+        """W_k, T_k, the distances and the objective of ``cluster_of``, of
+        weighted indicator ``wz``, once M is made."""
         self.wsum = wz.sum(axis=0)
         self.inner = np.einsum("ik,ik->k", wz, self.member_sum)
         self.cluster_of = cluster_of
+        self.dist = _distances(self.km.diag, self.member_sum, self.wsum, self.inner)
+        at = self.dist[np.arange(cluster_of.size), cluster_of]
+        self.objective = float(np.dot(self.weights, at))
 
     def move(self, cluster_of: np.ndarray) -> None:
         """The statistics of ``cluster_of`` (an array the caller no longer
@@ -231,8 +236,18 @@ class _MemberSums:
         self.distance_err = float(np.max(3.0 * to_full / self.wsum)) + rounding
         self.objective_err = float(self.wsum.sum()) * (self.distance_err + 8.0 * gamma_n * kb)
 
-    def distances(self) -> np.ndarray:
-        return _distances(self.km.diag, self.member_sum, self.wsum, self.inner)
+    def reassign(self, free: np.ndarray) -> np.ndarray:
+        """A copy of the clustering with every point of ``free`` at its
+        nearest cluster (ties to the lowest cluster id), as a full product
+        gives it: where the error bound leaves an argmin in doubt, the
+        statistics are recomputed first."""
+        dist = self.dist[free]
+        if _near_tie(dist, self.distance_err):
+            self.recompute(self.cluster_of)
+            dist = self.dist[free]
+        cluster_of = self.cluster_of.copy()
+        cluster_of[free] = np.argmin(dist, axis=1)
+        return cluster_of
 
 
 def _near_tie(dist: np.ndarray, err: float) -> bool:
@@ -246,34 +261,22 @@ def _near_tie(dist: np.ndarray, err: float) -> bool:
     return bool(np.any(two[:, 1] - two[:, 0] <= 2.0 * err))
 
 
-def _objective(weights: np.ndarray, dist: np.ndarray, cluster_of: np.ndarray) -> float:
-    return float(np.dot(weights, dist[np.arange(cluster_of.size), cluster_of]))
-
-
 def init_assignments(km: KernelMatrix, d: Dataset, label_map: LabelMap) -> np.ndarray:
     """The cluster id of every point: labeled points pinned to their fine
     labels, and every unlabeled point given the cluster whose labeled-seed
     mean is nearest in kernel distance (ties to the lowest cluster id).
     Deterministic.
 
-    Unlabeled points weigh 0 here, so the member sums are the sums of the
-    labeled rows of K alone, gathered in blocks. When their error bound
-    leaves some point's nearest cluster in doubt, the argmin is taken on a
-    full product instead.
+    Unlabeled points weigh 0 here, so one move from the empty clustering
+    sums the labeled rows of K alone, gathered in blocks. The unlabeled
+    points then take fit_sskkm's reassignment step (_MemberSums.reassign).
     """
     labeled = d.labeled_idx
     pinned = np.zeros(d.n_points, dtype=int)
     pinned[labeled] = label_map.fine_of_point
     sums = _MemberSums(km, _point_weights(labeled, d.n_points, 0.0), label_map.n_fine, None)
     sums.move(pinned)
-    free = d.unlabeled_idx
-    dist = sums.distances()[free]
-    if _near_tie(dist, sums.distance_err):
-        sums.recompute(pinned)
-        dist = sums.distances()[free]
-    cluster_of = pinned.copy()
-    cluster_of[free] = np.argmin(dist, axis=1)
-    return cluster_of
+    return sums.reassign(d.unlabeled_idx)
 
 
 def _point_weights(labeled_rows: np.ndarray, n: int, unlabeled_weight: float) -> np.ndarray:
@@ -300,16 +303,18 @@ def fit_sskkm(
     from the options) is non-increasing across iterations, and the whole
     procedure is deterministic given its inputs.
 
-    A fit reads all of K twice, in one full product at its start and one at
-    its end; in between it updates the statistics from the rows of K of the
-    points that moved (_MemberSums). Every decision is the one that a full
-    product at every iteration gives. An argmin with two distances within
-    their error bound of each other, and a tolerance test within the
-    objectives' error bound of tol, are decided on exactly recomputed
-    statistics. The intermediate ``objective_trace`` entries are the
-    updated values, which may differ from a full product's in their last
-    bits; the last entry, ``objective`` and ``cluster_inner`` are exact.
-    The final recomputation is not an iteration.
+    One _MemberSums holds the clustering, its distances, its objective and
+    their error bounds. A fit reads all of K twice, in one full product at
+    its start and one at its end; in between each move updates them from
+    the rows of K of the points that moved. Every decision is the one that
+    a full product at every iteration gives. An argmin with two distances
+    within their error bound of each other (in _MemberSums.reassign, which
+    init_assignments shares), and a tolerance test within the objectives'
+    error bound of tol, are decided on exactly recomputed statistics. The
+    intermediate ``objective_trace`` entries are the updated values, which
+    may differ from a full product's in their last bits; the last entry,
+    ``objective`` and ``cluster_inner`` are exact. The final recomputation
+    is not an iteration.
     """
     if km.n != d.n_points:
         raise InputError(f"kernel matrix covers {km.n} points, dataset has {d.n_points}")
@@ -327,59 +332,39 @@ def fit_sskkm(
 
     weights = _point_weights(d.labeled_idx, d.n_points, weight)
     free = d.unlabeled_idx
-
     sums = _MemberSums(km, weights, k, cluster_of)
-    dist = sums.distances()
-    objective, objective_err = _objective(weights, dist, cluster_of), 0.0
-    trace = [objective]
+    trace = [sums.objective]
 
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
     for _ in range(opts.max_iter):
         iterations += 1
-        dist_free = dist[free]
-        if _near_tie(dist_free, sums.distance_err):
-            sums.recompute(cluster_of)
-            dist = sums.distances()
-            dist_free = dist[free]
-            objective, objective_err = _objective(weights, dist, cluster_of), 0.0
-        new_cluster_of = cluster_of.copy()
-        new_cluster_of[free] = np.argmin(dist_free, axis=1)
-        if np.array_equal(new_cluster_of, cluster_of):
+        cluster_of = sums.reassign(free)
+        if np.array_equal(cluster_of, sums.cluster_of):
             converged = True
             break
-        previous, cluster_of = cluster_of, new_cluster_of
-
+        previous, objective, objective_err = sums.cluster_of, sums.objective, sums.objective_err
         sums.move(cluster_of)
-        dist = sums.distances()
-        new_objective, new_err = _objective(weights, dist, cluster_of), sums.objective_err
-        trace.append(new_objective)
-        err = objective_err + new_err
+        trace.append(sums.objective)
+        err = objective_err + sums.objective_err
         # the slack covers the rounding of the difference, on both sides
-        slack = 4.0 * UNIT_ROUNDOFF * (abs(objective) + abs(new_objective))
-        if err and abs(objective - new_objective - opts.tol) <= err + slack:
+        slack = 4.0 * UNIT_ROUNDOFF * (abs(objective) + abs(sums.objective))
+        if err and abs(objective - sums.objective - opts.tol) <= err + slack:
             if objective_err:
-                before = _MemberSums(km, weights, k, previous)
-                objective = _objective(weights, before.distances(), previous)
+                objective = _MemberSums(km, weights, k, previous).objective
             sums.recompute(cluster_of)
-            dist = sums.distances()
-            new_objective, new_err = _objective(weights, dist, cluster_of), 0.0
-        if objective - new_objective < opts.tol:
-            objective = new_objective
+        if objective - sums.objective < opts.tol:
             converged = True
             break
-        objective, objective_err = new_objective, new_err
 
     if sums.err is not None:
-        sums.recompute(cluster_of)
-        objective = _objective(weights, sums.distances(), cluster_of)
-    trace[-1] = objective
+        sums.recompute(sums.cluster_of)
+    trace[-1] = sums.objective
 
     return ClusterModel(
-        cluster_of=cluster_of,
+        cluster_of=sums.cluster_of,
         label_map=label_map,
         unlabeled_weight=weight,
-        objective=objective,
+        objective=sums.objective,
         kernel_spec=km.spec,
         iterations_run=iterations,
         converged=converged,

@@ -157,6 +157,57 @@ def test_bad_input_exits_cleanly(tmp_path, dataset_csv, monkeypatch, capsys, cas
     assert set(Path().iterdir()) == before
 
 
+REFUSED = "Unable to allocate 373. GiB for an array with shape (50000000000,) and data type int64"
+
+# Commands whose first large allocation is refused, as numpy refuses one:
+# (argv, module, the function of it that raises MemoryError, whether only in
+# a forked worker). The cells of the last curve hold 560 training rows, above
+# the process floor, so two workers fork and the parent re-raises their error.
+REFUSED_ALLOCATIONS = {
+    "gen": (["gen"], cli, "generate", False),
+    "fit": (["fit", "--data", "data.csv", "--method", "original_sem"], evalx, "fit_sem", False),
+    "curve": (["curve", "--grid", 0, "--seeds", 1, "--eval-size", 20,
+               "--methods", "original_sem"], evalx, "sample_eval_set", False),
+    "curve_workers": (["curve", "--grid", "0,500", "--seeds", 2, "--eval-size", 20,
+                       "--workers", 2, "--methods", "original_sem"],
+                      evalx, "sample_eval_set", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ALLOCATIONS))
+def test_refused_allocation_exits_3(tmp_path, dataset_csv, monkeypatch, fan_out_threads, capsys,
+                                    case):
+    argv, module, name, in_worker = REFUSED_ALLOCATIONS[case]
+    parent, real = os.getpid(), getattr(module, name)
+
+    def refuse(*args, **kwargs):
+        if in_worker and os.getpid() == parent:
+            return real(*args, **kwargs)
+        raise MemoryError(REFUSED)
+
+    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    fan_out_threads(2)
+    before = set(Path().iterdir())
+    outputs = {"gen": ["--out-data", "out.csv", "--out-truth", "out.json"],
+               "fit": ["--out-model", "out.json"],
+               "curve": ["--out-json", "out.json", "--out-csv", "out.csv"]}[argv[0]]
+    assert run([*argv, *outputs]) == 3
+    assert capsys.readouterr().err == f"error: out of memory: {REFUSED}\n"
+    assert set(Path().iterdir()) == before
+
+
+def test_refused_allocation_without_a_message_exits_3(tmp_path, dataset_csv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(evalx, "fit_sem", refuse)
+    assert run(["fit", "--data", dataset_csv, "--method", "original_sem",
+                "--out-model", tmp_path / "m.json"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def exit_code(argv):
     """main's exit code, or the code of the usage error argparse exits with."""
     try:
